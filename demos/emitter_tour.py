@@ -10,6 +10,7 @@ on a small Rastrigin task and prints what it produces.
 import numpy as np
 
 from qdpool import (
+    AddStatus,
     Archive,
     Elite,
     EMITTER_CLASSES,
@@ -35,12 +36,11 @@ for kind, cls in EMITTER_CLASSES.items():
     genotypes = emitter.generate_samples(archive, task, rng)
     raw, norm, bd = evaluate_batch(genotypes, task)
 
-    # offer to the archive exactly like the engine does, collecting results
-    results = []
-    for i, cell in enumerate(cell_indices(bd, task.grid())):
-        results.append(archive.offer_candidate(int(cell), genotypes[i], bd[i], raw[i], norm[i]))
-    rewards = emitter.batch_rewards(bd, norm, results)
-    added = sum(r.added for r in results)
+    # insert the whole batch exactly like the engine does
+    cells = cell_indices(bd, task.grid())
+    status, improvement = archive.insert_batch(cells, genotypes, bd, raw, norm)
+    rewards = emitter.batch_rewards(bd, norm, status, improvement)
+    added = int(np.count_nonzero(status != AddStatus.REJECTED))
 
     print(f"{kind.name}: batch of {len(genotypes)}, {added} added")
     print(f"  rewards: {np.array2string(np.asarray(rewards), precision=3)}")

@@ -1,10 +1,11 @@
 """Grid archive: a uniform discretization of descriptor space where each
 cell keeps the single best solution seen for that behaviour.
 
-The archive is the central data structure of the library.  Solutions are
-inserted through :meth:`Archive.add_attempt`, which applies the elitist
-competition rule (empty cell -> insert, occupied cell -> replace only on
-strict fitness improvement).  Competition compares raw task fitness;
+The archive is the central data structure of the library.  Every insertion
+applies the elitist competition rule (empty cell -> insert, occupied cell
+-> replace only on strict fitness improvement): one solution at a time
+through :meth:`Archive.add_attempt`, or a whole generation at once
+through :meth:`Archive.insert_batch`.  Competition compares raw task fitness;
 normalized fitness, which clamps to [0, 1] outside the task's reference
 range, is stored alongside it for rewards and metrics.  On the reference
 range the two orderings coincide (normalization is affine there), but raw
@@ -13,11 +14,10 @@ competition keeps selection pressure alive where the clamp saturates.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Iterator
 
 import numpy as np
@@ -128,10 +128,13 @@ class Elite:
     fitness_norm: float
 
 
-class AddStatus(Enum):
-    NEW = "new"
-    IMPROVED = "improved"
-    REJECTED = "rejected"
+class AddStatus(IntEnum):
+    """What an insertion attempt did; the integer values are the codes
+    :meth:`Archive.insert_batch` returns per candidate."""
+
+    REJECTED = 0
+    IMPROVED = 1
+    NEW = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,29 +163,78 @@ class AddResult:
 _REJECTED = AddResult(AddStatus.REJECTED, 0.0)
 
 
-class Archive:
-    """Sparse elitist grid over descriptor space.
+def _resized(a: np.ndarray, length: int) -> np.ndarray:
+    out = np.empty((length,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
-    Storage is a map from flat cell index to :class:`Elite`, so memory is
-    proportional to occupancy rather than grid size.  Occupied cells are
-    also kept in a sorted list, which makes iteration order and uniform
-    elite sampling canonical (ascending cell index) regardless of
-    insertion history.
+
+class Archive:
+    """Elitist grid over descriptor space, stored in arrays.
+
+    Storage layout:
+
+    * per cell (``spec.total_cells`` entries): ``_row``, the row of the
+      cell's elite or -1 for an empty cell, and ``_raw``/``_norm``, the
+      elite's two fitness values (meaningless where the cell is empty);
+    * per row, one row per occupied cell: ``_genotypes`` and
+      ``_descriptors``.  The row arrays grow by doubling; a newly
+      occupied cell appends a row and a replacement overwrites its
+      cell's row in place, so memory follows occupancy, not grid size;
+    * ``_objects``, per row: the :class:`Elite` a caller passed in through
+      :meth:`add_attempt`, :meth:`offer` or :meth:`read_csv`, or ``None``
+      where :meth:`insert_batch` wrote the row.
+
+    Reads are canonical: iteration, ranks and uniform elite sampling
+    follow ascending cell index regardless of insertion history.  A cell
+    whose elite came in as an :class:`Elite` yields that same object.  A
+    cell filled by :meth:`insert_batch` holds one copy of the genotype and
+    yields a fresh :class:`Elite` copy on every read, so the identity of
+    batch-inserted elites is not preserved across reads.  Callers must
+    not mutate an elite after handing it to the archive.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        self._cells: dict[int, Elite] = {}
-        self._sorted_keys: list[int] = []
-        self._geno_cache: np.ndarray | None = None
+        self._row = np.full(spec.total_cells, -1, dtype=np.int64)
+        self._raw = np.zeros(spec.total_cells)
+        self._norm = np.zeros(spec.total_cells)
+        self._size = 0
+        self._genotypes = np.empty((0, 0))
+        self._descriptors = np.empty((0, spec.dims))
+        self._objects = np.empty(0, dtype=object)
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self._size
 
     @property
     def size(self) -> int:
         """Number of occupied cells."""
-        return len(self._cells)
+        return self._size
+
+    def _occupied(self) -> np.ndarray:
+        """Occupied cells in ascending order."""
+        return np.flatnonzero(self._row >= 0)
+
+    def _claim_rows(self, cells: np.ndarray, genotype_dim: int) -> np.ndarray:
+        """Appends one row per newly occupied cell and returns the rows."""
+        if genotype_dim != self._genotypes.shape[1]:
+            if self._size:
+                raise ValueError(
+                    f"genotype has {genotype_dim} components, "
+                    f"the archive holds {self._genotypes.shape[1]}"
+                )
+            self._genotypes = np.empty((0, genotype_dim))
+        end = self._size + len(cells)
+        if end > len(self._genotypes):
+            capacity = max(16, 2 * len(self._genotypes), end)
+            self._genotypes = _resized(self._genotypes, capacity)
+            self._descriptors = _resized(self._descriptors, capacity)
+            self._objects = _resized(self._objects, capacity)
+        rows = np.arange(self._size, end)
+        self._row[cells] = rows
+        self._size = end
+        return rows
 
     def add_attempt(self, elite: Elite) -> AddResult:
         """Offers an elite to the archive and applies the competition rule.
@@ -203,80 +255,183 @@ class Archive:
     def offer(self, cell: int, elite: Elite) -> AddResult:
         """Competition rule for a pre-binned candidate.
 
-        Trusted fast path for the insertion loop: the caller guarantees
-        ``cell`` is the candidate's cell index (batch-computed) and
-        ``fitness_norm`` is already in [0, 1].
+        Trusted fast path: the caller guarantees ``cell`` is the
+        candidate's cell index and ``fitness_norm`` is already in [0, 1].
+        A winning elite is stored as the object itself.
         """
-        incumbent = self._cells.get(cell)
-        if incumbent is None:
-            self._cells[cell] = elite
-            bisect.insort(self._sorted_keys, cell)
-            self._geno_cache = None
-            return AddResult(AddStatus.NEW, elite.fitness_norm)
-        if elite.fitness_raw > incumbent.fitness_raw:
+        row = int(self._row[cell])
+        if row < 0:
+            row = int(self._claim_rows(np.array([cell]), len(elite.genotype))[0])
+            result = AddResult(AddStatus.NEW, elite.fitness_norm)
+        elif elite.fitness_raw > self._raw[cell]:
             # norm is a monotone function of raw, so this delta is >= 0
-            improvement = elite.fitness_norm - incumbent.fitness_norm
-            self._cells[cell] = elite
-            self._geno_cache = None
-            return AddResult(AddStatus.IMPROVED, improvement)
-        return _REJECTED
+            result = AddResult(AddStatus.IMPROVED, elite.fitness_norm - float(self._norm[cell]))
+        else:
+            return _REJECTED
+        self._genotypes[row] = elite.genotype
+        self._descriptors[row] = elite.descriptor
+        self._objects[row] = elite
+        self._raw[cell] = elite.fitness_raw
+        self._norm[cell] = elite.fitness_norm
+        return result
 
     def offer_candidate(
         self, cell: int, genotype, descriptor, fitness_raw: float, fitness_norm: float
     ) -> AddResult:
-        """Competition rule for raw candidate rows (engine hot path).
-
-        Losing candidates are rejected without constructing anything;
-        winning ones are copied into a fresh :class:`Elite`, so callers
-        may pass views into batch matrices.
-        """
-        incumbent = self._cells.get(cell)
-        if incumbent is not None and fitness_raw <= incumbent.fitness_raw:
-            return _REJECTED
-        elite = Elite(
-            np.array(genotype, dtype=float),
-            np.array(descriptor, dtype=float),
-            float(fitness_raw),
-            float(fitness_norm),
+        """Competition rule for one raw candidate row: :meth:`insert_batch`
+        with a batch of one.  The row is copied, so callers may pass views
+        into batch matrices."""
+        status, improvement = self.insert_batch(
+            [cell], np.asarray(genotype)[None], np.asarray(descriptor)[None],
+            [fitness_raw], [fitness_norm],
         )
-        return self.offer(cell, elite)
+        if status[0] == AddStatus.REJECTED:
+            return _REJECTED
+        return AddResult(AddStatus(int(status[0])), float(improvement[0]))
+
+    def insert_batch(
+        self, cells, genotypes, descriptors, fitness_raw, fitness_norm
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Competition rule for a whole batch of pre-binned candidates.
+
+        The outcome is exactly that of offering the candidates one at a
+        time in batch order.  The batch is stable-sorted by cell; within a
+        cell, a candidate wins iff its raw fitness strictly beats the
+        running maximum of the incumbent and the earlier candidates
+        (ties keep the earliest holder), and it improves on whichever of
+        them held the cell just before it.  Only each cell's final winner
+        is written, into a single genotype copy.
+
+        Trusted fast path like :meth:`offer`: ``cells`` must be the
+        candidates' cell indices and ``fitness_norm`` must lie in [0, 1].
+
+        Args:
+            cells: ``(m,)`` flat cell indices.
+            genotypes: ``(m, n)`` candidate genotypes.
+            descriptors: ``(m, dims)`` candidate descriptors.
+            fitness_raw: ``(m,)`` raw fitness, without NaN.
+            fitness_norm: ``(m,)`` normalized fitness.
+
+        Returns:
+            ``(status, improvement)`` in batch order: the
+            :class:`AddStatus` code of each candidate (``int8``) and its
+            improvement as defined by :class:`AddResult`.
+        """
+        cells = np.asarray(cells, dtype=np.int64)
+        genotypes = np.asarray(genotypes, dtype=float)
+        descriptors = np.asarray(descriptors, dtype=float)
+        raw = np.asarray(fitness_raw, dtype=float)
+        norm = np.asarray(fitness_norm, dtype=float)
+        m = len(cells)
+        if not (len(genotypes) == len(descriptors) == len(raw) == len(norm) == m):
+            raise ValueError("insert_batch arguments must have one entry per candidate")
+        if np.isnan(raw).any():
+            raise ValueError("fitness_raw contains NaN")
+        status = np.zeros(m, dtype=np.int8)
+        improvement = np.zeros(m)
+        if m == 0:
+            return status, improvement
+
+        order = np.argsort(cells, kind="stable")
+        sorted_cells, s_raw, s_norm = cells[order], raw[order], norm[order]
+        first = np.ones(m, dtype=bool)  # first candidate of its cell
+        first[1:] = sorted_cells[1:] != sorted_cells[:-1]
+        starts = np.flatnonzero(first)
+        seg = np.cumsum(first) - 1  # per candidate: index of its cell in seg_cells
+        seg_cells = sorted_cells[starts]
+        held = self._row[sorted_cells] >= 0
+
+        # Segmented running max of raw: dense ranks keep the order of raw
+        # (ties equal), and offsetting them by segment makes one plain
+        # running max restart at every cell.
+        rank = np.unique(s_raw, return_inverse=True)[1]
+        key = seg * (int(rank.max()) + 1) + rank
+        running = np.maximum.accumulate(key)
+        beats_batch = first.copy()
+        beats_batch[1:] |= key[1:] > running[:-1]
+        accepted = beats_batch & (~held | (s_raw > self._raw[sorted_cells]))
+
+        # The holder just before each candidate: the last earlier winner in
+        # its cell, else the incumbent.
+        last_win = np.maximum.accumulate(np.where(accepted, np.arange(m), -1))
+        prev_win = np.concatenate(([-1], last_win[:-1]))
+        from_batch = prev_win >= starts[seg]
+        holder_norm = np.where(from_batch, s_norm[prev_win], self._norm[sorted_cells])
+        new = first & ~held
+        s_status = np.where(new, AddStatus.NEW, np.where(accepted, AddStatus.IMPROVED, 0))
+        s_improvement = np.where(new, s_norm, np.where(accepted, s_norm - holder_norm, 0.0))
+        status[order] = s_status
+        improvement[order] = s_improvement
+
+        # Write each cell's final winner.
+        ends = np.append(starts[1:], m) - 1
+        winners = last_win[ends]
+        won = winners >= starts
+        win_cells = seg_cells[won]
+        src = order[winners[won]]
+        rows = self._row[win_cells]
+        fresh = rows < 0
+        rows[fresh] = self._claim_rows(win_cells[fresh], genotypes.shape[1])
+        self._genotypes[rows] = genotypes[src]
+        self._descriptors[rows] = descriptors[src]
+        self._objects[rows] = None
+        self._raw[win_cells] = raw[src]
+        self._norm[win_cells] = norm[src]
+        return status, improvement
+
+    def _elite(self, cell: int) -> Elite:
+        row = self._row[cell]
+        stored = self._objects[row]
+        if stored is not None:
+            return stored
+        return Elite(
+            self._genotypes[row].copy(),
+            self._descriptors[row].copy(),
+            float(self._raw[cell]),
+            float(self._norm[cell]),
+        )
 
     def elite_at_rank(self, rank: int) -> Elite:
         """Elite in the ``rank``-th occupied cell, in ascending cell order."""
-        return self._cells[self._sorted_keys[rank]]
+        return self._elite(int(self._occupied()[rank]))
 
     def random_elite(self, rng: np.random.Generator) -> Elite:
         """Draws one elite uniformly over the occupied cells."""
-        if not self._cells:
+        occupied = self._occupied()
+        if not len(occupied):
             raise EmptyArchiveError("cannot sample an elite from an empty archive")
-        return self.elite_at_rank(int(rng.integers(len(self._sorted_keys))))
+        return self._elite(int(occupied[rng.integers(len(occupied))]))
 
     @property
     def best_fitness(self) -> float:
         """Highest normalized fitness currently stored."""
-        if not self._cells:
+        if not self._size:
             raise EmptyArchiveError("archive is empty, best fitness undefined")
-        return max(e.fitness_norm for e in self._cells.values())
+        return float(self.fitness_norms().max())
+
+    def fitness_norms(self) -> np.ndarray:
+        """Normalized fitness of every elite, in ascending cell order."""
+        return self._norm[self._occupied()]
 
     def __iter__(self) -> Iterator[tuple[int, Elite]]:
         """Yields ``(cell index, elite)`` pairs in ascending cell order."""
-        for cell in self._sorted_keys:
-            yield cell, self._cells[cell]
+        for cell in self._occupied().tolist():
+            yield cell, self._elite(cell)
 
     def elites(self) -> list[Elite]:
         """All elites in ascending cell order."""
-        return [self._cells[c] for c in self._sorted_keys]
+        return [elite for _, elite in self]
+
+    def genotypes_at_ranks(self, ranks) -> np.ndarray:
+        """Genotypes of the elites at ``ranks`` (any integer array shape)
+        in ascending cell order: ``genotype_matrix()[ranks]`` without
+        stacking the whole archive."""
+        return self._genotypes[self._row[self._occupied()[ranks]]]
 
     def genotype_matrix(self) -> np.ndarray:
-        """Genotypes stacked row-wise in ascending cell order.
-
-        The matrix is cached until the next successful insertion, so
-        repeated reads within one frozen-archive phase cost nothing.
-        Callers must treat it as read-only.
-        """
-        if self._geno_cache is None:
-            self._geno_cache = np.array([self._cells[c].genotype for c in self._sorted_keys])
-        return self._geno_cache
+        """Genotypes stacked row-wise in ascending cell order, as a fresh
+        copy on every call."""
+        return self._genotypes[self._row[self._occupied()]]
 
     def write_csv(self, path) -> None:
         """Dumps the archive, one row per occupied cell in ascending order.
@@ -285,25 +440,30 @@ class Archive:
         g_0,...,g_{n-1}`` and every float is written with full
         round-trippable precision.
         """
+        occupied = self._occupied()
         with open(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
-            first = next(iter(self._cells.values()), None)
-            bd_dim = self.spec.dims
-            geno_dim = 0 if first is None else len(first.genotype)
             header = (
                 ["cell_index"]
-                + [f"bd_{k}" for k in range(bd_dim)]
+                + [f"bd_{k}" for k in range(self.spec.dims)]
                 + ["fitness_raw", "fitness_norm"]
-                + [f"g_{k}" for k in range(geno_dim)]
+                + [f"g_{k}" for k in range(self._genotypes.shape[1])]
             )
             writer.writerow(header)
-            for cell, elite in self:
-                row = [cell]
-                row.extend(repr(float(v)) for v in elite.descriptor)
-                row.append(repr(float(elite.fitness_raw)))
-                row.append(repr(float(elite.fitness_norm)))
-                row.extend(repr(float(v)) for v in elite.genotype)
-                writer.writerow(row)
+            # row by row: converting the whole genotype array to Python
+            # floats at once would cost ~3x its size in peak memory
+            for cell, row, raw, norm in zip(
+                occupied.tolist(),
+                self._row[occupied].tolist(),
+                self._raw[occupied].tolist(),
+                self._norm[occupied].tolist(),
+            ):
+                writer.writerow(
+                    [cell]
+                    + [repr(v) for v in self._descriptors[row].tolist()]
+                    + [repr(raw), repr(norm)]
+                    + [repr(v) for v in self._genotypes[row].tolist()]
+                )
 
     @classmethod
     def read_csv(cls, path, spec: GridSpec) -> "Archive":
@@ -329,6 +489,5 @@ class Archive:
                     raise ValueError(
                         f"row for cell {cell} does not bin to its own cell under this grid"
                     )
-                archive._cells[cell] = Elite(genotype, descriptor, fitness_raw, fitness_norm)
-                bisect.insort(archive._sorted_keys, cell)
+                archive.offer(cell, Elite(genotype, descriptor, fitness_raw, fitness_norm))
         return archive

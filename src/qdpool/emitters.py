@@ -89,14 +89,23 @@ class Emitter:
         raise NotImplementedError
 
     def batch_rewards(
-        self, descriptors: np.ndarray, fitness_norms: np.ndarray, results: list[AddResult]
+        self,
+        descriptors: np.ndarray,
+        fitness_norms: np.ndarray,
+        status: np.ndarray,
+        improvement: np.ndarray,
     ) -> np.ndarray:
+        """Scores a just-inserted batch from the per-sample ``status`` codes
+        and ``improvement`` values of :meth:`Archive.insert_batch`."""
         raise NotImplementedError
 
     def reward(self, descriptor, fitness_norm: float, result: AddResult) -> float:
         """Single-sample convenience wrapper around :meth:`batch_rewards`."""
         out = self.batch_rewards(
-            np.asarray(descriptor, dtype=float)[None, :], np.array([fitness_norm]), [result]
+            np.asarray(descriptor, dtype=float)[None, :],
+            np.array([fitness_norm]),
+            np.array([result.status]),
+            np.array([result.improvement]),
         )
         return float(out[0])
 
@@ -152,7 +161,7 @@ class OptimisingEmitter(_CmaesEmitter):
 
     kind = EmitterKind.OPTIMISING
 
-    def batch_rewards(self, descriptors, fitness_norms, results) -> np.ndarray:
+    def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
         return np.asarray(fitness_norms, dtype=float).copy()
 
 
@@ -177,7 +186,7 @@ class RandomDirectionEmitter(_CmaesEmitter):
             norm = float(np.linalg.norm(direction))
         self.direction = direction / norm
 
-    def batch_rewards(self, descriptors, fitness_norms, results) -> np.ndarray:
+    def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
         return (np.asarray(descriptors, dtype=float) - self.anchor_bd) @ self.direction
 
 
@@ -189,15 +198,14 @@ class ImprovementEmitter(_CmaesEmitter):
 
     kind = EmitterKind.IMPROVEMENT
 
-    def batch_rewards(self, descriptors, fitness_norms, results) -> np.ndarray:
+    def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
         fitness_norms = np.asarray(fitness_norms, dtype=float)
-        out = fitness_norms.copy()
-        for i, res in enumerate(results):
-            if res.status is AddStatus.NEW:
-                out[i] = 2.0 + fitness_norms[i]
-            elif res.status is AddStatus.IMPROVED:
-                out[i] = 1.0 + res.improvement
-        return out
+        status = np.asarray(status)
+        return np.where(
+            status == AddStatus.NEW,
+            2.0 + fitness_norms,
+            np.where(status == AddStatus.IMPROVED, 1.0 + np.asarray(improvement), fitness_norms),
+        )
 
 
 class RandomEmitter(Emitter):
@@ -217,11 +225,11 @@ class RandomEmitter(Emitter):
     def generate_samples(self, archive, task, rng) -> np.ndarray:
         if len(archive) == 0:
             raise RuntimeError("cannot generate from an empty archive")
-        pool = archive.genotype_matrix()
-        picks = rng.integers(0, len(pool), size=(self.batch_size, 2))
+        picks = rng.integers(0, len(archive), size=(self.batch_size, 2))
         iso = rng.standard_normal((self.batch_size, task.dim))
         line = rng.standard_normal((self.batch_size, 1))
-        x1, x2 = pool[picks[:, 0]], pool[picks[:, 1]]
+        parents = archive.genotypes_at_ranks(picks)
+        x1, x2 = parents[:, 0], parents[:, 1]
         candidates = (
             x1
             + self.line_params.sigma_iso * (task.upper - task.lower) * iso
@@ -231,7 +239,7 @@ class RandomEmitter(Emitter):
         self._pending = clipped
         return clipped
 
-    def batch_rewards(self, descriptors, fitness_norms, results) -> np.ndarray:
+    def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
         """Unused by the line operator; zeros keep the interface uniform."""
         return np.zeros(len(fitness_norms))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qdpool.archive import Archive, cell_indices
+from qdpool.archive import AddStatus, Archive, cell_indices
 from qdpool.cmaes import StopToggles
 from qdpool.emitters import (
     EMITTER_CLASSES,
@@ -163,9 +163,10 @@ class Engine:
     return to the pool, freed slots are refilled by the scheduler, new
     emitters are activated, every active emitter generates its batch
     against the frozen archive, all samples are evaluated (the only
-    parallel region), insertions are applied sequentially in (slot,
-    sample) order with rewards computed against the live archive, each
-    emitter absorbs its rewards and reports termination, and finally the
+    parallel region), the whole generation is inserted by one
+    :meth:`Archive.insert_batch` whose outcome equals sequential insertion
+    in (slot, sample) order, each emitter takes its slice of the outcome
+    as rewards, absorbs them and reports termination, and finally the
     bandit statistics are recorded.
     """
 
@@ -218,10 +219,7 @@ class Engine:
         )
         raw, norm, descriptors = self._evaluate(genotypes)
         cells = cell_indices(descriptors, self.archive.spec)
-        for i in range(len(genotypes)):
-            self.archive.offer_candidate(
-                int(cells[i]), genotypes[i], descriptors[i], raw[i], norm[i]
-            )
+        self.archive.insert_batch(cells, genotypes, descriptors, raw, norm)
         self.evaluations = len(genotypes)
         self.records.append(snapshot(self.archive, 0, self.evaluations, (0, 0, 0, 0)))
 
@@ -247,24 +245,21 @@ class Engine:
         genotypes = np.vstack(batches)
         raw, norm, descriptors = self._evaluate(genotypes)
         cells = cell_indices(descriptors, self.archive.spec)
+        status, improvement = self.archive.insert_batch(cells, genotypes, descriptors, raw, norm)
+        added = status != AddStatus.REJECTED
 
         stats_counts: dict[int, tuple[int, int]] = {}
         offset = 0
         for emitter in active:
-            end = offset + emitter.batch_size
-            results = []
-            added = 0
-            for i in range(offset, end):
-                result = self.archive.offer_candidate(
-                    int(cells[i]), genotypes[i], descriptors[i], raw[i], norm[i]
-                )
-                results.append(result)
-                added += result.added
-            rewards = emitter.batch_rewards(descriptors[offset:end], norm[offset:end], results)
-            if emitter.finish_generation(rewards, added > 0):
+            batch = slice(offset, offset + emitter.batch_size)
+            n_added = int(np.count_nonzero(added[batch]))
+            rewards = emitter.batch_rewards(
+                descriptors[batch], norm[batch], status[batch], improvement[batch]
+            )
+            if emitter.finish_generation(rewards, n_added > 0):
                 self._terminated.append(emitter)
-            stats_counts[emitter.id] = (emitter.batch_size, added)
-            offset = end
+            stats_counts[emitter.id] = (emitter.batch_size, n_added)
+            offset = batch.stop
         self.scheduler.record_generation(stats_counts)
 
         self.generation += 1

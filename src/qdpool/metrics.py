@@ -58,7 +58,7 @@ class GenerationRecord:
 def qd_score(archive: Archive) -> float:
     """Sum of normalized fitness over all elites (0 for an empty archive),
     accumulated in ascending cell order for determinism."""
-    return float(sum(elite.fitness_norm for elite in archive.elites()))
+    return float(sum(archive.fitness_norms().tolist()))
 
 
 def snapshot(archive: Archive, generation: int, evaluations: int, kind_counts) -> GenerationRecord:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdpool.archive import (
     AddStatus,
@@ -237,3 +239,95 @@ def test_csv_round_trip(tmp_path, spec):
     path2 = tmp_path / "again.csv"
     loaded.write_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# insert_batch against sequential offers
+
+TIED_RAWS = (-20.0, -5.0, -1.0, 0.0, 2.5, 5.0, 12.0)
+raw_fitness = st.one_of(
+    st.sampled_from(TIED_RAWS), st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
+)
+candidate = st.tuples(st.integers(0, 5), raw_fitness)  # few cells: repeats are common
+
+
+def saturating_norm(raw):
+    # [-5, 5] maps onto [0, 1]; raws outside it saturate at 0 or 1
+    return min(max((raw + 5.0) / 10.0, 0.0), 1.0)
+
+
+def candidate_rows(batch, tag):
+    genotypes = np.array([[tag, i, raw] for i, (_, raw) in enumerate(batch)], dtype=float)
+    descriptors = np.array([[i, -float(tag)] for i in range(len(batch))], dtype=float)
+    return genotypes, descriptors
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_contents(a, b):
+    assert len(a) == len(b)
+    for (cell_a, ea), (cell_b, eb) in zip(a, b):
+        assert cell_a == cell_b
+        assert bits(ea.genotype) == bits(eb.genotype)
+        assert bits(ea.descriptor) == bits(eb.descriptor)
+        assert bits(ea.fitness_raw) == bits(eb.fitness_raw)
+        assert bits(ea.fitness_norm) == bits(eb.fitness_norm)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    preload=st.lists(candidate, max_size=6),
+    batch=st.lists(candidate, min_size=1, max_size=25),
+)
+@example(preload=[], batch=[(3, 1.0)])
+@example(preload=[(3, 1.0)], batch=[(3, 1.0)])
+@example(preload=[(0, -9.0)], batch=[(0, -7.0), (0, -7.0), (0, -6.0), (1, 8.0), (1, 9.0)])
+def test_insert_batch_matches_sequential_offers(preload, batch):
+    spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([4, 4]))
+    sequential, batched = Archive(spec), Archive(spec)
+    for archive in (sequential, batched):
+        genotypes, descriptors = candidate_rows(preload, tag=-1)
+        for i, (cell, raw) in enumerate(preload):
+            norm = saturating_norm(raw)
+            archive.offer(cell, Elite(genotypes[i], descriptors[i], raw, norm))
+
+    genotypes, descriptors = candidate_rows(batch, tag=1)
+    cells = [cell for cell, _ in batch]
+    raws = [raw for _, raw in batch]
+    norms = [saturating_norm(raw) for raw in raws]
+    expected = [
+        sequential.offer(cells[i], Elite(genotypes[i], descriptors[i], raws[i], norms[i]))
+        for i in range(len(batch))
+    ]
+    status, improvement = batched.insert_batch(cells, genotypes, descriptors, raws, norms)
+
+    assert status.tolist() == [r.status for r in expected]
+    assert bits(improvement) == bits([r.improvement for r in expected])
+    assert_same_contents(sequential, batched)
+    np.testing.assert_array_equal(batched.genotype_matrix(), sequential.genotype_matrix())
+
+
+def test_insert_batch_copies_and_keeps_offered_objects(spec):
+    archive = Archive(spec)
+    kept = Elite(np.zeros(3), np.array([-0.9, -0.9]), fitness_raw=1.0, fitness_norm=0.6)
+    archive.add_attempt(kept)
+    genotypes = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    status, _ = archive.insert_batch(
+        [5, 0], genotypes, np.array([[-0.4, -0.4], [-0.9, -0.9]]), [0.5, 0.5], [0.55, 0.55]
+    )
+    assert status.tolist() == [AddStatus.NEW, AddStatus.REJECTED]
+    genotypes[:] = -1.0  # the archive holds its own copy of the batch rows
+    assert archive.elite_at_rank(0) is kept
+    copy_a, copy_b = archive.elite_at_rank(1), archive.elite_at_rank(1)
+    assert copy_a is not copy_b  # batch-inserted elites are fresh copies per read
+    np.testing.assert_array_equal(copy_a.genotype, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(
+        archive.genotypes_at_ranks(np.array([[1, 0]])), [[[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]]
+    )
+
+
+def test_insert_batch_rejects_nan_fitness(spec):
+    with pytest.raises(ValueError):
+        Archive(spec).insert_batch([0], np.zeros((1, 3)), np.zeros((1, 2)), [np.nan], [0.0])

@@ -171,16 +171,17 @@ class TestRewards:
         emitter = ImprovementEmitter(0)
         rng = np.random.default_rng(12)
         fn = rng.uniform(0.0, 0.999, 300)
-        new = [AddResult(AddStatus.NEW, f) for f in fn[:100]]
-        imp = [AddResult(AddStatus.IMPROVED, i) for i in rng.uniform(1e-9, 0.999, 100)]
-        rej = [REJ] * 100
-        rewards = emitter.batch_rewards(np.zeros((300, 2)), fn, new[:100] + imp + rej)
+        status = np.repeat([AddStatus.NEW, AddStatus.IMPROVED, AddStatus.REJECTED], 100)
+        improvement = np.concatenate([fn[:100], rng.uniform(1e-9, 0.999, 100), np.zeros(100)])
+        rewards = emitter.batch_rewards(np.zeros((300, 2)), fn, status, improvement)
         assert rewards[:100].min() > rewards[100:200].max()
         assert rewards[100:200].min() > rewards[200:].max()
 
     def test_random_kind_rewards_are_zero(self):
         emitter = RandomEmitter(0)
-        out = emitter.batch_rewards(np.zeros((3, 2)), np.array([0.1, 0.9, 0.5]), [REJ] * 3)
+        out = emitter.batch_rewards(
+            np.zeros((3, 2)), np.array([0.1, 0.9, 0.5]), np.zeros(3, np.int8), np.zeros(3)
+        )
         np.testing.assert_array_equal(out, np.zeros(3))
 
 
