@@ -171,7 +171,8 @@ def bd_proj_clip(x):
     [-5.12, 5.12], and ``5.12 / x`` outside (which folds far-away
     components into (-1, 1))."""
     x = np.asarray(x, dtype=float)
-    out = np.where(np.abs(x) <= _REF_BOUND, x, np.divide(_REF_BOUND, x, where=x != 0))
+    folded = np.divide(_REF_BOUND, x, out=np.zeros_like(x), where=x != 0)
+    out = np.where(np.abs(x) <= _REF_BOUND, x, folded)
     return out if out.ndim else float(out)
 
 

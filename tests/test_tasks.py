@@ -1,6 +1,7 @@
 """Benchmark task tests: hand-worked values, oracles, and invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,17 @@ def test_bd_proj_clip_values():
     assert bd_proj_clip(6.4) == pytest.approx(0.8)
     assert bd_proj_clip(-10.24) == pytest.approx(-0.5)
     np.testing.assert_allclose(bd_proj_clip(np.array([5.12, -5.12])), [5.12, -5.12])
+
+
+@pytest.mark.parametrize("name", ["rastrigin_proj", "sphere"])
+def test_projection_descriptor_raises_no_warning(name):
+    task = make_task(name, dim=4)
+    genotypes = np.array([[0.0, 1.0, -30.0, 40.0], [0.0, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, descriptors = evaluate_batch(genotypes, task)
+    np.testing.assert_allclose(descriptors[0], [1.0, 5.12 / -30.0 + 5.12 / 40.0])
+    np.testing.assert_array_equal(descriptors[1], [0.0, 0.0])
 
 
 class TestEvaluateHandWorked:
