@@ -56,9 +56,12 @@ class GenerationRecord:
 
 
 def qd_score(archive: Archive) -> float:
-    """Sum of normalized fitness over all elites (0 for an empty archive),
-    accumulated in ascending cell order for determinism."""
-    return float(sum(archive.fitness_norms().tolist()))
+    """Sum of normalized fitness over all elites (0 for an empty archive).
+
+    ``math.fsum`` rounds the exact sum once, so the result depends neither
+    on summation order nor on the interpreter (the built-in ``sum`` of
+    floats became compensated in Python 3.12)."""
+    return math.fsum(archive.fitness_norms().tolist())
 
 
 def snapshot(archive: Archive, generation: int, evaluations: int, kind_counts) -> GenerationRecord:

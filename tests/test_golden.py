@@ -22,42 +22,42 @@ FILES = ("metrics.csv", "archive.csv", "emitter_mix.csv")
 GOLDEN = {
     # (task, variant): (metrics.csv, archive.csv, emitter_mix.csv)
     ("rastrigin_proj", "map-elites"): (
-        "fa55877c7c654163e048fda70e637d2d9f345245bae3862829aea3284bc740e1",
+        "e5bb0854ad9523aacc9b8d043a9472e9a010c681c5c436488776d64ba90d9aed",
         "347864eac7b7907e00eb1d7c81c5df9d746aa9208cc854bce83652ad906317ef",
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("rastrigin_proj", "me-map-elites-ucb"): (
-        "ff5296f760de09fbc8a6f2fed30125e72a2a296d311247dd5566c58095687ff7",
+        "598bf4e9b5526743edb99794b269ee053a51834c6749dd4ec5a444f7dbbd861a",
         "9d208928f41c0dbbe15b0b2bdcc0caefa1b15a86cb9fd2580956eba094fd345f",
         "c91b06f0c67d0d723b63b27a71e03462c4ecf805aa48063928ab4d80bae4cf9b",
     ),
     ("rastrigin_multi", "map-elites"): (
-        "3dade94c516c22c6d6e0afbdb1701834449b7f734ef9338902cb495370c16da9",
+        "4651960eb6c24fa3df8b7888eb6107ef95191eea0d2e18a2cba8ec819a757169",
         "2718e8caf6ae988d65af7713341b2041fdc221d85967eb6b94d47cbac96fc18f",
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("rastrigin_multi", "me-map-elites-ucb"): (
-        "b1e2bc2e2a5c2908776b1062208a4ed6410e22a65bc19c928138e58d7f8f8a48",
+        "536782101888b585c3acca49dacd6a0d261edadf0a5c51d380506c9f4054d2d5",
         "b258551414efe7f860cb52a9f3e1169c11c45ebbe65e193488f0a44b382932af",
         "2003e44e55112cd5da4a5bd12dd59a3bf8a32c53a505a46d64ce13f171960938",
     ),
     ("sphere", "map-elites"): (
-        "4d770b2b8374bfe04677708d551420031ca4ca78d2672e570f106ca6af13d53d",
+        "75af03a1db08049e53fd884635897471ab3adf00dd7f7754a901e6b1b5c44e34",
         "60b33bb5833c630bc6f4856b8e9310944f5f02fb29726cc7adfe29c843c60b58",
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("sphere", "me-map-elites-ucb"): (
-        "76e750596464b144ca016e0726b8452be75c3c0d9bacbe2f6d55458ce7e22d97",
+        "e5519081d2aa72a866d397f582e26fa7c20111996565817f15c321cc630fcea8",
         "0b2c1fee9c6e2291b778c6c3e729d72e694fb1811c4ee782378bd5527a6fe1de",
         "a9718e04ed2e7da3e12c5bb702848ecaa73efd66ef6618ce6374e9647f2e74a8",
     ),
     ("redundant_arm", "map-elites"): (
-        "5bfdda7317c4b724ffe01c8d9594f4d35715113208391da374d9523d2b24f981",
+        "b6892efa30b5f843f507932fc1b2e79ea33526f6b2c267d87912bc490418f890",
         "c6959a185419ce0de103519b62acb5c9133db33ac8826b2ae7a6395ccf399894",
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("redundant_arm", "me-map-elites-ucb"): (
-        "a787a7ff3edaa4c6959c0703ef6c3819802f2fabecbf2f9b6a78f66fc08261dd",
+        "fb22b85534e9fd454326aa4ca53b9c0b4300d8f69b5e6edcca96230bb8e9e7aa",
         "4a327d2de9eca81f6751e31098f8131b5bd4c46813ce5d526ab91979ac7035e3",
         "b9887d1a79ee153f9fb6e252cba10d9bc90b66a490b9ca753fb25d9a493cd834",
     ),
