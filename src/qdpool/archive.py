@@ -285,8 +285,6 @@ class Archive:
             [cell], np.asarray(genotype)[None], np.asarray(descriptor)[None],
             [fitness_raw], [fitness_norm],
         )
-        if status[0] == AddStatus.REJECTED:
-            return _REJECTED
         return AddResult(AddStatus(int(status[0])), float(improvement[0]))
 
     def insert_batch(
@@ -358,7 +356,7 @@ class Archive:
         from_batch = prev_win >= starts[seg]
         holder_norm = np.where(from_batch, s_norm[prev_win], self._norm[sorted_cells])
         new = first & ~held
-        s_status = np.where(new, AddStatus.NEW, np.where(accepted, AddStatus.IMPROVED, 0))
+        s_status = np.where(new, AddStatus.NEW, np.where(accepted, AddStatus.IMPROVED, AddStatus.REJECTED))
         s_improvement = np.where(new, s_norm, np.where(accepted, s_norm - holder_norm, 0.0))
         status[order] = s_status
         improvement[order] = s_improvement
