@@ -11,6 +11,13 @@ rather than only a fixed objective.
 The eigendecomposition of C is refreshed on every update; with the
 dimensionalities used here (n <= 100) that costs far less than the
 bookkeeping it removes.
+
+Sampling is batched across strategies: :func:`ask_stacked` draws every
+state's standard normals from that state's own generator, in the order
+given, and transforms all of them with one ``(k, lam, n)`` matmul, which
+gives the same bits as k separate transforms.  :meth:`CmaesState.ask` is
+its batch of one.  Updates stay per state: at n = 100 a stacked ``eigh``
+was not measurably faster and a stacked covariance update was slower.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -125,7 +133,8 @@ class CmaesState:
         self.best_reward_history: deque[float] = deque(maxlen=self.params.reward_history_window)
 
     def ask(self, rng: np.random.Generator) -> np.ndarray:
-        """Draws ``lam`` samples from the current distribution.
+        """Draws ``lam`` samples from the current distribution: the batch of
+        one of :func:`ask_stacked`.
 
         Samples are returned unclipped; callers clamp to their search
         bounds before evaluation but feed the raw samples back to
@@ -134,11 +143,7 @@ class CmaesState:
         Raises:
             EmitterExhaustedError: If a stop criterion currently holds.
         """
-        reason = self.should_stop()
-        if reason is not None:
-            raise EmitterExhaustedError(f"strategy already stopped ({reason})")
-        z = rng.standard_normal((self.params.lam, self.params.dim))
-        return self.mean + self.sigma * ((z * self.D) @ self.B.T)
+        return ask_stacked([self], [rng])[0]
 
     def tell(self, samples: np.ndarray, rewards) -> None:
         """Updates the distribution from evaluated samples (larger reward
@@ -182,15 +187,20 @@ class CmaesState:
 
         y = (parents - old_mean) / self.sigma
         rank_mu = (y.T * p.weights) @ y
-        # the (1 - h_sigma) term compensates the variance lost when the
-        # rank-1 path update is gated off
-        self.C = (
-            (1.0 - p.c_1 - p.c_mu) * self.C
-            + p.c_1
-            * (np.outer(self.p_c, self.p_c) + (1.0 - h_sigma) * p.c_c * (2.0 - p.c_c) * self.C)
-            + p.c_mu * rank_mu
-        )
-        self.C = (self.C + self.C.T) / 2.0
+        # C' = a C + c_1 (p_c p_c^T + [not h_sigma] c_c (2 - c_c) C) + c_mu rank_mu,
+        # built in place in that association order; the bracketed term
+        # compensates the variance lost when the rank-1 path update is
+        # gated off
+        rank_one = np.outer(self.p_c, self.p_c)
+        if not h_sigma:
+            rank_one += p.c_c * (2.0 - p.c_c) * self.C
+        rank_one *= p.c_1
+        c_new = (1.0 - p.c_1 - p.c_mu) * self.C
+        c_new += rank_one
+        rank_mu *= p.c_mu
+        c_new += rank_mu
+        self.C = c_new + c_new.T
+        self.C /= 2.0
 
         self.sigma *= math.exp((p.c_sigma / p.d_sigma) * (norm_p_sigma / p.chi_n - 1.0))
 
@@ -224,3 +234,27 @@ class CmaesState:
             if np.any(self.mean + step == self.mean):
                 return "no_effect_coord"
         return None
+
+
+def ask_stacked(states: Sequence[CmaesState], rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Draws one ``lam``-sample batch from each state, as a ``(k, lam, n)``
+    stack whose slice ``i`` equals ``states[i].ask(rngs[i])`` bit for bit.
+
+    Each state draws from its own generator, in the order given.  All
+    states must share ``dim`` and ``lam``.
+
+    Raises:
+        EmitterExhaustedError: If a stop criterion holds for any state.
+    """
+    for state in states:
+        reason = state.should_stop()
+        if reason is not None:
+            raise EmitterExhaustedError(f"strategy already stopped ({reason})")
+    z = np.empty((len(states), states[0].params.lam, states[0].params.dim))
+    for z_i, rng in zip(z, rngs):
+        rng.standard_normal(out=z_i)
+    z *= np.stack([state.D for state in states])[:, None, :]
+    steps = z @ np.stack([state.B for state in states]).transpose(0, 2, 1)
+    steps *= np.array([state.sigma for state in states])[:, None, None]
+    steps += np.stack([state.mean for state in states])[:, None, :]
+    return steps

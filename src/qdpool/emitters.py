@@ -9,6 +9,12 @@ quality, movement along a fixed descriptor direction, archive
 improvement); the fourth applies the directional-variation line operator
 between random elites and carries no internal state at all.
 
+Generation is batched per family: :meth:`Emitter.generate_batch` produces
+the batches of several emitters of one family (the three CMA-ES kinds, or
+the line operator) in one vectorized pass, with every emitter drawing
+from its own generator in the order given.  :meth:`Emitter.generate_samples`
+is its batch of one.
+
 Emitters only ever read the archive; insertion is the engine's job.
 """
 
@@ -16,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from qdpool.archive import AddResult, AddStatus, Archive
-from qdpool.cmaes import CmaesState, EmitterExhaustedError, StopToggles
+from qdpool.archive import AddStatus, Archive
+from qdpool.cmaes import CmaesState, EmitterExhaustedError, StopToggles, ask_stacked
 from qdpool.tasks import TaskSpec, clip_genotype
 
 __all__ = [
@@ -66,9 +73,10 @@ class Emitter:
     """Base class with the shared lifecycle contract.
 
     Subclasses implement ``activate`` (reset internal state from a random
-    elite), ``generate_samples`` (produce ``batch_size`` in-bounds
-    genotypes), ``batch_rewards`` (score a just-inserted batch), and
-    ``finish_generation`` (absorb rewards, report exhaustion).
+    elite), ``generate_batch`` (produce ``batch_size`` in-bounds genotypes
+    for each emitter of a family), ``batch_rewards`` (score a
+    just-inserted batch), and ``finish_generation`` (absorb rewards,
+    report exhaustion).
     """
 
     kind: EmitterKind
@@ -83,10 +91,23 @@ class Emitter:
     def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
+    @staticmethod
+    def generate_batch(
+        emitters: Sequence["Emitter"],
+        archive: Archive,
+        task: TaskSpec,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Generates the batches of ``emitters``, all of this family and
+        of one batch size, stacked row-wise in the order given; emitter
+        ``i`` draws from ``rngs[i]`` only."""
+        raise NotImplementedError
+
     def generate_samples(
         self, archive: Archive, task: TaskSpec, rng: np.random.Generator
     ) -> np.ndarray:
-        raise NotImplementedError
+        """This emitter's batch of ``batch_size`` in-bounds genotypes."""
+        return self.generate_batch([self], archive, task, [rng])
 
     def batch_rewards(
         self,
@@ -98,16 +119,6 @@ class Emitter:
         """Scores a just-inserted batch from the per-sample ``status`` codes
         and ``improvement`` values of :meth:`Archive.insert_batch`."""
         raise NotImplementedError
-
-    def reward(self, descriptor, fitness_norm: float, result: AddResult) -> float:
-        """Single-sample convenience wrapper around :meth:`batch_rewards`."""
-        out = self.batch_rewards(
-            np.asarray(descriptor, dtype=float)[None, :],
-            np.array([fitness_norm]),
-            np.array([result.status]),
-            np.array([result.improvement]),
-        )
-        return float(out[0])
 
     def finish_generation(self, rewards, any_added: bool) -> bool:
         raise NotImplementedError
@@ -138,22 +149,29 @@ class _CmaesEmitter(Emitter):
         elite = archive.random_elite(rng)
         self.cmaes = CmaesState(elite.genotype, task.sigma0, self.batch_size, self.stop_toggles)
 
-    def generate_samples(self, archive, task, rng) -> np.ndarray:
-        """Asks CMA-ES for a batch; the unclipped samples are cached for
-        the distribution update while the returned copies are clamped to
-        the search bounds for evaluation."""
-        if self.cmaes is None:
+    @staticmethod
+    def generate_batch(emitters, archive, task, rngs) -> np.ndarray:
+        """Asks every emitter's CMA-ES in one :func:`ask_stacked` call; each
+        emitter caches its unclipped samples for the distribution update,
+        while the returned copies are clamped to the search bounds for
+        evaluation."""
+        if any(e.cmaes is None for e in emitters):
             raise RuntimeError("emitter must be activated before generating")
-        raw = self.cmaes.ask(rng)
-        self._pending = raw
-        return clip_genotype(raw, task)
+        raw = ask_stacked([e.cmaes for e in emitters], rngs)
+        for emitter, samples in zip(emitters, raw):
+            emitter._pending = samples
+        return clip_genotype(raw.reshape(-1, raw.shape[2]), task)
 
     def finish_generation(self, rewards, any_added: bool) -> bool:
         """Feeds the rewards back and reports exhaustion: a native stop
-        criterion, or a whole generation without a single archive add."""
+        criterion, or a whole generation without a single archive add.
+        Without an add the update is skipped, since the next activation
+        replaces the strategy anyway."""
         pending, rewards = self._take_pending(rewards)
+        if not any_added:
+            return True
         self.cmaes.tell(pending, rewards)
-        return self.cmaes.should_stop() is not None or not any_added
+        return self.cmaes.should_stop() is not None
 
 
 class OptimisingEmitter(_CmaesEmitter):
@@ -222,21 +240,31 @@ class RandomEmitter(Emitter):
     def activate(self, archive, task, rng) -> None:
         """No internal state to reset."""
 
-    def generate_samples(self, archive, task, rng) -> np.ndarray:
+    @staticmethod
+    def generate_batch(emitters, archive, task, rngs) -> np.ndarray:
+        """Draws every emitter's parent picks and noises from its own
+        generator and scales the noises by its gains, then applies the
+        line operator to all rows at once."""
         if len(archive) == 0:
             raise RuntimeError("cannot generate from an empty archive")
-        picks = rng.integers(0, len(archive), size=(self.batch_size, 2))
-        iso = rng.standard_normal((self.batch_size, task.dim))
-        line = rng.standard_normal((self.batch_size, 1))
-        parents = archive.genotypes_at_ranks(picks)
+        k, batch = len(emitters), emitters[0].batch_size
+        picks = np.empty((k, batch, 2), dtype=np.int64)
+        iso = np.empty((k, batch, task.dim))
+        line = np.empty((k, batch, 1))
+        for i, rng in enumerate(rngs):
+            picks[i] = rng.integers(0, len(archive), size=(batch, 2))
+            rng.standard_normal(out=iso[i])
+            rng.standard_normal(out=line[i])
+        sigma_iso = np.array([e.line_params.sigma_iso for e in emitters])[:, None, None]
+        iso *= sigma_iso * (task.upper - task.lower)
+        line *= np.array([e.line_params.sigma_line for e in emitters])[:, None, None]
+        parents = archive.genotypes_at_ranks(picks.reshape(-1, 2))
         x1, x2 = parents[:, 0], parents[:, 1]
-        candidates = (
-            x1
-            + self.line_params.sigma_iso * (task.upper - task.lower) * iso
-            + self.line_params.sigma_line * line * (x2 - x1)
-        )
+        candidates = x1 + iso.reshape(-1, task.dim)
+        candidates += line.reshape(-1, 1) * (x2 - x1)
         clipped = clip_genotype(candidates, task)
-        self._pending = clipped
+        for emitter, own in zip(emitters, clipped.reshape(k, batch, task.dim)):
+            emitter._pending = own
         return clipped
 
     def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:

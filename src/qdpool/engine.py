@@ -29,6 +29,7 @@ cannot change any result bit.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -161,13 +162,16 @@ class Engine:
 
     The per-generation cycle is strictly ordered: terminated emitters
     return to the pool, freed slots are refilled by the scheduler, new
-    emitters are activated, every active emitter generates its batch
-    against the frozen archive, all samples are evaluated (the only
-    parallel region), the whole generation is inserted by one
-    :meth:`Archive.insert_batch` whose outcome equals sequential insertion
-    in (slot, sample) order, each emitter takes its slice of the outcome
-    as rewards, absorbs them and reports termination, and finally the
-    bandit statistics are recorded.
+    emitters are activated, the active emitters generate their batches
+    against the frozen archive with one :meth:`Emitter.generate_batch`
+    call per family (active emitters are in ascending id order and
+    :func:`build_pool` numbers kinds in canonical order, so each family is
+    one contiguous run and the rows stay in (slot, sample) order), all
+    samples are evaluated (the only parallel region), the whole generation
+    is inserted by one :meth:`Archive.insert_batch` whose outcome equals
+    sequential insertion in (slot, sample) order, each emitter takes its
+    slice of the outcome as rewards, absorbs them and reports termination,
+    and finally the bandit statistics are recorded.
     """
 
     def __init__(self, config: RunConfig):
@@ -241,25 +245,28 @@ class Engine:
             counts[emitter.kind] += 1
         kind_counts = tuple(counts[k] for k in EmitterKind)
 
-        batches = [e.generate_samples(self.archive, self.task, self._rngs[e.id]) for e in active]
-        genotypes = np.vstack(batches)
+        families = []
+        by_family = itertools.groupby(active, key=lambda e: type(e).generate_batch)
+        for generate_batch, group in by_family:
+            group = list(group)
+            rngs = [self._rngs[e.id] for e in group]
+            families.append(generate_batch(group, self.archive, self.task, rngs))
+        genotypes = families[0] if len(families) == 1 else np.concatenate(families)
         raw, norm, descriptors = self._evaluate(genotypes)
         cells = cell_indices(descriptors, self.archive.spec)
         status, improvement = self.archive.insert_batch(cells, genotypes, descriptors, raw, norm)
-        added = status != AddStatus.REJECTED
+        batch = cfg.batch_per_emitter
+        adds = (status != AddStatus.REJECTED).reshape(len(active), batch).sum(1).tolist()
 
         stats_counts: dict[int, tuple[int, int]] = {}
-        offset = 0
-        for emitter in active:
-            batch = slice(offset, offset + emitter.batch_size)
-            n_added = int(np.count_nonzero(added[batch]))
+        for i, (emitter, n_added) in enumerate(zip(active, adds)):
+            rows = slice(i * batch, (i + 1) * batch)
             rewards = emitter.batch_rewards(
-                descriptors[batch], norm[batch], status[batch], improvement[batch]
+                descriptors[rows], norm[rows], status[rows], improvement[rows]
             )
             if emitter.finish_generation(rewards, n_added > 0):
                 self._terminated.append(emitter)
-            stats_counts[emitter.id] = (emitter.batch_size, n_added)
-            offset = batch.stop
+            stats_counts[emitter.id] = (batch, n_added)
         self.scheduler.record_generation(stats_counts)
 
         self.generation += 1

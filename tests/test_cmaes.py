@@ -117,6 +117,37 @@ class TestTell:
                 np.asarray(getattr(a, field)), np.asarray(getattr(b, field)), err_msg=field
             )
 
+    @pytest.mark.parametrize("h_sigma", [True, False])
+    def test_covariance_update_is_the_textbook_expression(self, h_sigma):
+        n, lam = 10, 20
+        rng = np.random.default_rng(21)
+        state = CmaesState(rng.normal(size=n), sigma0=0.4, lam=lam)
+        a = rng.normal(size=(n, n))
+        state.C = a @ a.T + np.eye(n)
+        eigenvalues, state.B = np.linalg.eigh(state.C)
+        state.D = np.sqrt(eigenvalues)
+        state.p_c = 10.0 * rng.normal(size=n)  # large enough to show in every sum
+        # a long evolution path gates the rank-one path update off
+        state.p_sigma = np.zeros(n) if h_sigma else np.full(n, 50.0)
+        samples = state.ask(rng)
+        rewards = rng.normal(size=lam)
+        p = state.params
+        c_old, mean_old, sigma_old = state.C.copy(), state.mean.copy(), state.sigma
+
+        state.tell(samples, rewards)
+
+        threshold = (1.4 + 2.0 / (n + 1.0)) * p.chi_n
+        norm = np.linalg.norm(state.p_sigma) / math.sqrt(1.0 - (1.0 - p.c_sigma) ** 2)
+        assert (norm < threshold) == h_sigma
+        y = (samples[np.argsort(-rewards, kind="stable")[: p.mu]] - mean_old) / sigma_old
+        expected = (
+            (1.0 - p.c_1 - p.c_mu) * c_old
+            + p.c_1
+            * (np.outer(state.p_c, state.p_c) + (1.0 - h_sigma) * p.c_c * (2.0 - p.c_c) * c_old)
+            + p.c_mu * ((y.T * p.weights) @ y)
+        )
+        np.testing.assert_array_equal(state.C, (expected + expected.T) / 2.0)
+
     def test_validation(self):
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=4)
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ signals, and per-generation termination."""
 import numpy as np
 import pytest
 
-from qdpool.archive import AddResult, AddStatus, Archive, Elite, EmptyArchiveError
+from qdpool.archive import AddStatus, Archive, Elite, EmptyArchiveError
 from qdpool.cmaes import EmitterExhaustedError
 from qdpool.emitters import (
     EmitterKind,
@@ -15,9 +15,6 @@ from qdpool.emitters import (
     RandomEmitter,
 )
 from qdpool.tasks import evaluate, make_task
-
-REJ = AddResult(AddStatus.REJECTED, 0.0)
-
 
 def build_archive(task, genotypes):
     archive = Archive(task.grid())
@@ -130,42 +127,134 @@ class TestGenerate:
             emitter.generate_samples(single_elite_archive, task, np.random.default_rng(0))
 
 
+CMAES_SUBSETS = [
+    (OptimisingEmitter,),
+    (RandomDirectionEmitter, ImprovementEmitter),
+    (OptimisingEmitter, RandomDirectionEmitter, ImprovementEmitter),
+    (OptimisingEmitter, OptimisingEmitter, ImprovementEmitter, RandomDirectionEmitter),
+]
+LINE_SUBSETS = [
+    (LineOperatorParams(),),
+    (LineOperatorParams(), LineOperatorParams()),
+    (LineOperatorParams(0.0, 0.1), LineOperatorParams(), LineOperatorParams(0.05, 0.0)),
+]
+
+
+def warmed_cmaes_emitters(kinds, archive, task):
+    """Activated emitters that have each absorbed one generation, so that
+    B and D are no longer the identity; every call builds equal copies."""
+    emitters = []
+    for i, cls in enumerate(kinds):
+        emitter = cls(i, batch_size=6)
+        rng = np.random.default_rng([31, i])
+        emitter.activate(archive, task, rng)
+        emitter.generate_samples(archive, task, rng)
+        emitter.finish_generation(rng.permutation(6).astype(float), any_added=True)
+        emitters.append(emitter)
+    return emitters
+
+
+def assert_batch_equals_singles(make, archive, task):
+    batched, singles = make(), make()
+    rngs = [np.random.default_rng([77, e.id]) for e in batched]
+    out = type(batched[0]).generate_batch(batched, archive, task, rngs)
+    expected = [
+        e.generate_samples(archive, task, np.random.default_rng([77, e.id])) for e in singles
+    ]
+    np.testing.assert_array_equal(out, np.concatenate(expected))
+    for a, b in zip(batched, singles):
+        np.testing.assert_array_equal(a._pending, b._pending)
+
+
+class TestGenerateBatch:
+    """A family's one-pass batch equals its emitters' one-at-a-time batches
+    bit for bit, when each emitter draws from its own seeded generator."""
+
+    @pytest.mark.parametrize("kinds", CMAES_SUBSETS)
+    @pytest.mark.parametrize("elites", [1, 12])
+    def test_cmaes_family(self, task, kinds, elites):
+        archive = build_archive(task, np.random.default_rng(3).uniform(-30, 30, (elites, 4)))
+        assert (len(archive) == 1) == (elites == 1)
+        assert_batch_equals_singles(
+            lambda: warmed_cmaes_emitters(kinds, archive, task), archive, task
+        )
+
+    @pytest.mark.parametrize("gains", LINE_SUBSETS)
+    @pytest.mark.parametrize("elites", [1, 12])
+    def test_random_family(self, task, gains, elites):
+        archive = build_archive(task, np.random.default_rng(3).uniform(-30, 30, (elites, 4)))
+        assert (len(archive) == 1) == (elites == 1)
+        assert_batch_equals_singles(
+            lambda: [RandomEmitter(i, 7, params) for i, params in enumerate(gains)],
+            archive,
+            task,
+        )
+
+    def test_one_stopped_strategy_stops_the_batch(self, task, single_elite_archive):
+        emitters = warmed_cmaes_emitters(CMAES_SUBSETS[2], single_elite_archive, task)
+        emitters[1].cmaes.sigma = 1e-20 * emitters[1].cmaes.sigma0
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(EmitterExhaustedError):
+            OptimisingEmitter.generate_batch(emitters, single_elite_archive, task, rngs)
+
+
 class TestRewards:
     def test_optimising_is_fitness(self):
         emitter = OptimisingEmitter(0)
-        assert emitter.reward(np.zeros(2), 0.37, REJ) == 0.37
-        assert emitter.reward(np.zeros(2), 0.9, AddResult(AddStatus.NEW, 0.9)) == 0.9
+        out = emitter.batch_rewards(
+            np.zeros((2, 2)),
+            np.array([0.37, 0.9]),
+            np.array([AddStatus.REJECTED, AddStatus.NEW]),
+            np.array([0.0, 0.9]),
+        )
+        assert out[0] == 0.37
+        assert out[1] == 0.9
 
     def test_random_direction_is_projected_displacement(self, task, single_elite_archive):
         emitter = RandomDirectionEmitter(0)
         emitter.activate(single_elite_archive, task, np.random.default_rng(4))
         anchor, direction = emitter.anchor_bd, emitter.direction
-        assert emitter.reward(anchor, 0.5, REJ) == 0.0
         displaced = anchor + 2.0 * direction
-        assert emitter.reward(displaced, 0.5, REJ) == pytest.approx(2.0)
         orthogonal = anchor + 3.0 * np.array([-direction[1], direction[0]])
-        assert emitter.reward(orthogonal, 0.5, REJ) == pytest.approx(0.0, abs=1e-12)
+        out = emitter.batch_rewards(
+            np.stack([anchor, displaced, orthogonal]),
+            np.full(3, 0.5),
+            np.full(3, AddStatus.REJECTED),
+            np.zeros(3),
+        )
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(2.0)
+        assert out[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_random_direction_translation_invariance(self, task, single_elite_archive):
         emitter = RandomDirectionEmitter(0)
         emitter.activate(single_elite_archive, task, np.random.default_rng(4))
         rng = np.random.default_rng(10)
+
+        def reward(descriptor):
+            rejected = np.array([AddStatus.REJECTED])
+            return emitter.batch_rewards(descriptor[None], np.array([0.5]), rejected, np.zeros(1))[0]
+
         for _ in range(25):
             descriptor = rng.uniform(-5, 5, 2)
             shift = rng.uniform(-100, 100, 2)
-            base = emitter.reward(descriptor, 0.5, REJ)
+            base = reward(descriptor)
             emitter.anchor_bd = emitter.anchor_bd + shift
-            shifted = emitter.reward(descriptor + shift, 0.5, REJ)
+            shifted = reward(descriptor + shift)
             emitter.anchor_bd = emitter.anchor_bd - shift
             assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_improvement_tier_examples(self):
         emitter = ImprovementEmitter(0)
-        assert emitter.reward(np.zeros(2), 0.6, AddResult(AddStatus.NEW, 0.6)) == pytest.approx(2.6)
-        assert emitter.reward(
-            np.zeros(2), 0.8, AddResult(AddStatus.IMPROVED, 0.8 - 0.5)
-        ) == pytest.approx(1.3)
-        assert emitter.reward(np.zeros(2), 0.45, REJ) == 0.45
+        out = emitter.batch_rewards(
+            np.zeros((3, 2)),
+            np.array([0.6, 0.8, 0.45]),
+            np.array([AddStatus.NEW, AddStatus.IMPROVED, AddStatus.REJECTED]),
+            np.array([0.6, 0.8 - 0.5, 0.0]),
+        )
+        assert out[0] == pytest.approx(2.6)
+        assert out[1] == pytest.approx(1.3)
+        assert out[2] == 0.45
 
     def test_improvement_tiers_never_interleave(self):
         emitter = ImprovementEmitter(0)
@@ -204,6 +293,20 @@ class TestFinishGeneration:
         emitter.activate(single_elite_archive, task, rng)
         emitter.generate_samples(single_elite_archive, task, rng)
         assert emitter.finish_generation(np.arange(10.0), any_added=False) is True
+
+    def test_cmaes_skips_update_without_additions(self, task, single_elite_archive):
+        emitter = OptimisingEmitter(0, batch_size=10)
+        rng = np.random.default_rng(1)
+        emitter.activate(single_elite_archive, task, rng)
+        emitter.generate_samples(single_elite_archive, task, rng)
+        emitter.finish_generation(np.arange(10.0), any_added=True)
+        state = emitter.cmaes
+        count, cov, mean = state.generation_count, state.C.copy(), state.mean.copy()
+        emitter.generate_samples(single_elite_archive, task, rng)
+        assert emitter.finish_generation(np.arange(10.0), any_added=False) is True
+        assert state.generation_count == count
+        np.testing.assert_array_equal(state.C, cov)
+        np.testing.assert_array_equal(state.mean, mean)
 
     def test_reward_length_mismatch_raises(self, task, single_elite_archive):
         emitter = OptimisingEmitter(0, batch_size=10)
