@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator
 
@@ -40,6 +40,10 @@ class GridSpec:
     lower: np.ndarray
     upper: np.ndarray
     resolution: np.ndarray
+    #: Cell width along each axis, ``(upper - lower) / resolution``.
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
+    # per axis (lower, width, resolution) as Python scalars, for cell_index
+    _axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -56,15 +60,15 @@ class GridSpec:
             raise ValueError("lower bounds must be strictly below upper bounds")
         if not (resolution >= 1).all():
             raise ValueError("resolution must be at least 1 per axis")
+        widths = (upper - lower) / resolution
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(
+            self, "_axes", tuple(zip(lower.tolist(), widths.tolist(), resolution.tolist()))
+        )
 
     @property
     def dims(self) -> int:
         return len(self.lower)
-
-    @property
-    def widths(self) -> np.ndarray:
-        """Cell width along each axis."""
-        return (self.upper - self.lower) / self.resolution
 
     @property
     def total_cells(self) -> int:
@@ -83,17 +87,14 @@ def cell_index(descriptor: np.ndarray, spec: GridSpec) -> int:
         ValueError: If any descriptor component is not finite.
     """
     d = np.asarray(descriptor, dtype=float)
-    if d.shape != (spec.dims,):
-        raise ValueError(f"descriptor has shape {d.shape}, expected ({spec.dims},)")
-    if not np.isfinite(d).all():
-        raise ValueError(f"descriptor contains non-finite values: {d}")
+    axes = spec._axes
+    if d.shape != (len(axes),):
+        raise ValueError(f"descriptor has shape {d.shape}, expected ({len(axes)},)")
     flat = 0
-    lower = spec.lower
-    widths = spec.widths
-    res = spec.resolution
-    for k in range(spec.dims):
-        i = math.floor((float(d[k]) - float(lower[k])) / float(widths[k]))
-        r = int(res[k])
+    for x, (lower, width, r) in zip(d.tolist(), axes):
+        if not math.isfinite(x):
+            raise ValueError(f"descriptor contains non-finite values: {d}")
+        i = math.floor((x - lower) / width)
         if i < 0:
             i = 0
         elif i >= r:
