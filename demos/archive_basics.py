@@ -6,6 +6,9 @@ Build a small descriptor grid, stream random candidates through the
 elitist competition rule, and dump the result as CSV.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from qdpool import Archive, Elite, GridSpec
@@ -41,5 +44,6 @@ for cell, elite in list(archive)[:5]:
     print(f"  cell {cell:2d}: bd=({elite.descriptor[0]:+.2f}, {elite.descriptor[1]:+.2f}) "
           f"fitness={elite.fitness_raw:+.3f}")
 
-archive.write_csv("/tmp/demo_archive.csv")
-print("wrote /tmp/demo_archive.csv")
+path = os.path.join(tempfile.gettempdir(), "demo_archive.csv")
+archive.write_csv(path)
+print(f"wrote {path}")
