@@ -41,7 +41,7 @@ from qdpool.metrics import (
     triangular_smooth,
 )
 from qdpool.scheduler import BanditStats, UcbScheduler, UniformScheduler
-from qdpool.tasks import TASK_NAMES, Evaluation, TaskSpec, evaluate_batch, make_task
+from qdpool.tasks import TASK_NAMES, TaskSpec, evaluate_batch, make_task
 
 __all__ = [
     "AddResult",
@@ -57,7 +57,6 @@ __all__ = [
     "EmitterKind",
     "EmptyArchiveError",
     "Engine",
-    "Evaluation",
     "GenerationRecord",
     "GridSpec",
     "ImprovementEmitter",

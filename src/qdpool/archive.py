@@ -390,10 +390,6 @@ class Archive:
             float(self._norm[cell]),
         )
 
-    def elite_at_rank(self, rank: int) -> Elite:
-        """Elite in the ``rank``-th occupied cell, in ascending cell order."""
-        return self._elite(int(self._occupied()[rank]))
-
     def random_elite(self, rng: np.random.Generator) -> Elite:
         """Draws one elite uniformly over the occupied cells."""
         occupied = self._occupied()

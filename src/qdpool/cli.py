@@ -24,9 +24,11 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from qdpool import engine, metrics
-from qdpool.tasks import TASK_NAMES, make_task
+from qdpool.scheduler import GRANULARITIES
+from qdpool.tasks import TASK_NAMES, TaskSpec, make_task
 
 
 class ConfigError(ValueError):
@@ -57,42 +59,59 @@ class ExperimentConfig:
     threads: int | None = None
 
 
-_FILE_SCHEMA = {
-    "task": {"name": str, "dim": int, "resolution": int, "sigma0": float},
-    "run": {
-        "variant": str,
-        "generations": int,
-        "slots": int,
-        "batch": int,
-        "init": int,
-        "replications": int,
-        "seed": int,
-        "metrics_every": int,
-        "threads": int,
-    },
-    "scheduler": {"zeta": float, "window": int, "stats_granularity": str},
-    "output": {"dir": str},
-}
+class _Setting(NamedTuple):
+    """One `run` setting: its INI section and key, the
+    :class:`ExperimentConfig` field it sets, the value type, the flag, and
+    any further argparse options of that flag (never mutated)."""
 
-_KEY_TO_FIELD = {
-    ("task", "name"): "task_name",
-    ("task", "dim"): "dim",
-    ("task", "resolution"): "resolution",
-    ("task", "sigma0"): "sigma0",
-    ("run", "variant"): "variants",
-    ("run", "generations"): "generations",
-    ("run", "slots"): "slots",
-    ("run", "batch"): "batch",
-    ("run", "init"): "init_samples",
-    ("run", "replications"): "replications",
-    ("run", "seed"): "base_seed",
-    ("run", "metrics_every"): "metrics_every",
-    ("run", "threads"): "threads",
-    ("scheduler", "zeta"): "zeta",
-    ("scheduler", "window"): "window",
-    ("scheduler", "stats_granularity"): "stats_granularity",
-    ("output", "dir"): "out_dir",
-}
+    section: str
+    key: str
+    name: str
+    type: type
+    flag: str
+    options: dict = {}
+
+
+# INI parsing, the `run` flags and their collection in `main` all read this
+# table; rows follow the order of the flags in `qdpool run --help`.
+_SETTINGS = (
+    _Setting("task", "name", "task_name", str, "--task", {"choices": TASK_NAMES}),
+    _Setting(
+        "run",
+        "variant",
+        "variants",
+        str,
+        "--variant",
+        {
+            "action": "append",
+            "choices": engine.VARIANT_NAMES,
+            "help": "repeatable; default is all six variants",
+        },
+    ),
+    _Setting("run", "generations", "generations", int, "--generations"),
+    _Setting("run", "slots", "slots", int, "--slots"),
+    _Setting("run", "batch", "batch", int, "--batch"),
+    _Setting("run", "init", "init_samples", int, "--init-samples"),
+    _Setting("run", "replications", "replications", int, "--replications"),
+    _Setting("run", "seed", "base_seed", int, "--seed"),
+    _Setting("scheduler", "zeta", "zeta", float, "--zeta"),
+    _Setting("scheduler", "window", "window", int, "--window"),
+    _Setting(
+        "scheduler",
+        "stats_granularity",
+        "stats_granularity",
+        str,
+        "--stats-granularity",
+        {"choices": GRANULARITIES},
+    ),
+    _Setting("task", "dim", "dim", int, "--dim"),
+    _Setting("task", "resolution", "resolution", int, "--resolution"),
+    _Setting("task", "sigma0", "sigma0", float, "--sigma0"),
+    _Setting("output", "dir", "out_dir", str, "--out"),
+    _Setting("run", "threads", "threads", int, "--threads", {"help": "evaluation threads (QD_THREADS fallback)"}),
+    _Setting("run", "metrics_every", "metrics_every", int, "--metrics-every"),
+)
+_INI_SETTINGS = {(s.section, s.key): s for s in _SETTINGS}
 
 
 def _read_config_file(path: str) -> dict:
@@ -100,79 +119,82 @@ def _read_config_file(path: str) -> dict:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config: cannot read file {path!r}")
+    sections = {s.section for s in _SETTINGS}
     values: dict = {}
     for section in parser.sections():
-        if section not in _FILE_SCHEMA:
+        if section not in sections:
             raise ConfigError(f"config: unknown section [{section}]")
         for key, raw in parser[section].items():
-            if key not in _FILE_SCHEMA[section]:
+            setting = _INI_SETTINGS.get((section, key))
+            if setting is None:
                 raise ConfigError(f"config: unknown key {key!r} in section [{section}]")
-            field_name = _KEY_TO_FIELD[(section, key)]
-            caster = _FILE_SCHEMA[section][key]
             try:
-                value = [v.strip() for v in raw.split(",")] if field_name == "variants" else caster(raw)
+                value = [v.strip() for v in raw.split(",")] if setting.name == "variants" else setting.type(raw)
             except ValueError as exc:
-                raise ConfigError(f"{field_name}: cannot parse {raw!r}") from exc
-            values[field_name] = value
+                raise ConfigError(f"{setting.name}: cannot parse {raw!r}") from exc
+            values[setting.name] = value
     return values
+
+
+def _task(name: str, dim: int, resolution: int, sigma0: float | None) -> TaskSpec:
+    """:func:`make_task`, with an invalid argument reported as a
+    :class:`ConfigError`."""
+    try:
+        return make_task(name, dim=dim, resolution=resolution, sigma0=sigma0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _run_config(cfg: ExperimentConfig, task: TaskSpec, variant: str, seed: int) -> engine.RunConfig:
+    """The engine configuration of one run, with an invalid setting
+    reported as a :class:`ConfigError`."""
+    try:
+        return engine.RunConfig(
+            task=task,
+            variant=variant,
+            generations=cfg.generations,
+            slots=cfg.slots,
+            batch_per_emitter=cfg.batch,
+            init_samples=cfg.init_samples,
+            seed=seed,
+            zeta=cfg.zeta,
+            window=cfg.window,
+            stats_granularity=cfg.stats_granularity,
+            metrics_every=cfg.metrics_every,
+            threads=cfg.threads,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(flags: dict, config_path: str | None = None) -> ExperimentConfig:
     """Merges built-in defaults, an optional config file, and explicit
-    flags (``None`` flag values mean "not given") into a validated
+    flags (``None`` flag values mean "not given") into an
     :class:`ExperimentConfig`.
+
+    The task and every variant's :class:`engine.RunConfig` are built once
+    here, so every check they make applies before any run starts.
 
     Raises:
         ConfigError: Naming the offending field.
     """
-    cfg = ExperimentConfig()
-    merged: dict = {}
-    if config_path is not None:
-        merged.update(_read_config_file(config_path))
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    for key, value in merged.items():
-        setattr(cfg, key, value)
+    values = _read_config_file(config_path) if config_path is not None else {}
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = ExperimentConfig(**values)
 
     if cfg.threads is None:
         try:
             cfg.threads = int(os.environ.get("QD_THREADS", "1"))
         except ValueError as exc:
             raise ConfigError(f"threads: cannot parse QD_THREADS={os.environ['QD_THREADS']!r}") from exc
-
-    if cfg.task_name not in TASK_NAMES:
-        raise ConfigError(f"task: unknown task {cfg.task_name!r}, expected one of {TASK_NAMES}")
     if isinstance(cfg.variants, str):
         cfg.variants = [cfg.variants]
+    if cfg.replications < 1:
+        raise ConfigError("replications: must be at least 1")
+
+    task = _task(cfg.task_name, cfg.dim, cfg.resolution, cfg.sigma0)
     for variant in cfg.variants:
-        if variant not in engine.VARIANT_NAMES:
-            raise ConfigError(
-                f"variant: unknown variant {variant!r}, expected one of {engine.VARIANT_NAMES}"
-            )
-    positive = (
-        "dim",
-        "resolution",
-        "replications",
-        "generations",
-        "slots",
-        "batch",
-        "init_samples",
-        "window",
-        "metrics_every",
-        "threads",
-    )
-    for name in positive:
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name}: must be at least 1")
-    if cfg.dim < 2:
-        raise ConfigError("dim: must be at least 2")
-    if cfg.zeta < 0:
-        raise ConfigError("zeta: must be non-negative")
-    if cfg.sigma0 is not None and cfg.sigma0 <= 0:
-        raise ConfigError("sigma0: must be positive")
-    if cfg.stats_granularity not in ("instance", "kind"):
-        raise ConfigError("stats_granularity: must be 'instance' or 'kind'")
+        _run_config(cfg, task, variant, cfg.base_seed)
     return cfg
 
 
@@ -195,29 +217,23 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     Layout: ``<out>/<task>/<variant>/rep<k>/{metrics,archive,emitter_mix}
     .csv`` plus per-variant ``aggregate.csv`` and a global
     ``summary.csv``.  Returns a process exit status.
+
+    Raises:
+        ConfigError: If any run's configuration is invalid; every run is
+            configured before the first one starts, so nothing is written.
     """
-    task = make_task(cfg.task_name, dim=cfg.dim, resolution=cfg.resolution, sigma0=cfg.sigma0)
+    task = _task(cfg.task_name, cfg.dim, cfg.resolution, cfg.sigma0)
+    plan = [
+        (variant, [_run_config(cfg, task, variant, cfg.base_seed + rep) for rep in range(cfg.replications)])
+        for variant in cfg.variants
+    ]
     out_root = Path(cfg.out_dir)
     summary_rows = []
     try:
-        for variant in cfg.variants:
+        for variant, run_configs in plan:
             series_by_rep = []
-            for rep in range(cfg.replications):
-                seed = cfg.base_seed + rep
-                run_config = engine.RunConfig(
-                    task=task,
-                    variant=variant,
-                    generations=cfg.generations,
-                    slots=cfg.slots,
-                    batch_per_emitter=cfg.batch,
-                    init_samples=cfg.init_samples,
-                    seed=seed,
-                    zeta=cfg.zeta,
-                    window=cfg.window,
-                    stats_granularity=cfg.stats_granularity,
-                    metrics_every=cfg.metrics_every,
-                    threads=cfg.threads,
-                )
+            for rep, run_config in enumerate(run_configs):
+                seed = run_config.seed
                 result = engine.run(run_config)
                 rep_dir = out_root / cfg.task_name / variant / f"rep{rep}"
                 rep_dir.mkdir(parents=True, exist_ok=True)
@@ -309,8 +325,12 @@ def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, ec
 
 
 def dump_task(name: str, dim: int, resolution: int, sigma0: float | None, echo=print) -> int:
-    """Prints one task's constants as ``key: value`` lines for audit."""
-    task = make_task(name, dim=dim, resolution=resolution, sigma0=sigma0)
+    """Prints one task's constants as ``key: value`` lines for audit.
+
+    Raises:
+        ConfigError: If the task arguments are invalid.
+    """
+    task = _task(name, dim, resolution, sigma0)
     echo(f"name: {task.name}")
     echo(f"dim: {task.dim}")
     echo(f"genotype_lower: {float(task.lower[0])!r}")
@@ -338,29 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run variants x replications and write CSVs")
     run_p.add_argument("--config", help="INI config file; flags override its values")
-    run_p.add_argument("--task", dest="task_name", choices=TASK_NAMES)
-    run_p.add_argument(
-        "--variant",
-        dest="variants",
-        action="append",
-        choices=engine.VARIANT_NAMES,
-        help="repeatable; default is all six variants",
-    )
-    run_p.add_argument("--generations", type=int)
-    run_p.add_argument("--slots", type=int)
-    run_p.add_argument("--batch", type=int)
-    run_p.add_argument("--init-samples", dest="init_samples", type=int)
-    run_p.add_argument("--replications", type=int)
-    run_p.add_argument("--seed", dest="base_seed", type=int)
-    run_p.add_argument("--zeta", type=float)
-    run_p.add_argument("--window", type=int)
-    run_p.add_argument("--stats-granularity", dest="stats_granularity", choices=("instance", "kind"))
-    run_p.add_argument("--dim", type=int)
-    run_p.add_argument("--resolution", type=int)
-    run_p.add_argument("--sigma0", type=float)
-    run_p.add_argument("--out", dest="out_dir")
-    run_p.add_argument("--threads", type=int, help="evaluation threads (QD_THREADS fallback)")
-    run_p.add_argument("--metrics-every", dest="metrics_every", type=int)
+    for s in _SETTINGS:
+        run_p.add_argument(s.flag, dest=s.name, type=s.type, **s.options)
 
     cmp_p = sub.add_parser("compare", help="rank-sum tests over summary.csv files")
     cmp_p.add_argument("summaries", nargs="+", help="summary.csv paths")
@@ -377,32 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_FLAG_FIELDS = (
-    "task_name",
-    "variants",
-    "generations",
-    "slots",
-    "batch",
-    "init_samples",
-    "replications",
-    "base_seed",
-    "zeta",
-    "window",
-    "stats_granularity",
-    "dim",
-    "resolution",
-    "sigma0",
-    "out_dir",
-    "threads",
-    "metrics_every",
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            flags = {name: getattr(args, name) for name in _RUN_FLAG_FIELDS}
+            flags = {s.name: getattr(args, s.name) for s in _SETTINGS}
             cfg = parse_config(flags, args.config)
             return run_experiment(cfg)
         if args.command == "compare":

@@ -22,6 +22,7 @@ was not measurably faster and a stacked covariance update was slower.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -81,7 +82,11 @@ class CmaesParams:
             raise ValueError("d_sigma must be >= 1")
 
     @classmethod
+    @functools.cache
     def defaults(cls, dim: int, lam: int) -> "CmaesParams":
+        """The default constants for ``(dim, lam)``, computed once per pair;
+        every caller shares the returned object, whose ``weights`` array is
+        read-only."""
         if dim < 1:
             raise ValueError("dim must be positive")
         if lam < 2:
@@ -89,6 +94,7 @@ class CmaesParams:
         mu = lam // 2
         raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
         weights = raw / raw.sum()
+        weights.flags.writeable = False
         mu_eff = 1.0 / float(np.sum(weights**2))
         c_sigma = (mu_eff + 2.0) / (dim + mu_eff + 5.0)
         d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dim + 1.0)) - 1.0) + c_sigma

@@ -46,7 +46,7 @@ from qdpool.emitters import (
     RandomEmitter,
 )
 from qdpool.metrics import GenerationRecord, snapshot
-from qdpool.scheduler import UcbScheduler, UniformScheduler
+from qdpool.scheduler import GRANULARITIES, UcbScheduler, UniformScheduler
 from qdpool.tasks import TaskSpec, evaluate_batch
 
 VARIANT_NAMES = (
@@ -103,7 +103,11 @@ def build_pool(
 @dataclass
 class RunConfig:
     """Everything that determines a single run (together with nothing
-    else): task, variant, loop sizes, scheduler knobs, and the seed."""
+    else): task, variant, loop sizes, scheduler knobs, and the seed.
+
+    Construction checks every setting, including the scheduler knobs and,
+    for a named variant's pool, that the variant accepts ``slots``.
+    """
 
     task: TaskSpec
     variant: str = "me-map-elites-ucb"
@@ -124,11 +128,17 @@ class RunConfig:
     def __post_init__(self):
         if self.variant not in VARIANT_NAMES:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANT_NAMES}")
-        for name in ("generations", "slots", "init_samples", "metrics_every", "threads"):
+        for name in ("generations", "slots", "init_samples", "window", "metrics_every", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.batch_per_emitter < 2:
             raise ValueError("batch_per_emitter must be at least 2")
+        if self.zeta < 0:
+            raise ValueError("zeta must be non-negative")
+        if self.stats_granularity not in GRANULARITIES:
+            raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
+        if self.pool_composition is None:
+            variant_composition(self.variant, self.slots)
 
     @property
     def total_batch(self) -> int:

@@ -94,27 +94,6 @@ def write_metrics_csv(records, path) -> None:
             )
 
 
-def read_metrics_csv(path) -> list[GenerationRecord]:
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header {header}")
-        for row in reader:
-            records.append(
-                GenerationRecord(
-                    generation=int(row[0]),
-                    evaluations=int(row[1]),
-                    archive_size=int(row[2]),
-                    best_fitness_norm=float(row[3]),
-                    qd_score=float(row[4]),
-                    kind_counts=tuple(int(v) for v in row[5:9]),
-                )
-            )
-    return records
-
-
 def write_emitter_mix_csv(kind_series, path) -> None:
     """Per-generation active-emitter counts, one row per generation
     starting at 1 (generation 0 has no active emitters)."""

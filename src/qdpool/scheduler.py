@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from qdpool.emitters import Emitter, EmitterKind
+from qdpool.emitters import Emitter
 
 GRANULARITIES = ("instance", "kind")
 
@@ -196,11 +196,3 @@ class UniformScheduler:
 
     def record_generation(self, counts: dict[int, tuple[int, int]]) -> None:
         """Uniform policy keeps no statistics."""
-
-
-def active_kind_counts(scheduler) -> dict[EmitterKind, int]:
-    """Counts of currently active emitters per kind (telemetry)."""
-    counts = dict.fromkeys(EmitterKind, 0)
-    for emitter in scheduler.active:
-        counts[emitter.kind] += 1
-    return counts

@@ -66,15 +66,6 @@ class TaskSpec:
         return GridSpec(self.bd_lower, self.bd_upper, self.grid_resolution)
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """Result of evaluating one genotype."""
-
-    fitness_raw: float
-    fitness_norm: float
-    descriptor: np.ndarray
-
-
 @functools.lru_cache(maxsize=1)
 def rastrigin_per_dim_max() -> float:
     """Per-dimension maximum of ``(x - 2.048)^2 - 10 cos(2 pi (x - 2.048))``
@@ -123,7 +114,11 @@ def make_task(name: str, dim: int = 100, resolution=100, sigma0: float | None = 
         raise ValueError(f"unknown task {name!r}, expected one of {TASK_NAMES}")
     if dim < 2:
         raise ValueError("tasks need dim >= 2 (descriptors read two components)")
+    if sigma0 is not None and sigma0 <= 0:
+        raise ValueError("sigma0 must be positive")
     resolution = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (2,)).copy()
+    if (resolution < 1).any():
+        raise ValueError("resolution must be at least 1")
     half = dim // 2
     proj_extent = np.array([_REF_BOUND * half, _REF_BOUND * (dim - half)])
 
@@ -225,9 +220,3 @@ def evaluate_batch(genotypes: np.ndarray, spec: TaskSpec):
     span = spec.fitness_best_raw - spec.fitness_worst_raw
     fitness_norm = np.clip((fitness_raw - spec.fitness_worst_raw) / span, 0.0, 1.0)
     return fitness_raw, fitness_norm, descriptors
-
-
-def evaluate(x: np.ndarray, spec: TaskSpec) -> Evaluation:
-    """Single-genotype convenience wrapper around :func:`evaluate_batch`."""
-    raw, norm, bd = evaluate_batch(np.asarray(x, dtype=float)[None, :], spec)
-    return Evaluation(float(raw[0]), float(norm[0]), bd[0])

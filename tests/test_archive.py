@@ -200,7 +200,7 @@ def test_random_elite_is_uniform_over_cells(spec):
     assert len(archive) == 10
     draws = 20000
     counts = np.zeros(10)
-    ranked = {id(archive.elite_at_rank(r)): r for r in range(10)}
+    ranked = {id(elite): r for r, (_, elite) in enumerate(archive)}
     for _ in range(draws):
         counts[ranked[id(archive.random_elite(rng))]] += 1
     expected = draws / 10
@@ -319,8 +319,8 @@ def test_insert_batch_copies_and_keeps_offered_objects(spec):
     )
     assert status.tolist() == [AddStatus.NEW, AddStatus.REJECTED]
     genotypes[:] = -1.0  # the archive holds its own copy of the batch rows
-    assert archive.elite_at_rank(0) is kept
-    copy_a, copy_b = archive.elite_at_rank(1), archive.elite_at_rank(1)
+    assert archive.elites()[0] is kept
+    copy_a, copy_b = archive.elites()[1], archive.elites()[1]
     assert copy_a is not copy_b  # batch-inserted elites are fresh copies per read
     np.testing.assert_array_equal(copy_a.genotype, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(

@@ -2,7 +2,7 @@
 reproducibility of written artifacts, and parity with the library API."""
 
 import csv
-import os
+import re
 from pathlib import Path
 
 import pytest
@@ -78,6 +78,8 @@ class TestParseConfig:
             ("stats_granularity", "per-emitter"),
             ("metrics_every", 0),
             ("threads", 0),
+            ("window", 0),
+            ("resolution", 0),
         ],
     )
     def test_invalid_values_name_the_field(self, key, value):
@@ -152,6 +154,59 @@ class TestParseConfig:
         monkeypatch.setenv("QD_THREADS", "many")
         with pytest.raises(cli.ConfigError, match="threads"):
             cli.parse_config({})
+
+
+class TestSettingsTable:
+    # one valid value per `run` setting, none of them the default, as INI text
+    VALUES = {
+        "task_name": "sphere",
+        "variants": "cma-me-opt, map-elites",
+        "generations": "40",
+        "slots": "8",
+        "batch": "10",
+        "init_samples": "30",
+        "replications": "3",
+        "base_seed": "5",
+        "zeta": "0.2",
+        "window": "9",
+        "stats_granularity": "kind",
+        "dim": "6",
+        "resolution": "12",
+        "sigma0": "0.3",
+        "out_dir": "elsewhere",
+        "threads": "2",
+        "metrics_every": "7",
+    }
+
+    def test_every_setting_has_a_value(self):
+        assert [s.name for s in cli._SETTINGS] == list(self.VALUES)
+
+    @pytest.mark.parametrize("setting", cli._SETTINGS, ids=lambda s: s.name)
+    def test_file_key_and_flag_set_the_same_field(self, setting, tmp_path, monkeypatch):
+        monkeypatch.delenv("QD_THREADS", raising=False)
+        text = self.VALUES[setting.name]
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{setting.section}]\n{setting.key} = {text}\n")
+        from_file = cli.parse_config({}, str(path))
+
+        argv = ["run"]
+        for value in text.split(", "):
+            argv += [setting.flag, value]
+        args = cli.build_parser().parse_args(argv)
+        from_flag = cli.parse_config({s.name: getattr(args, s.name) for s in cli._SETTINGS})
+
+        assert from_file == from_flag
+        assert from_file != cli.parse_config({})
+
+    def test_readme_ini_example_parses_and_documents_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        cli.parse_config({}, str(path))
+        for setting in cli._SETTINGS:
+            assert f"[{setting.section}]" in block
+            assert re.search(rf"^(# )?{setting.key} =", block, re.MULTILINE), setting.key
 
 
 class TestRunExperiment:
@@ -252,6 +307,33 @@ class TestMainEntry:
         status = cli.main(["run", "--task", "sphere", "--replications", "0"])
         assert status == 2
         assert "replications" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--variant", "map-elites", "--batch", "1"],
+            ["--variant", "map-elites", "--variant", "me-map-elites-uniform", "--slots", "6"],
+            ["--variant", "me-map-elites-uniform", "--window", "0"],
+        ],
+        ids=["batch-1", "uniform-slots-6", "uniform-window-0"],
+    )
+    def test_invalid_run_exits_2_before_writing(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        small = ["--task", "sphere", "--dim", "4", "--resolution", "10", "--generations", "2"]
+        small += ["--slots", "4", "--batch", "4", "--init-samples", "10", "--replications", "1"]
+        assert cli.main(["run", *small, "--out", str(out), *argv]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--dim", "1"], ["--sigma0", "-1"], ["--resolution", "0"]], ids=["dim", "sigma0", "resolution"]
+    )
+    def test_dump_task_config_error_exits_2(self, argv, capsys):
+        assert cli.main(["dump-task", "--task", "sphere", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert argv[0][2:] in captured.err
+        assert captured.out == ""
 
     def test_dump_task(self, capsys):
         assert cli.main(["dump-task", "--task", "sphere", "--dim", "20", "--resolution", "50"]) == 0

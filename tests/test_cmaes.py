@@ -36,6 +36,14 @@ class TestParams:
                 math.sqrt(dim) * (1 - 1 / (4 * dim) + 1 / (21 * dim**2))
             )
 
+    def test_defaults_are_computed_once_and_read_only(self):
+        params = CmaesParams.defaults(20, 50)
+        assert CmaesParams.defaults(20, 50) is params
+        assert CmaesState(np.zeros(20), sigma0=0.5, lam=50).params is params
+        assert not params.weights.flags.writeable
+        with pytest.raises(ValueError):
+            params.weights[0] = 0.0
+
     def test_reward_history_window(self):
         assert CmaesParams.defaults(10, 10).reward_history_window == 10 + 30
         assert CmaesParams.defaults(20, 50).reward_history_window == 10 + 12

@@ -14,13 +14,13 @@ from qdpool.emitters import (
     RandomDirectionEmitter,
     RandomEmitter,
 )
-from qdpool.tasks import evaluate, make_task
+from qdpool.tasks import evaluate_batch, make_task
 
 def build_archive(task, genotypes):
     archive = Archive(task.grid())
-    for g in genotypes:
-        res = evaluate(np.asarray(g, dtype=float), task)
-        archive.add_attempt(Elite(np.asarray(g, float), res.descriptor, res.fitness_raw, res.fitness_norm))
+    genotypes = np.asarray(genotypes, dtype=float)
+    for g, raw, norm, descriptor in zip(genotypes, *evaluate_batch(genotypes, task)):
+        archive.add_attempt(Elite(g, descriptor, float(raw), float(norm)))
     return archive
 
 

@@ -61,6 +61,18 @@ class TestConfigAndPool:
             small_config(generations=0)
         with pytest.raises(ValueError):
             small_config(batch_per_emitter=1)
+        with pytest.raises(ValueError, match="zeta"):
+            small_config(zeta=-0.1)
+        with pytest.raises(ValueError, match="window"):
+            small_config(window=0)
+        with pytest.raises(ValueError, match="stats_granularity"):
+            small_config(stats_granularity="pool")
+        with pytest.raises(ValueError, match="slots"):
+            small_config(variant="me-map-elites-uniform", slots=6)
+        # an explicit pool composition replaces the variant's own
+        small_config(
+            variant="me-map-elites-uniform", slots=6, pool_composition={EmitterKind.RANDOM: 6}
+        )
 
     def test_uniform_variant_uses_uniform_scheduler(self):
         engine = Engine(small_config(variant="me-map-elites-uniform", slots=4))

@@ -1,6 +1,7 @@
 """Bandit statistics and emitter-slot scheduling tests."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qdpool.scheduler import (
     BanditStats,
     UcbScheduler,
     UniformScheduler,
-    active_kind_counts,
 )
 
 
@@ -184,15 +184,19 @@ class TestUniformScheduler:
                 emitters.append(cls(kind_index * 3 + j))
         sched = UniformScheduler(emitters, slots=12)
         sched.select(12)
-        reference = active_kind_counts(sched)
-        assert all(v == 3 for v in reference.values())
+
+        def active_kind_counts():
+            return Counter(e.kind for e in sched.active)
+
+        reference = active_kind_counts()
+        assert reference == dict.fromkeys(EMITTER_CLASSES, 3)
         rng = np.random.default_rng(8)
         for _ in range(30):
             for e in list(sched.active):
                 if rng.uniform() < 0.4:
                     sched.deactivate(e)
             sched.select(12 - len(sched.active))
-            assert active_kind_counts(sched) == reference
+            assert active_kind_counts() == reference
 
     def test_reactivates_in_ascending_id_order(self):
         sched = UniformScheduler(make_pool(4), slots=4)

@@ -10,7 +10,6 @@ from qdpool.tasks import (
     TASK_NAMES,
     bd_proj_clip,
     clip_genotype,
-    evaluate,
     evaluate_batch,
     make_task,
     rastrigin_per_dim_max,
@@ -74,6 +73,15 @@ class TestTaskConstruction:
         with pytest.raises(ValueError):
             make_task("rosenbrock")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dim": 1}, {"sigma0": 0.0}, {"sigma0": -1.0}, {"resolution": 0}, {"resolution": (10, 0)}],
+        ids=["dim-1", "sigma0-0", "sigma0-neg", "resolution-0", "resolution-axis-0"],
+    )
+    def test_invalid_arguments_name_the_argument(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            make_task("sphere", **kwargs)
+
 
 def test_clip_genotype():
     task = make_task("rastrigin_proj", dim=2)
@@ -102,47 +110,53 @@ def test_projection_descriptor_raises_no_warning(name):
     np.testing.assert_array_equal(descriptors[1], [0.0, 0.0])
 
 
+def evaluate_one(x, task):
+    """(raw fitness, normalized fitness, descriptor) of one genotype."""
+    raw, norm, descriptors = evaluate_batch(np.asarray(x, dtype=float)[None, :], task)
+    return float(raw[0]), float(norm[0]), descriptors[0]
+
+
 class TestEvaluateHandWorked:
     def test_rastrigin_optimum(self):
         task = make_task("rastrigin_multi", dim=4)
-        res = evaluate(np.full(4, 2.048), task)
-        assert res.fitness_raw == pytest.approx(40.0)
-        assert res.fitness_norm == pytest.approx(1.0)
+        raw, norm, descriptor = evaluate_one(np.full(4, 2.048), task)
+        assert raw == pytest.approx(40.0)
+        assert norm == pytest.approx(1.0)
 
     def test_rastrigin_closed_form_point(self):
         task = make_task("rastrigin_multi", dim=2)
         # per-dim at x=2.548: 0.5^2 - 10 cos(pi) = 10.25; second dim at optimum: -10
-        res = evaluate(np.array([2.548, 2.048]), task)
-        assert res.fitness_raw == pytest.approx(-(10.25 - 10.0))
+        raw, norm, descriptor = evaluate_one(np.array([2.548, 2.048]), task)
+        assert raw == pytest.approx(-(10.25 - 10.0))
 
     def test_sphere_origin(self):
         task = make_task("sphere", dim=2)
-        res = evaluate(np.zeros(2), task)
-        assert res.fitness_raw == pytest.approx(-8.388608)
+        raw, norm, descriptor = evaluate_one(np.zeros(2), task)
+        assert raw == pytest.approx(-8.388608)
 
     def test_bd_proj_example(self):
         task = make_task("rastrigin_proj", dim=4)
-        res = evaluate(np.array([6.4, 3.0, -10.24, 1.0]), task)
-        np.testing.assert_allclose(res.descriptor, [3.8, 0.5])
+        raw, norm, descriptor = evaluate_one(np.array([6.4, 3.0, -10.24, 1.0]), task)
+        np.testing.assert_allclose(descriptor, [3.8, 0.5])
 
     def test_rastrigin_multi_descriptor_is_first_two_components(self):
         task = make_task("rastrigin_multi", dim=6)
-        res = evaluate(np.array([1.5, -2.5, 0.0, 1.0, 2.0, 3.0]), task)
-        np.testing.assert_allclose(res.descriptor, [1.5, -2.5])
+        raw, norm, descriptor = evaluate_one(np.array([1.5, -2.5, 0.0, 1.0, 2.0, 3.0]), task)
+        np.testing.assert_allclose(descriptor, [1.5, -2.5])
 
     def test_arm_straight(self):
         task = make_task("redundant_arm", dim=4)
-        res = evaluate(np.zeros(4), task)
-        np.testing.assert_allclose(res.descriptor, [1.0, 0.0], atol=1e-12)
-        assert res.fitness_raw == 0.0
-        assert res.fitness_norm == 1.0
+        raw, norm, descriptor = evaluate_one(np.zeros(4), task)
+        np.testing.assert_allclose(descriptor, [1.0, 0.0], atol=1e-12)
+        assert raw == 0.0
+        assert norm == 1.0
 
     def test_arm_elbow(self):
         task = make_task("redundant_arm", dim=4)
-        res = evaluate(np.array([math.pi / 2, -math.pi / 2, 0.0, 0.0]), task)
-        np.testing.assert_allclose(res.descriptor, [0.75, 0.25], atol=1e-12)
+        raw, norm, descriptor = evaluate_one(np.array([math.pi / 2, -math.pi / 2, 0.0, 0.0]), task)
+        np.testing.assert_allclose(descriptor, [0.75, 0.25], atol=1e-12)
         # population variance of (pi/2, -pi/2, 0, 0)
-        assert res.fitness_raw == pytest.approx(-np.var([math.pi / 2, -math.pi / 2, 0, 0]))
+        assert raw == pytest.approx(-np.var([math.pi / 2, -math.pi / 2, 0, 0]))
 
 
 def test_rastrigin_best_only_at_optimum():
