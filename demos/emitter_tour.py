@@ -2,9 +2,11 @@
 A tour of the four emitter kinds
 ================================
 
-Each emitter turns archive state into a batch of candidates plus a
-per-sample reward signal. This script activates one instance of each kind
-on a small Rastrigin task and prints what it produces.
+Each emitter turns archive state into a batch of candidates and then
+absorbs the batch's insertion outcome in one `finish_generation` call. The
+three CMA-ES kinds rank the batch by their own per-sample reward signal;
+the random kind keeps no state. This script activates one instance of
+each kind on a small Rastrigin task and prints what it produces.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from qdpool import (
     Archive,
     Elite,
     EMITTER_CLASSES,
+    EmitterKind,
     cell_indices,
     evaluate_batch,
     make_task,
@@ -39,10 +42,11 @@ for kind, cls in EMITTER_CLASSES.items():
     # insert the whole batch exactly like the engine does
     cells = cell_indices(bd, task.grid())
     status, improvement = archive.insert_batch(cells, genotypes, bd, raw, norm)
-    rewards = emitter.batch_rewards(bd, norm, status, improvement)
     added = int(np.count_nonzero(status != AddStatus.REJECTED))
 
     print(f"{kind.name}: batch of {len(genotypes)}, {added} added")
-    print(f"  rewards: {np.array2string(np.asarray(rewards), precision=3)}")
-    terminated = emitter.finish_generation(rewards, any_added=added > 0)
+    if kind is not EmitterKind.RANDOM:
+        rewards = emitter.batch_rewards(bd, norm, status, improvement)
+        print(f"  rewards: {np.array2string(rewards, precision=3)}")
+    terminated = emitter.finish_generation(bd, norm, status, improvement)
     print(f"  terminated after this generation: {terminated}\n")

@@ -11,13 +11,12 @@ from qdpool.archive import (
     cell_index,
     cell_indices,
 )
-from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError, StopToggles
+from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError
 from qdpool.emitters import (
     EMITTER_CLASSES,
     Emitter,
     EmitterKind,
     ImprovementEmitter,
-    LineOperatorParams,
     OptimisingEmitter,
     RandomDirectionEmitter,
     RandomEmitter,
@@ -38,7 +37,6 @@ from qdpool.metrics import (
     qd_score,
     rank_sum_compare,
     snapshot,
-    triangular_smooth,
 )
 from qdpool.scheduler import BanditStats, UcbScheduler, UniformScheduler
 from qdpool.tasks import TASK_NAMES, TaskSpec, evaluate_batch, make_task
@@ -61,13 +59,11 @@ __all__ = [
     "GridSpec",
     "ImprovementEmitter",
     "InsufficientDataError",
-    "LineOperatorParams",
     "OptimisingEmitter",
     "RandomDirectionEmitter",
     "RandomEmitter",
     "RunConfig",
     "RunResult",
-    "StopToggles",
     "TASK_NAMES",
     "TaskSpec",
     "UcbScheduler",
@@ -83,7 +79,6 @@ __all__ = [
     "rank_sum_compare",
     "run",
     "snapshot",
-    "triangular_smooth",
     "variant_composition",
 ]
 

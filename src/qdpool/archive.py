@@ -164,6 +164,16 @@ class AddResult:
 _REJECTED = AddResult(AddStatus.REJECTED, 0.0)
 
 
+def _csv_header(bd_dim: int, genotype_dim: int) -> list[str]:
+    """The column names of :meth:`Archive.write_csv`."""
+    return (
+        ["cell_index"]
+        + [f"bd_{k}" for k in range(bd_dim)]
+        + ["fitness_raw", "fitness_norm"]
+        + [f"g_{k}" for k in range(genotype_dim)]
+    )
+
+
 def _resized(a: np.ndarray, length: int) -> np.ndarray:
     out = np.empty((length,) + a.shape[1:], dtype=a.dtype)
     out[: len(a)] = a
@@ -438,13 +448,7 @@ class Archive:
         occupied = self._occupied()
         with open(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
-            header = (
-                ["cell_index"]
-                + [f"bd_{k}" for k in range(self.spec.dims)]
-                + ["fitness_raw", "fitness_norm"]
-                + [f"g_{k}" for k in range(self._genotypes.shape[1])]
-            )
-            writer.writerow(header)
+            writer.writerow(_csv_header(self.spec.dims, self._genotypes.shape[1]))
             # row by row: converting the whole genotype array to Python
             # floats at once would cost ~3x its size in peak memory
             for cell, row, raw, norm in zip(
@@ -465,16 +469,25 @@ class Archive:
         """Reconstructs an archive from :meth:`write_csv` output.
 
         Raises:
-            ValueError: If a row's descriptor does not bin to its recorded
-                cell index under ``spec``.
+            ValueError: If the header is not that of an archive over
+                ``spec.dims`` descriptor axes, a row's length differs from
+                the header's, or a row's descriptor does not bin to its
+                recorded cell index under ``spec``.
         """
         archive = cls(spec)
         with open(path, newline="") as f:
             reader = csv.reader(f)
-            header = next(reader)
+            header = next(reader, [])
             bd_dim = spec.dims
             n_geno = len(header) - 3 - bd_dim
+            if n_geno < 0 or header != _csv_header(bd_dim, n_geno):
+                raise ValueError(f"header of {path} is not that of a {bd_dim}-D archive")
             for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"line {reader.line_num} of {path} has {len(row)} fields, "
+                        f"expected {len(header)}"
+                    )
                 cell = int(row[0])
                 descriptor = np.array([float(v) for v in row[1 : 1 + bd_dim]])
                 fitness_raw = float(row[1 + bd_dim])

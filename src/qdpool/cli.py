@@ -21,6 +21,7 @@ import argparse
 import configparser
 import csv
 import os
+import statistics
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -307,8 +308,8 @@ def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, ec
             except metrics.InsufficientDataError as exc:
                 echo(f"error: {task}: {a} vs {b}: {exc}", file=sys.stderr)
                 return 2
-            med_a = float(sorted(groups[(task, a)])[len(groups[(task, a)]) // 2])
-            med_b = float(sorted(groups[(task, b)])[len(groups[(task, b)]) // 2])
+            med_a = statistics.median(groups[(task, a)])
+            med_b = statistics.median(groups[(task, b)])
             rows.append((a, b, med_a, med_b, stat, p))
             p_values.append(p)
         adjusted = metrics.holm_adjust(p_values)

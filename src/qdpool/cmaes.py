@@ -36,17 +36,6 @@ class EmitterExhaustedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StopToggles:
-    """Enable/disable switches for the individual restart criteria."""
-
-    condition: bool = True
-    tol_x: bool = True
-    tol_fun: bool = True
-    no_effect_axis: bool = True
-    no_effect_coord: bool = True
-
-
-@dataclass(frozen=True)
 class CmaesParams:
     """Strategy constants derived from the dimension and population size.
 
@@ -118,14 +107,13 @@ class CmaesState:
     single emitter; it is never mutated concurrently.
     """
 
-    def __init__(self, mean0, sigma0: float, lam: int, toggles: StopToggles | None = None):
+    def __init__(self, mean0, sigma0: float, lam: int):
         mean0 = np.array(mean0, dtype=float)
         if mean0.ndim != 1 or not np.isfinite(mean0).all():
             raise ValueError("mean0 must be a finite 1-D vector")
         if sigma0 <= 0:
             raise ValueError("sigma0 must be positive")
         self.params = CmaesParams.defaults(len(mean0), lam)
-        self.toggles = toggles or StopToggles()
         self.mean = mean0
         self.sigma = float(sigma0)
         self.sigma0 = float(sigma0)
@@ -215,30 +203,27 @@ class CmaesState:
         self.best_reward_history.append(float(np.max(rewards)))
 
     def should_stop(self) -> str | None:
-        """Evaluates the enabled restart criteria against the live state.
+        """Evaluates the five restart criteria, always in the order below,
+        against the live state.
 
         Returns:
             The name of the first criterion that holds, or None.
         """
-        t = self.toggles
-        p = self.params
         d_min, d_max = float(self.D.min()), float(self.D.max())
-        if t.condition and (d_min == 0.0 or (d_max / d_min) ** 2 > 1e14):
+        if d_min == 0.0 or (d_max / d_min) ** 2 > 1e14:
             return "condition"
-        if t.tol_x and self.sigma * d_max < 1e-12 * self.sigma0:
+        if self.sigma * d_max < 1e-12 * self.sigma0:
             return "tol_x"
-        if t.tol_fun and len(self.best_reward_history) == self.best_reward_history.maxlen:
-            if max(self.best_reward_history) - min(self.best_reward_history) < 1e-12:
-                return "tol_fun"
-        if t.no_effect_axis:
-            axis = self.generation_count % p.dim
-            step = 0.1 * self.sigma * self.D[axis] * self.B[:, axis]
-            if np.array_equal(self.mean + step, self.mean):
-                return "no_effect_axis"
-        if t.no_effect_coord:
-            step = 0.2 * self.sigma * np.sqrt(np.diag(self.C))
-            if np.any(self.mean + step == self.mean):
-                return "no_effect_coord"
+        history = self.best_reward_history
+        if len(history) == history.maxlen and max(history) - min(history) < 1e-12:
+            return "tol_fun"
+        axis = self.generation_count % self.params.dim
+        step = 0.1 * self.sigma * self.D[axis] * self.B[:, axis]
+        if np.array_equal(self.mean + step, self.mean):
+            return "no_effect_axis"
+        step = 0.2 * self.sigma * np.sqrt(np.diag(self.C))
+        if np.any(self.mean + step == self.mean):
+            return "no_effect_coord"
         return None
 
 

@@ -2,11 +2,12 @@
 archive.
 
 Each emitter turns archive state plus its own internal state into a batch
-of genotypes, assigns per-sample rewards once the engine has evaluated and
-inserted the batch, and reports whether it has exhausted itself.  Three
-kinds drive an internal CMA-ES with different reward signals (raw
-quality, movement along a fixed descriptor direction, archive
-improvement); the fourth applies the directional-variation line operator
+of genotypes and, once the engine has evaluated and inserted the batch,
+absorbs its slice of the insertion outcome and reports whether it has
+exhausted itself.  Three kinds drive an internal CMA-ES with different
+reward signals (raw quality, movement along a fixed descriptor direction,
+archive improvement); the fourth applies the directional-variation line
+operator, with the fixed gains :data:`SIGMA_ISO` and :data:`SIGMA_LINE`,
 between random elites and carries no internal state at all.
 
 Generation is batched per family: :meth:`Emitter.generate_batch` produces
@@ -20,19 +21,19 @@ Emitters only ever read the archive; insertion is the engine's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from qdpool.archive import AddStatus, Archive
-from qdpool.cmaes import CmaesState, EmitterExhaustedError, StopToggles, ask_stacked
+from qdpool.cmaes import CmaesState, EmitterExhaustedError, ask_stacked
 from qdpool.tasks import TaskSpec, clip_genotype
 
 __all__ = [
     "EmitterKind",
-    "LineOperatorParams",
+    "SIGMA_ISO",
+    "SIGMA_LINE",
     "Emitter",
     "OptimisingEmitter",
     "RandomDirectionEmitter",
@@ -52,21 +53,12 @@ class EmitterKind(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class LineOperatorParams:
-    """Gains of the directional-variation operator.
-
-    ``sigma_iso`` scales per-dimension isotropic noise relative to the
-    search range (0.01 means 1% of the range on every task); ``sigma_line``
-    scales the component along the difference vector of two elites.
-    """
-
-    sigma_iso: float = 0.01
-    sigma_line: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma_iso < 0 or self.sigma_line < 0:
-            raise ValueError("line-operator gains must be non-negative")
+# Gains of the directional-variation operator: SIGMA_ISO scales the
+# per-dimension isotropic noise relative to the search range (1% of the
+# range on every task), SIGMA_LINE the component along the difference
+# vector of two elites.
+SIGMA_ISO = 0.01
+SIGMA_LINE = 0.1
 
 
 class Emitter:
@@ -74,9 +66,8 @@ class Emitter:
 
     Subclasses implement ``activate`` (reset internal state from a random
     elite), ``generate_batch`` (produce ``batch_size`` in-bounds genotypes
-    for each emitter of a family), ``batch_rewards`` (score a
-    just-inserted batch), and ``finish_generation`` (absorb rewards,
-    report exhaustion).
+    for each emitter of a family), and ``finish_generation`` (absorb the
+    emitter's slice of the insertion outcome, report exhaustion).
     """
 
     kind: EmitterKind
@@ -86,7 +77,6 @@ class Emitter:
             raise ValueError("batch_size must be at least 2")
         self.id = int(emitter_id)
         self.batch_size = int(batch_size)
-        self._pending: np.ndarray | None = None
 
     def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
         raise NotImplementedError
@@ -109,45 +99,34 @@ class Emitter:
         """This emitter's batch of ``batch_size`` in-bounds genotypes."""
         return self.generate_batch([self], archive, task, [rng])
 
-    def batch_rewards(
+    def finish_generation(
         self,
         descriptors: np.ndarray,
         fitness_norms: np.ndarray,
         status: np.ndarray,
         improvement: np.ndarray,
-    ) -> np.ndarray:
-        """Scores a just-inserted batch from the per-sample ``status`` codes
-        and ``improvement`` values of :meth:`Archive.insert_batch`."""
+    ) -> bool:
+        """Absorbs this emitter's just-inserted batch, given as the
+        descriptors, normalized fitnesses and the per-sample ``status``
+        codes and ``improvement`` values of :meth:`Archive.insert_batch`,
+        and reports whether the emitter is exhausted."""
         raise NotImplementedError
-
-    def finish_generation(self, rewards, any_added: bool) -> bool:
-        raise NotImplementedError
-
-    def _take_pending(self, rewards) -> tuple[np.ndarray, np.ndarray]:
-        if self._pending is None:
-            raise RuntimeError("finish_generation called without a pending batch")
-        rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape != (len(self._pending),):
-            raise ValueError(f"expected {len(self._pending)} rewards, got shape {rewards.shape}")
-        pending, self._pending = self._pending, None
-        return pending, rewards
 
 
 class _CmaesEmitter(Emitter):
-    """Shared machinery for the three CMA-ES-driven kinds."""
+    """Shared machinery for the three CMA-ES-driven kinds; each kind
+    defines ``batch_rewards``, the per-sample rewards fed to ``tell``."""
 
-    def __init__(
-        self, emitter_id: int, batch_size: int = 50, stop_toggles: StopToggles | None = None
-    ):
+    def __init__(self, emitter_id: int, batch_size: int = 50):
         super().__init__(emitter_id, batch_size)
-        self.stop_toggles = stop_toggles or StopToggles()
         self.cmaes: CmaesState | None = None
+        self._pending: np.ndarray | None = None
 
     def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
         """Restarts the strategy on a uniformly drawn elite at the task's
         initial step size."""
         elite = archive.random_elite(rng)
-        self.cmaes = CmaesState(elite.genotype, task.sigma0, self.batch_size, self.stop_toggles)
+        self.cmaes = CmaesState(elite.genotype, task.sigma0, self.batch_size)
 
     @staticmethod
     def generate_batch(emitters, archive, task, rngs) -> np.ndarray:
@@ -162,15 +141,23 @@ class _CmaesEmitter(Emitter):
             emitter._pending = samples
         return clip_genotype(raw.reshape(-1, raw.shape[2]), task)
 
-    def finish_generation(self, rewards, any_added: bool) -> bool:
-        """Feeds the rewards back and reports exhaustion: a native stop
-        criterion, or a whole generation without a single archive add.
-        Without an add the update is skipped, since the next activation
+    def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
+        """The per-sample rewards of a just-inserted batch, larger is
+        better; the arguments are those of :meth:`finish_generation`."""
+        raise NotImplementedError
+
+    def finish_generation(self, descriptors, fitness_norms, status, improvement) -> bool:
+        """Feeds the batch's rewards back and reports exhaustion: a native
+        stop criterion, or a whole generation without a single archive add
+        (every ``status`` is REJECTED, which is 0).  Without an add the
+        rewards and the update are skipped, since the next activation
         replaces the strategy anyway."""
-        pending, rewards = self._take_pending(rewards)
-        if not any_added:
+        if self._pending is None:
+            raise RuntimeError("finish_generation called without a pending batch")
+        pending, self._pending = self._pending, None
+        if not np.any(status):
             return True
-        self.cmaes.tell(pending, rewards)
+        self.cmaes.tell(pending, self.batch_rewards(descriptors, fitness_norms, status, improvement))
         return self.cmaes.should_stop() is not None
 
 
@@ -189,14 +176,14 @@ class RandomDirectionEmitter(_CmaesEmitter):
 
     kind = EmitterKind.RANDOM_DIRECTION
 
-    def __init__(self, emitter_id, batch_size=50, stop_toggles=None):
-        super().__init__(emitter_id, batch_size, stop_toggles)
+    def __init__(self, emitter_id, batch_size=50):
+        super().__init__(emitter_id, batch_size)
         self.direction: np.ndarray | None = None
         self.anchor_bd: np.ndarray | None = None
 
     def activate(self, archive, task, rng) -> None:
         elite = archive.random_elite(rng)
-        self.cmaes = CmaesState(elite.genotype, task.sigma0, self.batch_size, self.stop_toggles)
+        self.cmaes = CmaesState(elite.genotype, task.sigma0, self.batch_size)
         self.anchor_bd = np.array(elite.descriptor, dtype=float)
         norm = 0.0
         while norm == 0.0:  # zero draw has probability ~0 but would break
@@ -228,14 +215,10 @@ class ImprovementEmitter(_CmaesEmitter):
 
 class RandomEmitter(Emitter):
     """Stateless directional variation between pairs of random elites:
-    ``x1 + sigma_iso * (upper - lower) * N(0, I) + sigma_line * N(0, 1) *
+    ``x1 + SIGMA_ISO * (upper - lower) * N(0, I) + SIGMA_LINE * N(0, 1) *
     (x2 - x1)``, clipped to the bounds."""
 
     kind = EmitterKind.RANDOM
-
-    def __init__(self, emitter_id, batch_size=50, line_params: LineOperatorParams | None = None):
-        super().__init__(emitter_id, batch_size)
-        self.line_params = line_params or LineOperatorParams()
 
     def activate(self, archive, task, rng) -> None:
         """No internal state to reset."""
@@ -243,8 +226,8 @@ class RandomEmitter(Emitter):
     @staticmethod
     def generate_batch(emitters, archive, task, rngs) -> np.ndarray:
         """Draws every emitter's parent picks and noises from its own
-        generator and scales the noises by its gains, then applies the
-        line operator to all rows at once."""
+        generator, then scales the noises and applies the line operator to
+        all rows at once."""
         if len(archive) == 0:
             raise RuntimeError("cannot generate from an empty archive")
         k, batch = len(emitters), emitters[0].batch_size
@@ -255,26 +238,17 @@ class RandomEmitter(Emitter):
             picks[i] = rng.integers(0, len(archive), size=(batch, 2))
             rng.standard_normal(out=iso[i])
             rng.standard_normal(out=line[i])
-        sigma_iso = np.array([e.line_params.sigma_iso for e in emitters])[:, None, None]
-        iso *= sigma_iso * (task.upper - task.lower)
-        line *= np.array([e.line_params.sigma_line for e in emitters])[:, None, None]
+        iso *= SIGMA_ISO * (task.upper - task.lower)
+        line *= SIGMA_LINE
         parents = archive.genotypes_at_ranks(picks.reshape(-1, 2))
         x1, x2 = parents[:, 0], parents[:, 1]
         candidates = x1 + iso.reshape(-1, task.dim)
         candidates += line.reshape(-1, 1) * (x2 - x1)
-        clipped = clip_genotype(candidates, task)
-        for emitter, own in zip(emitters, clipped.reshape(k, batch, task.dim)):
-            emitter._pending = own
-        return clipped
+        return clip_genotype(candidates, task)
 
-    def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
-        """Unused by the line operator; zeros keep the interface uniform."""
-        return np.zeros(len(fitness_norms))
-
-    def finish_generation(self, rewards, any_added: bool) -> bool:
+    def finish_generation(self, descriptors, fitness_norms, status, improvement) -> bool:
         """Always exhausts: the operator is memoryless, so it returns to
         the pool after every generation."""
-        self._take_pending(rewards)
         return True
 
 

@@ -32,19 +32,12 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from qdpool.archive import AddStatus, Archive, cell_indices
-from qdpool.cmaes import StopToggles
-from qdpool.emitters import (
-    EMITTER_CLASSES,
-    Emitter,
-    EmitterKind,
-    LineOperatorParams,
-    RandomEmitter,
-)
+from qdpool.emitters import EMITTER_CLASSES, Emitter, EmitterKind
 from qdpool.metrics import GenerationRecord, snapshot
 from qdpool.scheduler import GRANULARITIES, UcbScheduler, UniformScheduler
 from qdpool.tasks import TaskSpec, evaluate_batch
@@ -79,22 +72,13 @@ def variant_composition(variant: str, slots: int) -> dict[EmitterKind, int]:
     raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANT_NAMES}")
 
 
-def build_pool(
-    composition: dict[EmitterKind, int],
-    batch_size: int,
-    stop_toggles: StopToggles,
-    line_params: LineOperatorParams,
-) -> list[Emitter]:
+def build_pool(composition: dict[EmitterKind, int], batch_size: int) -> list[Emitter]:
     """Instantiates the emitter pool with stable ids: kinds in canonical
     enum order, instances of a kind consecutive."""
     emitters: list[Emitter] = []
     for kind in EmitterKind:
         for _ in range(int(composition.get(kind, 0))):
-            cls = EMITTER_CLASSES[kind]
-            if cls is RandomEmitter:
-                emitters.append(cls(len(emitters), batch_size, line_params))
-            else:
-                emitters.append(cls(len(emitters), batch_size, stop_toggles))
+            emitters.append(EMITTER_CLASSES[kind](len(emitters), batch_size))
     if not emitters:
         raise ValueError("pool composition is empty")
     return emitters
@@ -122,8 +106,6 @@ class RunConfig:
     metrics_every: int = 10
     threads: int = 1
     pool_composition: dict[EmitterKind, int] | None = None
-    stop_toggles: StopToggles = field(default_factory=StopToggles)
-    line_params: LineOperatorParams = field(default_factory=LineOperatorParams)
 
     def __post_init__(self):
         if self.variant not in VARIANT_NAMES:
@@ -179,9 +161,9 @@ class Engine:
     one contiguous run and the rows stay in (slot, sample) order), all
     samples are evaluated (the only parallel region), the whole generation
     is inserted by one :meth:`Archive.insert_batch` whose outcome equals
-    sequential insertion in (slot, sample) order, each emitter takes its
-    slice of the outcome as rewards, absorbs them and reports termination,
-    and finally the bandit statistics are recorded.
+    sequential insertion in (slot, sample) order, each emitter absorbs its
+    slice of the outcome in one :meth:`Emitter.finish_generation` call and
+    reports termination, and finally the bandit statistics are recorded.
     """
 
     def __init__(self, config: RunConfig):
@@ -191,9 +173,7 @@ class Engine:
         composition = config.pool_composition or variant_composition(
             config.variant, config.slots
         )
-        pool = build_pool(
-            composition, config.batch_per_emitter, config.stop_toggles, config.line_params
-        )
+        pool = build_pool(composition, config.batch_per_emitter)
         if config.variant == "me-map-elites-uniform" and config.pool_composition is None:
             self.scheduler = UniformScheduler(pool, config.slots)
         else:
@@ -271,10 +251,9 @@ class Engine:
         stats_counts: dict[int, tuple[int, int]] = {}
         for i, (emitter, n_added) in enumerate(zip(active, adds)):
             rows = slice(i * batch, (i + 1) * batch)
-            rewards = emitter.batch_rewards(
+            if emitter.finish_generation(
                 descriptors[rows], norm[rows], status[rows], improvement[rows]
-            )
-            if emitter.finish_generation(rewards, n_added > 0):
+            ):
                 self._terminated.append(emitter)
             stats_counts[emitter.id] = (batch, n_added)
         self.scheduler.record_generation(stats_counts)

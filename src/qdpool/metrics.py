@@ -147,19 +147,6 @@ def write_aggregate_csv(series_by_rep, path) -> None:
             writer.writerow(out)
 
 
-def triangular_smooth(values, width: int = 50) -> np.ndarray:
-    """Triangular sliding-window average for display of noisy series
-    (emitter-mix curves); the window is truncated near the edges."""
-    values = np.asarray(values, dtype=float)
-    if width < 1:
-        raise ValueError("width must be at least 1")
-    half = width // 2
-    kernel = np.concatenate([np.arange(1, half + 2), np.arange(half, 0, -1)]).astype(float)
-    padded_num = np.convolve(values, kernel, mode="same")
-    padded_den = np.convolve(np.ones_like(values), kernel, mode="same")
-    return padded_num / padded_den
-
-
 def _average_ranks(pooled: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(pooled, kind="stable")

@@ -241,6 +241,33 @@ def test_csv_round_trip(tmp_path, spec):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_read_csv_rejects_a_grid_of_other_dimension(tmp_path, spec):
+    """The row bins to its own cell on both grids (6 of the 4x4 grid, 6 of
+    a 20-cell 1-D grid), so only the header can tell them apart."""
+    archive = Archive(spec)
+    archive.add_attempt(make_elite(np.random.default_rng(0), bd=[-0.35, 0.2]))
+    path = tmp_path / "archive.csv"
+    archive.write_csv(path)
+    line = GridSpec(np.array([-1.0]), np.array([1.0]), np.array([20]))
+    assert cell_index(np.array([-0.35]), line) == cell_index(np.array([-0.35, 0.2]), spec)
+    with pytest.raises(ValueError, match="header"):
+        Archive.read_csv(path, line)
+
+
+def test_read_csv_rejects_a_short_row(tmp_path, spec):
+    archive = Archive(spec)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        archive.add_attempt(make_elite(rng))
+    path = tmp_path / "archive.csv"
+    archive.write_csv(path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3 .* 3 fields, expected 8"):
+        Archive.read_csv(path, spec)
+
+
 # ---------------------------------------------------------------------------
 # insert_batch against sequential offers
 

@@ -382,6 +382,16 @@ class TestCompare:
         assert "task: sphere" in table
         assert "different" in table
 
+    def test_median_of_an_even_count_is_the_mean_of_the_middle_two(self, tmp_path):
+        path = self.summary_file(
+            tmp_path,
+            self.synthetic_rows({"map-elites": [4.0, 1.0, 3.0, 2.0], "cma-me-opt": [10.0, 12.0, 11.0]}),
+        )
+        lines = []
+        assert cli.compare_summaries([path], echo=collect_echo(lines)) == 0
+        row = next(line for line in lines if line.split()[:2] == ["cma-me-opt", "map-elites"])
+        assert row.split()[2:4] == ["11.0000", "2.5000"]
+
     def test_identical_groups_are_equivalent(self, tmp_path):
         path = self.summary_file(
             tmp_path,

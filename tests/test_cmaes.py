@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError, StopToggles
+from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError
 
 
 class TestParams:
@@ -222,23 +222,74 @@ def test_log_sigma_random_walk_band_under_pure_noise():
     assert np.median(magnitudes) < band
 
 
-class TestShouldStop:
-    def test_fresh_state_runs(self):
-        assert CmaesState(np.zeros(4), sigma0=0.5, lam=8).should_stop() is None
+STOP_ORDER = ("condition", "tol_x", "tol_fun", "no_effect_axis", "no_effect_coord")
 
-    def test_tol_x(self):
-        state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
-        state.sigma = 1e-20 * state.sigma0
-        assert state.should_stop() == "tol_x"
-        state.toggles = StopToggles(tol_x=False)
-        assert state.should_stop() is None
 
-    def test_condition(self):
+def criteria_that_hold(state):
+    """Every restart criterion that holds, from the textbook definitions."""
+    d = state.D
+    held = set()
+    if d.min() == 0.0 or (d.max() / d.min()) ** 2 > 1e14:
+        held.add("condition")
+    if state.sigma * d.max() < 1e-12 * state.sigma0:
+        held.add("tol_x")
+    history = list(state.best_reward_history)
+    if len(history) == state.best_reward_history.maxlen and np.ptp(history) < 1e-12:
+        held.add("tol_fun")
+    axis = state.generation_count % state.params.dim
+    if np.all(state.mean + 0.1 * state.sigma * d[axis] * state.B[:, axis] == state.mean):
+        held.add("no_effect_axis")
+    if np.any(state.mean + 0.2 * state.sigma * np.sqrt(np.diag(state.C)) == state.mean):
+        held.add("no_effect_coord")
+    return held
+
+
+def state_where(criterion):
+    """A state in which ``criterion`` holds and no other criterion does."""
+    if criterion == "condition":
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=8)
         state.C = np.diag([1.0, 1e16])
         state.D = np.array([1.0, 1e8])
+    elif criterion == "tol_x":
+        state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
+        state.sigma = 1e-20 * state.sigma0
+    elif criterion == "tol_fun":
+        state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
+        state.best_reward_history.extend([1.0] * state.best_reward_history.maxlen)
+    elif criterion == "no_effect_axis":
+        # 0.1 sigma on axis 0 is lost in 1e16's rounding (spacing 2), 0.2 sigma is not
+        state = CmaesState(np.array([1e16, 0.0, 0.0]), sigma0=0.5, lam=8)
+        state.sigma = 8.0
+    else:
+        # axis 1 moves a zero coordinate; 0.2 sigma is lost on coordinate 0
+        state = CmaesState(np.array([1e16, 0.0, 0.0]), sigma0=0.5, lam=8)
+        state.sigma = 1e-3
+        state.generation_count = 1
+    return state
+
+
+class TestShouldStop:
+    def test_fresh_state_runs(self):
+        state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
+        assert criteria_that_hold(state) == set()
+        assert state.should_stop() is None
+
+    @pytest.mark.parametrize("criterion", STOP_ORDER)
+    def test_each_criterion_fires_by_itself(self, criterion):
+        state = state_where(criterion)
+        assert criteria_that_hold(state) == {criterion}
+        assert state.should_stop() == criterion
+
+    def test_tol_x(self):
+        state = state_where("tol_x")
+        assert state.should_stop() == "tol_x"
+        state.sigma = state.sigma0
+        assert state.should_stop() is None
+
+    def test_condition(self):
+        state = state_where("condition")
         assert state.should_stop() == "condition"
-        state.toggles = StopToggles(condition=False)
+        state.D = np.array([1.0, 1e6])
         assert state.should_stop() is None
 
     def test_tol_fun_needs_full_window(self):
@@ -249,17 +300,32 @@ class TestShouldStop:
         assert state.should_stop() is None  # not full yet
         state.best_reward_history.append(1.0)
         assert state.should_stop() == "tol_fun"
-        state.toggles = StopToggles(tol_fun=False)
+        state.best_reward_history.append(1.0 + 1e-9)
         assert state.should_stop() is None
 
     def test_no_effect_axis_and_coord(self):
+        """Both no-effect criteria hold here; the axis check comes first,
+        and the coordinate check alone fires on the next axis."""
         state = CmaesState(np.full(3, 1e16), sigma0=0.5, lam=8)
         state.sigma = 1e-3
+        assert criteria_that_hold(state) == {"no_effect_axis", "no_effect_coord"}
         assert state.should_stop() == "no_effect_axis"
-        state.toggles = StopToggles(no_effect_axis=False)
-        assert state.should_stop() == "no_effect_coord"
-        state.toggles = StopToggles(no_effect_axis=False, no_effect_coord=False)
+        assert state_where("no_effect_coord").should_stop() == "no_effect_coord"
+        # 0.2 sigma survives 1e16's rounding where 0.1 sigma did not
+        state = state_where("no_effect_axis")
+        state.generation_count = 1
         assert state.should_stop() is None
+
+    def test_first_holding_criterion_wins(self):
+        """With several criteria holding, the earliest in the fixed order
+        is reported."""
+        for criterion in STOP_ORDER:
+            state = state_where(criterion)
+            state.best_reward_history.extend([1.0] * state.best_reward_history.maxlen)
+            state.sigma = 1e-30 * state.sigma0
+            held = criteria_that_hold(state)
+            assert {"tol_x", "tol_fun"} <= held
+            assert state.should_stop() == min(held, key=STOP_ORDER.index)
 
     def test_ask_after_stop_raises(self):
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=8)

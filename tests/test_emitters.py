@@ -7,14 +7,15 @@ import pytest
 from qdpool.archive import AddStatus, Archive, Elite, EmptyArchiveError
 from qdpool.cmaes import EmitterExhaustedError
 from qdpool.emitters import (
+    SIGMA_ISO,
     EmitterKind,
     ImprovementEmitter,
-    LineOperatorParams,
     OptimisingEmitter,
     RandomDirectionEmitter,
     RandomEmitter,
 )
-from qdpool.tasks import evaluate_batch, make_task
+from qdpool.tasks import clip_genotype, evaluate_batch, make_task
+
 
 def build_archive(task, genotypes):
     archive = Archive(task.grid())
@@ -22,6 +23,17 @@ def build_archive(task, genotypes):
     for g, raw, norm, descriptor in zip(genotypes, *evaluate_batch(genotypes, task)):
         archive.add_attempt(Elite(g, descriptor, float(raw), float(norm)))
     return archive
+
+
+def outcome(norms, added=True, descriptors=None):
+    """An insertion outcome as the engine passes it to
+    ``finish_generation``: every sample NEW (or, with ``added=False``,
+    every one REJECTED) with normalized fitness ``norms``."""
+    norms = np.asarray(norms, dtype=float)
+    if descriptors is None:
+        descriptors = np.zeros((len(norms), 2))
+    status = np.full(len(norms), AddStatus.NEW if added else AddStatus.REJECTED, dtype=np.int8)
+    return descriptors, norms, status, norms * added
 
 
 @pytest.fixture
@@ -67,7 +79,7 @@ class TestActivate:
         rng = np.random.default_rng(1)
         emitter.activate(single_elite_archive, task, rng)
         emitter.generate_samples(single_elite_archive, task, rng)
-        emitter.finish_generation(np.arange(8.0), any_added=True)
+        emitter.finish_generation(*outcome(np.arange(8.0)))
         assert emitter.cmaes.generation_count == 1
         emitter.activate(single_elite_archive, task, rng)
         assert emitter.cmaes.generation_count == 0
@@ -85,11 +97,16 @@ class TestGenerate:
             assert batch.shape == (50, 4)
             assert np.all(batch >= task.lower) and np.all(batch <= task.upper)
 
-    def test_line_operator_degenerates_to_elite(self, task, single_elite_archive):
-        emitter = RandomEmitter(0, batch_size=20, line_params=LineOperatorParams(0.0, 0.1))
+    def test_line_operator_on_one_elite_is_isotropic_noise(self, task, single_elite_archive):
+        """With one elite, x2 - x1 = 0: a candidate is the elite plus the
+        isotropic term, drawn after the parent picks."""
+        emitter = RandomEmitter(0, batch_size=20)
         batch = emitter.generate_samples(single_elite_archive, task, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        rng.integers(0, 1, size=(20, 2))
+        iso = SIGMA_ISO * (task.upper - task.lower) * rng.standard_normal((20, task.dim))
         elite = single_elite_archive.elites()[0]
-        np.testing.assert_array_equal(batch, np.tile(elite.genotype, (20, 1)))
+        np.testing.assert_array_equal(batch, clip_genotype(elite.genotype + iso, task))
 
     def test_line_operator_monte_carlo_mean(self, task):
         """Operator oracle: E[candidate] is the midpoint of the two-elite
@@ -133,11 +150,6 @@ CMAES_SUBSETS = [
     (OptimisingEmitter, RandomDirectionEmitter, ImprovementEmitter),
     (OptimisingEmitter, OptimisingEmitter, ImprovementEmitter, RandomDirectionEmitter),
 ]
-LINE_SUBSETS = [
-    (LineOperatorParams(),),
-    (LineOperatorParams(), LineOperatorParams()),
-    (LineOperatorParams(0.0, 0.1), LineOperatorParams(), LineOperatorParams(0.05, 0.0)),
-]
 
 
 def warmed_cmaes_emitters(kinds, archive, task):
@@ -149,7 +161,9 @@ def warmed_cmaes_emitters(kinds, archive, task):
         rng = np.random.default_rng([31, i])
         emitter.activate(archive, task, rng)
         emitter.generate_samples(archive, task, rng)
-        emitter.finish_generation(rng.permutation(6).astype(float), any_added=True)
+        emitter.finish_generation(
+            *outcome(rng.permutation(6).astype(float), descriptors=rng.standard_normal((6, 2)))
+        )
         emitters.append(emitter)
     return emitters
 
@@ -162,8 +176,7 @@ def assert_batch_equals_singles(make, archive, task):
         e.generate_samples(archive, task, np.random.default_rng([77, e.id])) for e in singles
     ]
     np.testing.assert_array_equal(out, np.concatenate(expected))
-    for a, b in zip(batched, singles):
-        np.testing.assert_array_equal(a._pending, b._pending)
+    return batched, singles
 
 
 class TestGenerateBatch:
@@ -175,19 +188,21 @@ class TestGenerateBatch:
     def test_cmaes_family(self, task, kinds, elites):
         archive = build_archive(task, np.random.default_rng(3).uniform(-30, 30, (elites, 4)))
         assert (len(archive) == 1) == (elites == 1)
-        assert_batch_equals_singles(
+        batched, singles = assert_batch_equals_singles(
             lambda: warmed_cmaes_emitters(kinds, archive, task), archive, task
         )
+        for a, b in zip(batched, singles):
+            np.testing.assert_array_equal(a._pending, b._pending)
 
-    @pytest.mark.parametrize("gains", LINE_SUBSETS)
+    # ids kept from the earlier per-emitter-gain cases, so that results
+    # stay comparable across versions
+    @pytest.mark.parametrize("count", [1, 2, 3], ids=["gains0", "gains1", "gains2"])
     @pytest.mark.parametrize("elites", [1, 12])
-    def test_random_family(self, task, gains, elites):
+    def test_random_family(self, task, count, elites):
         archive = build_archive(task, np.random.default_rng(3).uniform(-30, 30, (elites, 4)))
         assert (len(archive) == 1) == (elites == 1)
         assert_batch_equals_singles(
-            lambda: [RandomEmitter(i, 7, params) for i, params in enumerate(gains)],
-            archive,
-            task,
+            lambda: [RandomEmitter(i, 7) for i in range(count)], archive, task
         )
 
     def test_one_stopped_strategy_stops_the_batch(self, task, single_elite_archive):
@@ -266,59 +281,63 @@ class TestRewards:
         assert rewards[:100].min() > rewards[100:200].max()
         assert rewards[100:200].min() > rewards[200:].max()
 
-    def test_random_kind_rewards_are_zero(self):
-        emitter = RandomEmitter(0)
-        out = emitter.batch_rewards(
-            np.zeros((3, 2)), np.array([0.1, 0.9, 0.5]), np.zeros(3, np.int8), np.zeros(3)
-        )
-        np.testing.assert_array_equal(out, np.zeros(3))
-
 
 class TestFinishGeneration:
+    @staticmethod
+    def generated(cls, task, archive):
+        emitter = cls(0, batch_size=10)
+        rng = np.random.default_rng(1)
+        emitter.activate(archive, task, rng)
+        emitter.generate_samples(archive, task, rng)
+        return emitter
+
     def test_random_always_terminates(self, task, single_elite_archive):
-        emitter = RandomEmitter(0, batch_size=10)
-        emitter.generate_samples(single_elite_archive, task, np.random.default_rng(0))
-        assert emitter.finish_generation(np.zeros(10), any_added=True) is True
+        emitter = self.generated(RandomEmitter, task, single_elite_archive)
+        for added in (True, False):
+            assert emitter.finish_generation(*outcome(np.zeros(10), added)) is True
 
     def test_cmaes_continues_when_adding_and_healthy(self, task, single_elite_archive):
-        emitter = OptimisingEmitter(0, batch_size=10)
-        rng = np.random.default_rng(1)
-        emitter.activate(single_elite_archive, task, rng)
-        emitter.generate_samples(single_elite_archive, task, rng)
-        assert emitter.finish_generation(np.arange(10.0), any_added=True) is False
+        emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
+        assert emitter.finish_generation(*outcome(np.arange(10.0))) is False
 
     def test_cmaes_terminates_without_additions(self, task, single_elite_archive):
-        emitter = OptimisingEmitter(0, batch_size=10)
-        rng = np.random.default_rng(1)
-        emitter.activate(single_elite_archive, task, rng)
-        emitter.generate_samples(single_elite_archive, task, rng)
-        assert emitter.finish_generation(np.arange(10.0), any_added=False) is True
+        emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
+        assert emitter.finish_generation(*outcome(np.arange(10.0), added=False)) is True
 
-    def test_cmaes_skips_update_without_additions(self, task, single_elite_archive):
-        emitter = OptimisingEmitter(0, batch_size=10)
-        rng = np.random.default_rng(1)
-        emitter.activate(single_elite_archive, task, rng)
-        emitter.generate_samples(single_elite_archive, task, rng)
-        emitter.finish_generation(np.arange(10.0), any_added=True)
+    def test_cmaes_skips_update_without_additions(self, task, single_elite_archive, monkeypatch):
+        emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
+        emitter.finish_generation(*outcome(np.arange(10.0)))
         state = emitter.cmaes
         count, cov, mean = state.generation_count, state.C.copy(), state.mean.copy()
-        emitter.generate_samples(single_elite_archive, task, rng)
-        assert emitter.finish_generation(np.arange(10.0), any_added=False) is True
+        emitter.generate_samples(single_elite_archive, task, np.random.default_rng(2))
+
+        def no_rewards(*args):
+            raise AssertionError("rewards computed for a generation without an add")
+
+        monkeypatch.setattr(emitter, "batch_rewards", no_rewards)
+        assert emitter.finish_generation(*outcome(np.arange(10.0), added=False)) is True
         assert state.generation_count == count
         np.testing.assert_array_equal(state.C, cov)
         np.testing.assert_array_equal(state.mean, mean)
 
-    def test_reward_length_mismatch_raises(self, task, single_elite_archive):
-        emitter = OptimisingEmitter(0, batch_size=10)
-        rng = np.random.default_rng(1)
-        emitter.activate(single_elite_archive, task, rng)
-        emitter.generate_samples(single_elite_archive, task, rng)
-        with pytest.raises(ValueError):
-            emitter.finish_generation(np.zeros(9), any_added=True)
+    @pytest.mark.parametrize("code", [AddStatus.IMPROVED, AddStatus.NEW])
+    def test_one_add_is_enough_to_update(self, task, single_elite_archive, code):
+        emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
+        descriptors, norms, status, improvement = outcome(np.arange(10.0), added=False)
+        status[7] = code
+        assert emitter.finish_generation(descriptors, norms, status, improvement) is False
+        assert emitter.cmaes.generation_count == 1
 
-    def test_finish_without_generate_raises(self):
+    def test_reward_length_mismatch_raises(self, task, single_elite_archive):
+        emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
+        with pytest.raises(ValueError):
+            emitter.finish_generation(*outcome(np.zeros(9)))
+
+    def test_finish_without_generate_raises(self, task, single_elite_archive):
+        emitter = OptimisingEmitter(0)
+        emitter.activate(single_elite_archive, task, np.random.default_rng(0))
         with pytest.raises(RuntimeError):
-            RandomEmitter(0).finish_generation(np.zeros(50), any_added=False)
+            emitter.finish_generation(*outcome(np.zeros(50), added=False))
 
 
 def test_kind_enum_is_exactly_four():
@@ -329,8 +348,3 @@ def test_kind_enum_is_exactly_four():
         "random",
     ]
 
-
-def test_line_params_validation():
-    with pytest.raises(ValueError):
-        LineOperatorParams(-0.01, 0.1)
-    assert LineOperatorParams(0.0, 0.1).sigma_iso == 0.0

@@ -43,10 +43,7 @@ class TestConfigAndPool:
             variant_composition("me-map-elites-uniform", 10)
 
     def test_pool_ids_follow_kind_order(self):
-        cfg = small_config()
-        pool = build_pool(
-            variant_composition("me-map-elites-ucb", 3), 5, cfg.stop_toggles, cfg.line_params
-        )
+        pool = build_pool(variant_composition("me-map-elites-ucb", 3), 5)
         assert len(pool) == 12
         assert [e.id for e in pool] == list(range(12))
         kinds = [e.kind for e in pool]
@@ -252,8 +249,8 @@ def test_map_elites_variant_matches_reference_oracle():
         slots=12,
         batch=50,
         init_samples=100,
-        sigma_iso=cfg.line_params.sigma_iso,
-        sigma_line=cfg.line_params.sigma_line,
+        sigma_iso=0.01,
+        sigma_line=0.1,
     )
     assert len(result.archive) == len(reference)
     for cell, elite in result.archive:

@@ -15,7 +15,6 @@ from qdpool.metrics import (
     qd_score,
     rank_sum_compare,
     snapshot,
-    triangular_smooth,
     write_aggregate_csv,
     write_emitter_mix_csv,
     write_metrics_csv,
@@ -106,13 +105,6 @@ def test_aggregate_csv_quartiles(tmp_path):
 
     with pytest.raises(ValueError):
         write_aggregate_csv([reps[0], series([1.0])], tmp_path / "broken.csv")
-
-
-def test_triangular_smooth_preserves_constants():
-    out = triangular_smooth(np.full(200, 7.0), width=50)
-    np.testing.assert_allclose(out, 7.0)
-    with pytest.raises(ValueError):
-        triangular_smooth([1.0], width=0)
 
 
 def exact_rank_sum_p(a, b):
