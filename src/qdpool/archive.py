@@ -174,12 +174,6 @@ def _csv_header(bd_dim: int, genotype_dim: int) -> list[str]:
     )
 
 
-def _resized(a: np.ndarray, length: int) -> np.ndarray:
-    out = np.empty((length,) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 class Archive:
     """Elitist grid over descriptor space, stored in arrays.
 
@@ -189,9 +183,13 @@ class Archive:
       cell's elite or -1 for an empty cell, and ``_raw``/``_norm``, the
       elite's two fitness values (meaningless where the cell is empty);
     * per row, one row per occupied cell: ``_genotypes`` and
-      ``_descriptors``.  The row arrays grow by doubling; a newly
-      occupied cell appends a row and a replacement overwrites its
-      cell's row in place, so memory follows occupancy, not grid size;
+      ``_descriptors``.  Both are reserved once, at the first insertion,
+      with ``spec.total_cells`` rows (a grid never holds more elites than
+      cells), so rows never move.  A newly occupied cell takes the next
+      unused row and a replacement overwrites its cell's row in place, so
+      the rows in use are always a prefix.  Pages the archive has not
+      written are not resident: resident memory follows occupancy, while
+      the reserved address space follows grid size;
     * ``_objects``, per row: the :class:`Elite` a caller passed in through
       :meth:`add_attempt`, :meth:`offer` or :meth:`read_csv`, or ``None``
       where :meth:`insert_batch` wrote the row.
@@ -228,20 +226,19 @@ class Archive:
         return np.flatnonzero(self._row >= 0)
 
     def _claim_rows(self, cells: np.ndarray, genotype_dim: int) -> np.ndarray:
-        """Appends one row per newly occupied cell and returns the rows."""
-        if genotype_dim != self._genotypes.shape[1]:
-            if self._size:
-                raise ValueError(
-                    f"genotype has {genotype_dim} components, "
-                    f"the archive holds {self._genotypes.shape[1]}"
-                )
-            self._genotypes = np.empty((0, genotype_dim))
+        """Gives each newly occupied cell the next unused row and returns
+        the rows; the first call reserves one row per cell."""
+        if not len(self._genotypes):
+            total = self.spec.total_cells
+            self._genotypes = np.empty((total, genotype_dim))
+            self._descriptors = np.empty((total, self.spec.dims))
+            self._objects = np.empty(total, dtype=object)
+        elif genotype_dim != self._genotypes.shape[1]:
+            raise ValueError(
+                f"genotype has {genotype_dim} components, "
+                f"the archive holds {self._genotypes.shape[1]}"
+            )
         end = self._size + len(cells)
-        if end > len(self._genotypes):
-            capacity = max(16, 2 * len(self._genotypes), end)
-            self._genotypes = _resized(self._genotypes, capacity)
-            self._descriptors = _resized(self._descriptors, capacity)
-            self._objects = _resized(self._objects, capacity)
         rows = np.arange(self._size, end)
         self._row[cells] = rows
         self._size = end
@@ -443,7 +440,8 @@ class Archive:
 
         The header is ``cell_index,bd_0,...,fitness_raw,fitness_norm,
         g_0,...,g_{n-1}`` and every float is written with full
-        round-trippable precision.
+        round-trippable precision (``csv.writer`` writes Python floats
+        with ``repr``).
         """
         occupied = self._occupied()
         with open(path, "w", newline="") as f:
@@ -459,9 +457,9 @@ class Archive:
             ):
                 writer.writerow(
                     [cell]
-                    + [repr(v) for v in self._descriptors[row].tolist()]
-                    + [repr(raw), repr(norm)]
-                    + [repr(v) for v in self._genotypes[row].tolist()]
+                    + self._descriptors[row].tolist()
+                    + [raw, norm]
+                    + self._genotypes[row].tolist()
                 )
 
     @classmethod

@@ -252,8 +252,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
                         final.generation,
                         final.evaluations,
                         final.archive_size,
-                        repr(float(final.best_fitness_norm)),
-                        repr(float(final.qd_score)),
+                        float(final.best_fitness_norm),
+                        float(final.qd_score),
                     ]
                 )
                 echo(

@@ -125,6 +125,9 @@ class CmaesState:
         self.D = np.ones(n)
         self.generation_count = 0
         self.best_reward_history: deque[float] = deque(maxlen=self.params.reward_history_window)
+        # (generation_count, sigma, reason) of the criteria checked by the
+        # last tell; see should_stop
+        self._told: tuple[int, float, str | None] | None = None
 
     def ask(self, rng: np.random.Generator) -> np.ndarray:
         """Draws ``lam`` samples from the current distribution: the batch of
@@ -201,8 +204,25 @@ class CmaesState:
         eigenvalues, self.B = np.linalg.eigh(self.C)
         self.D = np.sqrt(np.maximum(eigenvalues, 0.0))
         self.best_reward_history.append(float(np.max(rewards)))
+        self._told = (self.generation_count, self.sigma, self._stop_reason())
 
     def should_stop(self) -> str | None:
+        """The first of the five restart criteria that holds, or None.
+
+        While ``generation_count`` and ``sigma`` are as the last ``tell``
+        left them, this returns the reason that ``tell`` computed, so the
+        check after an update and the guard of the next
+        :func:`ask_stacked` share one evaluation.  Otherwise (a state
+        never told, or one whose ``sigma`` or ``generation_count`` was
+        set since) the criteria are evaluated on the live state.  The
+        other fields they read change only through ``tell``.
+        """
+        told = self._told
+        if told is not None and told[0] == self.generation_count and told[1] == self.sigma:
+            return told[2]
+        return self._stop_reason()
+
+    def _stop_reason(self) -> str | None:
         """Evaluates the five restart criteria, always in the order below,
         against the live state.
 

@@ -115,7 +115,12 @@ class Emitter:
 
 class _CmaesEmitter(Emitter):
     """Shared machinery for the three CMA-ES-driven kinds; each kind
-    defines ``batch_rewards``, the per-sample rewards fed to ``tell``."""
+    defines ``batch_rewards``, the per-sample rewards fed to ``tell``.
+
+    ``cmaes`` holds the strategy from :meth:`activate` until
+    :meth:`finish_generation` reports exhaustion, and is None otherwise:
+    an idle emitter in the pool keeps no covariance matrix.
+    """
 
     def __init__(self, emitter_id: int, batch_size: int = 50):
         super().__init__(emitter_id, batch_size)
@@ -151,14 +156,19 @@ class _CmaesEmitter(Emitter):
         stop criterion, or a whole generation without a single archive add
         (every ``status`` is REJECTED, which is 0).  Without an add the
         rewards and the update are skipped, since the next activation
-        replaces the strategy anyway."""
+        replaces the strategy anyway.  An exhausted emitter drops its
+        strategy, so only active emitters hold one."""
         if self._pending is None:
             raise RuntimeError("finish_generation called without a pending batch")
         pending, self._pending = self._pending, None
-        if not np.any(status):
-            return True
-        self.cmaes.tell(pending, self.batch_rewards(descriptors, fitness_norms, status, improvement))
-        return self.cmaes.should_stop() is not None
+        if np.any(status):
+            self.cmaes.tell(
+                pending, self.batch_rewards(descriptors, fitness_norms, status, improvement)
+            )
+            if self.cmaes.should_stop() is None:
+                return False
+        self.cmaes = None
+        return True
 
 
 class OptimisingEmitter(_CmaesEmitter):

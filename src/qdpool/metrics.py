@@ -2,9 +2,10 @@
 serialization, replication aggregation, and the Wilcoxon rank-sum /
 Holm machinery used to compare variants.
 
-All CSV output is deterministic: floats are written with ``repr`` (the
-shortest round-trippable form), rows follow canonical orders, and no
-wall-clock values ever enter a file.
+All CSV output is deterministic: floats are handed to ``csv.writer`` as
+Python floats, which it writes with ``repr`` (the shortest
+round-trippable form), rows follow canonical orders, and no wall-clock
+values ever enter a file.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def write_metrics_csv(records, path) -> None:
                     r.generation,
                     r.evaluations,
                     r.archive_size,
-                    repr(float(r.best_fitness_norm)),
-                    repr(float(r.qd_score)),
+                    float(r.best_fitness_norm),
+                    float(r.qd_score),
                     *r.kind_counts,
                 ]
             )
@@ -143,7 +144,7 @@ def write_aggregate_csv(series_by_rep, path) -> None:
                 [r.qd_score for r in rows],
             ):
                 q1, q2, q3 = np.percentile(values, [25, 50, 75])
-                out.extend([repr(float(q1)), repr(float(q2)), repr(float(q3))])
+                out.extend([float(q1), float(q2), float(q3)])
             writer.writerow(out)
 
 

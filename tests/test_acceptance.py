@@ -4,7 +4,8 @@ Each criterion is one test that prints a single ``criterion N: PASS`` line
 with its measured values (shown under ``pytest -rP`` or ``-s``).  Criteria
 5-8 share one desk-scale sweep (two tasks, six variants, five
 replications, 2000 generations at n=20 on a 50x50 grid), built once per
-session.
+session; they carry the ``slow`` marker, so ``-m "not slow"`` skips the
+sweep.
 """
 
 import itertools
@@ -209,6 +210,7 @@ def test_criterion_04_single_kind_pool_reduces_to_baseline(kind, baseline):
 # criteria 5-8: desk-scale orderings on the shared sweep
 
 
+@pytest.mark.slow
 def test_criterion_05_optimising_emitter_leads_best_fitness(desk_sweep):
     medians = {}
     runtime = 0.0
@@ -226,6 +228,7 @@ def test_criterion_05_optimising_emitter_leads_best_fitness(desk_sweep):
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_improvement_emitter_data_efficiency(desk_sweep):
     imp_runs = desk_sweep[("sphere", "cma-me-imp")]
     me_runs = desk_sweep[("sphere", "map-elites")]
@@ -241,6 +244,7 @@ def test_criterion_06_improvement_emitter_data_efficiency(desk_sweep):
     report(f"criterion 6: PASS - imp qd@500 vs map-elites qd@2000: {pairs} ({wins}/5)")
 
 
+@pytest.mark.slow
 def test_criterion_07_ucb_variant_matches_best_competitor(desk_sweep):
     for task_name in ("rastrigin_multi", "sphere"):
         ucb = final_qd_median(desk_sweep[(task_name, "me-map-elites-ucb")])
@@ -259,6 +263,7 @@ def test_criterion_07_ucb_variant_matches_best_competitor(desk_sweep):
         )
 
 
+@pytest.mark.slow
 def test_criterion_08_emitter_mix_telemetry(desk_sweep):
     # hard assertion: the active-kind counts sum to the slot count always
     for task_name in ("rastrigin_multi", "sphere"):

@@ -269,6 +269,59 @@ def test_read_csv_rejects_a_short_row(tmp_path, spec):
 
 
 # ---------------------------------------------------------------------------
+# row storage
+
+
+class RowWatch(Archive):
+    """An archive that records its row buffers after every claim of rows."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.seen = []
+
+    def _claim_rows(self, cells, genotype_dim):
+        rows = super()._claim_rows(cells, genotype_dim)
+        self.seen.append((self._genotypes, self._descriptors, self._objects))
+        return rows
+
+
+def cell_centres(spec):
+    """One descriptor per cell of a 2-D grid, in ascending cell order."""
+    i, j = np.divmod(np.arange(spec.total_cells), spec.resolution[1])
+    return spec.lower + (np.stack([i, j], axis=1) + 0.5) * spec.widths
+
+
+@pytest.mark.parametrize("path", ["insert_batch", "add_attempt", "read_csv"])
+def test_row_buffers_never_move_until_the_grid_is_full(tmp_path, path):
+    """The first insertion reserves one row per cell; filling every cell,
+    on any insertion path, keeps the same buffers."""
+    spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([8, 8]))
+    rng = np.random.default_rng(8)
+    centres = cell_centres(spec)[rng.permutation(spec.total_cells)]
+    genotypes = rng.uniform(-1.0, 1.0, (spec.total_cells, 3))
+    archive = RowWatch(spec)
+    if path == "insert_batch":
+        for start in range(0, spec.total_cells, 5):
+            chunk = slice(start, start + 5)
+            archive.insert_batch(
+                cell_indices(centres[chunk], spec), genotypes[chunk], centres[chunk],
+                np.zeros(len(genotypes[chunk])), np.zeros(len(genotypes[chunk])),
+            )
+    else:
+        for genotype, centre in zip(genotypes, centres):
+            archive.add_attempt(Elite(genotype, centre, 0.0, 0.5))
+        if path == "read_csv":
+            archive.write_csv(tmp_path / "archive.csv")
+            archive = RowWatch.read_csv(tmp_path / "archive.csv", spec)
+    assert len(archive) == spec.total_cells
+    assert len(archive.seen) >= spec.total_cells // 5
+    first = archive.seen[0]
+    assert len(first[0]) == len(first[1]) == len(first[2]) == spec.total_cells
+    for buffers in archive.seen:
+        assert all(a is b for a, b in zip(buffers, first))
+
+
+# ---------------------------------------------------------------------------
 # insert_batch against sequential offers
 
 TIED_RAWS = (-20.0, -5.0, -1.0, 0.0, 2.5, 5.0, 12.0)

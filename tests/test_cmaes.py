@@ -332,3 +332,37 @@ class TestShouldStop:
         state.sigma = 1e-20 * state.sigma0
         with pytest.raises(EmitterExhaustedError):
             state.ask(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("ratio, reason", [(0.99e-12, "tol_x"), (1.01e-12, None)])
+def test_tol_x_threshold(ratio, reason):
+    """tol_x fires when sigma times the largest axis length falls below
+    1e-12 sigma0, on either side of the threshold by 1%."""
+    state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
+    state.D = np.array([0.5, 1.0, 2.0, 1.0])
+    state.C = np.diag(state.D**2)
+    state.sigma = ratio * state.sigma0 / 2.0
+    assert criteria_that_hold(state) == ({reason} if reason else set())
+    assert state.should_stop() == reason
+
+
+def test_reason_from_tell_is_reused_until_sigma_or_generation_changes(monkeypatch):
+    rng = np.random.default_rng(4)
+    state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
+    state.tell(state.ask(rng), rng.standard_normal(8))
+    evaluations = []
+
+    def stub(self):
+        evaluations.append(self.generation_count)
+        return "tol_fun"
+
+    monkeypatch.setattr(CmaesState, "_stop_reason", stub)
+    assert state.should_stop() is None  # checked by tell, on the real criteria
+    assert state.should_stop() is None
+    assert evaluations == []
+    state.sigma *= 2.0
+    assert state.should_stop() == "tol_fun"
+    state.sigma /= 2.0
+    state.generation_count += 1
+    assert state.should_stop() == "tol_fun"
+    assert evaluations == [1, 2]

@@ -304,6 +304,24 @@ class TestFinishGeneration:
         emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
         assert emitter.finish_generation(*outcome(np.arange(10.0), added=False)) is True
 
+    @pytest.mark.parametrize("cause", ["no_add", "tol_fun"])
+    def test_exhausted_cmaes_emitter_holds_no_strategy(self, task, single_elite_archive, cause):
+        emitter = self.generated(ImprovementEmitter, task, single_elite_archive)
+        history = emitter.cmaes.best_reward_history
+        # every sample NEW at fitness 0.5 rewards 2.5; a window of 2.5 stops
+        history.extend([2.5] * history.maxlen)
+        assert emitter.finish_generation(*outcome(np.full(10, 0.5), cause == "tol_fun")) is True
+        assert emitter.cmaes is None
+        rng = np.random.default_rng(3)
+        with pytest.raises(RuntimeError, match="activated"):
+            emitter.generate_samples(single_elite_archive, task, rng)
+        emitter.activate(single_elite_archive, task, rng)
+        assert emitter.cmaes.generation_count == 0
+        assert emitter.cmaes.should_stop() is None
+        assert emitter.generate_samples(single_elite_archive, task, rng).shape == (10, 4)
+        assert emitter.finish_generation(*outcome(np.arange(10.0))) is False
+        assert emitter.cmaes.generation_count == 1
+
     def test_cmaes_skips_update_without_additions(self, task, single_elite_archive, monkeypatch):
         emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
         emitter.finish_generation(*outcome(np.arange(10.0)))

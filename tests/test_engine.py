@@ -2,10 +2,14 @@
 bookkeeping invariants, determinism, and equivalence of the map-elites
 variant with an independent vanilla MAP-Elites implementation."""
 
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from qdpool.archive import Archive
+from qdpool.cmaes import CmaesState
 from qdpool.emitters import EmitterKind
 from qdpool.engine import Engine, RunConfig, build_pool, run, variant_composition
 from qdpool.scheduler import UniformScheduler
@@ -153,6 +157,48 @@ class TestGenerationLoop:
         # 4 slots, all-infinite scores: ids 0..3 (all optimising emitters)
         assert [e.id for e in engine.scheduler.active] == [0, 1, 2, 3]
         assert engine.kind_series[0] == (4, 0, 0, 0)
+
+
+class TestLiveState:
+    def test_live_strategies_never_exceed_slots(self, monkeypatch):
+        """Idle emitters hold no CMA-ES state: after every generation of a
+        ucb run, at most ``slots`` strategies are alive."""
+        live = weakref.WeakSet()
+        created = 0
+        init = CmaesState.__init__
+
+        def tracked(self, *args, **kwargs):
+            nonlocal created
+            init(self, *args, **kwargs)
+            live.add(self)
+            created += 1
+
+        monkeypatch.setattr(CmaesState, "__init__", tracked)
+        engine = Engine(small_config(generations=40))
+        engine.initialize()
+        for _ in range(40):
+            engine.step()
+            assert len(live) <= engine.config.slots
+        assert created > 2 * len(engine.scheduler.emitters)  # many restarts
+
+    def test_restart_criteria_are_evaluated_once_per_tell_or_activation(self, monkeypatch):
+        """``tell`` checks the criteria and both later checks of that state
+        reuse its reason; a fresh state is checked once, before its first
+        ask."""
+        calls = Counter()
+        for name in ("__init__", "tell", "should_stop", "_stop_reason"):
+            original = getattr(CmaesState, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(CmaesState, name, counted)
+        run(small_config(generations=40))
+        assert calls["tell"] > 0
+        assert calls["_stop_reason"] == calls["__init__"] + calls["tell"]
+        # the reused reasons served the other calls
+        assert calls["should_stop"] > calls["_stop_reason"]
 
 
 class TestDeterminism:
