@@ -171,3 +171,25 @@ def digests(out_dir):
 def test_golden_digests(task_name, variant, tmp_path):
     write_tree(task_name, variant, tmp_path)
     assert digests(tmp_path) == GOLDEN[(task_name, variant)]
+
+
+if __name__ == "__main__":
+    # Prints the GOLDEN dict for the current code, in the order above, so
+    # that re-recording is one command whose diff can be reviewed:
+    #   PYTHONPATH=src python tests/test_golden.py
+    import itertools
+    import tempfile
+    from pathlib import Path
+
+    cases = list(GOLDEN)
+    cases += [c for c in itertools.product(TASK_NAMES, VARIANT_NAMES) if c not in GOLDEN]
+    print("GOLDEN = {")
+    print("    # (task, variant): (metrics.csv, archive.csv, emitter_mix.csv)")
+    for task_name, variant in cases:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_tree(task_name, variant, Path(tmp))
+            print(f'    ("{task_name}", "{variant}"): (')
+            for digest in digests(Path(tmp)):
+                print(f'        "{digest}",')
+            print("    ),")
+    print("}")

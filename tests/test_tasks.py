@@ -193,10 +193,11 @@ def test_fuzz_all_tasks_norm_in_unit_interval_and_bd_in_bounds():
         assert np.all((bd >= task.bd_lower) & (bd <= task.bd_upper)), name
 
 
-def test_evaluate_batch_is_pure_and_chunk_invariant():
-    task = make_task("sphere", dim=6)
+@pytest.mark.parametrize("name", TASK_NAMES)
+def test_evaluate_batch_is_pure_and_chunk_invariant(name):
+    task = make_task(name, dim=6)
     rng = np.random.default_rng(4)
-    x = rng.uniform(-51.2, 51.2, (301, 6))
+    x = rng.uniform(task.lower, task.upper, (301, 6))
     raw1, norm1, bd1 = evaluate_batch(x, task)
     raw2, norm2, bd2 = evaluate_batch(x, task)
     np.testing.assert_array_equal(raw1, raw2)
