@@ -8,16 +8,17 @@ supplied by the caller, so the strategy can optimize arbitrary ranking
 signals (fitness, archive improvement, descriptor-space projections)
 rather than only a fixed objective.
 
-The eigendecomposition of C is refreshed on every update; with the
-dimensionalities used here (n <= 100) that costs far less than the
-bookkeeping it removes.
+Every update refreshes the lower Cholesky factor A of ``C = A A^T``,
+which samples (``m + sigma A z``) and whitens (``A^-1 y``) at about a
+sixth of the LAPACK cost of an eigendecomposition (Suttorp, Hansen &
+Igel 2009); the restart criteria are defined on A as well.
 
 Sampling is batched across strategies: :func:`ask_stacked` draws every
 state's standard normals from that state's own generator, in the order
 given, and transforms all of them with one ``(k, lam, n)`` matmul, which
 gives the same bits as k separate transforms.  :meth:`CmaesState.ask` is
-its batch of one.  Updates stay per state: at n = 100 a stacked ``eigh``
-was not measurably faster and a stacked covariance update was slower.
+its batch of one.  Updates stay per state: at n = 100 a stacked
+covariance update was slower than separate ones.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ class CmaesState:
     """Mutable distribution state with ``ask`` / ``tell`` / ``should_stop``.
 
     The sampling distribution is ``N(mean, sigma^2 C)`` with the cached
-    decomposition ``C = B diag(D^2) B^T``.  One instance is confined to a
-    single emitter; it is never mutated concurrently.
+    lower Cholesky factor ``A`` of ``C = A A^T``; ``A`` is NaN when ``C``
+    has no Cholesky factor.  One instance is confined to a single
+    emitter; it is never mutated concurrently.
     """
 
     def __init__(self, mean0, sigma0: float, lam: int):
@@ -121,8 +123,7 @@ class CmaesState:
         self.C = np.eye(n)
         self.p_sigma = np.zeros(n)
         self.p_c = np.zeros(n)
-        self.B = np.eye(n)
-        self.D = np.ones(n)
+        self.A = np.eye(n)
         self.generation_count = 0
         self.best_reward_history: deque[float] = deque(maxlen=self.params.reward_history_window)
         # (generation_count, sigma, reason) of the criteria checked by the
@@ -169,10 +170,9 @@ class CmaesState:
         y_w = (self.mean - old_mean) / self.sigma
 
         # cumulative step-size adaptation in the isotropic coordinate system
-        c_inv_sqrt_y = self.B @ ((self.B.T @ y_w) / self.D)
         self.p_sigma = (1.0 - p.c_sigma) * self.p_sigma + math.sqrt(
             p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff
-        ) * c_inv_sqrt_y
+        ) * np.linalg.solve(self.A, y_w)
         norm_p_sigma = float(np.linalg.norm(self.p_sigma))
         h_sigma = norm_p_sigma / math.sqrt(
             1.0 - (1.0 - p.c_sigma) ** (2 * self.generation_count)
@@ -201,13 +201,15 @@ class CmaesState:
 
         self.sigma *= math.exp((p.c_sigma / p.d_sigma) * (norm_p_sigma / p.chi_n - 1.0))
 
-        eigenvalues, self.B = np.linalg.eigh(self.C)
-        self.D = np.sqrt(np.maximum(eigenvalues, 0.0))
+        try:
+            self.A = np.linalg.cholesky(self.C)
+        except np.linalg.LinAlgError:  # C is not positive definite
+            self.A = np.full_like(self.C, np.nan)
         self.best_reward_history.append(float(np.max(rewards)))
         self._told = (self.generation_count, self.sigma, self._stop_reason())
 
     def should_stop(self) -> str | None:
-        """The first of the five restart criteria that holds, or None.
+        """The first restart criterion that holds, or None.
 
         While ``generation_count`` and ``sigma`` are as the last ``tell``
         left them, this returns the reason that ``tell`` computed, so the
@@ -223,22 +225,40 @@ class CmaesState:
         return self._stop_reason()
 
     def _stop_reason(self) -> str | None:
-        """Evaluates the five restart criteria, always in the order below,
-        against the live state.
+        """Evaluates the restart criteria, always in the order below,
+        against the live state, with ``g`` the generation count and ``n``
+        the dimension:
+
+        - ``numerical``: ``mean``, ``sigma`` or ``A`` is not finite, which
+          includes a ``C`` with no Cholesky factor;
+        - ``condition``: ``(max A_ii / min A_ii)^2 > 1e14`` or
+          ``min A_ii == 0``.  Since ``lambda_min(C) <= A_ii^2 <=
+          lambda_max(C)``, the ratio is a lower bound on cond(C);
+        - ``tol_x``: ``sigma * sqrt(max_i C_ii) < 1e-12 * sigma0``;
+        - ``tol_fun``: the best-reward window is full and spans less than
+          1e-12;
+        - ``no_effect_axis``: adding ``0.1 * sigma * A[:, g mod n]`` leaves
+          the mean unchanged;
+        - ``no_effect_coord``: adding ``0.2 * sigma * sqrt(C_ii)`` leaves
+          some coordinate ``i`` of the mean unchanged.
 
         Returns:
             The name of the first criterion that holds, or None.
         """
-        d_min, d_max = float(self.D.min()), float(self.D.max())
-        if d_min == 0.0 or (d_max / d_min) ** 2 > 1e14:
+        finite = np.isfinite(self.A).all() and np.isfinite(self.mean).all()
+        if not (finite and math.isfinite(self.sigma)):
+            return "numerical"
+        a_diag = self.A.diagonal()
+        a_min, a_max = float(a_diag.min()), float(a_diag.max())
+        if a_min == 0.0 or (a_max / a_min) ** 2 > 1e14:
             return "condition"
-        if self.sigma * d_max < 1e-12 * self.sigma0:
+        if self.sigma * math.sqrt(float(self.C.diagonal().max())) < 1e-12 * self.sigma0:
             return "tol_x"
         history = self.best_reward_history
         if len(history) == history.maxlen and max(history) - min(history) < 1e-12:
             return "tol_fun"
         axis = self.generation_count % self.params.dim
-        step = 0.1 * self.sigma * self.D[axis] * self.B[:, axis]
+        step = 0.1 * self.sigma * self.A[:, axis]
         if np.array_equal(self.mean + step, self.mean):
             return "no_effect_axis"
         step = 0.2 * self.sigma * np.sqrt(np.diag(self.C))
@@ -264,8 +284,7 @@ def ask_stacked(states: Sequence[CmaesState], rngs: Sequence[np.random.Generator
     z = np.empty((len(states), states[0].params.lam, states[0].params.dim))
     for z_i, rng in zip(z, rngs):
         rng.standard_normal(out=z_i)
-    z *= np.stack([state.D for state in states])[:, None, :]
-    steps = z @ np.stack([state.B for state in states]).transpose(0, 2, 1)
+    steps = z @ np.stack([state.A for state in states]).transpose(0, 2, 1)
     steps *= np.array([state.sigma for state in states])[:, None, None]
     steps += np.stack([state.mean for state in states])[:, None, :]
     return steps

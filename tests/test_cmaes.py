@@ -62,7 +62,7 @@ def test_init_state_is_definitional():
     np.testing.assert_array_equal(state.C, np.eye(2))
     np.testing.assert_array_equal(state.p_sigma, np.zeros(2))
     np.testing.assert_array_equal(state.p_c, np.zeros(2))
-    np.testing.assert_array_equal(state.D, np.ones(2))
+    np.testing.assert_array_equal(state.A, np.eye(2))
     assert state.sigma == 0.5
     assert state.generation_count == 0
     assert state.should_stop() is None
@@ -87,8 +87,7 @@ def test_ask_respects_nondiagonal_covariance():
     target_c = a @ a.T
     state = CmaesState(np.zeros(2), sigma0=1.0, lam=200_000)
     state.C = target_c.copy()
-    eigenvalues, state.B = np.linalg.eigh(state.C)
-    state.D = np.sqrt(eigenvalues)
+    state.A = np.linalg.cholesky(state.C)
     samples = state.ask(np.random.default_rng(7))
     cov = np.cov(samples.T, bias=True)
     rel_err = np.linalg.norm(cov - target_c) / np.linalg.norm(target_c)
@@ -120,7 +119,7 @@ class TestTell:
         b = CmaesState(np.zeros(3), sigma0=0.3, lam=8)
         a.tell(samples, rewards)
         b.tell(samples[perm], rewards[perm])
-        for field in ("mean", "sigma", "C", "p_sigma", "p_c", "B", "D"):
+        for field in ("mean", "sigma", "C", "p_sigma", "p_c", "A"):
             np.testing.assert_array_equal(
                 np.asarray(getattr(a, field)), np.asarray(getattr(b, field)), err_msg=field
             )
@@ -132,8 +131,7 @@ class TestTell:
         state = CmaesState(rng.normal(size=n), sigma0=0.4, lam=lam)
         a = rng.normal(size=(n, n))
         state.C = a @ a.T + np.eye(n)
-        eigenvalues, state.B = np.linalg.eigh(state.C)
-        state.D = np.sqrt(eigenvalues)
+        state.A = np.linalg.cholesky(state.C)
         state.p_c = 10.0 * rng.normal(size=n)  # large enough to show in every sum
         # a long evolution path gates the rank-one path update off
         state.p_sigma = np.zeros(n) if h_sigma else np.full(n, 50.0)
@@ -222,22 +220,31 @@ def test_log_sigma_random_walk_band_under_pure_noise():
     assert np.median(magnitudes) < band
 
 
-STOP_ORDER = ("condition", "tol_x", "tol_fun", "no_effect_axis", "no_effect_coord")
+STOP_ORDER = ("numerical", "condition", "tol_x", "tol_fun", "no_effect_axis", "no_effect_coord")
+
+
+def set_covariance(state, c):
+    """Sets ``C`` and its lower Cholesky factor ``A``."""
+    state.C = np.array(c, dtype=float)
+    state.A = np.linalg.cholesky(state.C)
 
 
 def criteria_that_hold(state):
-    """Every restart criterion that holds, from the textbook definitions."""
-    d = state.D
+    """Every restart criterion that holds, from the definitions on the
+    Cholesky factor ``A`` of ``C``."""
+    a = np.diag(state.A)
     held = set()
-    if d.min() == 0.0 or (d.max() / d.min()) ** 2 > 1e14:
+    if not all(np.isfinite(x).all() for x in (state.A, state.mean, state.sigma)):
+        held.add("numerical")
+    if a.min() == 0.0 or (a.max() / a.min()) ** 2 > 1e14:
         held.add("condition")
-    if state.sigma * d.max() < 1e-12 * state.sigma0:
+    if state.sigma * np.sqrt(np.diag(state.C).max()) < 1e-12 * state.sigma0:
         held.add("tol_x")
     history = list(state.best_reward_history)
     if len(history) == state.best_reward_history.maxlen and np.ptp(history) < 1e-12:
         held.add("tol_fun")
     axis = state.generation_count % state.params.dim
-    if np.all(state.mean + 0.1 * state.sigma * d[axis] * state.B[:, axis] == state.mean):
+    if np.all(state.mean + 0.1 * state.sigma * state.A[:, axis] == state.mean):
         held.add("no_effect_axis")
     if np.any(state.mean + 0.2 * state.sigma * np.sqrt(np.diag(state.C)) == state.mean):
         held.add("no_effect_coord")
@@ -246,10 +253,12 @@ def criteria_that_hold(state):
 
 def state_where(criterion):
     """A state in which ``criterion`` holds and no other criterion does."""
-    if criterion == "condition":
+    if criterion == "numerical":
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=8)
-        state.C = np.diag([1.0, 1e16])
-        state.D = np.array([1.0, 1e8])
+        state.mean[0] = np.nan
+    elif criterion == "condition":
+        state = CmaesState(np.zeros(2), sigma0=0.5, lam=8)
+        set_covariance(state, np.diag([1.0, 1e16]))
     elif criterion == "tol_x":
         state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
         state.sigma = 1e-20 * state.sigma0
@@ -289,7 +298,7 @@ class TestShouldStop:
     def test_condition(self):
         state = state_where("condition")
         assert state.should_stop() == "condition"
-        state.D = np.array([1.0, 1e6])
+        set_covariance(state, np.diag([1.0, 1e12]))
         assert state.should_stop() is None
 
     def test_tol_fun_needs_full_window(self):
@@ -339,11 +348,69 @@ def test_tol_x_threshold(ratio, reason):
     """tol_x fires when sigma times the largest axis length falls below
     1e-12 sigma0, on either side of the threshold by 1%."""
     state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
-    state.D = np.array([0.5, 1.0, 2.0, 1.0])
-    state.C = np.diag(state.D**2)
+    set_covariance(state, np.diag([0.5, 1.0, 2.0, 1.0]) ** 2)
     state.sigma = ratio * state.sigma0 / 2.0
     assert criteria_that_hold(state) == ({reason} if reason else set())
     assert state.should_stop() == reason
+
+
+@pytest.mark.parametrize("ratio, reason", [(0.99e14, None), (1.01e14, "condition")])
+def test_condition_threshold(ratio, reason):
+    """condition fires when the squared ratio of the largest to the
+    smallest diagonal entry of A exceeds 1e14, on either side by 1%."""
+    state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
+    set_covariance(state, np.diag([4.0, 4.0 * ratio, 9.0]))
+    assert criteria_that_hold(state) == ({reason} if reason else set())
+    assert state.should_stop() == reason
+
+
+def told_state(n, generations=5, seed=0):
+    """A state after a few updates on a rotated ill-conditioned quadratic,
+    so ``C`` is far from diagonal."""
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    scale = np.geomspace(1.0, 100.0, n)
+    state = CmaesState(rng.normal(size=n), sigma0=0.5, lam=max(8, n // 2))
+    for _ in range(generations):
+        samples = state.ask(rng)
+        state.tell(samples, -np.sum((samples @ rotation * scale) ** 2, axis=1))
+    return state
+
+
+@pytest.mark.parametrize("n", [2, 20, 100])
+def test_factor_reproduces_covariance_after_tells(n):
+    state = told_state(n)
+    assert state.generation_count == 5 and state.should_stop() is None
+    np.testing.assert_array_equal(state.A, np.tril(state.A))
+    assert np.all(np.diag(state.A) > 0)
+    np.testing.assert_allclose(state.A @ state.A.T, state.C, rtol=1e-12, atol=1e-14)
+
+
+def test_whitening_the_samples_gives_back_the_normals_drawn():
+    state = told_state(6)
+    samples = state.ask(np.random.default_rng(8))
+    z = np.random.default_rng(8).standard_normal((state.params.lam, 6))
+    whitened = np.linalg.solve(state.A, ((samples - state.mean) / state.sigma).T).T
+    np.testing.assert_allclose(whitened, z, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fault", ["nan_sample", "indefinite_c"])
+def test_numerical_fault_from_tell_stops_the_state(fault):
+    """A non-finite sample, or a C with no Cholesky factor, stops the
+    state with reason ``numerical``; neither ``tell`` nor ``should_stop``
+    raises, and ``ask`` refuses."""
+    rng = np.random.default_rng(1)
+    state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
+    samples = state.ask(rng)
+    if fault == "nan_sample":
+        samples[:, 0] = np.nan
+    else:
+        state.C = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalue -1
+    state.tell(samples, rng.standard_normal(8))
+    assert state.should_stop() == "numerical"
+    assert "numerical" in criteria_that_hold(state)
+    with pytest.raises(EmitterExhaustedError, match="numerical"):
+        state.ask(rng)
 
 
 def test_reason_from_tell_is_reused_until_sigma_or_generation_changes(monkeypatch):

@@ -201,6 +201,31 @@ class TestLiveState:
         assert calls["should_stop"] > calls["_stop_reason"]
 
 
+def test_numerical_fault_restarts_one_emitter_and_the_run_goes_on(monkeypatch):
+    """The first update of the run gets a NaN in every sample: that
+    strategy stops with ``numerical`` and is dropped, and the run
+    completes."""
+    tell = CmaesState.tell
+    poisoned = []
+
+    def tell_once_with_nan(self, samples, rewards):
+        if not poisoned:
+            poisoned.append(self)
+            samples = np.array(samples)
+            samples[:, 0] = np.nan
+        tell(self, samples, rewards)
+
+    monkeypatch.setattr(CmaesState, "tell", tell_once_with_nan)
+    engine = Engine(small_config(generations=30))
+    engine.initialize()
+    for _ in range(30):
+        engine.step()
+    assert poisoned[0].should_stop() == "numerical"
+    assert all(getattr(e, "cmaes", None) is not poisoned[0] for e in engine.scheduler.emitters)
+    assert engine.generation == 30
+    assert engine.evaluations == 30 + 30 * 4 * 5
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_results(self, tmp_path):
         a = run(small_config(generations=15))
