@@ -4,9 +4,13 @@ A refactor that must not change behaviour keeps every digest here.  A
 change that alters output bits on purpose re-records the digests it
 changes and says why.
 
-Recorded with Python 3.11.7 and numpy 2.4.6.  The ``map-elites`` runs
-involve no LAPACK call; the runs of the other five variants go through
-``np.linalg.eigh`` in CMA-ES and may differ on another BLAS/LAPACK build.
+Recorded with Python 3.11.7 and numpy 2.4.6 (OpenBLAS); print the
+digests of the current code with ``PYTHONPATH=src python
+tests/test_golden.py``.  The ``map-elites`` runs involve no LAPACK call.
+The runs of the other five variants go through CMA-ES, whose
+``np.linalg.cholesky`` (LAPACK ``potrf``) and ``np.linalg.solve``
+(``gesv``) calls, like its matmuls, may round differently on another
+BLAS/LAPACK build.
 """
 
 import hashlib
@@ -27,9 +31,9 @@ GOLDEN = {
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("rastrigin_proj", "me-map-elites-ucb"): (
-        "598bf4e9b5526743edb99794b269ee053a51834c6749dd4ec5a444f7dbbd861a",
-        "9d208928f41c0dbbe15b0b2bdcc0caefa1b15a86cb9fd2580956eba094fd345f",
-        "c91b06f0c67d0d723b63b27a71e03462c4ecf805aa48063928ab4d80bae4cf9b",
+        "1cee018ba71729ae8a5380da862990f8cc1a9c44efbad8874455dcfb969f44d8",
+        "a3f1f93a4b7af5d6220cbf73016e14916edc30acce517c420a121e72aa62cec9",
+        "60341491e336aef0c7b34ecb06a985e9b32ef8dfdca9a11b9bb96637b7ac3c32",
     ),
     ("rastrigin_multi", "map-elites"): (
         "4651960eb6c24fa3df8b7888eb6107ef95191eea0d2e18a2cba8ec819a757169",
@@ -37,9 +41,9 @@ GOLDEN = {
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("rastrigin_multi", "me-map-elites-ucb"): (
-        "536782101888b585c3acca49dacd6a0d261edadf0a5c51d380506c9f4054d2d5",
-        "b258551414efe7f860cb52a9f3e1169c11c45ebbe65e193488f0a44b382932af",
-        "2003e44e55112cd5da4a5bd12dd59a3bf8a32c53a505a46d64ce13f171960938",
+        "55b466e733f6a7f4fe36a0b3fcfeb51c1a082a491251a9443ec533e9753f4af3",
+        "4b0cca3552fd5a59c411cd33b1bb7f05274369750d21d4c5dc2d375b402b6449",
+        "b182001b2f66c197a07b38ba992e97489d71732750f011f0aac4a0579587c7cd",
     ),
     ("sphere", "map-elites"): (
         "75af03a1db08049e53fd884635897471ab3adf00dd7f7754a901e6b1b5c44e34",
@@ -47,9 +51,9 @@ GOLDEN = {
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("sphere", "me-map-elites-ucb"): (
-        "e5519081d2aa72a866d397f582e26fa7c20111996565817f15c321cc630fcea8",
-        "0b2c1fee9c6e2291b778c6c3e729d72e694fb1811c4ee782378bd5527a6fe1de",
-        "a9718e04ed2e7da3e12c5bb702848ecaa73efd66ef6618ce6374e9647f2e74a8",
+        "5f98c0f500d99e13d73fdcec9812558de9e8f270997acb4eccf34fe6c375aa18",
+        "5ab5e9f470be4ae3fbf0e6ee234186caf95aa5435ea84cf7eabca03f353b8e46",
+        "efd2aa6f1ec9e69dc5282a95459b4d858f63c7d3da12c6cc61ec102619e5f0fa",
     ),
     ("redundant_arm", "map-elites"): (
         "b6892efa30b5f843f507932fc1b2e79ea33526f6b2c267d87912bc490418f890",
@@ -57,88 +61,88 @@ GOLDEN = {
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
     ("redundant_arm", "me-map-elites-ucb"): (
-        "fb22b85534e9fd454326aa4ca53b9c0b4300d8f69b5e6edcca96230bb8e9e7aa",
-        "4a327d2de9eca81f6751e31098f8131b5bd4c46813ce5d526ab91979ac7035e3",
-        "b9887d1a79ee153f9fb6e252cba10d9bc90b66a490b9ca753fb25d9a493cd834",
+        "1393f32a8168720c1ecdd65625b25df68a47d625b38b2bc9353bb8c292408ff5",
+        "b25145b3c83f276e7ec4cd88302b852ff127f8144aa7d176c2b4691120db54d6",
+        "9f0a996a2fb5aea1fe75c666d63e1557ae9ff1ab0b09d9824845dddcfdeb9b95",
     ),
     ("rastrigin_proj", "me-map-elites-uniform"): (
-        "8b5ba73bfa9519066c36088ecf629d6a35cbb1b14caa972a06aa33b762e28758",
-        "7b91c4e88daff9d204c86088c851be3c59a294d015e67da38983cce34fc59a24",
+        "2ed877e7ec26f9ccd52d77a1499d58ad823e89936f1a72e07772b47344ffb486",
+        "b3c684f78d202c029f2f76c6fc5a4b8c1b214e6cc00596ee9784d07ede9458c1",
         "0f57214b0fa0e90bb1c49397cf23d2ab62410d6c3c9711e695f34ccc2f7808d6",
     ),
     ("rastrigin_proj", "cma-me-opt"): (
-        "6e62b7e51d543963c209a771d9248fdd12e2c310540b974dfd8b337fadc53ab6",
-        "b6c242e4a3f9eac4db48d0ecbf52a0835290077680274d6d7cf770b3d7d1fa85",
+        "cfd28ffa13d90c88c8448446b5a39d59979cc7ff1f48b16b393e551c450417ff",
+        "d30ca1ae7b8d18c2da5a8616f67515f6effe116c5936415d1ea268eed07e92d8",
         "03e5b5e1bb68f2fc969f7ae9711539c22bf5d0634a1c5dde49c325c50a22447c",
     ),
     ("rastrigin_proj", "cma-me-dir"): (
-        "e766333987134d577e954ed73cc480193db395a527a24c6d5e77156acdb33659",
-        "8213a3a72445a0eb71fd113ba175dc9565bc7b3704e11f152c9925003d9794c0",
+        "4949d3ab62702553459b85b59cb843d61b0b8186e9a7f9656dd979f31f1b1d47",
+        "920d9b6a4f576a77f882ecb76985cfefdf876452c61af16dcdb49d41d89927e1",
         "7a9df8c3e4103871fd4078b3748fb6f7209d42e7e0ff0f2759584d751d0f62ad",
     ),
     ("rastrigin_proj", "cma-me-imp"): (
-        "8d60c054f8b6730b65a7fb889ac5dc211dbc8419c312b48d4fcad7cac7ef5558",
-        "6970b9c10302e0fca1fd4f014dce8bc9bbea80904b76597f0f328dcfc564496d",
+        "91c10bbc74ed565176a273f1dcc79a2b4d0d4ad40bcf9e95042854fae7dc2dfd",
+        "b9f51f2e174fe89fd5bccef614805d4fb7588740b997c04ca14d58682edf5c9e",
         "edcb3897f3d51e452015dfc6e21f4d94494a20fc2ab047fc1e89df09a39ff4c4",
     ),
     ("rastrigin_multi", "me-map-elites-uniform"): (
-        "94158c4d8ae5c13b93325d87299d1b150467a8d61d26f5ca4fbb0c0a8b20aac1",
-        "f9649e48a9685721d9d756834e07dfd84ecff82c42936101ea5c40ec6affb9fa",
+        "7bca9ea41bc3b6d6d94b935ca51f165ea36bac21bdec365182433f7f193e5236",
+        "a11e584fa29a3df8090e63224e62695556a517a0432304a8c6a1deffa6eaf91a",
         "0f57214b0fa0e90bb1c49397cf23d2ab62410d6c3c9711e695f34ccc2f7808d6",
     ),
     ("rastrigin_multi", "cma-me-opt"): (
-        "04fd8fe2d8547cb0d02c3ec24da7b381cf54908578c5da03010ee4d6181bf2d5",
-        "fb945c0885eb784141bf8649338f1a70792a3564ec1c366e6a791de927f28cc8",
+        "a662d9f3bad92e7bb4404e0134cea47d30be824f1da98c6c9ccb09b45c5a3e65",
+        "2d4b688e77f115506b8f5cdccc4d443e374f2e289073d2628a8f688a2e1e8a9d",
         "03e5b5e1bb68f2fc969f7ae9711539c22bf5d0634a1c5dde49c325c50a22447c",
     ),
     ("rastrigin_multi", "cma-me-dir"): (
-        "c3646e606b41aa7403e86b92a2894efda6d3cf12a18f2ee2837fb456db0ea370",
-        "a87a1d09d62ec7f6f740e687d8f81f4c372aff243d643fa273ee5b88ee37b9c1",
+        "932e6371f1e70db7d52fe71c9e9e84f2865bba7041ea72cb78162b188eb8f054",
+        "fe09eb4f8d34725c5ea58e5e1eb6668f75a2f23a1569d44436e4f18aaaaaf479",
         "7a9df8c3e4103871fd4078b3748fb6f7209d42e7e0ff0f2759584d751d0f62ad",
     ),
     ("rastrigin_multi", "cma-me-imp"): (
-        "2d86d38fcc515c1569582ae5899880ccbf3daf2de5ec71dd310e22ac92956934",
-        "e4efc72c420306a724676e0c4eafeeb69410fef38093abf04fbb58f527a95641",
+        "18cd373dc1c59b49874febd5969d1b16030e514f0b2c6b1dbf7a7c061048148e",
+        "d677361b31ff3478645d57e07f597ea681c73eb83ef3500fe63da2d749f8c4bf",
         "edcb3897f3d51e452015dfc6e21f4d94494a20fc2ab047fc1e89df09a39ff4c4",
     ),
     ("sphere", "me-map-elites-uniform"): (
-        "cc80588535479e86191c641bdbd6fda149cd2ad4048a417c924b781699cb8e82",
-        "27615ddf9663682089837f2efda16553de2e2858e9c124733d507bee766d118d",
+        "c2e301c8242b449d830da156472e71da586b13adc4954f61baa8d1d7729efe15",
+        "94baab78aa072adae0985e00e2408f7ced99f0b896fd3b360b3355a4208d4070",
         "0f57214b0fa0e90bb1c49397cf23d2ab62410d6c3c9711e695f34ccc2f7808d6",
     ),
     ("sphere", "cma-me-opt"): (
-        "898cc28b74de30c2c46b883129ab36b212d32423ba4c23bd28c08903bbe6fa44",
-        "0d7c491986a0c9e4421136b64dd4a7d5dbc288ea83da0cdf1af663464d6f69bf",
+        "8bccfe712715f130706a6b7b175766d91c77623deda9059445be828305745656",
+        "f76e0c3eafdcf229977b685b3eafcb1df5532a9a65dae01cddf32d023a1e6b46",
         "03e5b5e1bb68f2fc969f7ae9711539c22bf5d0634a1c5dde49c325c50a22447c",
     ),
     ("sphere", "cma-me-dir"): (
-        "6c8a513eb8803dedfb469919b6887332e2cb542038b361048e8ee645e5c55bea",
-        "f841e7109a8175c886a174ed3c18be9426d51cf1bcaade92c570d4479bf775e2",
+        "d63838012bf4b17edeac12ada9152769136b0fd7be65c15e48ca2df9b0bf4f8d",
+        "f83c8eabc61173325cbb82b855f3d64a01db1cbbf02e67f37af70ff718aefe6a",
         "7a9df8c3e4103871fd4078b3748fb6f7209d42e7e0ff0f2759584d751d0f62ad",
     ),
     ("sphere", "cma-me-imp"): (
-        "aeaf72c5f3eccb918048f2ecad0ddccf1bd737d22ce90085428cb4eee50c11df",
-        "8d4fb9391dce1524739a50a7e91913df48f7aadac8ae6c7cacbe35351261c4de",
+        "8b5fd3373df4bebd813ce850039822f845624f16921a6747441119a92438c6a9",
+        "52a1677312a0d786bd292520882cc5788cbd4aef10d1f137cff28fea9c2b3b09",
         "edcb3897f3d51e452015dfc6e21f4d94494a20fc2ab047fc1e89df09a39ff4c4",
     ),
     ("redundant_arm", "me-map-elites-uniform"): (
-        "1be869922c8ab7a741cbfde1ff3ef7a02fc6b0edcc6434a4f956e6650ceb0089",
-        "b8b96040a8869d770aa4e94c0d3de2e7fc93de49b788b3b8deae96d536a7e341",
+        "fab1996be9d06ab1c354e8440bf3be2497aefd52994b87fe71bb928a4dff230c",
+        "15b3a7e20821fb1fd64b9b0ffe5de13d785f1052296a5fcb7e493d7fb327dec5",
         "0f57214b0fa0e90bb1c49397cf23d2ab62410d6c3c9711e695f34ccc2f7808d6",
     ),
     ("redundant_arm", "cma-me-opt"): (
-        "345ce53dfb9f163f30b8f56f2ab84268fc34222437a7e8bac1f67b0b71074fb8",
-        "58dfb627668f0558f69c7c1ad40370d1eefdd12a27140e8ff57b3e8abf39edfd",
+        "529b635e1a9fe4341aeab97908709b03d45c3da1308e90058475b66b9f60c545",
+        "decac546d9b68c91c0eb4096dbededee4c81186e9bb53e031dc1c23a229faf85",
         "03e5b5e1bb68f2fc969f7ae9711539c22bf5d0634a1c5dde49c325c50a22447c",
     ),
     ("redundant_arm", "cma-me-dir"): (
-        "1683ad6c0cd40df6e22e965b029630c56b145346fed1bd3c6230c3984ae108e4",
-        "013c270907fa222e79b9ea38e19126ebe24d3b18d856739935822654c1ed1144",
+        "503be211d4d9c455d64a5b6e3c91ebeaa1701a12758f8c360d3ab91b29691868",
+        "ae714f25ee1260d686a508b53f3510b4a7393fe18429cb5f764ada035568b879",
         "7a9df8c3e4103871fd4078b3748fb6f7209d42e7e0ff0f2759584d751d0f62ad",
     ),
     ("redundant_arm", "cma-me-imp"): (
-        "6e3e19cef46b9974e32977f36ad812b31a986714b4a3a216560d61dc59201e37",
-        "f77a6c2f331e798c3a961a7f19a2fc2abe2a29b20a5eb5fed0419481d0c7db03",
+        "29819747d501e7a91372531fa35fc1c3d918e3ff0b4b25bed1e6027b50aae614",
+        "4726a1de4dcabe05a5cee9700badfac6f8f92f8465c610e1e52a41e15a2b2b47",
         "edcb3897f3d51e452015dfc6e21f4d94494a20fc2ab047fc1e89df09a39ff4c4",
     ),
 }
