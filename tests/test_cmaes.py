@@ -266,9 +266,13 @@ def state_where(criterion):
         state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
         state.best_reward_history.extend([1.0] * state.best_reward_history.maxlen)
     elif criterion == "no_effect_axis":
-        # 0.1 sigma on axis 0 is lost in 1e16's rounding (spacing 2), 0.2 sigma is not
-        state = CmaesState(np.array([1e16, 0.0, 0.0]), sigma0=0.5, lam=8)
+        # axis 2 is column 2 of A, (0, 0, 1): 0.1 sigma on it is lost in
+        # 1e16's rounding (spacing 2), 0.2 sigma sqrt(C_22) is not; row 2,
+        # (1, 0, 1), would move coordinate 0
+        state = CmaesState(np.array([0.0, 0.0, 1e16]), sigma0=0.5, lam=8)
+        set_covariance(state, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
         state.sigma = 8.0
+        state.generation_count = 2
     else:
         # axis 1 moves a zero coordinate; 0.2 sigma is lost on coordinate 0
         state = CmaesState(np.array([1e16, 0.0, 0.0]), sigma0=0.5, lam=8)
@@ -320,7 +324,8 @@ class TestShouldStop:
         assert criteria_that_hold(state) == {"no_effect_axis", "no_effect_coord"}
         assert state.should_stop() == "no_effect_axis"
         assert state_where("no_effect_coord").should_stop() == "no_effect_coord"
-        # 0.2 sigma survives 1e16's rounding where 0.1 sigma did not
+        # axis 1 moves a zero coordinate, and 0.2 sigma sqrt(C_22)
+        # survives 1e16's rounding where 0.1 sigma A_22 did not
         state = state_where("no_effect_axis")
         state.generation_count = 1
         assert state.should_stop() is None
@@ -392,6 +397,20 @@ def test_whitening_the_samples_gives_back_the_normals_drawn():
     z = np.random.default_rng(8).standard_normal((state.params.lam, 6))
     whitened = np.linalg.solve(state.A, ((samples - state.mean) / state.sigma).T).T
     np.testing.assert_allclose(whitened, z, rtol=0, atol=1e-12)
+
+
+def test_evolution_path_is_whitened_by_the_factor():
+    """``tell`` maps the mean shift back through the factor it sampled
+    with: ``p_sigma`` gains ``A^-1 y_w``."""
+    rng = np.random.default_rng(3)
+    state = told_state(6)
+    p = state.params
+    a_old, p_old, mean_old, sigma_old = state.A.copy(), state.p_sigma, state.mean, state.sigma
+    state.tell(state.ask(rng), rng.standard_normal(p.lam))
+    y_w = (state.mean - mean_old) / sigma_old
+    gain = math.sqrt(p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff)
+    expected = (1.0 - p.c_sigma) * p_old + gain * np.linalg.solve(a_old, y_w)
+    np.testing.assert_allclose(state.p_sigma, expected, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("fault", ["nan_sample", "indefinite_c"])
