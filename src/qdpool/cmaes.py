@@ -11,7 +11,7 @@ rather than only a fixed objective.
 Every update refreshes the lower Cholesky factor A of ``C = A A^T``,
 which samples (``m + sigma A z``) and whitens (``A^-1 y``) at about a
 sixth of the LAPACK cost of an eigendecomposition (Suttorp, Hansen &
-Igel 2009); the restart criteria are defined on A as well.
+Igel 2009); the restart criteria read A and C, never eigenvalues.
 
 Sampling is batched across strategies: :func:`ask_stacked` draws every
 state's standard normals from that state's own generator, in the order

@@ -350,8 +350,8 @@ class TestShouldStop:
 
 @pytest.mark.parametrize("ratio, reason", [(0.99e-12, "tol_x"), (1.01e-12, None)])
 def test_tol_x_threshold(ratio, reason):
-    """tol_x fires when sigma times the largest axis length falls below
-    1e-12 sigma0, on either side of the threshold by 1%."""
+    """tol_x fires when sigma times the largest coordinate deviation,
+    sqrt(max C_ii), falls below 1e-12 sigma0, on either side by 1%."""
     state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
     set_covariance(state, np.diag([0.5, 1.0, 2.0, 1.0]) ** 2)
     state.sigma = ratio * state.sigma0 / 2.0
@@ -359,12 +359,12 @@ def test_tol_x_threshold(ratio, reason):
     assert state.should_stop() == reason
 
 
-@pytest.mark.parametrize("ratio, reason", [(0.99e14, None), (1.01e14, "condition")])
-def test_condition_threshold(ratio, reason):
+@pytest.mark.parametrize("factor, reason", [(0.99, None), (1.01, "condition")])
+def test_condition_threshold(factor, reason):
     """condition fires when the squared ratio of the largest to the
     smallest diagonal entry of A exceeds 1e14, on either side by 1%."""
     state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
-    set_covariance(state, np.diag([4.0, 4.0 * ratio, 9.0]))
+    set_covariance(state, np.diag([4.0, 4.0 * factor * 1e14, 9.0]))
     assert criteria_that_hold(state) == ({reason} if reason else set())
     assert state.should_stop() == reason
 
