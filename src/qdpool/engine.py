@@ -2,23 +2,24 @@
 scheduler, with deterministic RNG management and optional threaded
 evaluation.
 
-Every compared algorithm variant is expressed as a pool composition plus
-a scheduler policy of this one engine:
+Every compared algorithm variant is expressed as a pool composition of
+this one engine, scheduled by the same UCB1 bandit:
 
 =====================  =================================  ==========
 variant                pool composition                   scheduler
 =====================  =================================  ==========
 me-map-elites-ucb      ``slots`` instances of each kind   UCB1
-me-map-elites-uniform  ``slots/4`` instances of each      uniform
+me-map-elites-uniform  ``slots/4`` instances of each      UCB1
 cma-me-opt             ``slots`` optimising               UCB1
 cma-me-dir             ``slots`` random-direction         UCB1
 cma-me-imp             ``slots`` improvement              UCB1
 map-elites             ``slots`` random                   UCB1
 =====================  =================================  ==========
 
-(Single-kind pools make the bandit's choices forced, so UCB is then
-behaviourally identical to plain reactivation while keeping every code
-path shared.)
+(Every pool but the first holds exactly ``slots`` emitters, so the
+bandit's choices are forced: each generation it re-activates every idle
+emitter, which is plain round-robin reactivation.  Each emitter draws
+from its own random stream, so the order of activation cannot matter.)
 
 Determinism contract: a run's outputs depend only on (config, seed).
 The root seed spawns one named substream for initialization and one per
@@ -39,7 +40,7 @@ import numpy as np
 from qdpool.archive import AddStatus, Archive, cell_indices
 from qdpool.emitters import EMITTER_CLASSES, Emitter, EmitterKind
 from qdpool.metrics import GenerationRecord, snapshot
-from qdpool.scheduler import GRANULARITIES, UcbScheduler, UniformScheduler
+from qdpool.scheduler import GRANULARITIES, UcbScheduler
 from qdpool.tasks import TaskSpec, evaluate_batch
 
 VARIANT_NAMES = (
@@ -174,12 +175,9 @@ class Engine:
             config.variant, config.slots
         )
         pool = build_pool(composition, config.batch_per_emitter)
-        if config.variant == "me-map-elites-uniform" and config.pool_composition is None:
-            self.scheduler = UniformScheduler(pool, config.slots)
-        else:
-            self.scheduler = UcbScheduler(
-                pool, config.slots, config.zeta, config.window, config.stats_granularity
-            )
+        self.scheduler = UcbScheduler(
+            pool, config.slots, config.zeta, config.window, config.stats_granularity
+        )
         self._rngs = {e.id: _substream(config.seed, (1, e.id)) for e in pool}
         self._terminated: list[Emitter] = []
         self._executor: ThreadPoolExecutor | None = None

@@ -1,5 +1,5 @@
 """Emitter-pool scheduling: a multi-play UCB1 bandit over a sliding
-window, plus the uniform round-robin policy used as a baseline.
+window, built on the uniform round-robin policy's pool bookkeeping.
 
 Each generation the engine frees the slots of terminated emitters and
 asks the scheduler to fill them.  The UCB policy scores every idle pool
@@ -7,6 +7,7 @@ emitter by windowed success ratio plus an exploration bonus and picks the
 top scorers; arms with no selections inside the window score +infinity,
 so every instance is eventually retried.  Statistics are tracked per
 emitter instance by default, with an optional per-kind sharing mode.
+The engine schedules every variant with :class:`UcbScheduler`.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class BanditStats:
         self._selections = dict.fromkeys(self._keys, 0)
         self._successes = dict.fromkeys(self._keys, 0)
         self.total_selections = 0
-
-    @property
-    def keys(self):
-        return list(self._keys)
 
     def windowed_selections(self, key) -> int:
         return self._selections[key]
@@ -84,39 +81,18 @@ class BanditStats:
         return sum(s for s, _ in buf), sum(c for _, c in buf)
 
 
-class UcbScheduler:
-    """Fills free emitter slots with the highest-UCB idle instances.
+class UniformScheduler:
+    """Round-robin policy: terminated emitters are re-activated in
+    ascending id order.  It holds the pool and active-set bookkeeping
+    that :class:`UcbScheduler` inherits."""
 
-    Ties break toward the lowest emitter id, so runs are reproducible and
-    the first generation (all arms at +infinity) activates ids
-    ``0..needed-1``.
-    """
-
-    def __init__(
-        self,
-        emitters: list[Emitter],
-        slots: int,
-        zeta: float = 0.05,
-        window: int = 50,
-        stats_granularity: str = "instance",
-    ):
+    def __init__(self, emitters: list[Emitter], slots: int):
         if slots < 1:
             raise ValueError("need at least one active slot")
-        if zeta < 0:
-            raise ValueError("zeta must be non-negative")
-        if stats_granularity not in GRANULARITIES:
-            raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
         if slots > len(emitters):
             raise ValueError("pool must hold at least as many emitters as slots")
         self.emitters = list(emitters)
         self.slots = int(slots)
-        self.zeta = float(zeta)
-        self.stats_granularity = stats_granularity
-        self._key_of = {
-            e.id: (e.id if stats_granularity == "instance" else e.kind) for e in self.emitters
-        }
-        keys = list(dict.fromkeys(self._key_of.values()))
-        self.stats = BanditStats(keys, window)
         self._active_ids: set[int] = set()
 
     @property
@@ -127,25 +103,66 @@ class UcbScheduler:
     def deactivate(self, emitter: Emitter) -> None:
         self._active_ids.discard(emitter.id)
 
+    def _idle(self, needed: int) -> list[Emitter]:
+        """Idle emitters in ascending id order; raises RuntimeError if
+        fewer than ``needed`` are idle."""
+        idle = [e for e in self.emitters if e.id not in self._active_ids]
+        if needed > len(idle):
+            raise RuntimeError(f"asked for {needed} emitters but only {len(idle)} are idle")
+        return idle
+
+    def select(self, needed: int) -> list[Emitter]:
+        """Marks the ``needed`` lowest-id idle emitters active and returns
+        them; the caller is responsible for calling ``activate`` on each."""
+        chosen = self._idle(needed)[:needed]
+        self._active_ids.update(e.id for e in chosen)
+        return chosen
+
+    def record_generation(self, counts: dict[int, tuple[int, int]]) -> None:
+        """Uniform policy keeps no statistics."""
+
+
+class UcbScheduler(UniformScheduler):
+    """Fills free emitter slots with the highest-UCB idle instances.
+
+    Ties break toward the lowest emitter id, so runs are reproducible and
+    the first generation (all arms at +infinity) activates ids
+    ``0..needed-1``.  A pool of exactly ``slots`` emitters leaves no
+    choice: every idle emitter is picked.
+    """
+
+    def __init__(
+        self,
+        emitters: list[Emitter],
+        slots: int,
+        zeta: float = 0.05,
+        window: int = 50,
+        stats_granularity: str = "instance",
+    ):
+        super().__init__(emitters, slots)
+        if zeta < 0:
+            raise ValueError("zeta must be non-negative")
+        if stats_granularity not in GRANULARITIES:
+            raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
+        self.zeta = float(zeta)
+        self.stats_granularity = stats_granularity
+        self._key_of = {
+            e.id: (e.id if stats_granularity == "instance" else e.kind) for e in self.emitters
+        }
+        keys = list(dict.fromkeys(self._key_of.values()))
+        self.stats = BanditStats(keys, window)
+
     def emitter_score(self, emitter: Emitter) -> float:
         return self.stats.score(self._key_of[emitter.id], self.zeta)
 
     def select(self, needed: int) -> list[Emitter]:
-        """Picks the ``needed`` best idle emitters and marks them active.
-
-        Returns them best-first; the caller is responsible for calling
-        ``activate`` on each.
-
-        Raises:
-            RuntimeError: If fewer than ``needed`` emitters are idle.
-        """
-        idle = [e for e in self.emitters if e.id not in self._active_ids]
-        if needed > len(idle):
-            raise RuntimeError(f"asked for {needed} emitters but only {len(idle)} are idle")
+        """Marks the ``needed`` best idle emitters active and returns them
+        best-first; the caller is responsible for calling ``activate`` on
+        each."""
+        idle = self._idle(needed)
         if needed == 0:
             return []
-        ranked = sorted(idle, key=lambda e: (-self.emitter_score(e), e.id))
-        chosen = ranked[:needed]
+        chosen = sorted(idle, key=lambda e: (-self.emitter_score(e), e.id))[:needed]
         self._active_ids.update(e.id for e in chosen)
         return chosen
 
@@ -159,40 +176,3 @@ class UcbScheduler:
             prev = merged.get(key, (0, 0))
             merged[key] = (prev[0] + sel, prev[1] + succ)
         self.stats.record(merged)
-
-
-class UniformScheduler:
-    """Round-robin baseline: terminated emitters are simply re-activated
-    in ascending id order, bypassing bandit scores entirely.
-
-    With a pool of exactly ``slots`` emitters (the intended composition:
-    slots/4 instances per kind), the active multiset of kinds is constant
-    for the whole run.
-    """
-
-    def __init__(self, emitters: list[Emitter], slots: int):
-        if slots < 1:
-            raise ValueError("need at least one active slot")
-        if slots > len(emitters):
-            raise ValueError("pool must hold at least as many emitters as slots")
-        self.emitters = list(emitters)
-        self.slots = int(slots)
-        self._active_ids: set[int] = set()
-
-    @property
-    def active(self) -> list[Emitter]:
-        return [e for e in self.emitters if e.id in self._active_ids]
-
-    def deactivate(self, emitter: Emitter) -> None:
-        self._active_ids.discard(emitter.id)
-
-    def select(self, needed: int) -> list[Emitter]:
-        idle = [e for e in self.emitters if e.id not in self._active_ids]
-        if needed > len(idle):
-            raise RuntimeError(f"asked for {needed} emitters but only {len(idle)} are idle")
-        chosen = idle[:needed]
-        self._active_ids.update(e.id for e in chosen)
-        return chosen
-
-    def record_generation(self, counts: dict[int, tuple[int, int]]) -> None:
-        """Uniform policy keeps no statistics."""

@@ -12,7 +12,6 @@ from qdpool.archive import Archive
 from qdpool.cmaes import CmaesState
 from qdpool.emitters import EmitterKind
 from qdpool.engine import Engine, RunConfig, build_pool, run, variant_composition
-from qdpool.scheduler import UniformScheduler
 from qdpool.tasks import clip_genotype, evaluate_batch, make_task
 
 
@@ -76,9 +75,17 @@ class TestConfigAndPool:
         )
 
     def test_uniform_variant_uses_uniform_scheduler(self):
+        """The uniform pool holds exactly ``slots`` emitters, so every one
+        of them is active after each generation: round-robin reactivation."""
         engine = Engine(small_config(variant="me-map-elites-uniform", slots=4))
-        assert isinstance(engine.scheduler, UniformScheduler)
         assert len(engine.scheduler.emitters) == 4
+        engine.initialize()
+        restarts = 0
+        for _ in range(30):
+            restarts += len(engine._terminated)
+            engine.step()
+            assert engine.scheduler.active == engine.scheduler.emitters
+        assert restarts > 0  # the check covered reactivations, not just the first fill
 
 
 class TestInitialize:

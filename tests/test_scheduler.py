@@ -175,14 +175,17 @@ class TestUcbScheduler:
 
 
 class TestUniformScheduler:
-    def test_constant_kind_mix(self):
+    @pytest.mark.parametrize("scheduler", [UniformScheduler, UcbScheduler])
+    def test_constant_kind_mix(self, scheduler):
+        """A pool of exactly ``slots`` emitters keeps its kind mix under
+        either policy: UCB has to pick every idle emitter too."""
         from qdpool.emitters import EMITTER_CLASSES
 
         emitters = []
         for kind_index, (kind, cls) in enumerate(EMITTER_CLASSES.items()):
             for j in range(3):
                 emitters.append(cls(kind_index * 3 + j))
-        sched = UniformScheduler(emitters, slots=12)
+        sched = scheduler(emitters, slots=12)
         sched.select(12)
 
         def active_kind_counts():
@@ -197,6 +200,8 @@ class TestUniformScheduler:
                     sched.deactivate(e)
             sched.select(12 - len(sched.active))
             assert active_kind_counts() == reference
+            # finite, uneven scores: the pick must not rest on ties
+            sched.record_generation({e.id: (50, int(rng.integers(0, 51))) for e in sched.active})
 
     def test_reactivates_in_ascending_id_order(self):
         sched = UniformScheduler(make_pool(4), slots=4)
