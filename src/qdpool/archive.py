@@ -110,8 +110,9 @@ def cell_indices(descriptors: np.ndarray, spec: GridSpec) -> np.ndarray:
         raise ValueError(f"descriptor batch has shape {d.shape}, expected (m, {spec.dims})")
     if not np.isfinite(d).all():
         raise ValueError("descriptor batch contains non-finite values")
-    axis = np.floor((d - spec.lower) / spec.widths).astype(np.int64)
-    np.clip(axis, 0, spec.resolution - 1, out=axis)
+    # clamp before the cast: a huge finite descriptor has no int64 floor
+    axis = np.clip(np.floor((d - spec.lower) / spec.widths), 0, spec.resolution - 1)
+    axis = axis.astype(np.int64)
     flat = axis[:, 0].copy()
     for k in range(1, spec.dims):
         flat *= spec.resolution[k]
@@ -191,7 +192,7 @@ class Archive:
       written are not resident: resident memory follows occupancy, while
       the reserved address space follows grid size;
     * ``_objects``, per row: the :class:`Elite` a caller passed in through
-      :meth:`add_attempt`, :meth:`offer` or :meth:`read_csv`, or ``None``
+      :meth:`add_attempt` or :meth:`read_csv`, or ``None``
       where :meth:`insert_batch` wrote the row.
 
     Reads are canonical: iteration, ranks and uniform elite sampling
@@ -249,24 +250,20 @@ class Archive:
 
         A new cell is always filled.  An occupied cell is replaced only if
         the candidate's raw fitness is strictly higher; ties keep the
-        incumbent.
+        incumbent.  A winning elite is stored as the object itself.
 
         Returns:
             The :class:`AddResult` describing what happened.
+
+        Raises:
+            ValueError: If ``fitness_raw`` is NaN, ``fitness_norm`` lies
+                outside [0, 1], or the descriptor is not finite.
         """
-        fn = elite.fitness_norm
-        if not (0.0 <= fn <= 1.0):
-            raise ValueError(f"fitness_norm must be in [0, 1], got {fn}")
+        if math.isnan(elite.fitness_raw):
+            raise ValueError("fitness_raw is NaN")
+        if not (0.0 <= elite.fitness_norm <= 1.0):
+            raise ValueError(f"fitness_norm must be in [0, 1], got {elite.fitness_norm}")
         cell = cell_index(elite.descriptor, self.spec)
-        return self.offer(cell, elite)
-
-    def offer(self, cell: int, elite: Elite) -> AddResult:
-        """Competition rule for a pre-binned candidate.
-
-        Trusted fast path: the caller guarantees ``cell`` is the
-        candidate's cell index and ``fitness_norm`` is already in [0, 1].
-        A winning elite is stored as the object itself.
-        """
         row = int(self._row[cell])
         if row < 0:
             row = int(self._claim_rows(np.array([cell]), len(elite.genotype))[0])
@@ -308,8 +305,9 @@ class Archive:
         them held the cell just before it.  Only each cell's final winner
         is written, into a single genotype copy.
 
-        Trusted fast path like :meth:`offer`: ``cells`` must be the
-        candidates' cell indices and ``fitness_norm`` must lie in [0, 1].
+        Trusted fast path, unlike :meth:`add_attempt`: ``cells`` must be
+        the candidates' cell indices and ``fitness_norm`` must lie in
+        [0, 1].
 
         Args:
             cells: ``(m,)`` flat cell indices.
@@ -469,8 +467,9 @@ class Archive:
         Raises:
             ValueError: If the header is not that of an archive over
                 ``spec.dims`` descriptor axes, a row's length differs from
-                the header's, or a row's descriptor does not bin to its
-                recorded cell index under ``spec``.
+                the header's, a row's descriptor does not bin to its
+                recorded cell index under ``spec``, or a row fails
+                :meth:`add_attempt`'s checks (each row goes through it).
         """
         archive = cls(spec)
         with open(path, newline="") as f:
@@ -495,5 +494,5 @@ class Archive:
                     raise ValueError(
                         f"row for cell {cell} does not bin to its own cell under this grid"
                     )
-                archive.offer(cell, Elite(genotype, descriptor, fitness_raw, fitness_norm))
+                archive.add_attempt(Elite(genotype, descriptor, fitness_raw, fitness_norm))
         return archive

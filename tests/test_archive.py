@@ -70,6 +70,19 @@ def test_cell_index_matches_bruteforce_oracle():
         np.testing.assert_array_equal(got_batch, expected)
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [[1e20, 0.0], [-1e20, 0.0], [0.0, 1e20], [1e20, -1e20], [1e300, 1e300], [-1e300, 1e300],
+     [0.3, -0.6], [-0.9, 0.99]],
+    ids=str,
+)
+def test_cell_indices_clamps_huge_finite_descriptors(spec, descriptor):
+    """Far outside the grid, the batch binning lands in the boundary cell
+    the scalar one gives, without an int64 overflow on the way."""
+    batch = cell_indices(np.array([descriptor]), spec)
+    assert batch.tolist() == [cell_index(np.array(descriptor), spec)]
+
+
 def test_cell_index_rejects_non_finite(spec):
     with pytest.raises(ValueError):
         cell_index(np.array([np.nan, 0.0]), spec)
@@ -125,6 +138,16 @@ class TestAddAttempt:
             archive.add_attempt(make_elite(rng, fn=1.5))
         with pytest.raises(ValueError):
             archive.add_attempt(make_elite(rng, fn=-0.1))
+
+    def test_nan_raw_fitness_rejected(self, spec):
+        """A stored NaN would freeze its cell: no raw compares above it."""
+        archive = Archive(spec)
+        nan = Elite(np.zeros(3), np.array([0.1, 0.1]), fitness_raw=np.nan, fitness_norm=0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            archive.add_attempt(nan)
+        assert len(archive) == 0
+        later = Elite(np.ones(3), np.array([0.1, 0.1]), fitness_raw=5.0, fitness_norm=0.5)
+        assert archive.add_attempt(later).status is AddStatus.NEW
 
 
 def make_saturating_elite(rng, bd):
@@ -268,6 +291,32 @@ def test_read_csv_rejects_a_short_row(tmp_path, spec):
         Archive.read_csv(path, spec)
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("fitness_norm", "1.5", r"fitness_norm must be in \[0, 1\]"),
+     ("fitness_norm", "-0.25", r"fitness_norm must be in \[0, 1\]"),
+     ("fitness_raw", "nan", "NaN")],
+    ids=["norm-above-1", "norm-below-0", "raw-nan"],
+)
+def test_read_csv_rejects_an_invalid_fitness(tmp_path, spec, field, value, match):
+    """A row is checked like an :meth:`Archive.add_attempt` argument, so
+    a bad fitness fails at load time instead of in a later snapshot."""
+    archive = Archive(spec)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        archive.add_attempt(make_elite(rng))
+    path = tmp_path / "archive.csv"
+    archive.write_csv(path)
+    lines = path.read_text().splitlines()
+    column = lines[0].split(",").index(field)
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match):
+        Archive.read_csv(path, spec)
+
+
 # ---------------------------------------------------------------------------
 # row storage
 
@@ -342,6 +391,19 @@ def candidate_rows(batch, tag):
     return genotypes, descriptors
 
 
+def reference_offer(reference, cell, elite):
+    """The competition rule on a plain dict ``cell -> Elite``: returns the
+    ``(status, improvement)`` of offering ``elite`` to ``cell``."""
+    held = reference.get(cell)
+    if held is None:
+        reference[cell] = elite
+        return AddStatus.NEW, elite.fitness_norm
+    if elite.fitness_raw > held.fitness_raw:
+        reference[cell] = elite
+        return AddStatus.IMPROVED, elite.fitness_norm - held.fitness_norm
+    return AddStatus.REJECTED, 0.0
+
+
 def bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -365,28 +427,33 @@ def assert_same_contents(a, b):
 @example(preload=[(3, 1.0)], batch=[(3, 1.0)])
 @example(preload=[(0, -9.0)], batch=[(0, -7.0), (0, -7.0), (0, -6.0), (1, 8.0), (1, 9.0)])
 def test_insert_batch_matches_sequential_offers(preload, batch):
+    """One batch insertion equals offering its candidates one at a time to
+    a dict reference, on top of elites that came in through add_attempt."""
     spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([4, 4]))
-    sequential, batched = Archive(spec), Archive(spec)
-    for archive in (sequential, batched):
-        genotypes, descriptors = candidate_rows(preload, tag=-1)
-        for i, (cell, raw) in enumerate(preload):
-            norm = saturating_norm(raw)
-            archive.offer(cell, Elite(genotypes[i], descriptors[i], raw, norm))
+    batched, reference = Archive(spec), {}
+    genotypes, _ = candidate_rows(preload, tag=-1)
+    centres = cell_centres(spec)
+    for i, (cell, raw) in enumerate(preload):
+        elite = Elite(genotypes[i], centres[cell], raw, saturating_norm(raw))
+        assert batched.add_attempt(elite).status == reference_offer(reference, cell, elite)[0]
 
     genotypes, descriptors = candidate_rows(batch, tag=1)
     cells = [cell for cell, _ in batch]
     raws = [raw for _, raw in batch]
     norms = [saturating_norm(raw) for raw in raws]
     expected = [
-        sequential.offer(cells[i], Elite(genotypes[i], descriptors[i], raws[i], norms[i]))
+        reference_offer(reference, cells[i], Elite(genotypes[i], descriptors[i], raws[i], norms[i]))
         for i in range(len(batch))
     ]
     status, improvement = batched.insert_batch(cells, genotypes, descriptors, raws, norms)
 
-    assert status.tolist() == [r.status for r in expected]
-    assert bits(improvement) == bits([r.improvement for r in expected])
-    assert_same_contents(sequential, batched)
-    np.testing.assert_array_equal(batched.genotype_matrix(), sequential.genotype_matrix())
+    assert status.tolist() == [s for s, _ in expected]
+    assert bits(improvement) == bits([imp for _, imp in expected])
+    in_cell_order = sorted(reference.items())
+    assert_same_contents(in_cell_order, batched)
+    np.testing.assert_array_equal(
+        batched.genotype_matrix(), np.stack([e.genotype for _, e in in_cell_order])
+    )
 
 
 def test_insert_batch_copies_and_keeps_offered_objects(spec):
