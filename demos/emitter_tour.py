@@ -14,7 +14,6 @@ import numpy as np
 from qdpool import (
     AddStatus,
     Archive,
-    Elite,
     EMITTER_CLASSES,
     EmitterKind,
     cell_indices,
@@ -29,8 +28,7 @@ archive = Archive(task.grid())
 # seed the archive with a handful of random solutions
 seeds = rng.uniform(task.lower, task.upper, (30, task.dim))
 raw, norm, bd = evaluate_batch(seeds, task)
-for i, cell in enumerate(cell_indices(bd, task.grid())):
-    archive.offer_candidate(int(cell), seeds[i], bd[i], raw[i], norm[i])
+archive.insert_batch(cell_indices(bd, task.grid()), seeds, bd, raw, norm)
 print(f"seeded archive with {len(archive)} elites\n")
 
 for kind, cls in EMITTER_CLASSES.items():
