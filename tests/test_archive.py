@@ -74,7 +74,7 @@ def test_cell_index_matches_bruteforce_oracle():
     "descriptor",
     [[1e20, 0.0], [-1e20, 0.0], [0.0, 1e20], [1e20, -1e20], [1e300, 1e300], [-1e300, 1e300],
      [0.3, -0.6], [-0.9, 0.99]],
-    ids=str,
+    ids=lambda d: f"{d[0]:g},{d[1]:g}",
 )
 def test_cell_indices_clamps_huge_finite_descriptors(spec, descriptor):
     """Far outside the grid, the batch binning lands in the boundary cell
