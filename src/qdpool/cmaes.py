@@ -8,10 +8,14 @@ supplied by the caller, so the strategy can optimize arbitrary ranking
 signals (fitness, archive improvement, descriptor-space projections)
 rather than only a fixed objective.
 
-Every update refreshes the lower Cholesky factor A of ``C = A A^T``,
-which samples (``m + sigma A z``) and whitens (``A^-1 y``) at about a
-sixth of the LAPACK cost of an eigendecomposition (Suttorp, Hansen &
-Igel 2009); the restart criteria read A and C, never eigenvalues.
+Every update refreshes the lower Cholesky factor A of ``C = A A^T``
+(Suttorp, Hansen & Igel 2009), which samples ``m + sigma A z``; the
+restart criteria read A and C, never eigenvalues.  A sampled state keeps
+its batch, the samples with the normals ``z`` that drew them, until
+:meth:`CmaesState.tell` consumes it with the rewards.  The whitened mean
+shift ``A^-1 y_w`` is then the weighted sum of the parents' normals
+(Hansen 2016, arXiv 1604.00772), so an update makes one LAPACK call,
+``cholesky``, and no solve.
 
 Sampling is batched across strategies: :func:`ask_stacked` draws every
 state's standard normals from that state's own generator, in the order
@@ -105,8 +109,11 @@ class CmaesState:
 
     The sampling distribution is ``N(mean, sigma^2 C)`` with the cached
     lower Cholesky factor ``A`` of ``C = A A^T``; ``A`` is NaN when ``C``
-    has no Cholesky factor.  One instance is confined to a single
-    emitter; it is never mutated concurrently.
+    has no Cholesky factor.  ``pending`` holds the batch of the last
+    ``ask``, ``(samples, normals)`` with ``samples = mean + sigma *
+    normals @ A^T`` row by row, until ``tell`` consumes it, and is None
+    otherwise.  One instance is confined to a single emitter; it is never
+    mutated concurrently.
     """
 
     def __init__(self, mean0, sigma0: float, lam: int):
@@ -129,37 +136,47 @@ class CmaesState:
         # (generation_count, sigma, reason) of the criteria checked by the
         # last tell; see should_stop
         self._told: tuple[int, float, str | None] | None = None
+        self.pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def ask(self, rng: np.random.Generator) -> np.ndarray:
         """Draws ``lam`` samples from the current distribution: the batch of
         one of :func:`ask_stacked`.
 
-        Samples are returned unclipped; callers clamp to their search
-        bounds before evaluation but feed the raw samples back to
-        :meth:`tell`.
+        The samples are returned unclipped, and the returned array is the
+        one the state keeps for :meth:`tell`: callers clamp a copy to
+        their search bounds before evaluation.
 
         Raises:
             EmitterExhaustedError: If a stop criterion currently holds.
         """
-        return ask_stacked([self], [rng])[0]
+        ask_stacked([self], [rng])
+        return self.pending[0]
 
-    def tell(self, samples: np.ndarray, rewards) -> None:
-        """Updates the distribution from evaluated samples (larger reward
-        is better).
+    def tell(self, rewards) -> None:
+        """Updates the distribution from the rewards of the pending batch,
+        one per sample in sample order (larger is better), and consumes
+        that batch.
 
         Ranking uses a stable sort on the negated rewards, so ties are
-        broken by sample position and the update is deterministic.
+        broken by sample position and the update is deterministic.  The
+        evolution path ``p_sigma`` is whitened with the weighted normals
+        of the parents, which equal ``A^-1 y_w`` for the factor ``A``
+        that drew them.
+
+        Raises:
+            RuntimeError: If no batch is pending.
+            ValueError: If the rewards are not ``lam`` finite values; the
+                batch then stays pending.
         """
         p = self.params
-        samples = np.asarray(samples, dtype=float)
+        if self.pending is None:
+            raise RuntimeError("tell called without a pending batch from ask")
         rewards = np.asarray(rewards, dtype=float)
-        if samples.shape != (p.lam, p.dim) or rewards.shape != (p.lam,):
-            raise ValueError(
-                f"expected {(p.lam, p.dim)} samples with {p.lam} rewards, "
-                f"got {samples.shape} and {rewards.shape}"
-            )
+        if rewards.shape != (p.lam,):
+            raise ValueError(f"expected {p.lam} rewards, got shape {rewards.shape}")
         if not np.isfinite(rewards).all():
             raise ValueError("rewards must be finite")
+        (samples, normals), self.pending = self.pending, None
 
         self.generation_count += 1
         order = np.argsort(-rewards, kind="stable")
@@ -172,7 +189,7 @@ class CmaesState:
         # cumulative step-size adaptation in the isotropic coordinate system
         self.p_sigma = (1.0 - p.c_sigma) * self.p_sigma + math.sqrt(
             p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff
-        ) * np.linalg.solve(self.A, y_w)
+        ) * (p.weights @ normals[order[: p.mu]])
         norm_p_sigma = float(np.linalg.norm(self.p_sigma))
         h_sigma = norm_p_sigma / math.sqrt(
             1.0 - (1.0 - p.c_sigma) ** (2 * self.generation_count)
@@ -271,8 +288,11 @@ def ask_stacked(states: Sequence[CmaesState], rngs: Sequence[np.random.Generator
     """Draws one ``lam``-sample batch from each state, as a ``(k, lam, n)``
     stack whose slice ``i`` equals ``states[i].ask(rngs[i])`` bit for bit.
 
-    Each state draws from its own generator, in the order given.  All
-    states must share ``dim`` and ``lam``.
+    Each state draws from its own generator, in the order given, and
+    keeps its slices of the samples and of the normals as its
+    ``pending`` batch, replacing any batch not yet told; the samples are
+    views into the returned stack.  All states must share ``dim`` and
+    ``lam``.
 
     Raises:
         EmitterExhaustedError: If a stop criterion holds for any state.
@@ -287,4 +307,6 @@ def ask_stacked(states: Sequence[CmaesState], rngs: Sequence[np.random.Generator
     steps = z @ np.stack([state.A for state in states]).transpose(0, 2, 1)
     steps *= np.array([state.sigma for state in states])[:, None, None]
     steps += np.stack([state.mean for state in states])[:, None, :]
+    for state, samples, normals in zip(states, steps, z):
+        state.pending = (samples, normals)
     return steps

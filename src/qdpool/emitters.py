@@ -119,13 +119,13 @@ class _CmaesEmitter(Emitter):
 
     ``cmaes`` holds the strategy from :meth:`activate` until
     :meth:`finish_generation` reports exhaustion, and is None otherwise:
-    an idle emitter in the pool keeps no covariance matrix.
+    an idle emitter in the pool keeps no covariance matrix.  The batch
+    between generation and update is the strategy's own pending batch.
     """
 
     def __init__(self, emitter_id: int, batch_size: int = 50):
         super().__init__(emitter_id, batch_size)
         self.cmaes: CmaesState | None = None
-        self._pending: np.ndarray | None = None
 
     def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
         """Restarts the strategy on a uniformly drawn elite at the task's
@@ -136,14 +136,12 @@ class _CmaesEmitter(Emitter):
     @staticmethod
     def generate_batch(emitters, archive, task, rngs) -> np.ndarray:
         """Asks every emitter's CMA-ES in one :func:`ask_stacked` call; each
-        emitter caches its unclipped samples for the distribution update,
-        while the returned copies are clamped to the search bounds for
-        evaluation."""
+        strategy keeps its unclipped samples and their normals for the
+        distribution update, while the returned copies are clamped to the
+        search bounds for evaluation."""
         if any(e.cmaes is None for e in emitters):
             raise RuntimeError("emitter must be activated before generating")
         raw = ask_stacked([e.cmaes for e in emitters], rngs)
-        for emitter, samples in zip(emitters, raw):
-            emitter._pending = samples
         return clip_genotype(raw.reshape(-1, raw.shape[2]), task)
 
     def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
@@ -152,19 +150,17 @@ class _CmaesEmitter(Emitter):
         raise NotImplementedError
 
     def finish_generation(self, descriptors, fitness_norms, status, improvement) -> bool:
-        """Feeds the batch's rewards back and reports exhaustion: a native
-        stop criterion, or a whole generation without a single archive add
-        (every ``status`` is REJECTED, which is 0).  Without an add the
-        rewards and the update are skipped, since the next activation
-        replaces the strategy anyway.  An exhausted emitter drops its
-        strategy, so only active emitters hold one."""
-        if self._pending is None:
+        """Feeds the batch's rewards back to the strategy's pending batch
+        and reports exhaustion: a native stop criterion, or a whole
+        generation without a single archive add (every ``status`` is
+        REJECTED, which is 0).  Without an add the rewards and the update
+        are skipped, since the next activation replaces the strategy
+        anyway.  An exhausted emitter drops its strategy, so only active
+        emitters hold one."""
+        if self.cmaes is None or self.cmaes.pending is None:
             raise RuntimeError("finish_generation called without a pending batch")
-        pending, self._pending = self._pending, None
         if np.any(status):
-            self.cmaes.tell(
-                pending, self.batch_rewards(descriptors, fitness_norms, status, improvement)
-            )
+            self.cmaes.tell(self.batch_rewards(descriptors, fitness_norms, status, improvement))
             if self.cmaes.should_stop() is None:
                 return False
         self.cmaes = None

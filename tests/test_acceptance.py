@@ -126,7 +126,7 @@ def test_criterion_02_cmaes_reaches_shifted_sphere_optimum():
             best = max(best, float(rewards.max()))
             if best >= -1e-9:
                 break
-            state.tell(samples, rewards)
+            state.tell(rewards)
             if state.should_stop() is not None:
                 break
         assert best >= -1e-9, f"seed {seed}: best reward {best:.3e} after {evaluations} evals"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError
+from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError, ask_stacked
 
 
 class TestParams:
@@ -97,28 +97,33 @@ def test_ask_respects_nondiagonal_covariance():
 class TestTell:
     def test_single_parent_moves_mean_to_best(self):
         m = np.array([1.0, -2.0, 0.5])
-        v = np.array([0.3, 0.1, -0.2])
         state = CmaesState(m, sigma0=0.5, lam=2)  # mu=1, w=(1,)
-        state.tell(np.stack([m + v, m - v]), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(state.mean, m + v, rtol=1e-14)
+        samples = state.ask(np.random.default_rng(0))
+        state.tell(np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(state.mean, samples[1])
 
     def test_tied_rewards_use_stable_input_order(self):
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=4)  # mu=2
-        samples = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [-5.0, 5.0]])
-        state.tell(samples, np.zeros(4))
+        samples = state.ask(np.random.default_rng(0)).copy()
+        state.tell(np.zeros(4))
         expected = state.params.weights @ samples[:2]
         np.testing.assert_allclose(state.mean, expected, rtol=1e-14)
 
     def test_permuting_sample_reward_pairs_is_bit_identical(self):
+        """Permuting the pending samples, their normals and the rewards
+        together leaves every field of the update unchanged."""
         rng = np.random.default_rng(5)
-        samples = rng.normal(size=(8, 3))
         rewards = rng.permutation(np.arange(8.0))  # distinct rewards
         perm = rng.permutation(8)
 
         a = CmaesState(np.zeros(3), sigma0=0.3, lam=8)
         b = CmaesState(np.zeros(3), sigma0=0.3, lam=8)
-        a.tell(samples, rewards)
-        b.tell(samples[perm], rewards[perm])
+        a.ask(np.random.default_rng(6))
+        b.ask(np.random.default_rng(6))
+        samples, normals = b.pending
+        b.pending = (samples[perm], normals[perm])
+        a.tell(rewards)
+        b.tell(rewards[perm])
         for field in ("mean", "sigma", "C", "p_sigma", "p_c", "A"):
             np.testing.assert_array_equal(
                 np.asarray(getattr(a, field)), np.asarray(getattr(b, field)), err_msg=field
@@ -140,7 +145,7 @@ class TestTell:
         p = state.params
         c_old, mean_old, sigma_old = state.C.copy(), state.mean.copy(), state.sigma
 
-        state.tell(samples, rewards)
+        state.tell(rewards)
 
         threshold = (1.4 + 2.0 / (n + 1.0)) * p.chi_n
         norm = np.linalg.norm(state.p_sigma) / math.sqrt(1.0 - (1.0 - p.c_sigma) ** 2)
@@ -156,10 +161,23 @@ class TestTell:
 
     def test_validation(self):
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=4)
+        state.ask(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            state.tell(np.zeros((3, 2)), np.zeros(3))
+            state.tell(np.zeros(3))
         with pytest.raises(ValueError):
-            state.tell(np.zeros((4, 2)), np.array([1.0, 2.0, np.nan, 0.0]))
+            state.tell(np.array([1.0, 2.0, np.nan, 0.0]))
+        assert state.pending is not None and state.generation_count == 0
+
+    def test_tell_without_a_pending_batch_raises(self):
+        state = CmaesState(np.zeros(2), sigma0=0.5, lam=4)
+        with pytest.raises(RuntimeError, match="pending"):
+            state.tell(np.zeros(4))
+        state.ask(np.random.default_rng(0))
+        state.tell(np.arange(4.0))
+        assert state.pending is None
+        with pytest.raises(RuntimeError, match="pending"):
+            state.tell(np.arange(4.0))
+        assert state.generation_count == 1
 
 
 def test_converges_on_shifted_sphere_oracle():
@@ -170,7 +188,7 @@ def test_converges_on_shifted_sphere_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(400):
         samples = state.ask(rng)
-        state.tell(samples, -np.sum((samples - x_star) ** 2, axis=1))
+        state.tell(-np.sum((samples - x_star) ** 2, axis=1))
         if np.linalg.norm(state.mean - x_star) < 1e-4:
             break
     assert np.linalg.norm(state.mean - x_star) < 1e-4
@@ -185,7 +203,7 @@ def test_window_best_reward_is_monotone_on_sphere():
             break
         samples = state.ask(rng)
         rewards = -np.sum(samples**2, axis=1)
-        state.tell(samples, rewards)
+        state.tell(rewards)
         best_per_gen.append(rewards.max())
     window_best = [max(best_per_gen[i : i + 20]) for i in range(0, len(best_per_gen) - 19, 20)]
     assert all(a <= b for a, b in zip(window_best, window_best[1:]))
@@ -199,7 +217,7 @@ def test_covariance_stays_spd_until_stop():
         if state.should_stop() is not None:
             break
         samples = state.ask(rng)
-        state.tell(samples, -np.sum((samples * scale) ** 2, axis=1))
+        state.tell(-np.sum((samples * scale) ** 2, axis=1))
         np.testing.assert_allclose(state.C, state.C.T, rtol=1e-12, atol=1e-300)
         assert np.all(np.linalg.eigvalsh(state.C) > 0)
 
@@ -213,8 +231,8 @@ def test_log_sigma_random_walk_band_under_pure_noise():
         rng = np.random.default_rng(seed)
         state = CmaesState(np.zeros(n), sigma0=1.0, lam=lam)
         for _ in range(gens):
-            samples = state.ask(rng)
-            state.tell(samples, rng.standard_normal(lam))  # reward is noise
+            state.ask(rng)
+            state.tell(rng.standard_normal(lam))  # reward is noise
         magnitudes.append(abs(math.log(state.sigma / state.sigma0)))
     band = 3.0 * state.params.c_sigma * math.sqrt(gens)
     assert np.median(magnitudes) < band
@@ -378,7 +396,7 @@ def told_state(n, generations=5, seed=0):
     state = CmaesState(rng.normal(size=n), sigma0=0.5, lam=max(8, n // 2))
     for _ in range(generations):
         samples = state.ask(rng)
-        state.tell(samples, -np.sum((samples @ rotation * scale) ** 2, axis=1))
+        state.tell(-np.sum((samples @ rotation * scale) ** 2, axis=1))
     return state
 
 
@@ -392,21 +410,30 @@ def test_factor_reproduces_covariance_after_tells(n):
 
 
 def test_whitening_the_samples_gives_back_the_normals_drawn():
-    state = told_state(6)
-    samples = state.ask(np.random.default_rng(8))
-    z = np.random.default_rng(8).standard_normal((state.params.lam, 6))
-    whitened = np.linalg.solve(state.A, ((samples - state.mean) / state.sigma).T).T
-    np.testing.assert_allclose(whitened, z, rtol=0, atol=1e-12)
+    """Each state of a stacked ask keeps, bit for bit, the normals its own
+    generator drew, and whitening its samples gives them back."""
+    states = [told_state(6, seed=seed) for seed in range(3)]
+    samples = ask_stacked(states, [np.random.default_rng([8, i]) for i in range(3)])
+    for i, state in enumerate(states):
+        z = np.random.default_rng([8, i]).standard_normal((state.params.lam, 6))
+        kept_samples, kept_normals = state.pending
+        assert np.shares_memory(kept_samples, samples[i])
+        np.testing.assert_array_equal(kept_samples, samples[i])
+        np.testing.assert_array_equal(kept_normals, z)
+        whitened = np.linalg.solve(state.A, ((samples[i] - state.mean) / state.sigma).T).T
+        np.testing.assert_allclose(whitened, z, rtol=0, atol=1e-12)
 
 
-def test_evolution_path_is_whitened_by_the_factor():
+@pytest.mark.parametrize("n", [6, 20, 100])
+def test_evolution_path_is_whitened_by_the_factor(n):
     """``tell`` maps the mean shift back through the factor it sampled
-    with: ``p_sigma`` gains ``A^-1 y_w``."""
+    with: ``p_sigma`` gains ``A^-1 y_w``, here solved for as an oracle."""
     rng = np.random.default_rng(3)
-    state = told_state(6)
+    state = told_state(n)
     p = state.params
     a_old, p_old, mean_old, sigma_old = state.A.copy(), state.p_sigma, state.mean, state.sigma
-    state.tell(state.ask(rng), rng.standard_normal(p.lam))
+    state.ask(rng)
+    state.tell(rng.standard_normal(p.lam))
     y_w = (state.mean - mean_old) / sigma_old
     gain = math.sqrt(p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff)
     expected = (1.0 - p.c_sigma) * p_old + gain * np.linalg.solve(a_old, y_w)
@@ -422,10 +449,10 @@ def test_numerical_fault_from_tell_stops_the_state(fault):
     state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
     samples = state.ask(rng)
     if fault == "nan_sample":
-        samples[:, 0] = np.nan
+        samples[:, 0] = np.nan  # the state's own pending samples
     else:
         state.C = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalue -1
-    state.tell(samples, rng.standard_normal(8))
+    state.tell(rng.standard_normal(8))
     assert state.should_stop() == "numerical"
     assert "numerical" in criteria_that_hold(state)
     with pytest.raises(EmitterExhaustedError, match="numerical"):
@@ -435,7 +462,8 @@ def test_numerical_fault_from_tell_stops_the_state(fault):
 def test_reason_from_tell_is_reused_until_sigma_or_generation_changes(monkeypatch):
     rng = np.random.default_rng(4)
     state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
-    state.tell(state.ask(rng), rng.standard_normal(8))
+    state.ask(rng)
+    state.tell(rng.standard_normal(8))
     evaluations = []
 
     def stub(self):

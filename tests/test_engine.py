@@ -215,12 +215,11 @@ def test_numerical_fault_restarts_one_emitter_and_the_run_goes_on(monkeypatch):
     tell = CmaesState.tell
     poisoned = []
 
-    def tell_once_with_nan(self, samples, rewards):
+    def tell_once_with_nan(self, rewards):
         if not poisoned:
             poisoned.append(self)
-            samples = np.array(samples)
-            samples[:, 0] = np.nan
-        tell(self, samples, rewards)
+            self.pending[0][:, 0] = np.nan
+        tell(self, rewards)
 
     monkeypatch.setattr(CmaesState, "tell", tell_once_with_nan)
     engine = Engine(small_config(generations=30))
@@ -231,6 +230,34 @@ def test_numerical_fault_restarts_one_emitter_and_the_run_goes_on(monkeypatch):
     assert all(getattr(e, "cmaes", None) is not poisoned[0] for e in engine.scheduler.emitters)
     assert engine.generation == 30
     assert engine.evaluations == 30 + 30 * 4 * 5
+
+
+def test_tell_whitens_without_a_solve_and_factors_once(monkeypatch):
+    """Every CMA-ES update of a ucb run makes exactly one LAPACK call,
+    ``cholesky``, and never solves with the factor."""
+    cholesky, calls = np.linalg.cholesky, Counter()
+
+    def refuse_solve(*args, **kwargs):
+        raise AssertionError("tell must not solve with the factor")
+
+    def counted_cholesky(a):
+        calls["cholesky"] += 1
+        return cholesky(a)
+
+    def counted_tell(self, rewards):
+        calls["tell"] += 1
+        tell(self, rewards)
+
+    tell = CmaesState.tell
+    monkeypatch.setattr(np.linalg, "solve", refuse_solve)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(CmaesState, "tell", counted_tell)
+    engine = Engine(small_config(generations=20))
+    engine.initialize()
+    for _ in range(20):
+        engine.step()
+    assert calls["tell"] > 20
+    assert calls["cholesky"] == calls["tell"]
 
 
 class TestDeterminism:
