@@ -42,7 +42,8 @@ class GridSpec:
     resolution: np.ndarray
     #: Cell width along each axis, ``(upper - lower) / resolution``.
     widths: np.ndarray = field(init=False, repr=False, compare=False)
-    # per axis (lower, width, resolution) as Python scalars, for cell_index
+    # per axis (lower, upper, width, resolution) as Python scalars, for
+    # cell_index
     _axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,7 +64,9 @@ class GridSpec:
         widths = (upper - lower) / resolution
         object.__setattr__(self, "widths", widths)
         object.__setattr__(
-            self, "_axes", tuple(zip(lower.tolist(), widths.tolist(), resolution.tolist()))
+            self,
+            "_axes",
+            tuple(zip(lower.tolist(), upper.tolist(), widths.tolist(), resolution.tolist())),
         )
 
     @property
@@ -80,8 +83,9 @@ def cell_index(descriptor: np.ndarray, spec: GridSpec) -> int:
 
     The axis-k index is ``floor((d[k] - lower[k]) / width[k])``, clamped
     into ``[0, resolution[k] - 1]`` so that descriptors at or beyond the
-    bounds land in the boundary cells.  Axes are flattened in C order
-    (last axis varies fastest).
+    bounds land in the boundary cells; those are compared with the bounds
+    before any division, so a finite descriptor of any size bins.  Axes
+    are flattened in C order (last axis varies fastest).
 
     Raises:
         ValueError: If any descriptor component is not finite.
@@ -91,14 +95,17 @@ def cell_index(descriptor: np.ndarray, spec: GridSpec) -> int:
     if d.shape != (len(axes),):
         raise ValueError(f"descriptor has shape {d.shape}, expected ({len(axes)},)")
     flat = 0
-    for x, (lower, width, r) in zip(d.tolist(), axes):
+    for x, (lower, upper, width, r) in zip(d.tolist(), axes):
         if not math.isfinite(x):
             raise ValueError(f"descriptor contains non-finite values: {d}")
-        i = math.floor((x - lower) / width)
-        if i < 0:
+        if x < lower:
             i = 0
-        elif i >= r:
+        elif x >= upper:
             i = r - 1
+        else:
+            i = math.floor((x - lower) / width)
+            if i >= r:  # rounding just below the upper bound
+                i = r - 1
         flat = flat * r + i
     return flat
 
@@ -110,8 +117,13 @@ def cell_indices(descriptors: np.ndarray, spec: GridSpec) -> np.ndarray:
         raise ValueError(f"descriptor batch has shape {d.shape}, expected (m, {spec.dims})")
     if not np.isfinite(d).all():
         raise ValueError("descriptor batch contains non-finite values")
-    # clamp before the cast: a huge finite descriptor has no int64 floor
-    axis = np.clip(np.floor((d - spec.lower) / spec.widths), 0, spec.resolution - 1)
+    # clamp to the bounds before the divide: a huge finite descriptor
+    # would overflow it, and would have no int64 floor
+    axis = np.clip(d, spec.lower, spec.upper)
+    axis -= spec.lower
+    axis /= spec.widths
+    np.floor(axis, out=axis)
+    np.minimum(axis, spec.resolution - 1, out=axis)  # the upper bound itself
     axis = axis.astype(np.int64)
     flat = axis[:, 0].copy()
     for k in range(1, spec.dims):

@@ -1,5 +1,7 @@
 """Archive and grid-binning tests, checked against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -81,6 +83,21 @@ def test_cell_indices_clamps_huge_finite_descriptors(spec, descriptor):
     the scalar one gives, without an int64 overflow on the way."""
     batch = cell_indices(np.array([descriptor]), spec)
     assert batch.tolist() == [cell_index(np.array(descriptor), spec)]
+
+
+@pytest.mark.parametrize(
+    "descriptor, cell",
+    [([1.7e308, 0.0], 3 * 4 + 2), ([-1.7e308, 0.0], 0 * 4 + 2), ([0.0, 1.7e308], 2 * 4 + 3),
+     ([0.0, -1.7e308], 2 * 4 + 0), ([1.7e308, -1.7e308], 3 * 4 + 0)],
+    ids=lambda d: f"{d[0]:g},{d[1]:g}" if isinstance(d, list) else str(d),
+)
+def test_descriptors_near_the_float_maximum_bin_to_the_edge(spec, descriptor, cell):
+    """Where ``(d - lower) / width`` would overflow, both binnings still
+    give the boundary cell, without an error or a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cell_index(np.array(descriptor), spec) == cell
+        assert cell_indices(np.array([descriptor]), spec).tolist() == [cell]
 
 
 def test_cell_index_rejects_non_finite(spec):
