@@ -357,11 +357,14 @@ class Archive:
         seg_cells = sorted_cells[starts]
         held = self._row[sorted_cells] >= 0
 
-        # Segmented running max of raw: dense ranks keep the order of raw
-        # (ties equal), and offsetting them by segment makes one plain
-        # running max restart at every cell.
-        rank = np.unique(s_raw, return_inverse=True)[1]
-        key = seg * (int(rank.max()) + 1) + rank
+        # Segmented running max of raw: ranks keep the order of raw, and
+        # offsetting them by segment makes one plain running max restart at
+        # every cell.  Equal raws rank later candidates lower, so a tie
+        # never beats an earlier one; a stable sort of the reversed batch
+        # gives that order.
+        rank = np.empty(m, dtype=np.int64)
+        rank[m - 1 - np.argsort(s_raw[::-1], kind="stable")] = np.arange(m)
+        key = seg * m + rank
         running = np.maximum.accumulate(key)
         beats_batch = first.copy()
         beats_batch[1:] |= key[1:] > running[:-1]
@@ -449,14 +452,14 @@ class Archive:
         """Dumps the archive, one row per occupied cell in ascending order.
 
         The header is ``cell_index,bd_0,...,fitness_raw,fitness_norm,
-        g_0,...,g_{n-1}`` and every float is written with full
-        round-trippable precision (``csv.writer`` writes Python floats
-        with ``repr``).
+        g_0,...,g_{n-1}`` and every float is written with ``repr``, its
+        shortest round-trippable form.  No field needs quoting, so the
+        bytes are those ``csv.writer`` would write and :meth:`read_csv`
+        reads them back.
         """
         occupied = self._occupied()
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(_csv_header(self.spec.dims, self._genotypes.shape[1]))
+            f.write(",".join(_csv_header(self.spec.dims, self._genotypes.shape[1])) + "\n")
             # row by row: converting the whole genotype array to Python
             # floats at once would cost ~3x its size in peak memory
             for cell, row, raw, norm in zip(
@@ -465,12 +468,13 @@ class Archive:
                 self._raw[occupied].tolist(),
                 self._norm[occupied].tolist(),
             ):
-                writer.writerow(
+                fields = (
                     [cell]
                     + self._descriptors[row].tolist()
                     + [raw, norm]
                     + self._genotypes[row].tolist()
                 )
+                f.write(",".join(map(repr, fields)) + "\n")
 
     @classmethod
     def read_csv(cls, path, spec: GridSpec) -> "Archive":

@@ -179,8 +179,8 @@ class CmaesState:
         (samples, normals), self.pending = self.pending, None
 
         self.generation_count += 1
-        order = np.argsort(-rewards, kind="stable")
-        parents = samples[order[: p.mu]]
+        best = np.argsort(-rewards, kind="stable")[: p.mu]
+        parents = samples[best]
 
         old_mean = self.mean
         self.mean = p.weights @ parents
@@ -189,8 +189,8 @@ class CmaesState:
         # cumulative step-size adaptation in the isotropic coordinate system
         self.p_sigma = (1.0 - p.c_sigma) * self.p_sigma + math.sqrt(
             p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff
-        ) * (p.weights @ normals[order[: p.mu]])
-        norm_p_sigma = float(np.linalg.norm(self.p_sigma))
+        ) * (p.weights @ normals[best])
+        norm_p_sigma = math.sqrt(self.p_sigma.dot(self.p_sigma))  # what np.linalg.norm computes
         h_sigma = norm_p_sigma / math.sqrt(
             1.0 - (1.0 - p.c_sigma) ** (2 * self.generation_count)
         ) < (1.4 + 2.0 / (p.dim + 1.0)) * p.chi_n
@@ -205,7 +205,7 @@ class CmaesState:
         # built in place in that association order; the bracketed term
         # compensates the variance lost when the rank-1 path update is
         # gated off
-        rank_one = np.outer(self.p_c, self.p_c)
+        rank_one = self.p_c[:, None] * self.p_c  # what np.outer computes
         if not h_sigma:
             rank_one += p.c_c * (2.0 - p.c_c) * self.C
         rank_one *= p.c_1
@@ -222,7 +222,7 @@ class CmaesState:
             self.A = np.linalg.cholesky(self.C)
         except np.linalg.LinAlgError:  # C is not positive definite
             self.A = np.full_like(self.C, np.nan)
-        self.best_reward_history.append(float(np.max(rewards)))
+        self.best_reward_history.append(float(rewards.max()))
         self._told = (self.generation_count, self.sigma, self._stop_reason())
 
     def should_stop(self) -> str | None:
@@ -269,17 +269,18 @@ class CmaesState:
         a_min, a_max = float(a_diag.min()), float(a_diag.max())
         if a_min == 0.0 or (a_max / a_min) ** 2 > 1e14:
             return "condition"
-        if self.sigma * math.sqrt(float(self.C.diagonal().max())) < 1e-12 * self.sigma0:
+        c_diag = self.C.diagonal()
+        if self.sigma * math.sqrt(float(c_diag.max())) < 1e-12 * self.sigma0:
             return "tol_x"
         history = self.best_reward_history
         if len(history) == history.maxlen and max(history) - min(history) < 1e-12:
             return "tol_fun"
         axis = self.generation_count % self.params.dim
         step = 0.1 * self.sigma * self.A[:, axis]
-        if np.array_equal(self.mean + step, self.mean):
+        if ((self.mean + step) == self.mean).all():
             return "no_effect_axis"
-        step = 0.2 * self.sigma * np.sqrt(np.diag(self.C))
-        if np.any(self.mean + step == self.mean):
+        step = 0.2 * self.sigma * np.sqrt(c_diag)
+        if (self.mean + step == self.mean).any():
             return "no_effect_coord"
         return None
 

@@ -248,9 +248,15 @@ class RandomEmitter(Emitter):
         line *= SIGMA_LINE
         parents = archive.genotypes_at_ranks(picks.reshape(-1, 2))
         x1, x2 = parents[:, 0], parents[:, 1]
-        candidates = x1 + iso.reshape(-1, task.dim)
-        candidates += line.reshape(-1, 1) * (x2 - x1)
-        return clip_genotype(candidates, task)
+        # built in iso, which this call owns, to keep the batch-sized
+        # temporaries few: in a process's first run each one is
+        # page-faulted in afresh every generation
+        candidates = iso.reshape(-1, task.dim)
+        candidates += x1
+        step = x2 - x1
+        step *= line.reshape(-1, 1)
+        candidates += step
+        return clip_genotype(candidates, task, out=candidates)
 
     def finish_generation(self, descriptors, fitness_norms, status, improvement) -> bool:
         """Always exhausts: the operator is memoryless, so it returns to

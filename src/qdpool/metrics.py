@@ -2,10 +2,12 @@
 serialization, replication aggregation, and the Wilcoxon rank-sum /
 Holm machinery used to compare variants.
 
-All CSV output is deterministic: floats are handed to ``csv.writer`` as
-Python floats, which it writes with ``repr`` (the shortest
-round-trippable form), rows follow canonical orders, and no wall-clock
-values ever enter a file.
+All CSV output is deterministic: every float is written as a Python
+float with ``repr`` (the shortest round-trippable form), either by
+``csv.writer`` (the files written here) or by joining the fields
+directly (:meth:`Archive.write_csv`, whose fields never need quoting);
+rows follow canonical orders, and no wall-clock values ever enter a
+file.
 """
 
 from __future__ import annotations

@@ -149,16 +149,19 @@ def make_task(name: str, dim: int = 100, resolution=100, sigma0: float | None = 
     )
 
 
-def clip_genotype(x: np.ndarray, spec: TaskSpec) -> np.ndarray:
-    """Componentwise clamp of a genotype (or batch) into the search bounds.
+def clip_genotype(x: np.ndarray, spec: TaskSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Componentwise clamp of a genotype (or batch) into the search bounds,
+    into ``out`` if given (which may be ``x`` itself), else into a new
+    array.
 
     Raises:
-        ValueError: If the input contains non-finite values.
+        ValueError: If the input contains non-finite values; ``out`` is
+            then left as it was.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("cannot clip a genotype with non-finite components")
-    return np.clip(x, spec.lower, spec.upper)
+    return np.clip(x, spec.lower, spec.upper, out=out)
 
 
 def bd_proj_clip(x):
@@ -174,9 +177,10 @@ def bd_proj_clip(x):
 def evaluate_batch(genotypes: np.ndarray, spec: TaskSpec):
     """Evaluates a batch of in-bounds genotypes.
 
-    This is the only hot path of the benchmark suite and is pure numpy:
-    no RNG, no shared state, safe to run on row-wise chunks from worker
-    threads.
+    It is one of the engine's per-generation hot paths (with the CMA-ES
+    update and archive insertion; which one leads depends on the task and
+    scale) and is pure numpy: no RNG, no shared state, safe to run on
+    row-wise chunks from worker threads.
 
     Args:
         genotypes: Array of shape ``(m, dim)`` already inside the bounds.

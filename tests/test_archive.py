@@ -1,5 +1,7 @@
 """Archive and grid-binning tests, checked against brute-force oracles."""
 
+import csv
+import io
 import warnings
 
 import numpy as np
@@ -279,6 +281,59 @@ def test_csv_round_trip(tmp_path, spec):
     path2 = tmp_path / "again.csv"
     loaded.write_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+ODD_FLOATS = (-0.0, 5e-324, 1e300, 1.0 / 3.0, 7.0, -2.0, 0.0)
+
+
+def reference_archive_csv(archive):
+    """The archive dump as ``csv.writer`` writes it, from the public reads."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    first = next(iter(archive))[1]
+    writer.writerow(
+        ["cell_index"]
+        + [f"bd_{k}" for k in range(len(first.descriptor))]
+        + ["fitness_raw", "fitness_norm"]
+        + [f"g_{k}" for k in range(len(first.genotype))]
+    )
+    for cell, elite in archive:
+        writer.writerow(
+            [cell]
+            + elite.descriptor.tolist()
+            + [elite.fitness_raw, elite.fitness_norm]
+            + elite.genotype.tolist()
+        )
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_write_csv_matches_csv_writer_byte_for_byte(tmp_path, dims):
+    """Odd floats in every column: signed zero, the smallest subnormal, a
+    huge value, a repeating fraction and integral values; rows come in
+    through both insertion paths."""
+    spec = GridSpec(np.full(dims, -1.0), np.full(dims, 1.0), np.full(dims, 5))
+    archive = Archive(spec)
+    odd = np.array(ODD_FLOATS)
+    norms = [-0.0, 5e-324, 1.0 / 3.0, 1.0, 0.0, 0.5, 1.0]
+    for i, norm in enumerate(norms):
+        descriptor = np.roll(odd, i)[:dims]
+        genotype = np.roll(odd, 2 * i)
+        elite = Elite(genotype, descriptor, fitness_raw=float(np.roll(odd, 3 * i)[0]), fitness_norm=norm)
+        if i % 2:
+            archive.insert_batch(
+                [cell_index(descriptor, spec)], genotype[None], descriptor[None],
+                [elite.fitness_raw], [norm],
+            )
+        else:
+            archive.add_attempt(elite)
+    assert len(archive) >= 4
+    path = tmp_path / "archive.csv"
+    archive.write_csv(path)
+    expected = reference_archive_csv(archive)
+    assert path.read_bytes() == expected
+    for token in ("-0.0", "5e-324", "1e+300", "0.3333333333333333", "7.0"):
+        assert token.encode() in expected
 
 
 def test_read_csv_rejects_a_grid_of_other_dimension(tmp_path, spec):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError, ask_stacked
 
@@ -364,6 +366,116 @@ class TestShouldStop:
         state.sigma = 1e-20 * state.sigma0
         with pytest.raises(EmitterExhaustedError):
             state.ask(np.random.default_rng(0))
+
+
+def reason_from_docstring(state):
+    """``CmaesState._stop_reason``'s docstring transcribed literally, one
+    criterion at a time in its order, on Python floats."""
+    n, g = state.params.dim, state.generation_count
+    A, C, mean, sigma = state.A.tolist(), state.C.tolist(), state.mean.tolist(), state.sigma
+    if not (
+        all(math.isfinite(x) for x in mean)
+        and math.isfinite(sigma)
+        and all(math.isfinite(x) for row in A for x in row)
+    ):
+        return "numerical"
+    a_diag = [A[i][i] for i in range(n)]
+    if min(a_diag) == 0.0 or (max(a_diag) / min(a_diag)) ** 2 > 1e14:
+        return "condition"
+    if sigma * math.sqrt(max(C[i][i] for i in range(n))) < 1e-12 * state.sigma0:
+        return "tol_x"
+    history = list(state.best_reward_history)
+    if len(history) == state.best_reward_history.maxlen and max(history) - min(history) < 1e-12:
+        return "tol_fun"
+    if all(mean[i] + 0.1 * sigma * A[i][g % n] == mean[i] for i in range(n)):
+        return "no_effect_axis"
+    if any(mean[i] + 0.2 * sigma * math.sqrt(C[i][i]) == mean[i] for i in range(n)):
+        return "no_effect_coord"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    generations=st.integers(0, 40),
+    reward_scale=st.sampled_from([0.0, 1e-13, 1.0]),
+    sigma_scale=st.sampled_from([1.0, 1e-11, 1e-13, 1e-30]),
+    mean_scale=st.sampled_from([1.0, 1e4, 1e15, 1e17]),
+    poison=st.sampled_from([None, "mean", "sigma", "A"]),
+)
+def test_stop_reason_follows_its_docstring_on_told_states(
+    n, seed, generations, reward_scale, sigma_scale, mean_scale, poison
+):
+    """Random told states, rescaled or given one non-finite value so that
+    every criterion but condition comes up among the examples (the
+    threshold states below reach condition)."""
+    rng = np.random.default_rng(seed)
+    state = CmaesState(rng.normal(size=n), sigma0=0.5, lam=8)
+    for _ in range(generations):
+        state.ask(rng)
+        state.tell(reward_scale * rng.standard_normal(8))
+        if state.should_stop() is not None:
+            break
+    state.sigma *= sigma_scale
+    state.mean *= mean_scale
+    if poison == "mean":
+        state.mean[-1] = np.nan
+    elif poison == "sigma":
+        state.sigma = math.inf
+    elif poison == "A":
+        state.A = np.full_like(state.A, np.nan)
+    assert state._stop_reason() == reason_from_docstring(state)
+
+
+def states_on_thresholds():
+    """States one float step below, on and above each criterion's
+    threshold."""
+    steps = (-1.0, 0.0, 1.0)
+
+    def nudge(x, step):
+        return float(np.nextafter(x, math.inf if step > 0 else -math.inf)) if step else x
+
+    for step in steps:
+        # condition: (max A_ii / min A_ii)^2 against 1e14, exact at A = diag(1, 1e7)
+        state = CmaesState(np.zeros(2), sigma0=0.5, lam=8)
+        a_22 = nudge(1e7, step)
+        state.C, state.A = np.diag([1.0, a_22**2]), np.diag([1.0, a_22])
+        yield state
+        # tol_x: sigma sqrt(max C_ii) against 1e-12 sigma0, with max C_ii = 1
+        state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
+        set_covariance(state, np.diag([0.25, 1.0, 0.5625]))
+        state.sigma = nudge(1e-12 * state.sigma0, step)
+        yield state
+        # tol_fun: a full window spanning 1e-12
+        state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
+        window = state.best_reward_history.maxlen
+        state.best_reward_history.extend([0.0] * (window - 1) + [nudge(1e-12, step)])
+        yield state
+    # the no-effect criteria: a step of about half a unit in the last
+    # place of a coordinate in [1, 2), where round-half-to-even keeps 1.0
+    # and moves 1 + 2^-52.  The axis check steps along axis 0, so the
+    # coordinate check gets a zero there, which any step moves.  sigma0 is
+    # small enough that tol_x stays off.
+    half_ulp = 2.0**-53
+    for m0 in (1.0, 1.0 + 2.0**-52):
+        for k in range(-3, 4):
+            # no_effect_axis, then no_effect_coord
+            for gain, mean in ((0.1, [m0, m0, m0]), (0.2, [0.0, m0, m0])):
+                state = CmaesState(np.array(mean), sigma0=1e-6, lam=8)
+                state.sigma = (half_ulp / gain) * (1.0 + k * 2.0**-52)
+                state.generation_count = 3
+                yield state
+
+
+@pytest.mark.parametrize("state", list(states_on_thresholds()))
+def test_stop_reason_follows_its_docstring_on_thresholds(state):
+    assert state._stop_reason() == reason_from_docstring(state)
+
+
+def test_threshold_states_reach_every_criterion():
+    reasons = {reason_from_docstring(state) for state in states_on_thresholds()}
+    assert reasons == set(STOP_ORDER[1:]) | {None}
 
 
 @pytest.mark.parametrize("ratio, reason", [(0.99e-12, "tol_x"), (1.01e-12, None)])

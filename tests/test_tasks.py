@@ -92,6 +92,17 @@ def test_clip_genotype():
         clip_genotype(np.array([np.inf, 0.0]), task)
 
 
+def test_clip_genotype_in_place():
+    task = make_task("rastrigin_proj", dim=2)
+    x = np.array([[60.0, -1.0], [0.5, -60.0]])
+    assert clip_genotype(x, task, out=x) is x
+    np.testing.assert_array_equal(x, [[51.2, -1.0], [0.5, -51.2]])
+    bad = np.array([np.nan, 60.0])
+    with pytest.raises(ValueError):
+        clip_genotype(bad, task, out=bad)
+    np.testing.assert_array_equal(bad, [np.nan, 60.0])
+
+
 def test_bd_proj_clip_values():
     assert bd_proj_clip(3.0) == 3.0
     assert bd_proj_clip(6.4) == pytest.approx(0.8)
