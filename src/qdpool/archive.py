@@ -229,11 +229,6 @@ class Archive:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def size(self) -> int:
-        """Number of occupied cells."""
-        return self._size
-
     def _occupied(self) -> np.ndarray:
         """Occupied cells in ascending order."""
         return np.flatnonzero(self._row >= 0)

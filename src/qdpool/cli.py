@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from qdpool import engine, metrics
 from qdpool.scheduler import GRANULARITIES
-from qdpool.tasks import TASK_NAMES, TaskSpec, make_task
+from qdpool.tasks import RASTRIGIN_PER_DIM_MAX, TASK_NAMES, TaskSpec, make_task
 
 
 class ConfigError(ValueError):
@@ -146,24 +146,31 @@ def _task(name: str, dim: int, resolution: int, sigma0: float | None) -> TaskSpe
         raise ConfigError(str(exc)) from exc
 
 
-def _run_config(cfg: ExperimentConfig, task: TaskSpec, variant: str, seed: int) -> engine.RunConfig:
-    """The engine configuration of one run, with an invalid setting
-    reported as a :class:`ConfigError`."""
+def _plan(cfg: ExperimentConfig) -> dict[str, list[engine.RunConfig]]:
+    """The engine configuration of each replication of each variant, with
+    an invalid task argument or setting reported as a :class:`ConfigError`."""
+    task = _task(cfg.task_name, cfg.dim, cfg.resolution, cfg.sigma0)
     try:
-        return engine.RunConfig(
-            task=task,
-            variant=variant,
-            generations=cfg.generations,
-            slots=cfg.slots,
-            batch_per_emitter=cfg.batch,
-            init_samples=cfg.init_samples,
-            seed=seed,
-            zeta=cfg.zeta,
-            window=cfg.window,
-            stats_granularity=cfg.stats_granularity,
-            metrics_every=cfg.metrics_every,
-            threads=cfg.threads,
-        )
+        return {
+            variant: [
+                engine.RunConfig(
+                    task=task,
+                    variant=variant,
+                    generations=cfg.generations,
+                    slots=cfg.slots,
+                    batch_per_emitter=cfg.batch,
+                    init_samples=cfg.init_samples,
+                    seed=cfg.base_seed + rep,
+                    zeta=cfg.zeta,
+                    window=cfg.window,
+                    stats_granularity=cfg.stats_granularity,
+                    metrics_every=cfg.metrics_every,
+                    threads=cfg.threads,
+                )
+                for rep in range(cfg.replications)
+            ]
+            for variant in cfg.variants
+        }
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,7 +180,7 @@ def parse_config(flags: dict, config_path: str | None = None) -> ExperimentConfi
     flags (``None`` flag values mean "not given") into an
     :class:`ExperimentConfig`.
 
-    The task and every variant's :class:`engine.RunConfig` are built once
+    The task and every run's :class:`engine.RunConfig` are built once
     here, so every check they make applies before any run starts.
 
     Raises:
@@ -190,12 +197,12 @@ def parse_config(flags: dict, config_path: str | None = None) -> ExperimentConfi
             raise ConfigError(f"threads: cannot parse QD_THREADS={os.environ['QD_THREADS']!r}") from exc
     if isinstance(cfg.variants, str):
         cfg.variants = [cfg.variants]
+    repeated = sorted({v for v in cfg.variants if cfg.variants.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"variants: {', '.join(repeated)} given more than once")
     if cfg.replications < 1:
         raise ConfigError("replications: must be at least 1")
-
-    task = _task(cfg.task_name, cfg.dim, cfg.resolution, cfg.sigma0)
-    for variant in cfg.variants:
-        _run_config(cfg, task, variant, cfg.base_seed)
+    _plan(cfg)
     return cfg
 
 
@@ -223,18 +230,12 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
         ConfigError: If any run's configuration is invalid; every run is
             configured before the first one starts, so nothing is written.
     """
-    task = _task(cfg.task_name, cfg.dim, cfg.resolution, cfg.sigma0)
-    plan = [
-        (variant, [_run_config(cfg, task, variant, cfg.base_seed + rep) for rep in range(cfg.replications)])
-        for variant in cfg.variants
-    ]
     out_root = Path(cfg.out_dir)
     summary_rows = []
     try:
-        for variant, run_configs in plan:
+        for variant, run_configs in _plan(cfg).items():
             series_by_rep = []
             for rep, run_config in enumerate(run_configs):
-                seed = run_config.seed
                 result = engine.run(run_config)
                 rep_dir = out_root / cfg.task_name / variant / f"rep{rep}"
                 rep_dir.mkdir(parents=True, exist_ok=True)
@@ -248,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
                         cfg.task_name,
                         variant,
                         rep,
-                        seed,
+                        run_config.seed,
                         final.generation,
                         final.evaluations,
                         final.archive_size,
@@ -265,10 +266,7 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
                 series_by_rep, out_root / cfg.task_name / variant / "aggregate.csv"
             )
         out_root.mkdir(parents=True, exist_ok=True)
-        with open(out_root / "summary.csv", "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(SUMMARY_HEADER)
-            writer.writerows(summary_rows)
+        metrics._write_csv(out_root / "summary.csv", SUMMARY_HEADER, summary_rows)
     except OSError as exc:
         echo(f"error: cannot write run outputs: {exc}", file=sys.stderr)
         return 1
@@ -281,27 +279,32 @@ def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, ec
     groups: dict[tuple[str, str], list[float]] = {}
     for path in paths:
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                if metric not in row:
-                    echo(f"error: {path} has no column {metric!r}", file=sys.stderr)
-                    return 2
+            reader = csv.DictReader(f)
+            missing = [c for c in ("task", "variant", metric) if c not in (reader.fieldnames or ())]
+            if missing:
+                echo(f"error: {path} has no column {missing[0]!r}", file=sys.stderr)
+                return 2
+            for row in reader:
                 if task_filter is not None and row["task"] != task_filter:
                     continue
-                groups.setdefault((row["task"], row["variant"]), []).append(float(row[metric]))
+                try:
+                    value = float(row[metric])
+                except (TypeError, ValueError):
+                    echo(f"error: {path}: {metric} {row[metric]!r} is not a number", file=sys.stderr)
+                    return 2
+                groups.setdefault((row["task"], row["variant"]), []).append(value)
     if not groups:
         echo("error: no matching rows in summary files", file=sys.stderr)
         return 2
 
     tasks = sorted({task for task, _ in groups})
     echo(f"metric: {metric}, alpha: {alpha}")
-    status = 0
     for task in tasks:
         variants = sorted(v for t, v in groups if t == task)
         pairs = [(a, b) for i, a in enumerate(variants) for b in variants[i + 1 :]]
         if not pairs:
             continue
         rows = []
-        p_values = []
         for a, b in pairs:
             try:
                 stat, p = metrics.rank_sum_compare(groups[(task, a)], groups[(task, b)])
@@ -311,18 +314,16 @@ def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, ec
             med_a = statistics.median(groups[(task, a)])
             med_b = statistics.median(groups[(task, b)])
             rows.append((a, b, med_a, med_b, stat, p))
-            p_values.append(p)
-        adjusted = metrics.holm_adjust(p_values)
+        adjusted = metrics.holm_adjust([row[5] for row in rows])
         echo(f"\ntask: {task}")
-        header = f"{'variant a':>22} {'variant b':>22} {'median a':>12} {'median b':>12} {'W':>8} {'p':>10} {'p(holm)':>10}  verdict"
-        echo(header)
+        echo(f"{'variant a':>22} {'variant b':>22} {'median a':>12} {'median b':>12} {'W':>8} {'p':>10} {'p(holm)':>10}  verdict")
         for (a, b, med_a, med_b, stat, p), p_adj in zip(rows, adjusted):
             verdict = "different" if p_adj < alpha else "equivalent"
             echo(
                 f"{a:>22} {b:>22} {med_a:>12.4f} {med_b:>12.4f} {stat:>8.1f} "
                 f"{p:>10.4g} {p_adj:>10.4g}  {verdict}"
             )
-    return status
+    return 0
 
 
 def dump_task(name: str, dim: int, resolution: int, sigma0: float | None, echo=print) -> int:
@@ -344,9 +345,7 @@ def dump_task(name: str, dim: int, resolution: int, sigma0: float | None, echo=p
     echo(f"fitness_worst_raw: {float(task.fitness_worst_raw)!r}")
     echo(f"fitness_best_raw: {float(task.fitness_best_raw)!r}")
     if task.name.startswith("rastrigin"):
-        from qdpool.tasks import rastrigin_per_dim_max
-
-        echo(f"rastrigin_per_dim_max: {rastrigin_per_dim_max()!r}")
+        echo(f"rastrigin_per_dim_max: {RASTRIGIN_PER_DIM_MAX!r}")
     return 0
 
 

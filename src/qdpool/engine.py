@@ -123,10 +123,6 @@ class RunConfig:
         if self.pool_composition is None:
             variant_composition(self.variant, self.slots)
 
-    @property
-    def total_batch(self) -> int:
-        return self.slots * self.batch_per_emitter
-
 
 @dataclass
 class RunResult:

@@ -29,6 +29,19 @@ METRICS_HEADER = (
     "best_fitness",
     "qd_score",
 ) + EMITTER_COUNT_COLUMNS
+AGGREGATE_HEADER = (
+    "generation",
+    "evaluations",
+    "size_q1",
+    "size_median",
+    "size_q3",
+    "best_q1",
+    "best_median",
+    "best_q3",
+    "qd_q1",
+    "qd_median",
+    "qd_q3",
+)
 
 
 class InsufficientDataError(ValueError):
@@ -69,42 +82,50 @@ def qd_score(archive: Archive) -> float:
 
 def snapshot(archive: Archive, generation: int, evaluations: int, kind_counts) -> GenerationRecord:
     """Builds the :class:`GenerationRecord` for the current archive state."""
-    best = archive.best_fitness if len(archive) else 0.0
     return GenerationRecord(
         generation=int(generation),
         evaluations=int(evaluations),
         archive_size=len(archive),
-        best_fitness_norm=float(best),
+        best_fitness_norm=archive.best_fitness if len(archive) else 0.0,
         qd_score=qd_score(archive),
         kind_counts=tuple(int(c) for c in kind_counts),
     )
 
 
-def write_metrics_csv(records, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """Writes ``header`` and ``rows`` to ``path`` as CSV with Unix line ends."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.generation,
-                    r.evaluations,
-                    r.archive_size,
-                    float(r.best_fitness_norm),
-                    float(r.qd_score),
-                    *r.kind_counts,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(records, path) -> None:
+    _write_csv(
+        path,
+        METRICS_HEADER,
+        (
+            [
+                r.generation,
+                r.evaluations,
+                r.archive_size,
+                float(r.best_fitness_norm),
+                float(r.qd_score),
+                *r.kind_counts,
+            ]
+            for r in records
+        ),
+    )
 
 
 def write_emitter_mix_csv(kind_series, path) -> None:
     """Per-generation active-emitter counts, one row per generation
     starting at 1 (generation 0 has no active emitters)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(("generation",) + EMITTER_COUNT_COLUMNS)
-        for gen, counts in enumerate(kind_series, start=1):
-            writer.writerow([gen, *counts])
+    _write_csv(
+        path,
+        ("generation",) + EMITTER_COUNT_COLUMNS,
+        ([gen, *counts] for gen, counts in enumerate(kind_series, start=1)),
+    )
 
 
 def write_aggregate_csv(series_by_rep, path) -> None:
@@ -120,47 +141,27 @@ def write_aggregate_csv(series_by_rep, path) -> None:
     for series in series_by_rep[1:]:
         if [r.generation for r in series] != generations:
             raise ValueError("replication series have mismatched snapshot cadences")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            (
-                "generation",
-                "evaluations",
-                "size_q1",
-                "size_median",
-                "size_q3",
-                "best_q1",
-                "best_median",
-                "best_q3",
-                "qd_q1",
-                "qd_median",
-                "qd_q3",
-            )
-        )
-        for i, gen in enumerate(generations):
-            rows = [series[i] for series in series_by_rep]
-            out = [gen, rows[0].evaluations]
-            for values in (
-                [r.archive_size for r in rows],
-                [r.best_fitness_norm for r in rows],
-                [r.qd_score for r in rows],
-            ):
-                q1, q2, q3 = np.percentile(values, [25, 50, 75])
-                out.extend([float(q1), float(q2), float(q3)])
-            writer.writerow(out)
+    rows = []
+    for i, gen in enumerate(generations):
+        records = [series[i] for series in series_by_rep]
+        row = [gen, records[0].evaluations]
+        for name in ("archive_size", "best_fitness_norm", "qd_score"):
+            quartiles = np.percentile([getattr(r, name) for r in records], [25, 50, 75])
+            row.extend(float(q) for q in quartiles)
+        rows.append(row)
+    _write_csv(path, AGGREGATE_HEADER, rows)
 
 
 def _average_ranks(pooled: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank; each NaN ranks
+    alone, after every number, in input order.
+
+    ``np.unique`` gives the tie counts but may reorder NaNs among
+    themselves, so the positions come from a stable argsort."""
     order = np.argsort(pooled, kind="stable")
+    counts = np.unique(pooled, return_counts=True, equal_nan=False)[1]
     ranks = np.empty(len(pooled))
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(np.cumsum(counts) - (counts - 1) / 2, counts)
     return ranks
 
 
@@ -188,13 +189,12 @@ def rank_sum_compare(a, b) -> tuple[float, float]:
     w = float(ranks[:n].sum())
 
     if n <= 8 and m <= 8:
-        total = 0
+        total = math.comb(n + m, n)
         count_le = 0
         count_ge = 0
         eps = 1e-12
         for combo in itertools.combinations(range(n + m), n):
             ws = ranks[list(combo)].sum()
-            total += 1
             count_le += ws <= w + eps
             count_ge += ws >= w - eps
         p = min(1.0, 2.0 * min(count_le, count_ge) / total)

@@ -32,10 +32,9 @@ class BanditStats:
         if window < 1:
             raise ValueError("window must be at least 1")
         self.window = int(window)
-        self._keys = list(keys)
-        self._buffers = {k: deque() for k in self._keys}
-        self._selections = dict.fromkeys(self._keys, 0)
-        self._successes = dict.fromkeys(self._keys, 0)
+        self._buffers = {k: deque() for k in keys}
+        self._selections = dict.fromkeys(self._buffers, 0)
+        self._successes = dict.fromkeys(self._buffers, 0)
         self.total_selections = 0
 
     def windowed_selections(self, key) -> int:
@@ -49,13 +48,16 @@ class BanditStats:
         as (0, 0)) and evicts entries older than the window.
 
         Raises:
-            ValueError: If successes exceed selections for any arm.
+            ValueError: If a key is not an arm (nothing is recorded then),
+                or successes exceed selections for any arm.
         """
-        for key in self._keys:
+        unknown = [key for key in counts if key not in self._buffers]
+        if unknown:
+            raise ValueError(f"counts for unknown arm {unknown[0]!r}")
+        for key, buf in self._buffers.items():
             sel, succ = counts.get(key, (0, 0))
             if sel < 0 or succ < 0 or succ > sel:
                 raise ValueError(f"need 0 <= successes <= selections, got ({sel}, {succ})")
-            buf = self._buffers[key]
             buf.append((sel, succ))
             self._selections[key] += sel
             self._successes[key] += succ
@@ -149,8 +151,7 @@ class UcbScheduler(UniformScheduler):
         self._key_of = {
             e.id: (e.id if stats_granularity == "instance" else e.kind) for e in self.emitters
         }
-        keys = list(dict.fromkeys(self._key_of.values()))
-        self.stats = BanditStats(keys, window)
+        self.stats = BanditStats(self._key_of.values(), window)
 
     def emitter_score(self, emitter: Emitter) -> float:
         return self.stats.score(self._key_of[emitter.id], self.zeta)

@@ -65,6 +65,11 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="variant"):
             cli.parse_config({"variants": ["me-map-elites-ucb", "nonsense"]})
 
+    def test_repeated_variant_is_rejected_before_writing(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match="variants: map-elites"):
+            cli.parse_config(small_flags(tmp_path / "out", variants=["map-elites", "cma-me-opt", "map-elites"]))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key,value",
         [
@@ -350,17 +355,17 @@ class TestMainEntry:
         cli.main(["dump-task", "--task", "rastrigin_proj", "--dim", "10"])
         out = capsys.readouterr().out
         parsed = dict(line.split(": ", 1) for line in out.strip().splitlines())
-        from qdpool.tasks import rastrigin_per_dim_max
+        from qdpool.tasks import RASTRIGIN_PER_DIM_MAX
 
-        assert float(parsed["rastrigin_per_dim_max"]) == pytest.approx(rastrigin_per_dim_max(), abs=1e-12)
+        assert float(parsed["rastrigin_per_dim_max"]) == RASTRIGIN_PER_DIM_MAX
 
 
 class TestCompare:
-    def summary_file(self, tmp_path, rows):
+    def summary_file(self, tmp_path, rows, header=cli.SUMMARY_HEADER):
         path = tmp_path / "summary.csv"
         with open(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(cli.SUMMARY_HEADER)
+            writer.writerow(header)
             writer.writerows(rows)
         return str(path)
 
@@ -400,6 +405,31 @@ class TestCompare:
         lines = []
         assert cli.compare_summaries([path], echo=collect_echo(lines)) == 0
         assert "equivalent" in "\n".join(lines)
+
+    @pytest.mark.parametrize("column", ["task", "variant", "qd_score"])
+    def test_missing_column_is_an_error(self, tmp_path, capsys, column):
+        keep = [i for i, c in enumerate(cli.SUMMARY_HEADER) if c != column]
+        rows = self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0], "cma-me-opt": [4.0, 5.0, 6.0]})
+        path = self.summary_file(
+            tmp_path, [[row[i] for i in keep] for row in rows], [cli.SUMMARY_HEADER[i] for i in keep]
+        )
+        assert cli.main(["compare", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} has no column {column!r}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "bad_row,shown",
+        [(["sphere", "map-elites", 1, 2, 10, 1000, 50, 0.5, "abc"], "'abc'"), (["sphere", "map-elites"], "None")],
+    )
+    def test_non_numeric_metric_is_an_error(self, tmp_path, capsys, bad_row, shown):
+        rows = self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0], "cma-me-opt": [4.0, 5.0, 6.0]})
+        rows[1] = bad_row
+        path = self.summary_file(tmp_path, rows)
+        assert cli.main(["compare", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: qd_score {shown} is not a number\n"
+        assert captured.out == ""
 
     def test_task_filter_and_missing_rows(self, tmp_path):
         path = self.summary_file(tmp_path, self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0]}))

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdpool.archive import Archive, Elite, GridSpec
 from qdpool.metrics import (
     METRICS_HEADER,
     GenerationRecord,
     InsufficientDataError,
+    _average_ranks,
     holm_adjust,
     qd_score,
     rank_sum_compare,
@@ -134,6 +137,40 @@ def exact_rank_sum_p(a, b):
     le = sum(1 for s in sums if s <= observed + 1e-12)
     ge = sum(1 for s in sums if s >= observed - 1e-12)
     return min(1.0, 2.0 * min(le, ge) / len(sums))
+
+
+def loop_average_ranks(pooled):
+    """Reference: walk the stably sorted values, giving each run of equal
+    values the mean of its 1-based positions (NaN equals nothing)."""
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(len(pooled))
+    i = 0
+    while i < len(pooled):
+        j = i
+        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan]), st.floats(allow_infinity=True)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([7.0])
+@example([math.nan])
+@example([math.nan, 1.0, math.nan, 1.0])
+@example([3.0, 3.0, 3.0])
+def test_average_ranks_match_the_loop(values):
+    pooled = np.array(values, dtype=float)
+    ranks = _average_ranks(pooled)
+    assert ranks.dtype == np.float64
+    np.testing.assert_array_equal(ranks, loop_average_ranks(pooled))
 
 
 class TestRankSum:

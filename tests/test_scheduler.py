@@ -61,6 +61,13 @@ class TestBanditStats:
         with pytest.raises(ValueError):
             stats.record({"a": (-1, 0)})
 
+    def test_unknown_arm_is_rejected_before_recording(self):
+        stats = BanditStats(["a", "b"], window=5)
+        with pytest.raises(ValueError, match="'zz'"):
+            stats.record({"a": (4, 1), "zz": (3, 1)})
+        assert stats.total_selections == 0
+        assert stats.recomputed_sums("a") == (0, 0)
+
     def test_running_sums_match_recomputation(self):
         rng = np.random.default_rng(0)
         stats = BanditStats(list(range(5)), window=7)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from qdpool.tasks import (
+    RASTRIGIN_PER_DIM_MAX,
     TASK_NAMES,
     bd_proj_clip,
     clip_genotype,
     evaluate_batch,
     make_task,
-    rastrigin_per_dim_max,
 )
 
 
@@ -22,7 +22,7 @@ def test_rastrigin_per_dim_max_matches_dense_scan_oracle():
     for chunk in np.array_split(np.arange(-5.12, 5.12 + 1e-6, 1e-6), 16):
         u = chunk - 2.048
         best = max(best, float(np.max(u * u - 10.0 * np.cos(2 * np.pi * u))))
-    m = rastrigin_per_dim_max()
+    m = RASTRIGIN_PER_DIM_MAX
     assert m == pytest.approx(best, abs=1e-9)
     # the max lives on an interior ripple, clearly above the boundary value
     u_edge = -5.12 - 2.048
@@ -58,7 +58,7 @@ class TestTaskConstruction:
         assert sphere.fitness_worst_raw == pytest.approx(-n * 7.168**2)  # -5138.0224
         rast = make_task("rastrigin_proj", dim=n)
         assert rast.fitness_best_raw == 10.0 * n
-        assert rast.fitness_worst_raw == pytest.approx(-n * rastrigin_per_dim_max())
+        assert rast.fitness_worst_raw == pytest.approx(-n * RASTRIGIN_PER_DIM_MAX)
         arm = make_task("redundant_arm", dim=n)
         assert arm.fitness_best_raw == 0.0
         assert arm.fitness_worst_raw == pytest.approx(-math.pi**2)
