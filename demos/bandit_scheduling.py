@@ -19,7 +19,7 @@ success_rate = {0: 40, 1: 35, 2: 30, 3: 5, 4: 3, 5: 1}
 
 picks = []
 for generation in range(200):
-    chosen = scheduler.select(needed=2)
+    chosen = scheduler.select()
     picks.extend(e.id for e in chosen)
     stats = {}
     for e in chosen:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import statistics
 import sys
@@ -276,6 +277,9 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
 def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, echo=print) -> int:
     """Pairwise rank-sum comparison of variants found in summary files,
     Holm-corrected within each task's family of comparisons."""
+    if not 0 < alpha < 1:
+        echo(f"error: alpha must be in (0, 1), got {alpha}", file=sys.stderr)
+        return 2
     groups: dict[tuple[str, str], list[float]] = {}
     for path in paths:
         with open(path, newline="") as f:
@@ -291,6 +295,9 @@ def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, ec
                     value = float(row[metric])
                 except (TypeError, ValueError):
                     echo(f"error: {path}: {metric} {row[metric]!r} is not a number", file=sys.stderr)
+                    return 2
+                if not math.isfinite(value):
+                    echo(f"error: {path}: {metric} {row[metric]!r} is not finite", file=sys.stderr)
                     return 2
                 groups.setdefault((row["task"], row["variant"]), []).append(value)
     if not groups:

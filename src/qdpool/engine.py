@@ -218,9 +218,7 @@ class Engine:
             self.scheduler.deactivate(emitter)
         self._terminated = []
 
-        needed = cfg.slots - len(self.scheduler.active)
-        selected = self.scheduler.select(needed)
-        for emitter in selected:
+        for emitter in self.scheduler.select():
             emitter.activate(self.archive, self.task, self._rngs[emitter.id])
 
         active = self.scheduler.active  # ascending id = slot order

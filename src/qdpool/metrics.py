@@ -152,9 +152,10 @@ def write_aggregate_csv(series_by_rep, path) -> None:
     _write_csv(path, AGGREGATE_HEADER, rows)
 
 
-def _average_ranks(pooled: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank; each NaN ranks
-    alone, after every number, in input order.
+def _average_ranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with ties sharing their average rank, and the size of
+    each tie group; each NaN ranks alone, after every number, in input
+    order.
 
     ``np.unique`` gives the tie counts but may reorder NaNs among
     themselves, so the positions come from a stable argsort."""
@@ -162,7 +163,7 @@ def _average_ranks(pooled: np.ndarray) -> np.ndarray:
     counts = np.unique(pooled, return_counts=True, equal_nan=False)[1]
     ranks = np.empty(len(pooled))
     ranks[order] = np.repeat(np.cumsum(counts) - (counts - 1) / 2, counts)
-    return ranks
+    return ranks, counts
 
 
 def rank_sum_compare(a, b) -> tuple[float, float]:
@@ -185,7 +186,7 @@ def rank_sum_compare(a, b) -> tuple[float, float]:
     if n < 3 or m < 3:
         raise InsufficientDataError("rank-sum comparison needs at least 3 values per group")
     pooled = np.concatenate([a, b])
-    ranks = _average_ranks(pooled)
+    ranks, tie_counts = _average_ranks(pooled)
     w = float(ranks[:n].sum())
 
     if n <= 8 and m <= 8:
@@ -202,7 +203,6 @@ def rank_sum_compare(a, b) -> tuple[float, float]:
 
     mean = n * (n + m + 1) / 2.0
     big_n = n + m
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (big_n * (big_n - 1))
     var = n * m / 12.0 * ((big_n + 1) - tie_term)
     if var <= 0:

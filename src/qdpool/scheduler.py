@@ -2,18 +2,20 @@
 window, built on the uniform round-robin policy's pool bookkeeping.
 
 Each generation the engine frees the slots of terminated emitters and
-asks the scheduler to fill them.  The UCB policy scores every idle pool
-emitter by windowed success ratio plus an exploration bonus and picks the
-top scorers; arms with no selections inside the window score +infinity,
-so every instance is eventually retried.  Statistics are tracked per
-emitter instance by default, with an optional per-kind sharing mode.
-The engine schedules every variant with :class:`UcbScheduler`.
+calls ``select()``, which fills every free slot.  The UCB policy scores
+every idle pool emitter by windowed success ratio plus an exploration
+bonus and picks the top scorers; arms with no selections inside the
+window score +infinity, so every instance is eventually retried.
+Statistics are tracked per emitter instance by default, with an optional
+per-kind sharing mode.  The engine schedules every variant with
+:class:`UcbScheduler`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+
+import numpy as np
 
 from qdpool.emitters import Emitter
 
@@ -21,66 +23,56 @@ GRANULARITIES = ("instance", "kind")
 
 
 class BanditStats:
-    """Sliding-window (selections, successes) bookkeeping per arm.
+    """Sliding-window (selections, successes) counts per arm.
 
-    One ring buffer per key holds the last ``window`` per-generation
-    count pairs; running sums are maintained incrementally and always
-    equal the buffer totals (see :meth:`recomputed_sums`).
+    A ``(window, arms, 2)`` integer table holds one row per generation;
+    each record overwrites the oldest row, and the windowed sums are read
+    back from the table.
     """
 
     def __init__(self, keys, window: int):
         if window < 1:
             raise ValueError("window must be at least 1")
         self.window = int(window)
-        self._buffers = {k: deque() for k in keys}
-        self._selections = dict.fromkeys(self._buffers, 0)
-        self._successes = dict.fromkeys(self._buffers, 0)
+        self._arm = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        self._table = np.zeros((self.window, len(self._arm), 2), dtype=np.int64)
+        self._oldest = 0
+        self._sums = [[0, 0] for _ in self._arm]
         self.total_selections = 0
 
     def windowed_selections(self, key) -> int:
-        return self._selections[key]
+        return self._sums[self._arm[key]][0]
 
     def windowed_successes(self, key) -> int:
-        return self._successes[key]
+        return self._sums[self._arm[key]][1]
 
     def record(self, counts: dict) -> None:
-        """Appends one generation of per-arm counts (missing arms count
-        as (0, 0)) and evicts entries older than the window.
+        """Records one generation of per-arm counts (missing arms count
+        as (0, 0)) over the oldest generation in the window.
 
         Raises:
-            ValueError: If a key is not an arm (nothing is recorded then),
-                or successes exceed selections for any arm.
+            ValueError: If a key is not an arm, or successes exceed
+                selections for any arm; nothing is recorded then.
         """
-        unknown = [key for key in counts if key not in self._buffers]
-        if unknown:
-            raise ValueError(f"counts for unknown arm {unknown[0]!r}")
-        for key, buf in self._buffers.items():
-            sel, succ = counts.get(key, (0, 0))
+        row = [(0, 0)] * len(self._arm)
+        for key, (sel, succ) in counts.items():
+            if key not in self._arm:
+                raise ValueError(f"counts for unknown arm {key!r}")
             if sel < 0 or succ < 0 or succ > sel:
                 raise ValueError(f"need 0 <= successes <= selections, got ({sel}, {succ})")
-            buf.append((sel, succ))
-            self._selections[key] += sel
-            self._successes[key] += succ
-            self.total_selections += sel
-            if len(buf) > self.window:
-                old_sel, old_succ = buf.popleft()
-                self._selections[key] -= old_sel
-                self._successes[key] -= old_succ
-                self.total_selections -= old_sel
+            row[self._arm[key]] = (sel, succ)
+        self._table[self._oldest] = row
+        self._oldest = (self._oldest + 1) % self.window
+        self._sums = self._table.sum(axis=0).tolist()
+        self.total_selections = sum(sel for sel, _ in self._sums)
 
     def score(self, key, zeta: float) -> float:
         """UCB1 value of one arm: success ratio plus exploration bonus,
         or +infinity while the arm has no windowed selections."""
-        sel = self._selections[key]
+        sel, succ = self._sums[self._arm[key]]
         if sel == 0:
             return math.inf
-        ratio = self._successes[key] / sel
-        return ratio + zeta * math.sqrt(math.log(self.total_selections) / sel)
-
-    def recomputed_sums(self, key) -> tuple[int, int]:
-        """Sums rebuilt from the raw buffer, for invariant checking."""
-        buf = self._buffers[key]
-        return sum(s for s, _ in buf), sum(c for _, c in buf)
+        return succ / sel + zeta * math.sqrt(math.log(self.total_selections) / sel)
 
 
 class UniformScheduler:
@@ -105,18 +97,19 @@ class UniformScheduler:
     def deactivate(self, emitter: Emitter) -> None:
         self._active_ids.discard(emitter.id)
 
-    def _idle(self, needed: int) -> list[Emitter]:
-        """Idle emitters in ascending id order; raises RuntimeError if
-        fewer than ``needed`` are idle."""
+    def _idle(self) -> tuple[list[Emitter], int]:
+        """Idle emitters in ascending id order, and the number of free
+        slots (never more than the idle count, since the pool holds at
+        least ``slots`` emitters)."""
         idle = [e for e in self.emitters if e.id not in self._active_ids]
-        if needed > len(idle):
-            raise RuntimeError(f"asked for {needed} emitters but only {len(idle)} are idle")
-        return idle
+        return idle, self.slots - len(self._active_ids)
 
-    def select(self, needed: int) -> list[Emitter]:
-        """Marks the ``needed`` lowest-id idle emitters active and returns
-        them; the caller is responsible for calling ``activate`` on each."""
-        chosen = self._idle(needed)[:needed]
+    def select(self) -> list[Emitter]:
+        """Fills every free slot with the lowest-id idle emitters, marks
+        them active and returns them; the caller is responsible for
+        calling ``activate`` on each."""
+        idle, free = self._idle()
+        chosen = idle[:free]
         self._active_ids.update(e.id for e in chosen)
         return chosen
 
@@ -129,7 +122,7 @@ class UcbScheduler(UniformScheduler):
 
     Ties break toward the lowest emitter id, so runs are reproducible and
     the first generation (all arms at +infinity) activates ids
-    ``0..needed-1``.  A pool of exactly ``slots`` emitters leaves no
+    ``0..slots-1``.  A pool of exactly ``slots`` emitters leaves no
     choice: every idle emitter is picked.
     """
 
@@ -156,14 +149,14 @@ class UcbScheduler(UniformScheduler):
     def emitter_score(self, emitter: Emitter) -> float:
         return self.stats.score(self._key_of[emitter.id], self.zeta)
 
-    def select(self, needed: int) -> list[Emitter]:
-        """Marks the ``needed`` best idle emitters active and returns them
-        best-first; the caller is responsible for calling ``activate`` on
-        each."""
-        idle = self._idle(needed)
-        if needed == 0:
+    def select(self) -> list[Emitter]:
+        """Fills every free slot with the best idle emitters, marks them
+        active and returns them best-first; the caller is responsible for
+        calling ``activate`` on each."""
+        idle, free = self._idle()
+        if free == 0:
             return []
-        chosen = sorted(idle, key=lambda e: (-self.emitter_score(e), e.id))[:needed]
+        chosen = sorted(idle, key=lambda e: (-self.emitter_score(e), e.id))[:free]
         self._active_ids.update(e.id for e in chosen)
         return chosen
 

@@ -431,6 +431,27 @@ class TestCompare:
         assert captured.err == f"error: {path}: qd_score {shown} is not a number\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_is_an_error(self, tmp_path, capsys, cell):
+        rows = self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0], "cma-me-opt": [4.0, 5.0, 6.0]})
+        rows[4][-1] = cell
+        path = self.summary_file(tmp_path, rows)
+        assert cli.main(["compare", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: qd_score {cell!r} is not finite\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.5", "nan", "inf"])
+    def test_alpha_outside_the_unit_interval_is_an_error(self, tmp_path, capsys, alpha):
+        path = self.summary_file(
+            tmp_path,
+            self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0], "cma-me-opt": [9.0, 10.0, 11.0]}),
+        )
+        assert cli.main(["compare", path, "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
+        assert captured.out == ""
+
     def test_task_filter_and_missing_rows(self, tmp_path):
         path = self.summary_file(tmp_path, self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0]}))
         lines = []

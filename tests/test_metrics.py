@@ -168,9 +168,11 @@ def loop_average_ranks(pooled):
 @example([3.0, 3.0, 3.0])
 def test_average_ranks_match_the_loop(values):
     pooled = np.array(values, dtype=float)
-    ranks = _average_ranks(pooled)
+    ranks, counts = _average_ranks(pooled)
     assert ranks.dtype == np.float64
     np.testing.assert_array_equal(ranks, loop_average_ranks(pooled))
+    # one tie group per distinct rank, in ascending order
+    np.testing.assert_array_equal(counts, np.unique(ranks, return_counts=True)[1])
 
 
 class TestRankSum:
@@ -213,6 +215,28 @@ class TestRankSum:
         # fully tied pooled sample has zero variance
         _, p_tied = rank_sum_compare([1.0] * 30, [1.0] * 30)
         assert p_tied == 1.0
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([1.0] * 6 + [math.nan] * 4, [2.0] * 5 + [3.0] * 5),
+            ([math.nan] * 4 + [0.5] * 6, [0.5, 1.0, 1.0, math.nan] + [2.0] * 6),
+        ],
+    )
+    def test_normal_variance_counts_ties_as_the_ranks_do(self, a, b):
+        """With n > 8 the variance of W is its permutation variance over
+        the pooled ranks, n m / (N (N - 1)) * sum((r - mean r)^2), which is
+        what the tie-corrected formula equals when its tie groups are the
+        rank groups; each NaN is a group of its own."""
+        ranks = loop_average_ranks(np.array(a + b))
+        n, m = len(a), len(b)
+        big_n = n + m
+        var = n * m / (big_n * (big_n - 1)) * float(np.sum((ranks - (big_n + 1) / 2) ** 2))
+        w = float(ranks[:n].sum())
+        expected = math.erfc(abs(w - n * (big_n + 1) / 2) / math.sqrt(var) / math.sqrt(2.0))
+        stat, p = rank_sum_compare(a, b)
+        assert stat == w
+        assert p == pytest.approx(expected, rel=1e-12)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

@@ -66,51 +66,85 @@ class TestBanditStats:
         with pytest.raises(ValueError, match="'zz'"):
             stats.record({"a": (4, 1), "zz": (3, 1)})
         assert stats.total_selections == 0
-        assert stats.recomputed_sums("a") == (0, 0)
+        assert stats.windowed_selections("a") == 0
+        assert stats.windowed_successes("a") == 0
 
-    def test_running_sums_match_recomputation(self):
-        rng = np.random.default_rng(0)
-        stats = BanditStats(list(range(5)), window=7)
-        for _ in range(40):
-            counts = {}
-            for key in range(5):
-                if rng.uniform() < 0.6:
-                    sel = int(rng.integers(0, 60))
-                    counts[key] = (sel, int(rng.integers(0, sel + 1)))
+    def test_invalid_later_arm_leaves_every_sum_unchanged(self):
+        stats = BanditStats(["a", "b", "c"], window=3)
+        twin = BanditStats(["a", "b", "c"], window=3)
+        for counts in ({"a": (7, 3), "c": (2, 2)}, {"b": (4, 1)}):
             stats.record(counts)
-            total = 0
-            for key in range(5):
-                sel, succ = stats.recomputed_sums(key)
-                assert sel == stats.windowed_selections(key)
-                assert succ == stats.windowed_successes(key)
-                total += sel
-            assert total == stats.total_selections
+            twin.record(counts)
+        with pytest.raises(ValueError):
+            stats.record({"a": (5, 2), "b": (1, 4)})
+        with pytest.raises(ValueError, match="'zz'"):
+            stats.record({"c": (9, 9), "zz": (1, 0)})
+        # the failed records must not have taken a row of the window either
+        for counts in ({"a": (1, 1)}, {}, {"c": (3, 0)}):
+            assert stats.total_selections == twin.total_selections
+            for key in "abc":
+                assert stats.windowed_selections(key) == twin.windowed_selections(key)
+                assert stats.windowed_successes(key) == twin.windowed_successes(key)
+                assert stats.score(key, 0.05) == twin.score(key, 0.05)
+            stats.record(counts)
+            twin.record(counts)
+
+    def test_sums_and_scores_match_the_window_list(self):
+        """Oracle: the last ``window`` count dicts, kept in a plain list,
+        summed per key, and UCB1 scored with ``math``."""
+        keys = list(range(5))
+        rng = np.random.default_rng(0)
+        for window in (1, 2, 7, 50):
+            stats = BanditStats(keys, window=window)
+            history = []
+            for _ in range(3 * window + 20):
+                counts = {}
+                for key in keys:
+                    if rng.uniform() < 0.6:
+                        sel = int(rng.integers(0, 60))
+                        counts[key] = (sel, int(rng.integers(0, sel + 1)))
+                stats.record(counts)
+                history = (history + [counts])[-window:]
+                total = sum(sel for gen in history for sel, _ in gen.values())
+                assert stats.total_selections == total
+                for key in keys:
+                    sel = sum(gen.get(key, (0, 0))[0] for gen in history)
+                    succ = sum(gen.get(key, (0, 0))[1] for gen in history)
+                    assert stats.windowed_selections(key) == sel
+                    assert stats.windowed_successes(key) == succ
+                    for zeta in (0.0, 0.05, 1.3):
+                        expected = (
+                            math.inf
+                            if sel == 0
+                            else succ / sel + zeta * math.sqrt(math.log(total) / sel)
+                        )
+                        assert stats.score(key, zeta) == expected
 
 
 class TestUcbScheduler:
     def test_first_selection_is_lowest_ids(self):
         sched = UcbScheduler(make_pool(10), slots=4)
-        chosen = sched.select(4)
+        chosen = sched.select()
         assert [e.id for e in chosen] == [0, 1, 2, 3]
         assert [e.id for e in sched.active] == [0, 1, 2, 3]
 
     def test_select_zero_is_noop(self):
         sched = UcbScheduler(make_pool(10), slots=4)
-        sched.select(4)
-        assert sched.select(0) == []
+        sched.select()
+        assert sched.select() == []
         assert len(sched.active) == 4
 
     def test_selects_by_descending_score(self):
         sched = UcbScheduler(make_pool(3), slots=2, zeta=0.05)
         # give every arm history so no score is infinite
         sched.record_generation({0: (50, 20), 1: (50, 45), 2: (50, 5)})
-        chosen = sched.select(2)
+        chosen = sched.select()
         assert [e.id for e in chosen] == [1, 0]
 
     def test_tie_breaks_by_ascending_id(self):
         sched = UcbScheduler(make_pool(4), slots=2, zeta=0.0)
         sched.record_generation({0: (50, 10), 1: (50, 30), 2: (50, 30), 3: (50, 10)})
-        chosen = sched.select(2)
+        chosen = sched.select()
         assert [e.id for e in chosen] == [1, 2]
 
     def test_zeta_zero_equal_counts_is_argmax_of_success_ratio(self):
@@ -119,13 +153,13 @@ class TestUcbScheduler:
             sched = UcbScheduler(make_pool(6), slots=1, zeta=0.0)
             succ = rng.integers(0, 51, size=6)
             sched.record_generation({i: (50, int(succ[i])) for i in range(6)})
-            chosen = sched.select(1)[0]
+            chosen = sched.select()[0]
             assert succ[chosen.id] == succ.max()
 
     def test_active_and_idle_stay_disjoint_and_complete(self):
         rng = np.random.default_rng(2)
         sched = UcbScheduler(make_pool(12), slots=5, zeta=0.05)
-        sched.select(5)
+        sched.select()
         for _ in range(60):
             counts = {}
             for e in list(sched.active):
@@ -134,18 +168,11 @@ class TestUcbScheduler:
                 if rng.uniform() < 0.5:
                     sched.deactivate(e)
             sched.record_generation(counts)
-            freed = sched.slots - len(sched.active)
-            sched.select(freed)
+            sched.select()
             active_ids = {e.id for e in sched.active}
             assert len(active_ids) == 5
             idle_ids = {e.id for e in sched.emitters} - active_ids
             assert len(idle_ids) == 7
-
-    def test_over_allocation_raises(self):
-        sched = UcbScheduler(make_pool(4), slots=4)
-        sched.select(3)
-        with pytest.raises(RuntimeError):
-            sched.select(2)
 
     def test_kind_granularity_shares_statistics(self):
         from qdpool.emitters import ImprovementEmitter, OptimisingEmitter
@@ -193,7 +220,7 @@ class TestUniformScheduler:
             for j in range(3):
                 emitters.append(cls(kind_index * 3 + j))
         sched = scheduler(emitters, slots=12)
-        sched.select(12)
+        sched.select()
 
         def active_kind_counts():
             return Counter(e.kind for e in sched.active)
@@ -205,15 +232,32 @@ class TestUniformScheduler:
             for e in list(sched.active):
                 if rng.uniform() < 0.4:
                     sched.deactivate(e)
-            sched.select(12 - len(sched.active))
+            sched.select()
             assert active_kind_counts() == reference
             # finite, uneven scores: the pick must not rest on ties
             sched.record_generation({e.id: (50, int(rng.integers(0, 51))) for e in sched.active})
 
     def test_reactivates_in_ascending_id_order(self):
         sched = UniformScheduler(make_pool(4), slots=4)
-        sched.select(4)
+        sched.select()
         sched.deactivate(sched.emitters[2])
         sched.deactivate(sched.emitters[0])
-        chosen = sched.select(2)
+        chosen = sched.select()
         assert [e.id for e in chosen] == [0, 2]
+
+    @pytest.mark.parametrize("scheduler", [UniformScheduler, UcbScheduler])
+    def test_select_never_fills_more_than_the_slots(self, scheduler):
+        rng = np.random.default_rng(11)
+        for pool_size, slots in ((8, 2), (5, 5), (12, 5), (3, 1)):
+            sched = scheduler(make_pool(pool_size), slots=slots)
+            for _ in range(40):
+                for e in list(sched.active):
+                    if rng.uniform() < 0.4:
+                        sched.deactivate(e)
+                free = slots - len(sched.active)
+                for _ in range(int(rng.integers(1, 4))):
+                    chosen = sched.select()
+                    assert len(chosen) == free
+                    free = 0
+                    assert len(sched.active) == slots
+                sched.record_generation({e.id: (50, int(rng.integers(0, 51))) for e in sched.active})
