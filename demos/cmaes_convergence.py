@@ -5,8 +5,10 @@ CMA-ES on a shifted sphere
 The ask/tell loop drives the sampling distribution onto the optimum of a
 10-D quadratic bowl. Rewards are maximized, so the objective is negated.
 `ask` keeps its samples, and the normals that drew them, as the state's
-pending batch; `tell` takes one reward per sample, in sample order, and
-whitens the evolution path with those normals.
+pending batch; `tell` takes one reward per sample, in sample order,
+whitens the evolution path with those normals, and returns the first
+restart criterion that holds for the updated state, or None. Stopping is
+the loop's call: `ask` samples whatever the criteria say.
 """
 
 import numpy as np
@@ -22,12 +24,11 @@ state = CmaesState(mean0=np.zeros(dim), sigma0=0.5, lam=10)
 for generation in range(1, 501):
     samples = state.ask(rng)
     rewards = -np.sum((samples - target) ** 2, axis=1)
-    state.tell(rewards)
+    reason = state.tell(rewards)
     if generation % 50 == 0 or generation == 1:
         err = float(np.linalg.norm(state.mean - target))
         print(f"gen {generation:3d}: best reward {rewards.max():+.3e}  "
               f"sigma {state.sigma:.3e}  |mean - target| {err:.3e}")
-    reason = state.should_stop()
     if reason is not None:
         print(f"stopped after {generation} generations: {reason}")
         break

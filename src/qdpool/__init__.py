@@ -11,7 +11,7 @@ from qdpool.archive import (
     cell_index,
     cell_indices,
 )
-from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError
+from qdpool.cmaes import CmaesParams, CmaesState
 from qdpool.emitters import (
     EMITTER_CLASSES,
     Emitter,
@@ -51,7 +51,6 @@ __all__ = [
     "EMITTER_CLASSES",
     "Elite",
     "Emitter",
-    "EmitterExhaustedError",
     "EmitterKind",
     "EmptyArchiveError",
     "Engine",

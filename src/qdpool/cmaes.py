@@ -23,6 +23,11 @@ given, and transforms all of them with one ``(k, lam, n)`` matmul, which
 gives the same bits as k separate transforms.  :meth:`CmaesState.ask` is
 its batch of one.  Updates stay per state: at n = 100 a stacked
 covariance update was slower than separate ones.
+
+:meth:`CmaesState.should_stop` evaluates the restart criteria on the
+live state, and :meth:`CmaesState.tell` returns its answer for the
+updated state.  Sampling never reads them: as in the usual ``while not
+es.stop(): ask/tell`` loop, stopping is the caller's call.
 """
 
 from __future__ import annotations
@@ -34,10 +39,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-class EmitterExhaustedError(RuntimeError):
-    """Raised when a stopped strategy is asked for more samples."""
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ class CmaesState:
         mean0 = np.array(mean0, dtype=float)
         if mean0.ndim != 1 or not np.isfinite(mean0).all():
             raise ValueError("mean0 must be a finite 1-D vector")
-        if sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
+        if not 0 < sigma0 < math.inf:
+            raise ValueError("sigma0 must be positive and finite")
         self.params = CmaesParams.defaults(len(mean0), lam)
         self.mean = mean0
         self.sigma = float(sigma0)
@@ -133,9 +134,6 @@ class CmaesState:
         self.A = np.eye(n)
         self.generation_count = 0
         self.best_reward_history: deque[float] = deque(maxlen=self.params.reward_history_window)
-        # (generation_count, sigma, reason) of the criteria checked by the
-        # last tell; see should_stop
-        self._told: tuple[int, float, str | None] | None = None
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def ask(self, rng: np.random.Generator) -> np.ndarray:
@@ -144,18 +142,16 @@ class CmaesState:
 
         The samples are returned unclipped, and the returned array is the
         one the state keeps for :meth:`tell`: callers clamp a copy to
-        their search bounds before evaluation.
-
-        Raises:
-            EmitterExhaustedError: If a stop criterion currently holds.
+        their search bounds before evaluation.  The state is sampled
+        whatever :meth:`should_stop` says; stopping is the caller's call.
         """
         ask_stacked([self], [rng])
         return self.pending[0]
 
-    def tell(self, rewards) -> None:
+    def tell(self, rewards) -> str | None:
         """Updates the distribution from the rewards of the pending batch,
-        one per sample in sample order (larger is better), and consumes
-        that batch.
+        one per sample in sample order (larger is better), consumes that
+        batch, and returns :meth:`should_stop` of the updated state.
 
         Ranking uses a stable sort on the negated rewards, so ties are
         broken by sample position and the update is deterministic.  The
@@ -223,25 +219,9 @@ class CmaesState:
         except np.linalg.LinAlgError:  # C is not positive definite
             self.A = np.full_like(self.C, np.nan)
         self.best_reward_history.append(float(rewards.max()))
-        self._told = (self.generation_count, self.sigma, self._stop_reason())
+        return self.should_stop()
 
     def should_stop(self) -> str | None:
-        """The first restart criterion that holds, or None.
-
-        While ``generation_count`` and ``sigma`` are as the last ``tell``
-        left them, this returns the reason that ``tell`` computed, so the
-        check after an update and the guard of the next
-        :func:`ask_stacked` share one evaluation.  Otherwise (a state
-        never told, or one whose ``sigma`` or ``generation_count`` was
-        set since) the criteria are evaluated on the live state.  The
-        other fields they read change only through ``tell``.
-        """
-        told = self._told
-        if told is not None and told[0] == self.generation_count and told[1] == self.sigma:
-            return told[2]
-        return self._stop_reason()
-
-    def _stop_reason(self) -> str | None:
         """Evaluates the restart criteria, always in the order below,
         against the live state, with ``g`` the generation count and ``n``
         the dimension:
@@ -293,15 +273,9 @@ def ask_stacked(states: Sequence[CmaesState], rngs: Sequence[np.random.Generator
     keeps its slices of the samples and of the normals as its
     ``pending`` batch, replacing any batch not yet told; the samples are
     views into the returned stack.  All states must share ``dim`` and
-    ``lam``.
-
-    Raises:
-        EmitterExhaustedError: If a stop criterion holds for any state.
+    ``lam``.  Each state is sampled whatever its restart criteria say;
+    stopping is the caller's call.
     """
-    for state in states:
-        reason = state.should_stop()
-        if reason is not None:
-            raise EmitterExhaustedError(f"strategy already stopped ({reason})")
     z = np.empty((len(states), states[0].params.lam, states[0].params.dim))
     for z_i, rng in zip(z, rngs):
         rng.standard_normal(out=z_i)

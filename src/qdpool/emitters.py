@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from qdpool.archive import AddStatus, Archive
-from qdpool.cmaes import CmaesState, EmitterExhaustedError, ask_stacked
+from qdpool.cmaes import CmaesState, ask_stacked
 from qdpool.tasks import TaskSpec, clip_genotype
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ImprovementEmitter",
     "RandomEmitter",
     "EMITTER_CLASSES",
-    "EmitterExhaustedError",
 ]
 
 
@@ -151,17 +150,17 @@ class _CmaesEmitter(Emitter):
 
     def finish_generation(self, descriptors, fitness_norms, status, improvement) -> bool:
         """Feeds the batch's rewards back to the strategy's pending batch
-        and reports exhaustion: a native stop criterion, or a whole
-        generation without a single archive add (every ``status`` is
-        REJECTED, which is 0).  Without an add the rewards and the update
-        are skipped, since the next activation replaces the strategy
-        anyway.  An exhausted emitter drops its strategy, so only active
-        emitters hold one."""
+        and reports exhaustion: a native stop criterion, as returned by
+        ``tell`` for the updated state, or a whole generation without a
+        single archive add (every ``status`` is REJECTED, which is 0).
+        Without an add the rewards and the update are skipped, since the
+        next activation replaces the strategy anyway.  An exhausted emitter
+        drops its strategy, so only active emitters hold one."""
         if self.cmaes is None or self.cmaes.pending is None:
             raise RuntimeError("finish_generation called without a pending batch")
         if np.any(status):
-            self.cmaes.tell(self.batch_rewards(descriptors, fitness_norms, status, improvement))
-            if self.cmaes.should_stop() is None:
+            rewards = self.batch_rewards(descriptors, fitness_norms, status, improvement)
+            if self.cmaes.tell(rewards) is None:
                 return False
         self.cmaes = None
         return True

@@ -116,8 +116,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.batch_per_emitter < 2:
             raise ValueError("batch_per_emitter must be at least 2")
-        if self.zeta < 0:
-            raise ValueError("zeta must be non-negative")
+        if not 0 <= self.zeta < np.inf:
+            raise ValueError("zeta must be non-negative and finite")
         if self.stats_granularity not in GRANULARITIES:
             raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
         if self.pool_composition is None:

@@ -26,8 +26,8 @@ class BanditStats:
     """Sliding-window (selections, successes) counts per arm.
 
     A ``(window, arms, 2)`` integer table holds one row per generation;
-    each record overwrites the oldest row, and the windowed sums are read
-    back from the table.
+    each record overwrites the oldest row and moves an exact running
+    total by the difference, so its cost does not grow with the window.
     """
 
     def __init__(self, keys, window: int):
@@ -37,7 +37,8 @@ class BanditStats:
         self._arm = {key: i for i, key in enumerate(dict.fromkeys(keys))}
         self._table = np.zeros((self.window, len(self._arm), 2), dtype=np.int64)
         self._oldest = 0
-        self._sums = [[0, 0] for _ in self._arm]
+        self._totals = np.zeros((len(self._arm), 2), dtype=np.int64)
+        self._sums = self._totals.tolist()
         self.total_selections = 0
 
     def windowed_selections(self, key) -> int:
@@ -54,16 +55,18 @@ class BanditStats:
             ValueError: If a key is not an arm, or successes exceed
                 selections for any arm; nothing is recorded then.
         """
-        row = [(0, 0)] * len(self._arm)
+        row = np.zeros_like(self._totals)
         for key, (sel, succ) in counts.items():
             if key not in self._arm:
                 raise ValueError(f"counts for unknown arm {key!r}")
             if sel < 0 or succ < 0 or succ > sel:
                 raise ValueError(f"need 0 <= successes <= selections, got ({sel}, {succ})")
-            row[self._arm[key]] = (sel, succ)
+            row[self._arm[key]] = sel, succ
+        self._totals += row
+        self._totals -= self._table[self._oldest]
         self._table[self._oldest] = row
         self._oldest = (self._oldest + 1) % self.window
-        self._sums = self._table.sum(axis=0).tolist()
+        self._sums = self._totals.tolist()
         self.total_selections = sum(sel for sel, _ in self._sums)
 
     def score(self, key, zeta: float) -> float:
@@ -135,8 +138,8 @@ class UcbScheduler(UniformScheduler):
         stats_granularity: str = "instance",
     ):
         super().__init__(emitters, slots)
-        if zeta < 0:
-            raise ValueError("zeta must be non-negative")
+        if not 0 <= zeta < math.inf:
+            raise ValueError("zeta must be non-negative and finite")
         if stats_granularity not in GRANULARITIES:
             raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
         self.zeta = float(zeta)

@@ -83,8 +83,8 @@ def make_task(name: str, dim: int = 100, resolution=100, sigma0: float | None = 
         raise ValueError(f"unknown task {name!r}, expected one of {TASK_NAMES}")
     if dim < 2:
         raise ValueError("tasks need dim >= 2 (descriptors read two components)")
-    if sigma0 is not None and sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
+    if sigma0 is not None and not 0 < sigma0 < math.inf:
+        raise ValueError("sigma0 must be positive and finite")
     resolution = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (2,)).copy()
     if (resolution < 1).any():
         raise ValueError("resolution must be at least 1")

@@ -2,6 +2,7 @@
 reproducibility of written artifacts, and parity with the library API."""
 
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -85,6 +86,10 @@ class TestParseConfig:
             ("threads", 0),
             ("window", 0),
             ("resolution", 0),
+            ("sigma0", math.nan),
+            ("sigma0", math.inf),
+            ("zeta", math.nan),
+            ("zeta", math.inf),
         ],
     )
     def test_invalid_values_name_the_field(self, key, value):
@@ -308,6 +313,16 @@ class TestMainEntry:
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "rastrigin_multi" / "map-elites" / "rep0" / "metrics.csv").exists()
 
+    def test_strategy_stopped_at_activation_restarts_and_the_run_completes(self, tmp_path):
+        """At sigma0 = 1e-17 every fresh strategy already meets a restart
+        criterion; it is sampled once, stops, and the run goes on."""
+        out = tmp_path / "out"
+        small = ["--task", "sphere", "--dim", "6", "--resolution", "10", "--variant", "cma-me-opt"]
+        small += ["--generations", "5", "--slots", "2", "--batch", "4", "--init-samples", "20"]
+        assert cli.main(["run", *small, "--replications", "1", "--sigma0", "1e-17", "--out", str(out)]) == 0
+        rep_files = [f"sphere/cma-me-opt/rep0/{name}" for name in ("metrics.csv", "archive.csv", "emitter_mix.csv")]
+        assert sorted(tree_bytes(out)) == sorted(["summary.csv", "sphere/cma-me-opt/aggregate.csv", *rep_files])
+
     def test_config_error_exits_2(self, capsys):
         status = cli.main(["run", "--task", "sphere", "--replications", "0"])
         assert status == 2
@@ -319,8 +334,12 @@ class TestMainEntry:
             ["--variant", "map-elites", "--batch", "1"],
             ["--variant", "map-elites", "--variant", "me-map-elites-uniform", "--slots", "6"],
             ["--variant", "me-map-elites-uniform", "--window", "0"],
+            ["--variant", "cma-me-opt", "--sigma0", "nan"],
+            ["--variant", "cma-me-opt", "--sigma0", "inf"],
+            ["--variant", "cma-me-opt", "--zeta", "nan"],
+            ["--variant", "cma-me-opt", "--zeta", "inf"],
         ],
-        ids=["batch-1", "uniform-slots-6", "uniform-window-0"],
+        ids=["batch-1", "uniform-slots-6", "uniform-window-0", "sigma0-nan", "sigma0-inf", "zeta-nan", "zeta-inf"],
     )
     def test_invalid_run_exits_2_before_writing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdpool.cmaes import CmaesParams, CmaesState, EmitterExhaustedError, ask_stacked
+from qdpool.cmaes import CmaesParams, CmaesState, ask_stacked
 
 
 class TestParams:
@@ -361,15 +361,20 @@ class TestShouldStop:
             assert {"tol_x", "tol_fun"} <= held
             assert state.should_stop() == min(held, key=STOP_ORDER.index)
 
-    def test_ask_after_stop_raises(self):
-        state = CmaesState(np.zeros(2), sigma0=0.5, lam=8)
-        state.sigma = 1e-20 * state.sigma0
-        with pytest.raises(EmitterExhaustedError):
-            state.ask(np.random.default_rng(0))
+    @pytest.mark.parametrize("criterion", STOP_ORDER)
+    def test_ask_samples_a_stopped_state(self, criterion):
+        """Stopping is the caller's call: ``ask`` on a state whose
+        criteria hold still returns ``mean + sigma * z A^T``, bit for bit."""
+        state = state_where(criterion)
+        assert state.should_stop() == criterion
+        samples = state.ask(np.random.default_rng(6))
+        z = np.random.default_rng(6).standard_normal((state.params.lam, state.params.dim))
+        np.testing.assert_array_equal(samples, state.mean + state.sigma * (z @ state.A.T))
+        np.testing.assert_array_equal(state.pending[1], z)
 
 
 def reason_from_docstring(state):
-    """``CmaesState._stop_reason``'s docstring transcribed literally, one
+    """``CmaesState.should_stop``'s docstring transcribed literally, one
     criterion at a time in its order, on Python floats."""
     n, g = state.params.dim, state.generation_count
     A, C, mean, sigma = state.A.tolist(), state.C.tolist(), state.mean.tolist(), state.sigma
@@ -414,8 +419,9 @@ def test_stop_reason_follows_its_docstring_on_told_states(
     state = CmaesState(rng.normal(size=n), sigma0=0.5, lam=8)
     for _ in range(generations):
         state.ask(rng)
-        state.tell(reward_scale * rng.standard_normal(8))
-        if state.should_stop() is not None:
+        reason = state.tell(reward_scale * rng.standard_normal(8))
+        assert reason == reason_from_docstring(state)
+        if reason is not None:
             break
     state.sigma *= sigma_scale
     state.mean *= mean_scale
@@ -425,7 +431,7 @@ def test_stop_reason_follows_its_docstring_on_told_states(
         state.sigma = math.inf
     elif poison == "A":
         state.A = np.full_like(state.A, np.nan)
-    assert state._stop_reason() == reason_from_docstring(state)
+    assert state.should_stop() == reason_from_docstring(state)
 
 
 def states_on_thresholds():
@@ -470,7 +476,7 @@ def states_on_thresholds():
 
 @pytest.mark.parametrize("state", list(states_on_thresholds()))
 def test_stop_reason_follows_its_docstring_on_thresholds(state):
-    assert state._stop_reason() == reason_from_docstring(state)
+    assert state.should_stop() == reason_from_docstring(state)
 
 
 def test_threshold_states_reach_every_criterion():
@@ -555,8 +561,8 @@ def test_evolution_path_is_whitened_by_the_factor(n):
 @pytest.mark.parametrize("fault", ["nan_sample", "indefinite_c"])
 def test_numerical_fault_from_tell_stops_the_state(fault):
     """A non-finite sample, or a C with no Cholesky factor, stops the
-    state with reason ``numerical``; neither ``tell`` nor ``should_stop``
-    raises, and ``ask`` refuses."""
+    state with reason ``numerical``, which ``tell`` returns; neither
+    ``tell`` nor ``should_stop`` raises."""
     rng = np.random.default_rng(1)
     state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
     samples = state.ask(rng)
@@ -564,31 +570,6 @@ def test_numerical_fault_from_tell_stops_the_state(fault):
         samples[:, 0] = np.nan  # the state's own pending samples
     else:
         state.C = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalue -1
-    state.tell(rng.standard_normal(8))
+    assert state.tell(rng.standard_normal(8)) == "numerical"
     assert state.should_stop() == "numerical"
     assert "numerical" in criteria_that_hold(state)
-    with pytest.raises(EmitterExhaustedError, match="numerical"):
-        state.ask(rng)
-
-
-def test_reason_from_tell_is_reused_until_sigma_or_generation_changes(monkeypatch):
-    rng = np.random.default_rng(4)
-    state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
-    state.ask(rng)
-    state.tell(rng.standard_normal(8))
-    evaluations = []
-
-    def stub(self):
-        evaluations.append(self.generation_count)
-        return "tol_fun"
-
-    monkeypatch.setattr(CmaesState, "_stop_reason", stub)
-    assert state.should_stop() is None  # checked by tell, on the real criteria
-    assert state.should_stop() is None
-    assert evaluations == []
-    state.sigma *= 2.0
-    assert state.should_stop() == "tol_fun"
-    state.sigma /= 2.0
-    state.generation_count += 1
-    assert state.should_stop() == "tol_fun"
-    assert evaluations == [1, 2]

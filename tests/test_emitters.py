@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qdpool.archive import AddStatus, Archive, Elite, EmptyArchiveError
-from qdpool.cmaes import EmitterExhaustedError
 from qdpool.emitters import (
     SIGMA_ISO,
     EmitterKind,
@@ -136,13 +135,6 @@ class TestGenerate:
         emitter.generate_samples(archive, task, rng)
         assert len(archive) == before
 
-    def test_exhausted_cmaes_emitter_raises(self, task, single_elite_archive):
-        emitter = OptimisingEmitter(0, batch_size=4)
-        emitter.activate(single_elite_archive, task, np.random.default_rng(0))
-        emitter.cmaes.sigma = 1e-20 * emitter.cmaes.sigma0
-        with pytest.raises(EmitterExhaustedError):
-            emitter.generate_samples(single_elite_archive, task, np.random.default_rng(0))
-
 
 CMAES_SUBSETS = [
     (OptimisingEmitter,),
@@ -205,13 +197,6 @@ class TestGenerateBatch:
         assert_batch_equals_singles(
             lambda: [RandomEmitter(i, 7) for i in range(count)], archive, task
         )
-
-    def test_one_stopped_strategy_stops_the_batch(self, task, single_elite_archive):
-        emitters = warmed_cmaes_emitters(CMAES_SUBSETS[2], single_elite_archive, task)
-        emitters[1].cmaes.sigma = 1e-20 * emitters[1].cmaes.sigma0
-        rngs = [np.random.default_rng(i) for i in range(3)]
-        with pytest.raises(EmitterExhaustedError):
-            OptimisingEmitter.generate_batch(emitters, single_elite_archive, task, rngs)
 
 
 class TestRewards:

@@ -188,12 +188,11 @@ class TestLiveState:
             assert len(live) <= engine.config.slots
         assert created > 2 * len(engine.scheduler.emitters)  # many restarts
 
-    def test_restart_criteria_are_evaluated_once_per_tell_or_activation(self, monkeypatch):
-        """``tell`` checks the criteria and both later checks of that state
-        reuse its reason; a fresh state is checked once, before its first
-        ask."""
+    def test_restart_criteria_are_evaluated_once_per_tell(self, monkeypatch):
+        """``tell`` evaluates the criteria on the updated state and returns
+        the reason; nothing else in a run evaluates them."""
         calls = Counter()
-        for name in ("__init__", "tell", "should_stop", "_stop_reason"):
+        for name in ("tell", "should_stop"):
             original = getattr(CmaesState, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
@@ -203,9 +202,7 @@ class TestLiveState:
             monkeypatch.setattr(CmaesState, name, counted)
         run(small_config(generations=40))
         assert calls["tell"] > 0
-        assert calls["_stop_reason"] == calls["__init__"] + calls["tell"]
-        # the reused reasons served the other calls
-        assert calls["should_stop"] > calls["_stop_reason"]
+        assert calls["should_stop"] == calls["tell"]
 
 
 def test_numerical_fault_restarts_one_emitter_and_the_run_goes_on(monkeypatch):
@@ -219,7 +216,7 @@ def test_numerical_fault_restarts_one_emitter_and_the_run_goes_on(monkeypatch):
         if not poisoned:
             poisoned.append(self)
             self.pending[0][:, 0] = np.nan
-        tell(self, rewards)
+        return tell(self, rewards)
 
     monkeypatch.setattr(CmaesState, "tell", tell_once_with_nan)
     engine = Engine(small_config(generations=30))

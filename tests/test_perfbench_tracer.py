@@ -3,7 +3,10 @@ qdpool classes, methods and module attributes by name, so renaming or
 removing one of them breaks the traced benchmark mode.  This installs the
 tracer, runs a tiny UCB run and a tiny uniform run, and checks that the
 central spans were recorded and that uninstalling puts every original
-back."""
+back.  The restart criteria are evaluated only inside ``tell``, through
+the public ``should_stop``, so every ``cmaes.should_stop`` span must nest
+in a ``cmaes.tell`` span; the per-layer ``cmaes.should_stop.*`` metrics
+measure nothing if ``tell`` reaches them some other way."""
 
 import importlib.util
 from pathlib import Path
@@ -50,5 +53,8 @@ def test_tracer_records_spans_and_uninstall_restores_originals():
     names = {span[0] for span in tracer.spans}
     assert {"engine.step", "cmaes.tell", "emitters.finish_generation"} <= names
     assert tracer.run == 2
+    checks = [span for span in tracer.spans if span[0] == "cmaes.should_stop" and span[4] == 1]
+    assert checks, "the ucb run recorded no cmaes.should_stop span"
+    assert all(tracer.spans[span[3]][0] == "cmaes.tell" for span in checks)
     for (owner, attr), original in originals.items():
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} was not restored"

@@ -91,10 +91,10 @@ class TestBanditStats:
 
     def test_sums_and_scores_match_the_window_list(self):
         """Oracle: the last ``window`` count dicts, kept in a plain list,
-        summed per key, and UCB1 scored with ``math``."""
+        summed per key into Python ints, and UCB1 scored with ``math``."""
         keys = list(range(5))
         rng = np.random.default_rng(0)
-        for window in (1, 2, 7, 50):
+        for window in (1, 2, 7, 50, 300):
             stats = BanditStats(keys, window=window)
             history = []
             for _ in range(3 * window + 20):
@@ -106,7 +106,7 @@ class TestBanditStats:
                 stats.record(counts)
                 history = (history + [counts])[-window:]
                 total = sum(sel for gen in history for sel, _ in gen.values())
-                assert stats.total_selections == total
+                assert stats.total_selections == total and type(stats.total_selections) is int
                 for key in keys:
                     sel = sum(gen.get(key, (0, 0))[0] for gen in history)
                     succ = sum(gen.get(key, (0, 0))[1] for gen in history)
