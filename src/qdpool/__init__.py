@@ -28,6 +28,7 @@ from qdpool.engine import (
     RunResult,
     build_pool,
     run,
+    run_many,
     variant_composition,
 )
 from qdpool.metrics import (
@@ -77,6 +78,7 @@ __all__ = [
     "qd_score",
     "rank_sum_compare",
     "run",
+    "run_many",
     "snapshot",
     "variant_composition",
 ]

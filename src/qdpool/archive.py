@@ -229,6 +229,26 @@ class Archive:
     def __len__(self) -> int:
         return self._size
 
+    _ROWS = ("_genotypes", "_descriptors", "_objects")
+
+    def __getstate__(self) -> dict:
+        """Pickles only the rows in use, so an archive sent to another
+        process costs its occupancy, not its grid size."""
+        state = self.__dict__.copy()
+        for name in self._ROWS:
+            state[name] = state[name][: self._size]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Reserves one row per cell again, as the first insertion did."""
+        self.__dict__.update(state)
+        if self._size:
+            for name in self._ROWS:
+                used = getattr(self, name)
+                rows = np.empty((self.spec.total_cells, *used.shape[1:]), dtype=used.dtype)
+                rows[: self._size] = used
+                setattr(self, name, rows)
+
     def _occupied(self) -> np.ndarray:
         """Occupied cells in ascending order."""
         return np.flatnonzero(self._row >= 0)

@@ -13,6 +13,12 @@ every key mirrored by a command-line flag; flags win over the file, the
 file wins over built-in defaults.  The CLI adds no randomness of its own:
 replication k always runs with seed ``base_seed + k``, so any single run
 can be reproduced in isolation.
+
+``run`` runs its (variant, replication) runs at the same time on
+``min(runs, max(1, usable_cores // threads))`` processes, the calling one
+included (:func:`engine.run_many`); there is no option for it, and
+``taskset`` narrows the usable cores.  The output is the same, byte for
+byte, as that of a serial sweep.
 """
 
 from __future__ import annotations
@@ -225,19 +231,30 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
 
     Layout: ``<out>/<task>/<variant>/rep<k>/{metrics,archive,emitter_mix}
     .csv`` plus per-variant ``aggregate.csv`` and a global
-    ``summary.csv``.  Returns a process exit status.
+    ``summary.csv``.  Returns a process exit status: 1, after an
+    ``error: …`` line, if an output cannot be written.
+
+    The runs go through :func:`engine.run_many`, so up to
+    ``usable cores // threads`` of them run at the same time, this process
+    running its share and forked workers the rest.  Results come back in
+    plan order and only this process writes, so the tree, and the echoed
+    lines apart from their wall times, are those of a serial sweep.  No
+    worker outlives the call, whether it returns or raises.
 
     Raises:
         ConfigError: If any run's configuration is invalid; every run is
-            configured before the first one starts, so nothing is written.
+            configured before the first one starts, so nothing is written
+            and no process is started.
     """
     out_root = Path(cfg.out_dir)
+    plan = _plan(cfg)
+    results = engine.run_many([c for run_configs in plan.values() for c in run_configs])
     summary_rows = []
     try:
-        for variant, run_configs in _plan(cfg).items():
+        for variant, run_configs in plan.items():
             series_by_rep = []
             for rep, run_config in enumerate(run_configs):
-                result = engine.run(run_config)
+                result = next(results)
                 rep_dir = out_root / cfg.task_name / variant / f"rep{rep}"
                 rep_dir.mkdir(parents=True, exist_ok=True)
                 metrics.write_metrics_csv(result.records, rep_dir / "metrics.csv")
@@ -271,6 +288,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     except OSError as exc:
         echo(f"error: cannot write run outputs: {exc}", file=sys.stderr)
         return 1
+    finally:
+        results.close()  # stops the workers on every exit path
     return 0
 
 
@@ -282,7 +301,12 @@ def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, ec
         return 2
     groups: dict[tuple[str, str], list[float]] = {}
     for path in paths:
-        with open(path, newline="") as f:
+        try:
+            f = open(path, newline="")
+        except OSError as exc:
+            echo(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+        with f:
             reader = csv.DictReader(f)
             missing = [c for c in ("task", "variant", metric) if c not in (reader.fieldnames or ())]
             if missing:

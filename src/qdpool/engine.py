@@ -1,6 +1,7 @@
 """Run engine: the generational loop that couples archive, emitters, and
-scheduler, with deterministic RNG management and optional threaded
-evaluation.
+scheduler, with deterministic RNG management, optional threaded
+evaluation, and :func:`run_many`, which runs independent runs at the same
+time in forked processes.
 
 Every compared algorithm variant is expressed as a pool composition of
 this one engine, scheduled by the same UCB1 bandit:
@@ -25,13 +26,16 @@ Determinism contract: a run's outputs depend only on (config, seed).
 The root seed spawns one named substream for initialization and one per
 emitter instance; all random draws happen on the main thread.  Worker
 threads only evaluate pure numpy batches row-wise, so the thread count
-cannot change any result bit.
+cannot change any result bit.  For the same reason a run's outputs do
+not depend on which process ran it.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import time
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -284,3 +288,100 @@ class Engine:
 def run(config: RunConfig) -> RunResult:
     """Runs one configuration to completion."""
     return Engine(config).run()
+
+
+def process_count(runs: int, threads: int) -> int:
+    """Processes :func:`run_many` uses for ``runs`` runs of ``threads``
+    evaluation threads each: one per ``threads`` usable cores, at least one
+    and at most ``runs``.  The usable cores are this process's CPU affinity,
+    which ``taskset`` narrows.  Where the platform has no affinity mask it
+    is 1: Windows has no ``fork``, and on macOS system libraries make
+    ``fork`` unsafe."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(runs, max(1, len(os.sched_getaffinity(0)) // threads))
+
+
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback, chained as the cause of the
+    exception that :func:`run_many` raises again in the caller."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _serve(sender, configs: list[RunConfig]) -> None:
+    """A worker process: runs ``configs`` in order and sends each result,
+    or the exception that ended a run with its traceback, and stops there."""
+    import signal
+    import traceback
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes Ctrl-C and stops the workers
+    for config in configs:
+        try:
+            result = run(config)
+        except Exception as exc:
+            sender.send((exc, traceback.format_exc()))
+            return
+        sender.send((result, None))
+
+
+def run_many(configs: Iterable[RunConfig]) -> Iterator[RunResult]:
+    """Runs every configuration and yields the results in the given order,
+    running up to :func:`process_count` of them at the same time.
+
+    With ``p`` processes, the calling process runs configurations 0, p,
+    2p, ... itself, and forked worker ``w`` (1 <= w < p) runs w, w + p, ...
+    and sends each result back through a pipe.  A full pipe holds its
+    worker back, so finished results do not pile up in memory while the
+    caller is busy.  A result is that of :func:`run` bit for bit, whichever
+    process made it.  An exception raised by a worker's run is raised
+    again here, at that run's place in the order, with the worker's
+    traceback as its cause; a worker that dies raises ``RuntimeError``.
+
+    Workers stop when the iterator is exhausted, raises, or is closed.  A
+    caller that may stop early should close it, for example with
+    ``contextlib.closing``, so that no worker outlives the call.
+    """
+    configs = list(configs)
+    procs = process_count(len(configs), max((c.threads for c in configs), default=1))
+    if procs <= 1:
+        for config in configs:
+            yield run(config)
+        return
+
+    import multiprocessing  # only a parallel call pays for the import
+
+    # spawn and forkserver leave a resource tracker or a server running after
+    # the call.  Forking is safe while no other thread runs, and an Engine
+    # joins its evaluation threads before run() returns.
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for first in range(1, procs):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_serve, args=(sender, configs[first::procs]), daemon=True)
+            worker.start()
+            sender.close()  # the worker holds the only writing end, so its exit reads as EOF
+            workers.append((worker, receiver))
+        for i, config in enumerate(configs):
+            if i % procs == 0:
+                yield run(config)
+                continue
+            worker, receiver = workers[i % procs - 1]
+            try:
+                outcome, trace = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"worker process {worker.pid} exited with status {worker.exitcode} "
+                    f"before sending run {i}"
+                ) from None
+            if trace is not None:
+                raise outcome from _WorkerTraceback(trace)
+            yield outcome
+    finally:
+        for worker, receiver in workers:
+            worker.terminate()
+            worker.join()
+            receiver.close()

@@ -36,7 +36,8 @@ class TaskSpec:
         bd_lower: Descriptor-space lower bounds, shape ``(2,)``.
         bd_upper: Descriptor-space upper bounds.
         grid_resolution: Cells per descriptor axis, shape ``(2,)``.
-        sigma0: Default initial step size for CMA-ES-based emitters.
+        sigma0: Default initial step size for CMA-ES-based emitters;
+            construction checks that it is positive and finite.
         fitness_worst_raw: Raw fitness mapped to normalized 0.
         fitness_best_raw: Raw fitness mapped to normalized 1.
     """
@@ -53,6 +54,8 @@ class TaskSpec:
     fitness_best_raw: float
 
     def __post_init__(self):
+        if not 0 < self.sigma0 < math.inf:
+            raise ValueError("sigma0 must be positive and finite")
         if self.fitness_worst_raw >= self.fitness_best_raw:
             raise ValueError("fitness_worst_raw must be below fitness_best_raw")
 
@@ -83,8 +86,6 @@ def make_task(name: str, dim: int = 100, resolution=100, sigma0: float | None = 
         raise ValueError(f"unknown task {name!r}, expected one of {TASK_NAMES}")
     if dim < 2:
         raise ValueError("tasks need dim >= 2 (descriptors read two components)")
-    if sigma0 is not None and not 0 < sigma0 < math.inf:
-        raise ValueError("sigma0 must be positive and finite")
     resolution = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (2,)).copy()
     if (resolution < 1).any():
         raise ValueError("resolution must be at least 1")

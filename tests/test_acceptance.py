@@ -4,8 +4,8 @@ Each criterion is one test that prints a single ``criterion N: PASS`` line
 with its measured values (shown under ``pytest -rP`` or ``-s``).  Criteria
 5-8 share one desk-scale sweep (two tasks, six variants, five
 replications, 2000 generations at n=20 on a 50x50 grid), built once per
-session; they carry the ``slow`` marker, so ``-m "not slow"`` skips the
-sweep.
+session on every usable core; they carry the ``slow`` marker, so
+``-m "not slow"`` skips the sweep.
 """
 
 import itertools
@@ -40,12 +40,12 @@ def report(line):
 
 @pytest.fixture(scope="session")
 def desk_sweep():
-    """Runs 2 tasks x 6 variants x 5 replications and keeps the results."""
-    results = {}
+    """Runs 2 tasks x 6 variants x 5 replications and keeps the results;
+    the runs share the usable cores through ``engine.run_many``."""
+    configs = []
     for task_name in ("rastrigin_multi", "sphere"):
         task = make_task(task_name, dim=DESK_DIM, resolution=DESK_RESOLUTION)
         for variant in engine.VARIANT_NAMES:
-            runs = []
             for rep in range(DESK_REPS):
                 config = engine.RunConfig(
                     task=task,
@@ -57,9 +57,13 @@ def desk_sweep():
                     seed=DESK_SEED + rep,
                     metrics_every=100,
                 )
-                runs.append(engine.run(config))
-            results[(task_name, variant)] = runs
-    return results
+                configs.append(config)
+    runs = list(engine.run_many(configs))
+    return {
+        (config.task.name, config.variant): runs[i : i + DESK_REPS]
+        for i, config in enumerate(configs)
+        if i % DESK_REPS == 0
+    }
 
 
 def final_qd_median(runs):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import pickle
 import warnings
 
 import numpy as np
@@ -550,3 +551,32 @@ def test_insert_batch_copies_and_keeps_offered_objects(spec):
 def test_insert_batch_rejects_nan_fitness(spec):
     with pytest.raises(ValueError):
         Archive(spec).insert_batch([0], np.zeros((1, 3)), np.zeros((1, 2)), [np.nan], [0.0])
+
+
+def test_pickle_keeps_contents_and_sends_only_the_rows_in_use():
+    """An archive crosses processes by pickle (``engine.run_many``): the copy
+    must hold the same elites and go on competing the same way, and the
+    rows reserved for empty cells must not be sent."""
+    spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([40, 40]))
+    rng = np.random.default_rng(3)
+    archive = Archive(spec)
+    assert len(pickle.loads(pickle.dumps(archive))) == 0
+    archive.add_attempt(make_elite(rng, dim=8))
+
+    def offer(target, seed):
+        batch = np.random.default_rng(seed)
+        genotypes, descriptors = batch.uniform(-1, 1, (30, 8)), batch.uniform(-1, 1, (30, 2))
+        raws = batch.uniform(-5, 5, 30)
+        norms = [saturating_norm(raw) for raw in raws]
+        return target.insert_batch(cell_indices(descriptors, spec), genotypes, descriptors, raws, norms)
+
+    offer(archive, 1)
+    data = pickle.dumps(archive)
+    assert len(data) < archive._genotypes.nbytes  # the reserved rows alone are larger
+    copy = pickle.loads(data)
+    assert_same_contents(copy, archive)
+    copy_status, copy_improvement = offer(copy, 2)
+    status, improvement = offer(archive, 2)
+    assert copy_status.tolist() == status.tolist()
+    assert bits(copy_improvement) == bits(improvement)
+    assert_same_contents(copy, archive)

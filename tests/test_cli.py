@@ -2,8 +2,14 @@
 reproducibility of written artifacts, and parity with the library API."""
 
 import csv
+import errno
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -471,6 +477,16 @@ class TestCompare:
         assert captured.err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "name,code", [("missing.csv", errno.ENOENT), (".", errno.EISDIR)], ids=["missing", "directory"]
+    )
+    def test_unreadable_summary_is_an_error(self, tmp_path, capsys, name, code):
+        path = str(tmp_path / name)
+        assert cli.main(["compare", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot read {path}: {os.strerror(code)}\n"
+        assert captured.out == ""
+
     def test_task_filter_and_missing_rows(self, tmp_path):
         path = self.summary_file(tmp_path, self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0]}))
         lines = []
@@ -514,3 +530,117 @@ class TestThreadsParity:
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], name
+
+
+WALL_TIME = re.compile(r" \(\d+\.\d+s\)$")
+
+
+def set_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+class TestParallelSweep:
+    """`run` runs on min(runs, usable cores // threads) processes; nothing it
+    writes or echoes, apart from wall times, may depend on that count, and
+    no worker may outlive the call."""
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_tree_and_echo_match_a_serial_sweep(self, tmp_path, monkeypatch, cores):
+        outputs = {}
+        for n in (1, cores):
+            set_cores(monkeypatch, n)
+            forks = count_forks(monkeypatch)
+            lines = []
+            cfg = cli.parse_config(small_flags(tmp_path / f"cores{n}", replications=2))
+            assert cli.run_experiment(cfg, echo=collect_echo(lines)) == 0
+            assert len(forks) == n - 1  # 2 variants x 2 reps: one process per core
+            assert multiprocessing.active_children() == []
+            assert all(WALL_TIME.search(line) for line in lines)
+            outputs[n] = tree_bytes(tmp_path / f"cores{n}"), [WALL_TIME.sub("", line) for line in lines]
+        assert outputs[cores] == outputs[1]
+
+    def test_unwritable_output_stops_the_workers(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+        step = engine.Engine.step
+
+        def slow_worker_step(self):
+            if os.getpid() != caller:
+                time.sleep(30)  # a long run: the caller must stop it, not wait for it
+            step(self)
+
+        monkeypatch.setattr(engine.Engine, "step", slow_worker_step)
+        set_cores(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory\n")
+        lines = []
+        cfg = cli.parse_config(small_flags(blocker, replications=2))
+        start = time.perf_counter()
+        assert cli.run_experiment(cfg, echo=collect_echo(lines)) == 1
+        assert time.perf_counter() - start < 15
+        assert lines and lines[-1].startswith("error: cannot write run outputs:")
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_a_worker_propagates_as_in_a_serial_sweep(self, tmp_path, monkeypatch):
+        step = engine.Engine.step
+
+        def failing_step(self):
+            if (self.config.variant, self.config.seed) == ("map-elites", 12):
+                raise ValueError("injected fault")
+            step(self)
+
+        monkeypatch.setattr(engine.Engine, "step", failing_step)
+        trees = {}
+        for cores in (1, 2):
+            set_cores(monkeypatch, cores)
+            cfg = cli.parse_config(small_flags(tmp_path / f"cores{cores}", replications=2))
+            # plan order: ucb seeds 11, 12, then map-elites 11, 12; with two
+            # processes the failing fourth run is the worker's
+            with pytest.raises(ValueError, match="injected fault") as raised:
+                cli.run_experiment(cfg, echo=collect_echo([]))
+            assert multiprocessing.active_children() == []
+            trees[cores] = tree_bytes(tmp_path / f"cores{cores}")
+        assert "failing_step" in str(raised.value.__cause__)  # the worker's traceback
+        assert trees[2] == trees[1]
+        assert "rastrigin_multi/map-elites/rep0/archive.csv" in trees[1]
+        assert "rastrigin_multi/map-elites/rep1/archive.csv" not in trees[1]
+
+    def test_a_worker_that_dies_is_an_error(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+        step = engine.Engine.step
+
+        def dying_step(self):
+            if os.getpid() != caller:
+                os._exit(3)
+            step(self)
+
+        monkeypatch.setattr(engine.Engine, "step", dying_step)
+        set_cores(monkeypatch, 2)
+        cfg = cli.parse_config(small_flags(tmp_path / "out", replications=2))
+        with pytest.raises(RuntimeError, match="exited with status 3 before sending run 1"):
+            cli.run_experiment(cfg, echo=collect_echo([]))
+        assert multiprocessing.active_children() == []
+
+    def test_config_error_starts_no_process(self, tmp_path, monkeypatch):
+        set_cores(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        flags = small_flags(tmp_path / "out", batch=1, threads=1)
+        with pytest.raises(cli.ConfigError, match="batch"):
+            cli.run_experiment(cli.ExperimentConfig(**flags), echo=collect_echo([]))
+        assert forks == []
+        assert not (tmp_path / "out").exists()
+
+    def test_importing_the_cli_loads_no_process_machinery(self):
+        code = "import sys, qdpool.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 bookkeeping invariants, determinism, and equivalence of the map-elites
 variant with an independent vanilla MAP-Elites implementation."""
 
+import multiprocessing
+import os
 import weakref
 from collections import Counter
 
@@ -11,7 +13,15 @@ import pytest
 from qdpool.archive import Archive
 from qdpool.cmaes import CmaesState
 from qdpool.emitters import EmitterKind
-from qdpool.engine import Engine, RunConfig, build_pool, run, variant_composition
+from qdpool.engine import (
+    Engine,
+    RunConfig,
+    build_pool,
+    process_count,
+    run,
+    run_many,
+    variant_composition,
+)
 from qdpool.tasks import clip_genotype, evaluate_batch, make_task
 
 
@@ -280,6 +290,49 @@ class TestDeterminism:
         a = run(small_config(generations=15))
         b = run(small_config(generations=15, seed=100))
         assert a.records != b.records
+
+
+class TestRunMany:
+    @pytest.mark.parametrize(
+        "cores,runs,threads,expected",
+        [
+            (8, 1, 1, 1),  # one run
+            (2, 6, 3, 1),  # more threads than cores
+            (2, 6, 2, 1),
+            (8, 3, 1, 3),  # more cores than runs
+            (8, 12, 2, 4),
+            (2, 12, 1, 2),
+            (1, 5, 1, 1),
+        ],
+    )
+    def test_process_count_is_cores_over_threads_capped_by_runs(
+        self, monkeypatch, cores, runs, threads, expected
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert process_count(runs, threads) == expected
+
+    def test_without_an_affinity_mask_runs_stay_serial(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert process_count(4, 1) == 1
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_results_come_back_in_order_and_equal_serial_runs(self, monkeypatch, tmp_path, cores):
+        configs = [
+            small_config(variant=variant, seed=seed)
+            for variant in ("me-map-elites-ucb", "cma-me-dir", "map-elites")
+            for seed in (5, 6)
+        ]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        for i, (config, result) in enumerate(zip(configs, run_many(configs), strict=True)):
+            serial = run(config)
+            assert (result.config.variant, result.config.seed) == (config.variant, config.seed)
+            assert result.records == serial.records
+            assert result.kind_series == serial.kind_series
+            assert result.evaluations == serial.evaluations
+            result.archive.write_csv(tmp_path / f"{i}.csv")
+            serial.archive.write_csv(tmp_path / f"{i}_serial.csv")
+            assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}_serial.csv").read_bytes()
+        assert multiprocessing.active_children() == []
 
 
 def reference_map_elites(task, seed, generations, slots, batch, init_samples, sigma_iso, sigma_line):

@@ -1,5 +1,6 @@
 """Benchmark task tests: hand-worked values, oracles, and invariants."""
 
+import dataclasses
 import math
 import warnings
 
@@ -81,6 +82,12 @@ class TestTaskConstruction:
     def test_invalid_arguments_name_the_argument(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             make_task("sphere", **kwargs)
+
+    @pytest.mark.parametrize("sigma0", [math.nan, math.inf, 0.0, -1.0])
+    def test_task_built_without_make_task_checks_sigma0(self, sigma0):
+        task = make_task("sphere", dim=4, resolution=5)
+        with pytest.raises(ValueError, match="sigma0"):
+            dataclasses.replace(task, sigma0=sigma0)
 
 
 def test_clip_genotype():
