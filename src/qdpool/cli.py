@@ -232,7 +232,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     Layout: ``<out>/<task>/<variant>/rep<k>/{metrics,archive,emitter_mix}
     .csv`` plus per-variant ``aggregate.csv`` and a global
     ``summary.csv``.  Returns a process exit status: 1, after an
-    ``error: …`` line, if an output cannot be written.
+    ``error: …`` line, if the worker processes cannot be started or an
+    output cannot be written.
 
     The runs go through :func:`engine.run_many`, so up to
     ``usable cores // threads`` of them run at the same time, this process
@@ -248,7 +249,11 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     """
     out_root = Path(cfg.out_dir)
     plan = _plan(cfg)
-    results = engine.run_many([c for run_configs in plan.values() for c in run_configs])
+    try:
+        results = engine.run_many([c for run_configs in plan.values() for c in run_configs])
+    except OSError as exc:
+        echo(f"error: cannot start worker processes: {exc}", file=sys.stderr)
+        return 1
     summary_rows = []
     try:
         for variant, run_configs in plan.items():

@@ -312,7 +312,10 @@ class _WorkerTraceback(Exception):
 
 def _serve(sender, configs: list[RunConfig]) -> None:
     """A worker process: runs ``configs`` in order and sends each result,
-    or the exception that ended a run with its traceback, and stops there."""
+    or the exception that ended a run with its traceback, and stops there.
+    An exception that does not survive pickling is sent as a
+    ``RuntimeError`` that names its type and message."""
+    import pickle
     import signal
     import traceback
 
@@ -321,14 +324,20 @@ def _serve(sender, configs: list[RunConfig]) -> None:
         try:
             result = run(config)
         except Exception as exc:
-            sender.send((exc, traceback.format_exc()))
+            trace = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            sender.send((exc, trace))
             return
         sender.send((result, None))
 
 
 def run_many(configs: Iterable[RunConfig]) -> Iterator[RunResult]:
-    """Runs every configuration and yields the results in the given order,
-    running up to :func:`process_count` of them at the same time.
+    """Runs every configuration and returns an iterator over the results
+    in the given order, running up to :func:`process_count` of them at the
+    same time.
 
     With ``p`` processes, the calling process runs configurations 0, p,
     2p, ... itself, and forked worker ``w`` (1 <= w < p) runs w, w + p, ...
@@ -339,31 +348,42 @@ def run_many(configs: Iterable[RunConfig]) -> Iterator[RunResult]:
     again here, at that run's place in the order, with the worker's
     traceback as its cause; a worker that dies raises ``RuntimeError``.
 
-    Workers stop when the iterator is exhausted, raises, or is closed.  A
-    caller that may stop early should close it, for example with
-    ``contextlib.closing``, so that no worker outlives the call.
+    The workers are started before this returns, so an ``OSError`` from
+    starting them (no process or pipe to spare) is raised here, with no
+    worker left.  They stop when the iterator is exhausted, raises, or is
+    closed.  A caller that may stop early should close it, for example
+    with ``contextlib.closing``, so that no worker outlives the call.
     """
-    configs = list(configs)
+    results = _run_many(list(configs))
+    next(results)  # starts the workers; from here on, closing the iterator stops them
+    return results
+
+
+def _run_many(configs: list[RunConfig]) -> Iterator[RunResult | None]:
+    """:func:`run_many`'s generator: yields ``None`` once its workers are
+    running, then the results."""
     procs = process_count(len(configs), max((c.threads for c in configs), default=1))
-    if procs <= 1:
-        for config in configs:
-            yield run(config)
-        return
-
-    import multiprocessing  # only a parallel call pays for the import
-
-    # spawn and forkserver leave a resource tracker or a server running after
-    # the call.  Forking is safe while no other thread runs, and an Engine
-    # joins its evaluation threads before run() returns.
-    context = multiprocessing.get_context("fork")
     workers = []
     try:
-        for first in range(1, procs):
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_serve, args=(sender, configs[first::procs]), daemon=True)
-            worker.start()
-            sender.close()  # the worker holds the only writing end, so its exit reads as EOF
-            workers.append((worker, receiver))
+        if procs > 1:
+            import multiprocessing  # only a parallel call pays for the import
+
+            # fork, because spawn and forkserver leave a resource tracker or a
+            # server running after the call.  Forking is safe while no other
+            # thread runs: an Engine joins its evaluation threads before run()
+            # returns, and OpenBLAS (the pthreads build in numpy's wheels)
+            # stops its threads in a fork handler and starts them again at
+            # its next call.
+            context = multiprocessing.get_context("fork")
+            for first in range(1, procs):
+                receiver, sender = context.Pipe(duplex=False)
+                with sender:  # closed here, the worker holds the only writing end, so its exit reads as EOF
+                    worker = context.Process(
+                        target=_serve, args=(sender, configs[first::procs]), daemon=True
+                    )
+                    worker.start()
+                workers.append((worker, receiver))
+        yield None
         for i, config in enumerate(configs):
             if i % procs == 0:
                 yield run(config)

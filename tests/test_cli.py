@@ -629,6 +629,27 @@ class TestParallelSweep:
             cli.run_experiment(cfg, echo=collect_echo([]))
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_cannot_start_is_an_error(self, tmp_path, monkeypatch):
+        set_cores(monkeypatch, 3)
+        forks = []
+        fork = os.fork
+
+        def fork_once():
+            forks.append(None)
+            if len(forks) > 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        lines = []
+        cfg = cli.parse_config(small_flags(tmp_path / "out", replications=2))
+        assert cli.run_experiment(cfg, echo=collect_echo(lines)) == 1
+        reason = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+        assert lines == [f"error: cannot start worker processes: {reason}"]
+        assert len(forks) == 2  # the first worker started and was stopped
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_starts_no_process(self, tmp_path, monkeypatch):
         set_cores(monkeypatch, 4)
         forks = count_forks(monkeypatch)

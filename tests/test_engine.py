@@ -335,6 +335,67 @@ class TestRunMany:
         assert multiprocessing.active_children() == []
 
 
+class TwoArgError(Exception):
+    """Pickles, but its pickle cannot be loaded: ``__init__`` wants two
+    arguments and the pickle holds one."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class TestRunManyFaults:
+    def test_exception_that_cannot_be_pickled_keeps_its_type_message_and_traceback(
+        self, monkeypatch
+    ):
+        class LocalError(Exception):
+            pass  # defined in a function, so pickle cannot find the class
+
+        self.check_worker_fault(monkeypatch, LocalError("lost"), "LocalError: lost")
+
+    def test_exception_whose_pickle_cannot_be_loaded_keeps_its_type_and_message(self, monkeypatch):
+        self.check_worker_fault(monkeypatch, TwoArgError("lost", "step"), "TwoArgError: lost at step")
+
+    @staticmethod
+    def check_worker_fault(monkeypatch, exc, message):
+        caller = os.getpid()
+        step = Engine.step
+
+        def failing_step(self):
+            if os.getpid() != caller:
+                raise exc
+            step(self)
+
+        monkeypatch.setattr(Engine, "step", failing_step)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        results = run_many([small_config(seed=5), small_config(seed=6)])
+        assert next(results).config.seed == 5
+        with pytest.raises(RuntimeError, match=f"^{message}$") as raised:
+            next(results)
+        assert "failing_step" in str(raised.value.__cause__)  # the worker's traceback
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_workers_are_forked_from_a_single_threaded_process(self, monkeypatch):
+        # After a BLAS call OpenBLAS has threads of its own, and a threaded run
+        # has had evaluation threads; none of them may run at a fork.
+        np.linalg.eigh(np.eye(300) + np.ones((300, 300)))
+        run(small_config(threads=2))
+        threads_at_fork = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                threads_at_fork.append(len(os.listdir("/proc/self/task")))
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        results = list(run_many([small_config(seed=seed) for seed in (5, 6, 7)]))
+        assert [r.config.seed for r in results] == [5, 6, 7]
+        assert threads_at_fork == [1, 1]
+
+
 def reference_map_elites(task, seed, generations, slots, batch, init_samples, sigma_iso, sigma_line):
     """Independent vanilla MAP-Elites: plain dict archive, ascending-cell
     uniform parent selection, the directional-variation operator, and the
