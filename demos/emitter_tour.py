@@ -34,7 +34,7 @@ print(f"seeded archive with {len(archive)} elites\n")
 for kind, cls in EMITTER_CLASSES.items():
     emitter = cls(emitter_id=0, batch_size=8)
     emitter.activate(archive, task, rng)
-    genotypes = emitter.generate_samples(archive, task, rng)
+    genotypes = emitter.generate_batch([emitter], archive, task, [rng])
     raw, norm, bd = evaluate_batch(genotypes, task)
 
     # insert the whole batch exactly like the engine does

@@ -202,7 +202,11 @@ class Archive:
       unused row and a replacement overwrites its cell's row in place, so
       the rows in use are always a prefix.  Pages the archive has not
       written are not resident: resident memory follows occupancy, while
-      the reserved address space follows grid size;
+      the reserved address space follows grid size.  Rows indexed by cell
+      would need no ``_row``, but their writes scatter over the whole
+      block: numpy advises huge pages for arrays of 4 MiB or more, so
+      under transparent huge pages a sparse grid would make every 2 MiB
+      page resident;
     * ``_objects``, per row: the :class:`Elite` a caller passed in through
       :meth:`add_attempt` or :meth:`read_csv`, or ``None``
       where :meth:`insert_batch` wrote the row.

@@ -231,9 +231,11 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
 
     Layout: ``<out>/<task>/<variant>/rep<k>/{metrics,archive,emitter_mix}
     .csv`` plus per-variant ``aggregate.csv`` and a global
-    ``summary.csv``.  Returns a process exit status: 1, after an
-    ``error: …`` line, if the worker processes cannot be started or an
-    output cannot be written.
+    ``summary.csv``.  ``--out`` is created before the first run, and
+    ``summary.csv`` gets each run's row as soon as that run's files are
+    written, so a sweep that dies keeps the rows of its finished runs.
+    Returns a process exit status: 1, after an ``error: …`` line, if the
+    worker processes cannot be started or an output cannot be written.
 
     The runs go through :func:`engine.run_many`, so up to
     ``usable cores // threads`` of them run at the same time, this process
@@ -254,8 +256,10 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     except OSError as exc:
         echo(f"error: cannot start worker processes: {exc}", file=sys.stderr)
         return 1
-    summary_rows = []
-    try:
+
+    def summary_rows():
+        """Runs, writes and echoes each run in plan order, yielding its
+        summary row once its files are written."""
         for variant, run_configs in plan.items():
             series_by_rep = []
             for rep, run_config in enumerate(run_configs):
@@ -267,29 +271,31 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
                 metrics.write_emitter_mix_csv(result.kind_series, rep_dir / "emitter_mix.csv")
                 series_by_rep.append(result.records)
                 final = result.final_record
-                summary_rows.append(
-                    [
-                        cfg.task_name,
-                        variant,
-                        rep,
-                        run_config.seed,
-                        final.generation,
-                        final.evaluations,
-                        final.archive_size,
-                        float(final.best_fitness_norm),
-                        float(final.qd_score),
-                    ]
-                )
                 echo(
                     f"{cfg.task_name}/{variant}/rep{rep}: size={final.archive_size} "
                     f"best={final.best_fitness_norm:.4f} qd={final.qd_score:.2f} "
                     f"({result.wall_time:.1f}s)"
                 )
+                yield [
+                    cfg.task_name,
+                    variant,
+                    rep,
+                    run_config.seed,
+                    final.generation,
+                    final.evaluations,
+                    final.archive_size,
+                    float(final.best_fitness_norm),
+                    float(final.qd_score),
+                ]
             metrics.write_aggregate_csv(
                 series_by_rep, out_root / cfg.task_name / variant / "aggregate.csv"
             )
+
+    try:
         out_root.mkdir(parents=True, exist_ok=True)
-        metrics._write_csv(out_root / "summary.csv", SUMMARY_HEADER, summary_rows)
+        # the writer's `with` block flushes every finished row, also when a
+        # later run raises
+        metrics._write_csv(out_root / "summary.csv", SUMMARY_HEADER, summary_rows())
     except OSError as exc:
         echo(f"error: cannot write run outputs: {exc}", file=sys.stderr)
         return 1
@@ -307,28 +313,28 @@ def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, ec
     groups: dict[tuple[str, str], list[float]] = {}
     for path in paths:
         try:
-            f = open(path, newline="")
-        except OSError as exc:
-            echo(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+            with open(path, newline="") as f:
+                reader = csv.DictReader(f)
+                columns, rows = reader.fieldnames or (), list(reader)
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:  # not a readable CSV text file
+            echo(f"error: cannot read {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             return 2
-        with f:
-            reader = csv.DictReader(f)
-            missing = [c for c in ("task", "variant", metric) if c not in (reader.fieldnames or ())]
-            if missing:
-                echo(f"error: {path} has no column {missing[0]!r}", file=sys.stderr)
+        missing = [c for c in ("task", "variant", metric) if c not in columns]
+        if missing:
+            echo(f"error: {path} has no column {missing[0]!r}", file=sys.stderr)
+            return 2
+        for row in rows:
+            if task_filter is not None and row["task"] != task_filter:
+                continue
+            try:
+                value = float(row[metric])
+            except (TypeError, ValueError):
+                echo(f"error: {path}: {metric} {row[metric]!r} is not a number", file=sys.stderr)
                 return 2
-            for row in reader:
-                if task_filter is not None and row["task"] != task_filter:
-                    continue
-                try:
-                    value = float(row[metric])
-                except (TypeError, ValueError):
-                    echo(f"error: {path}: {metric} {row[metric]!r} is not a number", file=sys.stderr)
-                    return 2
-                if not math.isfinite(value):
-                    echo(f"error: {path}: {metric} {row[metric]!r} is not finite", file=sys.stderr)
-                    return 2
-                groups.setdefault((row["task"], row["variant"]), []).append(value)
+            if not math.isfinite(value):
+                echo(f"error: {path}: {metric} {row[metric]!r} is not finite", file=sys.stderr)
+                return 2
+            groups.setdefault((row["task"], row["variant"]), []).append(value)
     if not groups:
         echo("error: no matching rows in summary files", file=sys.stderr)
         return 2

@@ -10,11 +10,12 @@ archive improvement); the fourth applies the directional-variation line
 operator, with the fixed gains :data:`SIGMA_ISO` and :data:`SIGMA_LINE`,
 between random elites and carries no internal state at all.
 
-Generation is batched per family: :meth:`Emitter.generate_batch` produces
-the batches of several emitters of one family (the three CMA-ES kinds, or
-the line operator) in one vectorized pass, with every emitter drawing
-from its own generator in the order given.  :meth:`Emitter.generate_samples`
-is its batch of one.
+Generation is batched per family, and :meth:`Emitter.generate_batch` is
+the only way to generate: it produces the batches of several emitters of
+one family (the three CMA-ES kinds, or the line operator) in one
+vectorized pass, with every emitter drawing from its own generator in
+the order given.  One emitter's batch is
+``emitter.generate_batch([emitter], archive, task, [rng])``.
 
 Emitters only ever read the archive; insertion is the engine's job.
 """
@@ -91,12 +92,6 @@ class Emitter:
         of one batch size, stacked row-wise in the order given; emitter
         ``i`` draws from ``rngs[i]`` only."""
         raise NotImplementedError
-
-    def generate_samples(
-        self, archive: Archive, task: TaskSpec, rng: np.random.Generator
-    ) -> np.ndarray:
-        """This emitter's batch of ``batch_size`` in-bounds genotypes."""
-        return self.generate_batch([self], archive, task, [rng])
 
     def finish_generation(
         self,

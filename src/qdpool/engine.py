@@ -3,24 +3,17 @@ scheduler, with deterministic RNG management, optional threaded
 evaluation, and :func:`run_many`, which runs independent runs at the same
 time in forked processes.
 
-Every compared algorithm variant is expressed as a pool composition of
-this one engine, scheduled by the same UCB1 bandit:
-
-=====================  =================================  ==========
-variant                pool composition                   scheduler
-=====================  =================================  ==========
-me-map-elites-ucb      ``slots`` instances of each kind   UCB1
-me-map-elites-uniform  ``slots/4`` instances of each      UCB1
-cma-me-opt             ``slots`` optimising               UCB1
-cma-me-dir             ``slots`` random-direction         UCB1
-cma-me-imp             ``slots`` improvement              UCB1
-map-elites             ``slots`` random                   UCB1
-=====================  =================================  ==========
-
-(Every pool but the first holds exactly ``slots`` emitters, so the
-bandit's choices are forced: each generation it re-activates every idle
-emitter, which is plain round-robin reactivation.  Each emitter draws
-from its own random stream, so the order of activation cannot matter.)
+Every compared algorithm variant is a pool composition of this one
+engine, scheduled by the same UCB1 bandit.  One table, ``_VARIANTS``,
+gives each variant its emitter kinds and how many kinds share the
+``slots``: ``me-map-elites-ucb`` holds ``slots`` emitters of each of the
+four kinds, ``me-map-elites-uniform`` ``slots/4`` of each, and
+``cma-me-opt``, ``cma-me-dir``, ``cma-me-imp`` and ``map-elites``
+``slots`` of their one kind.  Every pool but the first holds exactly
+``slots`` emitters, so the bandit's choices are forced: each generation
+it re-activates every idle emitter, which is plain round-robin
+reactivation.  Each emitter draws from its own random stream, so the
+order of activation cannot matter.
 
 Determinism contract: a run's outputs depend only on (config, seed).
 The root seed spawns one named substream for initialization and one per
@@ -47,34 +40,26 @@ from qdpool.metrics import GenerationRecord, snapshot
 from qdpool.scheduler import GRANULARITIES, UcbScheduler
 from qdpool.tasks import TaskSpec, evaluate_batch
 
-VARIANT_NAMES = (
-    "me-map-elites-ucb",
-    "me-map-elites-uniform",
-    "cma-me-opt",
-    "cma-me-dir",
-    "cma-me-imp",
-    "map-elites",
-)
-
-_SINGLE_KIND_VARIANTS = {
-    "cma-me-opt": EmitterKind.OPTIMISING,
-    "cma-me-dir": EmitterKind.RANDOM_DIRECTION,
-    "cma-me-imp": EmitterKind.IMPROVEMENT,
-    "map-elites": EmitterKind.RANDOM,
+# variant -> (its emitter kinds, how many kinds share the slots)
+_VARIANTS = {
+    "me-map-elites-ucb": (tuple(EmitterKind), 1),
+    "me-map-elites-uniform": (tuple(EmitterKind), len(EmitterKind)),
+    "cma-me-opt": ((EmitterKind.OPTIMISING,), 1),
+    "cma-me-dir": ((EmitterKind.RANDOM_DIRECTION,), 1),
+    "cma-me-imp": ((EmitterKind.IMPROVEMENT,), 1),
+    "map-elites": ((EmitterKind.RANDOM,), 1),
 }
+VARIANT_NAMES = tuple(_VARIANTS)
 
 
 def variant_composition(variant: str, slots: int) -> dict[EmitterKind, int]:
     """Pool composition (kind -> instance count) for a named variant."""
-    if variant == "me-map-elites-ucb":
-        return {kind: slots for kind in EmitterKind}
-    if variant == "me-map-elites-uniform":
-        if slots % len(EmitterKind) != 0:
-            raise ValueError("uniform variant needs slots divisible by the four kinds")
-        return {kind: slots // len(EmitterKind) for kind in EmitterKind}
-    if variant in _SINGLE_KIND_VARIANTS:
-        return {_SINGLE_KIND_VARIANTS[variant]: slots}
-    raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANT_NAMES}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANT_NAMES}")
+    kinds, sharing = _VARIANTS[variant]
+    if slots % sharing != 0:
+        raise ValueError(f"{variant} needs slots divisible by {sharing}, got {slots}")
+    return {kind: slots // sharing for kind in kinds}
 
 
 def build_pool(composition: dict[EmitterKind, int], batch_size: int) -> list[Emitter]:
@@ -153,18 +138,20 @@ def _substream(seed: int, spawn_key: tuple) -> np.random.Generator:
 class Engine:
     """Stepwise driver of one run; :func:`run` is the one-call wrapper.
 
-    The per-generation cycle is strictly ordered: terminated emitters
-    return to the pool, freed slots are refilled by the scheduler, new
-    emitters are activated, the active emitters generate their batches
-    against the frozen archive with one :meth:`Emitter.generate_batch`
-    call per family (active emitters are in ascending id order and
-    :func:`build_pool` numbers kinds in canonical order, so each family is
-    one contiguous run and the rows stay in (slot, sample) order), all
-    samples are evaluated (the only parallel region), the whole generation
-    is inserted by one :meth:`Archive.insert_batch` whose outcome equals
-    sequential insertion in (slot, sample) order, each emitter absorbs its
-    slice of the outcome in one :meth:`Emitter.finish_generation` call and
-    reports termination, and finally the bandit statistics are recorded.
+    The per-generation cycle is strictly ordered: the scheduler fills
+    the free slots, new emitters are activated, the active emitters
+    generate their batches against the frozen archive with one
+    :meth:`Emitter.generate_batch` call per family (active emitters are in
+    ascending id order and :func:`build_pool` numbers kinds in canonical
+    order, so each family is one contiguous run and the rows stay in
+    (slot, sample) order), the whole generation is evaluated (the only
+    parallel region), binned and inserted by one
+    :meth:`Archive.insert_batch` whose outcome equals sequential insertion
+    in (slot, sample) order, each emitter absorbs its slice of the
+    outcome in one :meth:`Emitter.finish_generation` call and returns to
+    the pool at once if that reports exhaustion, and finally the bandit
+    statistics are recorded.  :meth:`initialize` and :meth:`step` insert
+    through the same :meth:`_insert`.
     """
 
     def __init__(self, config: RunConfig):
@@ -179,7 +166,6 @@ class Engine:
             pool, config.slots, config.zeta, config.window, config.stats_granularity
         )
         self._rngs = {e.id: _substream(config.seed, (1, e.id)) for e in pool}
-        self._terminated: list[Emitter] = []
         self._executor: ThreadPoolExecutor | None = None
         self.generation = 0
         self.evaluations = 0
@@ -202,26 +188,28 @@ class Engine:
             np.vstack([p[2] for p in parts]),
         )
 
+    def _insert(self, genotypes: np.ndarray):
+        """Evaluates, bins and inserts a batch and counts its evaluations;
+        returns its descriptors, normalized fitnesses, and the status codes
+        and improvements of :meth:`Archive.insert_batch`."""
+        raw, norm, descriptors = self._evaluate(genotypes)
+        cells = cell_indices(descriptors, self.archive.spec)
+        status, improvement = self.archive.insert_batch(cells, genotypes, descriptors, raw, norm)
+        self.evaluations += len(genotypes)
+        return descriptors, norm, status, improvement
+
     def initialize(self) -> None:
         """Fills the archive with uniformly sampled genotypes and records
         the generation-0 snapshot."""
         rng = _substream(self.config.seed, (0,))
-        genotypes = rng.uniform(
-            self.task.lower, self.task.upper, (self.config.init_samples, self.task.dim)
+        self._insert(
+            rng.uniform(self.task.lower, self.task.upper, (self.config.init_samples, self.task.dim))
         )
-        raw, norm, descriptors = self._evaluate(genotypes)
-        cells = cell_indices(descriptors, self.archive.spec)
-        self.archive.insert_batch(cells, genotypes, descriptors, raw, norm)
-        self.evaluations = len(genotypes)
         self.records.append(snapshot(self.archive, 0, self.evaluations, (0, 0, 0, 0)))
 
     def step(self) -> None:
         """Advances the run by one generation."""
         cfg = self.config
-        for emitter in self._terminated:
-            self.scheduler.deactivate(emitter)
-        self._terminated = []
-
         for emitter in self.scheduler.select():
             emitter.activate(self.archive, self.task, self._rngs[emitter.id])
 
@@ -238,9 +226,7 @@ class Engine:
             rngs = [self._rngs[e.id] for e in group]
             families.append(generate_batch(group, self.archive, self.task, rngs))
         genotypes = families[0] if len(families) == 1 else np.concatenate(families)
-        raw, norm, descriptors = self._evaluate(genotypes)
-        cells = cell_indices(descriptors, self.archive.spec)
-        status, improvement = self.archive.insert_batch(cells, genotypes, descriptors, raw, norm)
+        descriptors, norm, status, improvement = self._insert(genotypes)
         batch = cfg.batch_per_emitter
         adds = (status != AddStatus.REJECTED).reshape(len(active), batch).sum(1).tolist()
 
@@ -250,12 +236,11 @@ class Engine:
             if emitter.finish_generation(
                 descriptors[rows], norm[rows], status[rows], improvement[rows]
             ):
-                self._terminated.append(emitter)
+                self.scheduler.deactivate(emitter)
             stats_counts[emitter.id] = (batch, n_added)
         self.scheduler.record_generation(stats_counts)
 
         self.generation += 1
-        self.evaluations += len(genotypes)
         self.kind_series.append(kind_counts)
         if self.generation % cfg.metrics_every == 0 or self.generation == cfg.generations:
             self.records.append(

@@ -1,11 +1,12 @@
 """Emitter-pool scheduling: a multi-play UCB1 bandit over a sliding
 window, built on the uniform round-robin policy's pool bookkeeping.
 
-Each generation the engine frees the slots of terminated emitters and
-calls ``select()``, which fills every free slot.  The UCB policy scores
-every idle pool emitter by windowed success ratio plus an exploration
-bonus and picks the top scorers; arms with no selections inside the
-window score +infinity, so every instance is eventually retried.
+The engine frees an emitter's slot in the generation that exhausts it
+and, at the start of the next, calls ``select()``, which fills every free
+slot.  The UCB policy scores every idle pool emitter by windowed success
+ratio plus an exploration bonus and picks the top scorers; arms with no
+selections inside the window score +infinity, so every instance is
+eventually retried.
 Statistics are tracked per emitter instance by default, with an optional
 per-kind sharing mode.  The engine schedules every variant with
 :class:`UcbScheduler`.

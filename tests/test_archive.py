@@ -395,15 +395,21 @@ def test_read_csv_rejects_an_invalid_fitness(tmp_path, spec, field, value, match
 
 
 class RowWatch(Archive):
-    """An archive that records its row buffers after every claim of rows."""
+    """An archive that records its row buffers, and whether the rows in
+    use are exactly ``0..len-1``, after every claim of rows."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self.seen = []
+        self.prefix = []
+
+    def rows_in_use_are_a_prefix(self):
+        return np.array_equal(np.sort(self._row[self._row >= 0]), np.arange(len(self)))
 
     def _claim_rows(self, cells, genotype_dim):
         rows = super()._claim_rows(cells, genotype_dim)
         self.seen.append((self._genotypes, self._descriptors, self._objects))
+        self.prefix.append(self.rows_in_use_are_a_prefix())
         return rows
 
 
@@ -416,7 +422,9 @@ def cell_centres(spec):
 @pytest.mark.parametrize("path", ["insert_batch", "add_attempt", "read_csv"])
 def test_row_buffers_never_move_until_the_grid_is_full(tmp_path, path):
     """The first insertion reserves one row per cell; filling every cell,
-    on any insertion path, keeps the same buffers."""
+    on any insertion path, keeps the same buffers, and the rows in use
+    stay the prefix ``0..len-1`` (see the ``Archive`` docstring for why
+    rows are not indexed by cell)."""
     spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([8, 8]))
     rng = np.random.default_rng(8)
     centres = cell_centres(spec)[rng.permutation(spec.total_cells)]
@@ -441,6 +449,7 @@ def test_row_buffers_never_move_until_the_grid_is_full(tmp_path, path):
     assert len(first[0]) == len(first[1]) == len(first[2]) == spec.total_cells
     for buffers in archive.seen:
         assert all(a is b for a, b in zip(buffers, first))
+    assert all(archive.prefix) and archive.rows_in_use_are_a_prefix()
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,18 @@ class TestRunExperiment:
         assert cli.run_experiment(cfg, echo=collect_echo(lines)) == 1
         assert any("error" in line for line in lines)
 
+    def test_unwritable_run_directory_returns_error(self, tmp_path):
+        """A run whose files cannot be written ends the sweep with status 1,
+        and summary.csv, opened before the first run, keeps its header."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "rastrigin_multi").write_text("a file, not a directory\n")
+        cfg = cli.parse_config(small_flags(out, replications=1, variants=["map-elites"]))
+        lines = []
+        assert cli.run_experiment(cfg, echo=collect_echo(lines)) == 1
+        assert lines[-1].startswith("error: cannot write run outputs:")
+        assert (out / "summary.csv").read_text() == ",".join(cli.SUMMARY_HEADER) + "\n"
+
 
 class TestMainEntry:
     def test_run_via_argv(self, tmp_path):
@@ -477,14 +489,34 @@ class TestCompare:
         assert captured.err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
         assert captured.out == ""
 
+    HEADER = ",".join(cli.SUMMARY_HEADER).encode() + b"\n"
+
     @pytest.mark.parametrize(
-        "name,code", [("missing.csv", errno.ENOENT), (".", errno.EISDIR)], ids=["missing", "directory"]
+        "name,content,reason",
+        [
+            ("missing.csv", None, os.strerror(errno.ENOENT)),
+            (".", None, os.strerror(errno.EISDIR)),
+            (
+                "not_text.csv",
+                HEADER + b"\x7fELF\x02\x01\x01\x00\xd0\x10\n",
+                f"'utf-8' codec can't decode byte 0xd0 in position {len(HEADER) + 8}: "
+                "invalid continuation byte",
+            ),
+            (
+                "huge_field.csv",
+                HEADER + b"x" * 200_000 + b",a,0,1,10,100,5,0.5,1.0\n",
+                "field larger than field limit (131072)",
+            ),
+        ],
+        ids=["missing", "directory", "not_utf8", "field_too_large"],
     )
-    def test_unreadable_summary_is_an_error(self, tmp_path, capsys, name, code):
+    def test_unreadable_summary_is_an_error(self, tmp_path, capsys, name, content, reason):
         path = str(tmp_path / name)
+        if content is not None:
+            Path(path).write_bytes(content)
         assert cli.main(["compare", path]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: cannot read {path}: {os.strerror(code)}\n"
+        assert captured.err == f"error: cannot read {path}: {reason}\n"
         assert captured.out == ""
 
     def test_task_filter_and_missing_rows(self, tmp_path):
@@ -612,6 +644,14 @@ class TestParallelSweep:
         assert trees[2] == trees[1]
         assert "rastrigin_multi/map-elites/rep0/archive.csv" in trees[1]
         assert "rastrigin_multi/map-elites/rep1/archive.csv" not in trees[1]
+        # summary.csv keeps the header and the rows of the three finished runs
+        rows = list(csv.reader(trees[1]["summary.csv"].decode().splitlines()))
+        assert rows[0] == list(cli.SUMMARY_HEADER)
+        assert [row[1:4] for row in rows[1:]] == [
+            ["me-map-elites-ucb", "0", "11"],
+            ["me-map-elites-ucb", "1", "12"],
+            ["map-elites", "0", "11"],
+        ]
 
     def test_a_worker_that_dies_is_an_error(self, tmp_path, monkeypatch):
         caller = os.getpid()

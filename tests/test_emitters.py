@@ -77,7 +77,7 @@ class TestActivate:
         emitter = ImprovementEmitter(0, batch_size=8)
         rng = np.random.default_rng(1)
         emitter.activate(single_elite_archive, task, rng)
-        emitter.generate_samples(single_elite_archive, task, rng)
+        emitter.generate_batch([emitter], single_elite_archive, task, [rng])
         emitter.finish_generation(*outcome(np.arange(8.0)))
         assert emitter.cmaes.generation_count == 1
         emitter.activate(single_elite_archive, task, rng)
@@ -92,7 +92,7 @@ class TestGenerate:
         for cls in (OptimisingEmitter, RandomDirectionEmitter, ImprovementEmitter, RandomEmitter):
             emitter = cls(0, batch_size=50)
             emitter.activate(archive, task, rng)
-            batch = emitter.generate_samples(archive, task, rng)
+            batch = emitter.generate_batch([emitter], archive, task, [rng])
             assert batch.shape == (50, 4)
             assert np.all(batch >= task.lower) and np.all(batch <= task.upper)
 
@@ -100,7 +100,8 @@ class TestGenerate:
         """With one elite, x2 - x1 = 0: a candidate is the elite plus the
         isotropic term, drawn after the parent picks."""
         emitter = RandomEmitter(0, batch_size=20)
-        batch = emitter.generate_samples(single_elite_archive, task, np.random.default_rng(5))
+        rngs = [np.random.default_rng(5)]
+        batch = emitter.generate_batch([emitter], single_elite_archive, task, rngs)
         rng = np.random.default_rng(5)
         rng.integers(0, 1, size=(20, 2))
         iso = SIGMA_ISO * (task.upper - task.lower) * rng.standard_normal((20, task.dim))
@@ -113,7 +114,7 @@ class TestGenerate:
         g1, g2 = np.array([5.0, 5.0, -5.0, 0.0]), np.array([-3.0, 1.0, 7.0, 2.0])
         archive = build_archive(task, [g1, g2])
         emitter = RandomEmitter(0, batch_size=100_000)
-        batch = emitter.generate_samples(archive, task, np.random.default_rng(6))
+        batch = emitter.generate_batch([emitter], archive, task, [np.random.default_rng(6)])
         sd = batch.std(axis=0)
         np.testing.assert_allclose(
             batch.mean(axis=0), (g1 + g2) / 2, atol=5 * sd.max() / np.sqrt(len(batch))
@@ -122,7 +123,8 @@ class TestGenerate:
     def test_cmaes_cloud_centers_on_degenerate_archive(self, task, single_elite_archive):
         emitter = OptimisingEmitter(0, batch_size=100_000)
         emitter.activate(single_elite_archive, task, np.random.default_rng(7))
-        batch = emitter.generate_samples(single_elite_archive, task, np.random.default_rng(8))
+        rngs = [np.random.default_rng(8)]
+        batch = emitter.generate_batch([emitter], single_elite_archive, task, rngs)
         elite = single_elite_archive.elites()[0]
         tol = 5 * task.sigma0 / np.sqrt(len(batch))
         np.testing.assert_allclose(batch.mean(axis=0), elite.genotype, atol=tol)
@@ -132,7 +134,7 @@ class TestGenerate:
         archive = build_archive(task, rng.uniform(-30, 30, (5, 4)))
         emitter = RandomEmitter(0)
         before = len(archive)
-        emitter.generate_samples(archive, task, rng)
+        emitter.generate_batch([emitter], archive, task, [rng])
         assert len(archive) == before
 
 
@@ -152,7 +154,7 @@ def warmed_cmaes_emitters(kinds, archive, task):
         emitter = cls(i, batch_size=6)
         rng = np.random.default_rng([31, i])
         emitter.activate(archive, task, rng)
-        emitter.generate_samples(archive, task, rng)
+        emitter.generate_batch([emitter], archive, task, [rng])
         emitter.finish_generation(
             *outcome(rng.permutation(6).astype(float), descriptors=rng.standard_normal((6, 2)))
         )
@@ -165,7 +167,7 @@ def assert_batch_equals_singles(make, archive, task):
     rngs = [np.random.default_rng([77, e.id]) for e in batched]
     out = type(batched[0]).generate_batch(batched, archive, task, rngs)
     expected = [
-        e.generate_samples(archive, task, np.random.default_rng([77, e.id])) for e in singles
+        e.generate_batch([e], archive, task, [np.random.default_rng([77, e.id])]) for e in singles
     ]
     np.testing.assert_array_equal(out, np.concatenate(expected))
     return batched, singles
@@ -274,7 +276,7 @@ class TestFinishGeneration:
         emitter = cls(0, batch_size=10)
         rng = np.random.default_rng(1)
         emitter.activate(archive, task, rng)
-        emitter.generate_samples(archive, task, rng)
+        emitter.generate_batch([emitter], archive, task, [rng])
         return emitter
 
     def test_random_always_terminates(self, task, single_elite_archive):
@@ -300,11 +302,11 @@ class TestFinishGeneration:
         assert emitter.cmaes is None
         rng = np.random.default_rng(3)
         with pytest.raises(RuntimeError, match="activated"):
-            emitter.generate_samples(single_elite_archive, task, rng)
+            emitter.generate_batch([emitter], single_elite_archive, task, [rng])
         emitter.activate(single_elite_archive, task, rng)
         assert emitter.cmaes.generation_count == 0
         assert emitter.cmaes.should_stop() is None
-        assert emitter.generate_samples(single_elite_archive, task, rng).shape == (10, 4)
+        assert emitter.generate_batch([emitter], single_elite_archive, task, [rng]).shape == (10, 4)
         assert emitter.finish_generation(*outcome(np.arange(10.0))) is False
         assert emitter.cmaes.generation_count == 1
 
@@ -313,7 +315,7 @@ class TestFinishGeneration:
         emitter.finish_generation(*outcome(np.arange(10.0)))
         state = emitter.cmaes
         count, cov, mean = state.generation_count, state.C.copy(), state.mean.copy()
-        emitter.generate_samples(single_elite_archive, task, np.random.default_rng(2))
+        emitter.generate_batch([emitter], single_elite_archive, task, [np.random.default_rng(2)])
 
         def no_rewards(*args):
             raise AssertionError("rewards computed for a generation without an add")

@@ -12,7 +12,7 @@ import pytest
 
 from qdpool.archive import Archive
 from qdpool.cmaes import CmaesState
-from qdpool.emitters import EmitterKind
+from qdpool.emitters import EMITTER_CLASSES, EmitterKind
 from qdpool.engine import (
     Engine,
     RunConfig,
@@ -86,15 +86,15 @@ class TestConfigAndPool:
 
     def test_uniform_variant_uses_uniform_scheduler(self):
         """The uniform pool holds exactly ``slots`` emitters, so every one
-        of them is active after each generation: round-robin reactivation."""
+        of them generates in each generation: round-robin reactivation."""
         engine = Engine(small_config(variant="me-map-elites-uniform", slots=4))
         assert len(engine.scheduler.emitters) == 4
         engine.initialize()
         restarts = 0
         for _ in range(30):
-            restarts += len(engine._terminated)
             engine.step()
-            assert engine.scheduler.active == engine.scheduler.emitters
+            assert engine.kind_series[-1] == (1, 1, 1, 1)
+            restarts += len(engine.scheduler.emitters) - len(engine.scheduler.active)
         assert restarts > 0  # the check covered reactivations, not just the first fill
 
 
@@ -158,14 +158,42 @@ class TestGenerationLoop:
         assert [r.generation for r in result.records] == [0, 5, 10]
 
     def test_pool_conservation(self):
+        """Every generation fills all 4 slots from the same pool."""
         engine = Engine(small_config())
         engine.initialize()
-        total = len(engine.scheduler.emitters)
+        pool = list(engine.scheduler.emitters)
         for _ in range(10):
             engine.step()
-            active = engine.scheduler.active
-            assert len(active) == 4
-            assert len(engine.scheduler.emitters) == total
+            assert sum(engine.kind_series[-1]) == 4
+            assert len(engine.scheduler.active) <= 4
+            assert engine.scheduler.emitters == pool
+
+    def test_exhausted_emitters_leave_the_active_set_in_the_same_step(self, monkeypatch):
+        """After each step, the active emitters are exactly those whose
+        ``finish_generation`` reported that they go on."""
+        reported = {}
+        for cls in EMITTER_CLASSES.values():
+
+            def finish(self, *outcome, _finish=cls.finish_generation):
+                reported[self.id] = _finish(self, *outcome)
+                return reported[self.id]
+
+            monkeypatch.setattr(cls, "finish_generation", finish)
+        engine = Engine(small_config(generations=40))
+        engine.initialize()
+        cmaes_restarts = 0
+        for _ in range(40):
+            reported.clear()
+            engine.step()
+            assert len(reported) == 4
+            assert [e.id for e in engine.scheduler.active] == sorted(
+                i for i, exhausted in reported.items() if not exhausted
+            )
+            cmaes_restarts += sum(
+                exhausted and engine.scheduler.emitters[i].kind is not EmitterKind.RANDOM
+                for i, exhausted in reported.items()
+            )
+        assert cmaes_restarts > 0
 
     def test_first_generation_activates_lowest_ids(self):
         engine = Engine(small_config(variant="me-map-elites-ucb"))
