@@ -28,6 +28,7 @@ import configparser
 import csv
 import math
 import os
+import shutil
 import statistics
 import sys
 from dataclasses import dataclass, field
@@ -226,6 +227,15 @@ SUMMARY_HEADER = (
 )
 
 
+_RUN_FILES = ("metrics.csv", "archive.csv", "emitter_mix.csv")
+
+
+def _staged(staging: Path, config: engine.RunConfig) -> Path:
+    """A run's directory under a sweep's staging directory; variants are
+    distinct and a variant's replications have distinct seeds."""
+    return staging / f"{config.variant}-seed{config.seed}"
+
+
 def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     """Runs every (variant, replication) pair and writes the output tree.
 
@@ -233,16 +243,22 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     .csv`` plus per-variant ``aggregate.csv`` and a global
     ``summary.csv``.  ``--out`` is created before the first run, and
     ``summary.csv`` gets each run's row as soon as that run's files are
-    written, so a sweep that dies keeps the rows of its finished runs.
+    in place, so a sweep that dies keeps the rows of its finished runs.
     Returns a process exit status: 1, after an ``error: …`` line, if the
     worker processes cannot be started or an output cannot be written.
 
     The runs go through :func:`engine.run_many`, so up to
     ``usable cores // threads`` of them run at the same time, this process
-    running its share and forked workers the rest.  Results come back in
-    plan order and only this process writes, so the tree, and the echoed
-    lines apart from their wall times, are those of a serial sweep.  No
-    worker outlives the call, whether it returns or raises.
+    running its share and forked workers the rest.  The process that made
+    a run writes its three files into ``<out>/.staging-<pid>/`` (``pid``
+    being this process's) and hands back only its thinned records and wall
+    time, so no archive crosses a pipe.  In plan order, this process then
+    makes ``rep<k>``, moves the run's files into it with ``os.replace``,
+    writes its summary row and echoes its line, and after a variant's last
+    run writes its ``aggregate.csv``.  So the tree, and the echoed lines
+    apart from their wall times, are those of a serial sweep, also when a
+    run fails.  On every exit path the workers are stopped and then the
+    staging directory is removed, so neither outlives the call.
 
     Raises:
         ConfigError: If any run's configuration is invalid; every run is
@@ -250,31 +266,43 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
             and no process is started.
     """
     out_root = Path(cfg.out_dir)
+    staging = out_root / f".staging-{os.getpid()}"
     plan = _plan(cfg)
+
+    def stage(result: engine.RunResult):
+        """Writes a run's files into its staging directory, in the process
+        that made the run, and returns what this process still needs."""
+        staged = _staged(staging, result.config)
+        staged.mkdir(parents=True, exist_ok=True)
+        metrics.write_metrics_csv(result.records, staged / "metrics.csv")
+        result.archive.write_csv(staged / "archive.csv")
+        metrics.write_emitter_mix_csv(result.kind_series, staged / "emitter_mix.csv")
+        return result.records, result.wall_time
+
     try:
-        results = engine.run_many([c for run_configs in plan.values() for c in run_configs])
+        runs = engine.run_many([c for run_configs in plan.values() for c in run_configs], stage)
     except OSError as exc:
         echo(f"error: cannot start worker processes: {exc}", file=sys.stderr)
         return 1
 
     def summary_rows():
-        """Runs, writes and echoes each run in plan order, yielding its
-        summary row once its files are written."""
+        """Moves each run's files into place and echoes it in plan order,
+        yielding its summary row once its files are in place."""
         for variant, run_configs in plan.items():
             series_by_rep = []
             for rep, run_config in enumerate(run_configs):
-                result = next(results)
+                records, wall_time = next(runs)
                 rep_dir = out_root / cfg.task_name / variant / f"rep{rep}"
                 rep_dir.mkdir(parents=True, exist_ok=True)
-                metrics.write_metrics_csv(result.records, rep_dir / "metrics.csv")
-                result.archive.write_csv(rep_dir / "archive.csv")
-                metrics.write_emitter_mix_csv(result.kind_series, rep_dir / "emitter_mix.csv")
-                series_by_rep.append(result.records)
-                final = result.final_record
+                staged = _staged(staging, run_config)
+                for name in _RUN_FILES:
+                    os.replace(staged / name, rep_dir / name)
+                series_by_rep.append(records)
+                final = records[-1]
                 echo(
                     f"{cfg.task_name}/{variant}/rep{rep}: size={final.archive_size} "
                     f"best={final.best_fitness_norm:.4f} qd={final.qd_score:.2f} "
-                    f"({result.wall_time:.1f}s)"
+                    f"({wall_time:.1f}s)"
                 )
                 yield [
                     cfg.task_name,
@@ -300,7 +328,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
         echo(f"error: cannot write run outputs: {exc}", file=sys.stderr)
         return 1
     finally:
-        results.close()  # stops the workers on every exit path
+        runs.close()  # stops the workers on every exit path
+        shutil.rmtree(staging, ignore_errors=True)  # no worker is left to write into it
     return 0
 
 

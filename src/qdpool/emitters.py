@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qdpool.archive import AddStatus, Archive
+from qdpool.archive import IMPROVED_CODE, NEW_CODE, Archive
 from qdpool.cmaes import CmaesState, ask_stacked
 from qdpool.tasks import TaskSpec, clip_genotype
 
@@ -207,9 +207,9 @@ class ImprovementEmitter(_CmaesEmitter):
         fitness_norms = np.asarray(fitness_norms, dtype=float)
         status = np.asarray(status)
         return np.where(
-            status == AddStatus.NEW,
+            status == NEW_CODE,
             2.0 + fitness_norms,
-            np.where(status == AddStatus.IMPROVED, 1.0 + np.asarray(improvement), fitness_norms),
+            np.where(status == IMPROVED_CODE, 1.0 + np.asarray(improvement), fitness_norms),
         )
 
 

@@ -28,17 +28,20 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
-from qdpool.archive import AddStatus, Archive, cell_indices
+from qdpool.archive import REJECTED_CODE, Archive, cell_indices
 from qdpool.emitters import EMITTER_CLASSES, Emitter, EmitterKind
 from qdpool.metrics import GenerationRecord, snapshot
 from qdpool.scheduler import GRANULARITIES, UcbScheduler
 from qdpool.tasks import TaskSpec, evaluate_batch
+
+_T = TypeVar("_T")
 
 # variant -> (its emitter kinds, how many kinds share the slots)
 _VARIANTS = {
@@ -105,6 +108,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.batch_per_emitter < 2:
             raise ValueError("batch_per_emitter must be at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0 <= self.zeta < np.inf:
             raise ValueError("zeta must be non-negative and finite")
         if self.stats_granularity not in GRANULARITIES:
@@ -228,7 +233,7 @@ class Engine:
         genotypes = families[0] if len(families) == 1 else np.concatenate(families)
         descriptors, norm, status, improvement = self._insert(genotypes)
         batch = cfg.batch_per_emitter
-        adds = (status != AddStatus.REJECTED).reshape(len(active), batch).sum(1).tolist()
+        adds = (status != REJECTED_CODE).reshape(len(active), batch).sum(1).tolist()
 
         stats_counts: dict[int, tuple[int, int]] = {}
         for i, (emitter, n_added) in enumerate(zip(active, adds)):
@@ -295,11 +300,11 @@ class _WorkerTraceback(Exception):
         return self.args[0]
 
 
-def _serve(sender, configs: list[RunConfig]) -> None:
-    """A worker process: runs ``configs`` in order and sends each result,
-    or the exception that ended a run with its traceback, and stops there.
-    An exception that does not survive pickling is sent as a
-    ``RuntimeError`` that names its type and message."""
+def _serve(sender, configs: list[RunConfig], per_run) -> None:
+    """A worker process: runs ``configs`` in order and sends ``per_run`` of
+    each result, or the exception that ended a run (or its ``per_run``) with
+    its traceback, and stops there.  An exception that does not survive
+    pickling is sent as a ``RuntimeError`` that names its type and message."""
     import pickle
     import signal
     import traceback
@@ -307,7 +312,7 @@ def _serve(sender, configs: list[RunConfig]) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller takes Ctrl-C and stops the workers
     for config in configs:
         try:
-            result = run(config)
+            outcome = per_run(run(config))
         except Exception as exc:
             trace = traceback.format_exc()
             try:
@@ -316,22 +321,30 @@ def _serve(sender, configs: list[RunConfig]) -> None:
                 exc = RuntimeError(f"{type(exc).__name__}: {exc}")
             sender.send((exc, trace))
             return
-        sender.send((result, None))
+        sender.send((outcome, None))
 
 
-def run_many(configs: Iterable[RunConfig]) -> Iterator[RunResult]:
-    """Runs every configuration and returns an iterator over the results
-    in the given order, running up to :func:`process_count` of them at the
-    same time.
+def run_many(
+    configs: Iterable[RunConfig], per_run: Callable[[RunResult], _T] | None = None
+) -> Iterator[_T]:
+    """Runs every configuration and returns an iterator over
+    ``per_run(result)`` of each run in the given order (the
+    :class:`RunResult` itself by default), running up to
+    :func:`process_count` of them at the same time.
 
     With ``p`` processes, the calling process runs configurations 0, p,
     2p, ... itself, and forked worker ``w`` (1 <= w < p) runs w, w + p, ...
-    and sends each result back through a pipe.  A full pipe holds its
-    worker back, so finished results do not pile up in memory while the
-    caller is busy.  A result is that of :func:`run` bit for bit, whichever
-    process made it.  An exception raised by a worker's run is raised
-    again here, at that run's place in the order, with the worker's
-    traceback as its cause; a worker that dies raises ``RuntimeError``.
+    and sends each outcome back through a pipe.  ``per_run`` runs in the
+    process that made the run, so a worker can write a run's files itself
+    and send back only what the caller still needs; the workers inherit it
+    by ``fork``, so it may be a closure, and only its return value is
+    pickled.  A full pipe holds its worker back, so finished outcomes do not
+    pile up in memory while the caller is busy (small outcomes fill it
+    slowly, so a worker may run several runs ahead).  A result is that of
+    :func:`run` bit for bit, whichever process made it.  An exception
+    raised by a worker's run or its ``per_run`` is raised again here, at
+    that run's place in the order, with the worker's traceback as its
+    cause; a worker that dies raises ``RuntimeError``.
 
     The workers are started before this returns, so an ``OSError`` from
     starting them (no process or pipe to spare) is raised here, with no
@@ -339,14 +352,14 @@ def run_many(configs: Iterable[RunConfig]) -> Iterator[RunResult]:
     closed.  A caller that may stop early should close it, for example
     with ``contextlib.closing``, so that no worker outlives the call.
     """
-    results = _run_many(list(configs))
+    results = _run_many(list(configs), per_run or (lambda result: result))
     next(results)  # starts the workers; from here on, closing the iterator stops them
     return results
 
 
-def _run_many(configs: list[RunConfig]) -> Iterator[RunResult | None]:
+def _run_many(configs: list[RunConfig], per_run) -> Iterator:
     """:func:`run_many`'s generator: yields ``None`` once its workers are
-    running, then the results."""
+    running, then the outcomes."""
     procs = process_count(len(configs), max((c.threads for c in configs), default=1))
     workers = []
     try:
@@ -364,14 +377,14 @@ def _run_many(configs: list[RunConfig]) -> Iterator[RunResult | None]:
                 receiver, sender = context.Pipe(duplex=False)
                 with sender:  # closed here, the worker holds the only writing end, so its exit reads as EOF
                     worker = context.Process(
-                        target=_serve, args=(sender, configs[first::procs]), daemon=True
+                        target=_serve, args=(sender, configs[first::procs], per_run), daemon=True
                     )
                     worker.start()
                 workers.append((worker, receiver))
         yield None
         for i, config in enumerate(configs):
             if i % procs == 0:
-                yield run(config)
+                yield per_run(run(config))
                 continue
             worker, receiver = workers[i % procs - 1]
             try:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from qdpool import cli, engine, metrics
+from qdpool.archive import Archive
 from qdpool.tasks import make_task
 
 
@@ -356,8 +357,12 @@ class TestMainEntry:
             ["--variant", "cma-me-opt", "--sigma0", "inf"],
             ["--variant", "cma-me-opt", "--zeta", "nan"],
             ["--variant", "cma-me-opt", "--zeta", "inf"],
+            ["--variant", "map-elites", "--seed", "-1"],
         ],
-        ids=["batch-1", "uniform-slots-6", "uniform-window-0", "sigma0-nan", "sigma0-inf", "zeta-nan", "zeta-inf"],
+        ids=[
+            "batch-1", "uniform-slots-6", "uniform-window-0", "sigma0-nan", "sigma0-inf", "zeta-nan", "zeta-inf",
+            "seed-negative",
+        ],
     )
     def test_invalid_run_exits_2_before_writing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -592,11 +597,78 @@ class TestParallelSweep:
             lines = []
             cfg = cli.parse_config(small_flags(tmp_path / f"cores{n}", replications=2))
             assert cli.run_experiment(cfg, echo=collect_echo(lines)) == 0
+            assert sorted(os.listdir(tmp_path / f"cores{n}")) == ["rastrigin_multi", "summary.csv"]  # no staging
             assert len(forks) == n - 1  # 2 variants x 2 reps: one process per core
             assert multiprocessing.active_children() == []
             assert all(WALL_TIME.search(line) for line in lines)
             outputs[n] = tree_bytes(tmp_path / f"cores{n}"), [WALL_TIME.sub("", line) for line in lines]
         assert outputs[cores] == outputs[1]
+
+    def test_workers_write_their_runs_and_send_back_no_archive(self, tmp_path, monkeypatch):
+        loaded = []
+        setstate = Archive.__setstate__
+        monkeypatch.setattr(Archive, "__setstate__", lambda self, state: loaded.append(1) or setstate(self, state))
+        set_cores(monkeypatch, 2)
+        cfg = cli.parse_config(small_flags(tmp_path / "out", replications=2))
+        assert cli.run_experiment(cfg, echo=collect_echo([])) == 0
+        assert loaded == []  # no archive was unpickled in this process
+        assert len(tree_bytes(tmp_path / "out")) == 4 * 3 + 2 + 1
+
+    @pytest.mark.parametrize("fault", ["rep_dir_is_a_file", "staged_write_fails"])
+    def test_an_unwritable_run_of_a_worker_is_an_error(self, tmp_path, monkeypatch, fault):
+        """The fourth run is the worker's: it cannot be written in the worker,
+        or its rep directory cannot be made.  The sweep ends with status 1 and
+        keeps the rows of the three runs before it, and neither the staging
+        directory nor the worker outlives it."""
+        out = tmp_path / "out"
+        if fault == "rep_dir_is_a_file":
+            (out / "rastrigin_multi" / "map-elites").mkdir(parents=True)
+            (out / "rastrigin_multi" / "map-elites" / "rep1").write_text("a file, not a directory\n")
+        else:
+            caller = os.getpid()
+            write = metrics.write_metrics_csv
+            calls = []  # each process counts its own
+
+            def failing_write(records, path):
+                calls.append(path)
+                if os.getpid() != caller and len(calls) == 2:  # the worker's second run
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                write(records, path)
+
+            monkeypatch.setattr(metrics, "write_metrics_csv", failing_write)
+        set_cores(monkeypatch, 2)
+        lines = []
+        cfg = cli.parse_config(small_flags(out, replications=2))
+        assert cli.run_experiment(cfg, echo=collect_echo(lines)) == 1
+        assert lines[-1].startswith("error: cannot write run outputs:")
+        rows = list(csv.reader((out / "summary.csv").read_text().splitlines()))
+        assert [row[1:3] for row in rows[1:]] == [
+            ["me-map-elites-ucb", "0"],
+            ["me-map-elites-ucb", "1"],
+            ["map-elites", "0"],
+        ]
+        assert sorted(os.listdir(out)) == ["rastrigin_multi", "summary.csv"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault", ["raises", "dies"])
+    def test_a_worker_fault_leaves_no_staging_directory(self, tmp_path, monkeypatch, fault):
+        caller = os.getpid()
+        step = engine.Engine.step
+
+        def faulty_step(self):
+            if os.getpid() != caller and self.config.variant == "map-elites":
+                if fault == "dies":
+                    os._exit(3)
+                raise ValueError("injected fault")
+            step(self)
+
+        monkeypatch.setattr(engine.Engine, "step", faulty_step)
+        set_cores(monkeypatch, 2)
+        cfg = cli.parse_config(small_flags(tmp_path / "out", replications=2))
+        with pytest.raises(RuntimeError if fault == "dies" else ValueError):
+            cli.run_experiment(cfg, echo=collect_echo([]))
+        assert sorted(os.listdir(tmp_path / "out")) == ["rastrigin_multi", "summary.csv"]
+        assert multiprocessing.active_children() == []
 
     def test_unwritable_output_stops_the_workers(self, tmp_path, monkeypatch):
         caller = os.getpid()

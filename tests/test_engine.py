@@ -71,6 +71,8 @@ class TestConfigAndPool:
             small_config(generations=0)
         with pytest.raises(ValueError):
             small_config(batch_per_emitter=1)
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=-1)
         with pytest.raises(ValueError, match="zeta"):
             small_config(zeta=-0.1)
         with pytest.raises(ValueError, match="window"):
@@ -360,6 +362,19 @@ class TestRunMany:
             result.archive.write_csv(tmp_path / f"{i}.csv")
             serial.archive.write_csv(tmp_path / f"{i}_serial.csv")
             assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}_serial.csv").read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_per_run_runs_in_the_process_that_made_the_run(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        configs = [small_config(seed=seed) for seed in (5, 6, 7, 8)]
+        outcomes = list(
+            run_many(configs, lambda result: (os.getpid(), result.config.seed, len(result.archive)))
+        )
+        pids, seeds, sizes = zip(*outcomes)
+        assert seeds == (5, 6, 7, 8)
+        assert pids[0] == pids[2] == os.getpid()  # the caller's runs
+        assert pids[1] == pids[3] != os.getpid()  # the worker's runs
+        assert list(sizes) == [len(run(config).archive) for config in configs]
         assert multiprocessing.active_children() == []
 
 
