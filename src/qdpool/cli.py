@@ -56,22 +56,23 @@ class ExperimentConfig:
     variants: list[str] = field(default_factory=lambda: list(engine.VARIANT_NAMES))
     replications: int = 20
     base_seed: int = 1
-    generations: int = 20_000
-    slots: int = 12
-    batch: int = 50
-    init_samples: int = 100
-    zeta: float = 0.05
-    window: int = 50
-    stats_granularity: str = "instance"
-    metrics_every: int = 10
+    generations: int = engine.RunConfig.generations
+    slots: int = engine.RunConfig.slots
+    batch: int = engine.RunConfig.batch_per_emitter
+    init_samples: int = engine.RunConfig.init_samples
+    zeta: float = engine.RunConfig.zeta
+    window: int = engine.RunConfig.window
+    stats_granularity: str = engine.RunConfig.stats_granularity
+    metrics_every: int = engine.RunConfig.metrics_every
     out_dir: str = "results"
     threads: int | None = None
 
 
 class _Setting(NamedTuple):
     """One `run` setting: its INI section and key, the
-    :class:`ExperimentConfig` field it sets, the value type, the flag, and
-    any further argparse options of that flag (never mutated)."""
+    :class:`ExperimentConfig` field it sets, the value type, the flag, any
+    further argparse options of that flag (never mutated), and the
+    :class:`engine.RunConfig` field it feeds as it is, if any."""
 
     section: str
     key: str
@@ -79,10 +80,11 @@ class _Setting(NamedTuple):
     type: type
     flag: str
     options: dict = {}
+    feeds: str | None = None
 
 
-# INI parsing, the `run` flags and their collection in `main` all read this
-# table; rows follow the order of the flags in `qdpool run --help`.
+# INI parsing, the `run` flags, their collection in `main` and `_plan` all
+# read this table; rows follow the order of the flags in `qdpool run --help`.
 _SETTINGS = (
     _Setting("task", "name", "task_name", str, "--task", {"choices": TASK_NAMES}),
     _Setting(
@@ -97,14 +99,14 @@ _SETTINGS = (
             "help": "repeatable; default is all six variants",
         },
     ),
-    _Setting("run", "generations", "generations", int, "--generations"),
-    _Setting("run", "slots", "slots", int, "--slots"),
-    _Setting("run", "batch", "batch", int, "--batch"),
-    _Setting("run", "init", "init_samples", int, "--init-samples"),
+    _Setting("run", "generations", "generations", int, "--generations", feeds="generations"),
+    _Setting("run", "slots", "slots", int, "--slots", feeds="slots"),
+    _Setting("run", "batch", "batch", int, "--batch", feeds="batch_per_emitter"),
+    _Setting("run", "init", "init_samples", int, "--init-samples", feeds="init_samples"),
     _Setting("run", "replications", "replications", int, "--replications"),
     _Setting("run", "seed", "base_seed", int, "--seed"),
-    _Setting("scheduler", "zeta", "zeta", float, "--zeta"),
-    _Setting("scheduler", "window", "window", int, "--window"),
+    _Setting("scheduler", "zeta", "zeta", float, "--zeta", feeds="zeta"),
+    _Setting("scheduler", "window", "window", int, "--window", feeds="window"),
     _Setting(
         "scheduler",
         "stats_granularity",
@@ -112,28 +114,39 @@ _SETTINGS = (
         str,
         "--stats-granularity",
         {"choices": GRANULARITIES},
+        feeds="stats_granularity",
     ),
     _Setting("task", "dim", "dim", int, "--dim"),
     _Setting("task", "resolution", "resolution", int, "--resolution"),
     _Setting("task", "sigma0", "sigma0", float, "--sigma0"),
     _Setting("output", "dir", "out_dir", str, "--out"),
-    _Setting("run", "threads", "threads", int, "--threads", {"help": "evaluation threads (QD_THREADS fallback)"}),
-    _Setting("run", "metrics_every", "metrics_every", int, "--metrics-every"),
+    _Setting(
+        "run", "threads", "threads", int, "--threads", {"help": "evaluation threads (QD_THREADS fallback)"},
+        feeds="threads",
+    ),
+    _Setting("run", "metrics_every", "metrics_every", int, "--metrics-every", feeds="metrics_every"),
 )
 _INI_SETTINGS = {(s.section, s.key): s for s in _SETTINGS}
 
 
 def _read_config_file(path: str) -> dict:
+    """The settings of an INI file, by :class:`ExperimentConfig` field; a
+    file that cannot be read or parsed is a :class:`ConfigError` naming it."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        items = {section: list(parser[section].items()) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span lines; a config error is one line
+        raise ConfigError(f"config: cannot parse file {path!r}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"config: cannot read file {path!r}")
     sections = {s.section for s in _SETTINGS}
     values: dict = {}
-    for section in parser.sections():
+    for section, section_items in items.items():
         if section not in sections:
             raise ConfigError(f"config: unknown section [{section}]")
-        for key, raw in parser[section].items():
+        for key, raw in section_items:
             setting = _INI_SETTINGS.get((section, key))
             if setting is None:
                 raise ConfigError(f"config: unknown key {key!r} in section [{section}]")
@@ -158,23 +171,11 @@ def _plan(cfg: ExperimentConfig) -> dict[str, list[engine.RunConfig]]:
     """The engine configuration of each replication of each variant, with
     an invalid task argument or setting reported as a :class:`ConfigError`."""
     task = _task(cfg.task_name, cfg.dim, cfg.resolution, cfg.sigma0)
+    fed = {s.feeds: getattr(cfg, s.name) for s in _SETTINGS if s.feeds}
     try:
         return {
             variant: [
-                engine.RunConfig(
-                    task=task,
-                    variant=variant,
-                    generations=cfg.generations,
-                    slots=cfg.slots,
-                    batch_per_emitter=cfg.batch,
-                    init_samples=cfg.init_samples,
-                    seed=cfg.base_seed + rep,
-                    zeta=cfg.zeta,
-                    window=cfg.window,
-                    stats_granularity=cfg.stats_granularity,
-                    metrics_every=cfg.metrics_every,
-                    threads=cfg.threads,
-                )
+                engine.RunConfig(task=task, variant=variant, seed=cfg.base_seed + rep, **fed)
                 for rep in range(cfg.replications)
             ]
             for variant in cfg.variants
@@ -440,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump_p = sub.add_parser("dump-task", help="print task constants")
     dump_p.add_argument("--task", required=True, choices=TASK_NAMES)
-    dump_p.add_argument("--dim", type=int, default=100)
-    dump_p.add_argument("--resolution", type=int, default=100)
+    dump_p.add_argument("--dim", type=int, default=ExperimentConfig.dim)
+    dump_p.add_argument("--resolution", type=int, default=ExperimentConfig.resolution)
     dump_p.add_argument("--sigma0", type=float, default=None)
 
     return parser

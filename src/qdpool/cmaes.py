@@ -148,6 +148,7 @@ class CmaesState:
         ask_stacked([self], [rng])
         return self.pending[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def tell(self, rewards) -> str | None:
         """Updates the distribution from the rewards of the pending batch,
         one per sample in sample order (larger is better), consumes that
@@ -157,7 +158,9 @@ class CmaesState:
         broken by sample position and the update is deterministic.  The
         evolution path ``p_sigma`` is whitened with the weighted normals
         of the parents, which equal ``A^-1 y_w`` for the factor ``A``
-        that drew them.
+        that drew them.  Non-finite parents (a step that overflowed in
+        :func:`ask_stacked`) give a non-finite update without a floating
+        point warning, which :meth:`should_stop` reports as ``numerical``.
 
         Raises:
             RuntimeError: If no batch is pending.
@@ -274,14 +277,18 @@ def ask_stacked(states: Sequence[CmaesState], rngs: Sequence[np.random.Generator
     ``pending`` batch, replacing any batch not yet told; the samples are
     views into the returned stack.  All states must share ``dim`` and
     ``lam``.  Each state is sampled whatever its restart criteria say;
-    stopping is the caller's call.
+    stopping is the caller's call.  A sample too large for a float (a
+    huge ``sigma`` or ``mean``) becomes infinite without a warning, and
+    never NaN while the state is finite; an infinite parent makes the
+    next ``tell`` report ``numerical``.
     """
     z = np.empty((len(states), states[0].params.lam, states[0].params.dim))
     for z_i, rng in zip(z, rngs):
         rng.standard_normal(out=z_i)
     steps = z @ np.stack([state.A for state in states]).transpose(0, 2, 1)
-    steps *= np.array([state.sigma for state in states])[:, None, None]
-    steps += np.stack([state.mean for state in states])[:, None, :]
+    with np.errstate(over="ignore"):
+        steps *= np.array([state.sigma for state in states])[:, None, None]
+        steps += np.stack([state.mean for state in states])[:, None, :]
     for state, samples, normals in zip(states, steps, z):
         state.pending = (samples, normals)
     return steps

@@ -38,7 +38,7 @@ import numpy as np
 from qdpool.archive import REJECTED_CODE, Archive, cell_indices
 from qdpool.emitters import EMITTER_CLASSES, Emitter, EmitterKind
 from qdpool.metrics import GenerationRecord, snapshot
-from qdpool.scheduler import GRANULARITIES, UcbScheduler
+from qdpool.scheduler import UcbScheduler
 from qdpool.tasks import TaskSpec, evaluate_batch
 
 _T = TypeVar("_T")
@@ -82,8 +82,8 @@ class RunConfig:
     """Everything that determines a single run (together with nothing
     else): task, variant, loop sizes, scheduler knobs, and the seed.
 
-    Construction checks every setting, including the scheduler knobs and,
-    for a named variant's pool, that the variant accepts ``slots``.
+    Construction builds the run's pool and scheduler once
+    (:func:`build_scheduler`), so their checks apply here too.
     """
 
     task: TaskSpec
@@ -101,21 +101,20 @@ class RunConfig:
     pool_composition: dict[EmitterKind, int] | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANT_NAMES:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANT_NAMES}")
-        for name in ("generations", "slots", "init_samples", "window", "metrics_every", "threads"):
+        for name in ("generations", "slots", "init_samples", "metrics_every", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.batch_per_emitter < 2:
-            raise ValueError("batch_per_emitter must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 0 <= self.zeta < np.inf:
-            raise ValueError("zeta must be non-negative and finite")
-        if self.stats_granularity not in GRANULARITIES:
-            raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
-        if self.pool_composition is None:
-            variant_composition(self.variant, self.slots)
+        build_scheduler(self)
+
+
+def build_scheduler(config: RunConfig) -> UcbScheduler:
+    """A fresh pool for ``config`` (its ``pool_composition``, else its
+    variant's) under the :class:`UcbScheduler` that fills its slots."""
+    composition = config.pool_composition or variant_composition(config.variant, config.slots)
+    pool = build_pool(composition, config.batch_per_emitter)
+    return UcbScheduler(pool, config.slots, config.zeta, config.window, config.stats_granularity)
 
 
 @dataclass
@@ -163,14 +162,8 @@ class Engine:
         self.config = config
         self.task: TaskSpec = config.task
         self.archive = Archive(self.task.grid())
-        composition = config.pool_composition or variant_composition(
-            config.variant, config.slots
-        )
-        pool = build_pool(composition, config.batch_per_emitter)
-        self.scheduler = UcbScheduler(
-            pool, config.slots, config.zeta, config.window, config.stats_granularity
-        )
-        self._rngs = {e.id: _substream(config.seed, (1, e.id)) for e in pool}
+        self.scheduler = build_scheduler(config)
+        self._rngs = {e.id: _substream(config.seed, (1, e.id)) for e in self.scheduler.emitters}
         self._executor: ThreadPoolExecutor | None = None
         self.generation = 0
         self.evaluations = 0

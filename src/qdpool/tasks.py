@@ -122,15 +122,16 @@ def make_task(name: str, dim: int = 100, resolution=100, sigma0: float | None = 
 def clip_genotype(x: np.ndarray, spec: TaskSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Componentwise clamp of a genotype (or batch) into the search bounds,
     into ``out`` if given (which may be ``x`` itself), else into a new
-    array.
+    array.  An infinite component is out of range like any other and
+    clamps to its bound.
 
     Raises:
-        ValueError: If the input contains non-finite values; ``out`` is
-            then left as it was.
+        ValueError: If the input contains NaN; ``out`` is then left as it
+            was.
     """
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("cannot clip a genotype with non-finite components")
+    if np.isnan(x).any():
+        raise ValueError("cannot clip a genotype with NaN components")
     return np.clip(x, spec.lower, spec.upper, out=out)
 
 

@@ -154,6 +154,25 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="cluster"):
             cli.parse_config({}, str(path))
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[run]\ngenerations = 3\n\xff\xfe\n",
+            b"[run]\ngenerations = 3\ngenerations = 4\n",
+            b"generations = 3\n[run]\n",
+            b"[run]\ngenerations = 3%\n",
+        ],
+        ids=["not-utf8", "duplicate-key", "no-section-header", "bad-interpolation"],
+    )
+    def test_unparseable_file_exits_2_naming_it(self, content, tmp_path, capsys):
+        path, out = tmp_path / "exp.ini", tmp_path / "out"
+        path.write_bytes(content)
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(path) in err
+        assert not out.exists()
+
     def test_unparseable_value_names_field(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[run]\ngenerations = soon\n")

@@ -86,6 +86,12 @@ class TestConfigAndPool:
             variant="me-map-elites-uniform", slots=6, pool_composition={EmitterKind.RANDOM: 6}
         )
 
+    def test_pool_smaller_than_slots_is_rejected_by_the_config(self):
+        """The config builds its pool and scheduler, so a pool that cannot
+        fill the slots fails at ``RunConfig(...)``, before any engine."""
+        with pytest.raises(ValueError, match="slots"):
+            small_config(slots=4, pool_composition={EmitterKind.RANDOM: 3})
+
     def test_uniform_variant_uses_uniform_scheduler(self):
         """The uniform pool holds exactly ``slots`` emitters, so every one
         of them generates in each generation: round-robin reactivation."""
@@ -265,6 +271,34 @@ def test_numerical_fault_restarts_one_emitter_and_the_run_goes_on(monkeypatch):
         engine.step()
     assert poisoned[0].should_stop() == "numerical"
     assert all(getattr(e, "cmaes", None) is not poisoned[0] for e in engine.scheduler.emitters)
+    assert engine.generation == 30
+    assert engine.evaluations == 30 + 30 * 4 * 5
+
+
+def test_numerical_fault_from_ask_restarts_the_emitter_and_the_run_goes_on(monkeypatch):
+    """At sigma0 = 1e308 the very first samples overflow to infinity in
+    ``ask``: they are clamped for evaluation, a strategy told an infinite
+    parent stops with ``numerical``, every strategy still live after a
+    generation is finite, and the run completes."""
+    reasons = Counter()
+    tell = CmaesState.tell
+
+    def counted_tell(self, rewards):
+        reason = tell(self, rewards)
+        reasons[reason] += 1
+        return reason
+
+    monkeypatch.setattr(CmaesState, "tell", counted_tell)
+    task = make_task("rastrigin_multi", dim=5, resolution=8, sigma0=1e308)
+    engine = Engine(small_config(task=task, generations=30))
+    engine.initialize()
+    live = 0
+    for _ in range(30):
+        engine.step()
+        for state in (e.cmaes for e in engine.scheduler.emitters if getattr(e, "cmaes", None) is not None):
+            assert np.isfinite(state.mean).all() and np.isfinite(state.sigma) and np.isfinite(state.A).all()
+            live += 1
+    assert reasons["numerical"] > 0 and live > 0
     assert engine.generation == 30
     assert engine.evaluations == 30 + 30 * 4 * 5
 

@@ -4,12 +4,18 @@ A refactor that must not change behaviour keeps every digest here.  A
 change that alters output bits on purpose re-records the digests it
 changes and says why.
 
-Recorded with Python 3.11.7 and numpy 2.4.6 (OpenBLAS); print the
-digests of the current code with ``PYTHONPATH=src python
-tests/test_golden.py``.  The ``map-elites`` runs involve no LAPACK call.
-The runs of the other five variants go through CMA-ES, whose
-``np.linalg.cholesky`` (LAPACK ``potrf``) calls, like its matmuls, may
-round differently on another BLAS/LAPACK build.
+Recorded with Python 3.11.7 and numpy 2.4.6 (OpenBLAS 0.3.31, kernel
+``SkylakeX``); print the digests of the current code with
+``PYTHONPATH=src python tests/test_golden.py``.  The ``map-elites`` runs
+involve no LAPACK call.  The runs of the other five variants go
+through CMA-ES, whose matmuls and ``np.linalg.cholesky`` (LAPACK
+``potrf``) round differently under different OpenBLAS kernels, so these
+bytes are fixed per OpenBLAS kernel family.  Measured by forcing
+``OPENBLAS_CORETYPE`` on a 2-core AVX-512 machine: ``SkylakeX``,
+``Cooperlake`` and ``SapphireRapids`` pass all 24 digests; ``Haswell``,
+``Zen``, ``Sandybridge`` and ``Nehalem`` fail the 20 CMA-ES digests and
+pass the 4 ``map-elites`` ones.  It was not run on an AVX2 machine, where
+OpenBLAS picks ``Haswell`` or ``Zen`` itself.
 """
 
 import hashlib

@@ -95,8 +95,9 @@ def test_clip_genotype():
     np.testing.assert_allclose(clip_genotype(np.array([60.0, -60.0]), task), [51.2, -51.2])
     np.testing.assert_allclose(clip_genotype(np.array([1.0, -2.0]), task), [1.0, -2.0])
     np.testing.assert_allclose(clip_genotype(np.array([51.2, 0.0]), task), [51.2, 0.0])
-    with pytest.raises(ValueError):
-        clip_genotype(np.array([np.inf, 0.0]), task)
+    np.testing.assert_array_equal(clip_genotype(np.array([np.inf, -np.inf]), task), [51.2, -51.2])
+    with pytest.raises(ValueError, match="NaN"):
+        clip_genotype(np.array([np.nan, 0.0]), task)
 
 
 def test_clip_genotype_in_place():
