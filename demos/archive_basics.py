@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from qdpool import Archive, Elite, GridSpec
+from qdpool import AddStatus, Archive, Elite, GridSpec
 
 rng = np.random.default_rng(7)
 
@@ -28,9 +28,9 @@ for _ in range(500):
     raw = -float(np.sum(genotype ** 2))         # larger is better
     norm = max(0.0, 1.0 + raw / 16.0)           # affine squashing for reporting
     result = archive.add_attempt(Elite(genotype, descriptor, raw, norm))
-    if result.is_new_cell:
+    if result.status is AddStatus.NEW:
         new += 1
-    elif result.added:
+    elif result.status is AddStatus.IMPROVED:
         improved += 1
     else:
         rejected += 1

@@ -12,7 +12,7 @@ from qdpool.emitters import EmitterKind, RandomEmitter
 
 # a pool of six interchangeable instances; ids are the arm identities
 pool = [RandomEmitter(emitter_id=i, batch_size=50) for i in range(6)]
-scheduler = UcbScheduler(pool, slots=2, zeta=0.05, window=50)
+scheduler = UcbScheduler(pool, slots=2, zeta=0.05, window=50, stats_granularity="instance")
 
 # arms 0..2 succeed often, arms 3..5 rarely
 success_rate = {0: 40, 1: 35, 2: 30, 3: 5, 4: 3, 5: 1}

@@ -27,6 +27,11 @@ class EmptyArchiveError(RuntimeError):
     """Raised when an operation needs at least one elite in the archive."""
 
 
+#: The most cells a grid may have: numpy sizes no array of more bytes than
+#: ``intp`` holds, and the archive keeps an int64 array with one entry per cell.
+MAX_CELLS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned uniform grid over a bounded descriptor space.
@@ -34,7 +39,8 @@ class GridSpec:
     Args:
         lower: Per-axis lower bounds of the descriptor space.
         upper: Per-axis upper bounds (strictly greater than ``lower``).
-        resolution: Number of cells along each axis.
+        resolution: Number of cells along each axis; the product, counted
+            with Python ints, must not exceed :data:`MAX_CELLS`.
     """
 
     lower: np.ndarray
@@ -42,6 +48,8 @@ class GridSpec:
     resolution: np.ndarray
     #: Cell width along each axis, ``(upper - lower) / resolution``.
     widths: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Number of cells, the product of ``resolution``.
+    total_cells: int = field(init=False, repr=False, compare=False)
     # per axis (lower, upper, width, resolution) as Python scalars, for
     # cell_index
     _axes: tuple = field(init=False, repr=False, compare=False)
@@ -61,6 +69,14 @@ class GridSpec:
             raise ValueError("lower bounds must be strictly below upper bounds")
         if not (resolution >= 1).all():
             raise ValueError("resolution must be at least 1 per axis")
+        # a product of int64s would wrap silently
+        total_cells = math.prod(resolution.tolist())
+        if total_cells > MAX_CELLS:
+            raise ValueError(
+                f"resolution {resolution.tolist()} makes {total_cells} cells, "
+                f"more than the {MAX_CELLS} whose per-cell arrays numpy can size"
+            )
+        object.__setattr__(self, "total_cells", total_cells)
         widths = (upper - lower) / resolution
         object.__setattr__(self, "widths", widths)
         object.__setattr__(
@@ -72,10 +88,6 @@ class GridSpec:
     @property
     def dims(self) -> int:
         return len(self.lower)
-
-    @property
-    def total_cells(self) -> int:
-        return int(np.prod(self.resolution))
 
 
 def cell_index(descriptor: np.ndarray, spec: GridSpec) -> int:
@@ -169,14 +181,6 @@ class AddResult:
 
     status: AddStatus
     improvement: float
-
-    @property
-    def added(self) -> bool:
-        return self.status is not AddStatus.REJECTED
-
-    @property
-    def is_new_cell(self) -> bool:
-        return self.status is AddStatus.NEW
 
 
 _REJECTED = AddResult(AddStatus.REJECTED, 0.0)

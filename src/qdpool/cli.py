@@ -246,7 +246,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     ``summary.csv`` gets each run's row as soon as that run's files are
     in place, so a sweep that dies keeps the rows of its finished runs.
     Returns a process exit status: 1, after an ``error: …`` line, if the
-    worker processes cannot be started or an output cannot be written.
+    worker processes cannot be started, an output cannot be written, or a
+    run's memory (its grid, say) cannot be allocated.
 
     The runs go through :func:`engine.run_many`, so up to
     ``usable cores // threads`` of them run at the same time, this process
@@ -327,6 +328,9 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
         metrics._write_csv(out_root / "summary.csv", SUMMARY_HEADER, summary_rows())
     except OSError as exc:
         echo(f"error: cannot write run outputs: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        echo(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     finally:
         runs.close()  # stops the workers on every exit path

@@ -72,7 +72,7 @@ class Emitter:
 
     kind: EmitterKind
 
-    def __init__(self, emitter_id: int, batch_size: int = 50):
+    def __init__(self, emitter_id: int, batch_size: int):
         if batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         self.id = int(emitter_id)
@@ -117,9 +117,7 @@ class _CmaesEmitter(Emitter):
     between generation and update is the strategy's own pending batch.
     """
 
-    def __init__(self, emitter_id: int, batch_size: int = 50):
-        super().__init__(emitter_id, batch_size)
-        self.cmaes: CmaesState | None = None
+    cmaes: CmaesState | None = None
 
     def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
         """Restarts the strategy on a uniformly drawn elite at the task's
@@ -175,11 +173,8 @@ class RandomDirectionEmitter(_CmaesEmitter):
     descriptor from the activation anchor along a random unit direction."""
 
     kind = EmitterKind.RANDOM_DIRECTION
-
-    def __init__(self, emitter_id, batch_size=50):
-        super().__init__(emitter_id, batch_size)
-        self.direction: np.ndarray | None = None
-        self.anchor_bd: np.ndarray | None = None
+    direction: np.ndarray | None = None
+    anchor_bd: np.ndarray | None = None
 
     def activate(self, archive, task, rng) -> None:
         elite = archive.random_elite(rng)
@@ -259,8 +254,5 @@ class RandomEmitter(Emitter):
 
 
 EMITTER_CLASSES: dict[EmitterKind, type[Emitter]] = {
-    EmitterKind.OPTIMISING: OptimisingEmitter,
-    EmitterKind.RANDOM_DIRECTION: RandomDirectionEmitter,
-    EmitterKind.IMPROVEMENT: ImprovementEmitter,
-    EmitterKind.RANDOM: RandomEmitter,
+    cls.kind: cls for cls in (OptimisingEmitter, RandomDirectionEmitter, ImprovementEmitter, RandomEmitter)
 }

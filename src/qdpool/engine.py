@@ -126,7 +126,7 @@ class RunResult:
     config: RunConfig
     archive: Archive
     records: list[GenerationRecord]
-    kind_series: list[tuple[int, int, int, int]]
+    kind_series: list[tuple[int, ...]]
     evaluations: int
     wall_time: float
 
@@ -168,7 +168,7 @@ class Engine:
         self.generation = 0
         self.evaluations = 0
         self.records: list[GenerationRecord] = []
-        self.kind_series: list[tuple[int, int, int, int]] = []
+        self.kind_series: list[tuple[int, ...]] = []
 
     def _evaluate(self, genotypes: np.ndarray):
         """Evaluates a batch, chunked row-wise across worker threads.
@@ -203,7 +203,7 @@ class Engine:
         self._insert(
             rng.uniform(self.task.lower, self.task.upper, (self.config.init_samples, self.task.dim))
         )
-        self.records.append(snapshot(self.archive, 0, self.evaluations, (0, 0, 0, 0)))
+        self.records.append(snapshot(self.archive, 0, self.evaluations, (0,) * len(EmitterKind)))
 
     def step(self) -> None:
         """Advances the run by one generation."""

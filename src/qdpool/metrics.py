@@ -62,13 +62,13 @@ class GenerationRecord:
     archive_size: int
     best_fitness_norm: float
     qd_score: float
-    kind_counts: tuple[int, int, int, int]
+    kind_counts: tuple[int, ...]
 
     def __post_init__(self):
         if self.qd_score > self.archive_size + 1e-9:
             raise ValueError("qd_score cannot exceed archive size (fitness_norm <= 1)")
-        if len(self.kind_counts) != 4 or any(c < 0 for c in self.kind_counts):
-            raise ValueError("kind_counts must be four non-negative integers")
+        if len(self.kind_counts) != len(EMITTER_COUNT_COLUMNS) or any(c < 0 for c in self.kind_counts):
+            raise ValueError("kind_counts must hold one non-negative integer per emitter kind")
 
 
 def qd_score(archive: Archive) -> float:

@@ -134,9 +134,9 @@ class UcbScheduler(UniformScheduler):
         self,
         emitters: list[Emitter],
         slots: int,
-        zeta: float = 0.05,
-        window: int = 50,
-        stats_granularity: str = "instance",
+        zeta: float,
+        window: int,
+        stats_granularity: str,
     ):
         super().__init__(emitters, slots)
         if not 0 <= zeta < math.inf:
@@ -144,7 +144,6 @@ class UcbScheduler(UniformScheduler):
         if stats_granularity not in GRANULARITIES:
             raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
         self.zeta = float(zeta)
-        self.stats_granularity = stats_granularity
         self._key_of = {
             e.id: (e.id if stats_granularity == "instance" else e.kind) for e in self.emitters
         }

@@ -58,6 +58,7 @@ class TaskSpec:
             raise ValueError("sigma0 must be positive and finite")
         if self.fitness_worst_raw >= self.fitness_best_raw:
             raise ValueError("fitness_worst_raw must be below fitness_best_raw")
+        self.grid()  # its checks, including the cell count, apply to every task
 
     def grid(self) -> GridSpec:
         """The descriptor grid induced by this task's bounds and resolution."""
@@ -86,9 +87,10 @@ def make_task(name: str, dim: int = 100, resolution=100, sigma0: float | None = 
         raise ValueError(f"unknown task {name!r}, expected one of {TASK_NAMES}")
     if dim < 2:
         raise ValueError("tasks need dim >= 2 (descriptors read two components)")
-    resolution = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (2,)).copy()
-    if (resolution < 1).any():
-        raise ValueError("resolution must be at least 1")
+    try:
+        resolution = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (2,)).copy()
+    except OverflowError:
+        raise ValueError(f"resolution must be at most {np.iinfo(np.int64).max}") from None
     half = dim // 2
     proj_extent = np.array([_REF_BOUND * half, _REF_BOUND * (dim - half)])
 

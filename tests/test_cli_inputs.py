@@ -7,7 +7,9 @@ without a fault) or made of random bytes, and ``compare`` gets summary
 files of random bytes or of CSV with random cells.  Every example stays
 tiny: dim <= 6, resolution <= 5, generations <= 3, batch <= 4, slots <=
 4, window <= 5, threads <= 2, and one variant with one replication, so
-no example forks or allocates much.  No size is ever drawn large.
+no example forks or allocates much.  No size is ever drawn large, apart
+from resolutions whose cell count wraps in int64 (``WRAPPING``): those
+grids are rejected before anything is allocated.
 
 The property: ``cli.main`` returns, or exits through argparse, with
 status 0, 1 or 2.  A non-zero status ends stderr in its one error line
@@ -33,6 +35,9 @@ from qdpool.tasks import TASK_NAMES
 ERROR_LINE = re.compile(r"^(qdpool [\w-]+: )?(config )?error: ")
 
 INT_JUNK = ("0", "-1", "", "x", "1.5", "1e3", "nan", "inf")
+# resolutions whose 2-D cell count wraps in int64 (to 0, to a negative, or
+# already the resolution itself)
+WRAPPING = ("4294967296", "3037000500", str(2**64))
 
 
 def ints(lo, hi):
@@ -59,7 +64,7 @@ VALUES = {
     "window": (ints(1, 5), INT_JUNK),
     "stats_granularity": (st.sampled_from(GRANULARITIES), ("pool", "")),
     "dim": (ints(2, 6), ("1", *INT_JUNK)),
-    "resolution": (ints(1, 5), INT_JUNK),
+    "resolution": (ints(1, 5), (*WRAPPING, *INT_JUNK)),
     "sigma0": (SIGMA0, ("0", "-1", "nan", "inf", "-inf", "x", "")),
     "threads": (ints(1, 2), INT_JUNK),
     "metrics_every": (st.integers(1, 10**30).map(str), INT_JUNK),
@@ -213,7 +218,7 @@ def test_compare_never_ends_in_a_traceback(files, missing, metric, task, alpha):
 @given(
     task=st.one_of(st.none(), st.sampled_from([*TASK_NAMES, "rosenbrock"])),
     dim=st.one_of(st.none(), ints(2, 6), st.sampled_from(("1", *INT_JUNK))),
-    resolution=st.one_of(st.none(), ints(1, 5), st.sampled_from(INT_JUNK)),
+    resolution=st.one_of(st.none(), ints(1, 5), st.sampled_from((*WRAPPING, *INT_JUNK))),
     sigma0=st.one_of(st.none(), SIGMA0, st.sampled_from(VALUES["sigma0"][1])),
 )
 def test_dump_task_never_ends_in_a_traceback(task, dim, resolution, sigma0):

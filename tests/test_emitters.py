@@ -56,7 +56,7 @@ class TestActivate:
         assert emitter.cmaes.params.lam == 50
 
     def test_random_direction_draws_unit_vector_and_anchor(self, task, single_elite_archive):
-        emitter = RandomDirectionEmitter(1)
+        emitter = RandomDirectionEmitter(1, batch_size=50)
         for seed in range(20):
             emitter.activate(single_elite_archive, task, np.random.default_rng(seed))
             assert abs(np.linalg.norm(emitter.direction) - 1.0) < 1e-12
@@ -64,14 +64,14 @@ class TestActivate:
         np.testing.assert_array_equal(emitter.anchor_bd, elite.descriptor)
 
     def test_random_kind_is_noop(self, task, single_elite_archive):
-        emitter = RandomEmitter(2)
+        emitter = RandomEmitter(2, batch_size=50)
         before = vars(emitter).copy()
         emitter.activate(single_elite_archive, task, np.random.default_rng(0))
         assert vars(emitter) == before
 
     def test_empty_archive_raises(self, task):
         with pytest.raises(EmptyArchiveError):
-            OptimisingEmitter(0).activate(Archive(task.grid()), task, np.random.default_rng(0))
+            OptimisingEmitter(0, batch_size=50).activate(Archive(task.grid()), task, np.random.default_rng(0))
 
     def test_reactivation_resets_state(self, task, single_elite_archive):
         emitter = ImprovementEmitter(0, batch_size=8)
@@ -132,7 +132,7 @@ class TestGenerate:
     def test_generation_never_inserts(self, task):
         rng = np.random.default_rng(9)
         archive = build_archive(task, rng.uniform(-30, 30, (5, 4)))
-        emitter = RandomEmitter(0)
+        emitter = RandomEmitter(0, batch_size=50)
         before = len(archive)
         emitter.generate_batch([emitter], archive, task, [rng])
         assert len(archive) == before
@@ -203,7 +203,7 @@ class TestGenerateBatch:
 
 class TestRewards:
     def test_optimising_is_fitness(self):
-        emitter = OptimisingEmitter(0)
+        emitter = OptimisingEmitter(0, batch_size=50)
         out = emitter.batch_rewards(
             np.zeros((2, 2)),
             np.array([0.37, 0.9]),
@@ -214,7 +214,7 @@ class TestRewards:
         assert out[1] == 0.9
 
     def test_random_direction_is_projected_displacement(self, task, single_elite_archive):
-        emitter = RandomDirectionEmitter(0)
+        emitter = RandomDirectionEmitter(0, batch_size=50)
         emitter.activate(single_elite_archive, task, np.random.default_rng(4))
         anchor, direction = emitter.anchor_bd, emitter.direction
         displaced = anchor + 2.0 * direction
@@ -230,7 +230,7 @@ class TestRewards:
         assert out[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_random_direction_translation_invariance(self, task, single_elite_archive):
-        emitter = RandomDirectionEmitter(0)
+        emitter = RandomDirectionEmitter(0, batch_size=50)
         emitter.activate(single_elite_archive, task, np.random.default_rng(4))
         rng = np.random.default_rng(10)
 
@@ -248,7 +248,7 @@ class TestRewards:
             assert shifted == pytest.approx(base, abs=1e-9)
 
     def test_improvement_tier_examples(self):
-        emitter = ImprovementEmitter(0)
+        emitter = ImprovementEmitter(0, batch_size=50)
         out = emitter.batch_rewards(
             np.zeros((3, 2)),
             np.array([0.6, 0.8, 0.45]),
@@ -260,7 +260,7 @@ class TestRewards:
         assert out[2] == 0.45
 
     def test_improvement_tiers_never_interleave(self):
-        emitter = ImprovementEmitter(0)
+        emitter = ImprovementEmitter(0, batch_size=50)
         rng = np.random.default_rng(12)
         fn = rng.uniform(0.0, 0.999, 300)
         status = np.repeat([AddStatus.NEW, AddStatus.IMPROVED, AddStatus.REJECTED], 100)
@@ -340,7 +340,7 @@ class TestFinishGeneration:
             emitter.finish_generation(*outcome(np.zeros(9)))
 
     def test_finish_without_generate_raises(self, task, single_elite_archive):
-        emitter = OptimisingEmitter(0)
+        emitter = OptimisingEmitter(0, batch_size=50)
         emitter.activate(single_elite_archive, task, np.random.default_rng(0))
         with pytest.raises(RuntimeError):
             emitter.finish_generation(*outcome(np.zeros(50), added=False))

@@ -15,7 +15,15 @@ from qdpool.scheduler import (
 
 
 def make_pool(n):
-    return [RandomEmitter(i) for i in range(n)]
+    return [RandomEmitter(i, 50) for i in range(n)]
+
+
+def make_scheduler(scheduler, emitters, slots):
+    """``scheduler`` over ``emitters``, with the run defaults' UCB knobs
+    where it takes them."""
+    if scheduler is UcbScheduler:
+        return UcbScheduler(emitters, slots, zeta=0.05, window=50, stats_granularity="instance")
+    return scheduler(emitters, slots)
 
 
 class TestBanditStats:
@@ -123,26 +131,26 @@ class TestBanditStats:
 
 class TestUcbScheduler:
     def test_first_selection_is_lowest_ids(self):
-        sched = UcbScheduler(make_pool(10), slots=4)
+        sched = UcbScheduler(make_pool(10), slots=4, zeta=0.05, window=50, stats_granularity="instance")
         chosen = sched.select()
         assert [e.id for e in chosen] == [0, 1, 2, 3]
         assert [e.id for e in sched.active] == [0, 1, 2, 3]
 
     def test_select_zero_is_noop(self):
-        sched = UcbScheduler(make_pool(10), slots=4)
+        sched = UcbScheduler(make_pool(10), slots=4, zeta=0.05, window=50, stats_granularity="instance")
         sched.select()
         assert sched.select() == []
         assert len(sched.active) == 4
 
     def test_selects_by_descending_score(self):
-        sched = UcbScheduler(make_pool(3), slots=2, zeta=0.05)
+        sched = UcbScheduler(make_pool(3), slots=2, zeta=0.05, window=50, stats_granularity="instance")
         # give every arm history so no score is infinite
         sched.record_generation({0: (50, 20), 1: (50, 45), 2: (50, 5)})
         chosen = sched.select()
         assert [e.id for e in chosen] == [1, 0]
 
     def test_tie_breaks_by_ascending_id(self):
-        sched = UcbScheduler(make_pool(4), slots=2, zeta=0.0)
+        sched = UcbScheduler(make_pool(4), slots=2, zeta=0.0, window=50, stats_granularity="instance")
         sched.record_generation({0: (50, 10), 1: (50, 30), 2: (50, 30), 3: (50, 10)})
         chosen = sched.select()
         assert [e.id for e in chosen] == [1, 2]
@@ -150,7 +158,7 @@ class TestUcbScheduler:
     def test_zeta_zero_equal_counts_is_argmax_of_success_ratio(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            sched = UcbScheduler(make_pool(6), slots=1, zeta=0.0)
+            sched = UcbScheduler(make_pool(6), slots=1, zeta=0.0, window=50, stats_granularity="instance")
             succ = rng.integers(0, 51, size=6)
             sched.record_generation({i: (50, int(succ[i])) for i in range(6)})
             chosen = sched.select()[0]
@@ -158,7 +166,7 @@ class TestUcbScheduler:
 
     def test_active_and_idle_stay_disjoint_and_complete(self):
         rng = np.random.default_rng(2)
-        sched = UcbScheduler(make_pool(12), slots=5, zeta=0.05)
+        sched = UcbScheduler(make_pool(12), slots=5, zeta=0.05, window=50, stats_granularity="instance")
         sched.select()
         for _ in range(60):
             counts = {}
@@ -178,12 +186,12 @@ class TestUcbScheduler:
         from qdpool.emitters import ImprovementEmitter, OptimisingEmitter
 
         emitters = [
-            OptimisingEmitter(0),
-            OptimisingEmitter(1),
-            ImprovementEmitter(2),
-            ImprovementEmitter(3),
+            OptimisingEmitter(0, 50),
+            OptimisingEmitter(1, 50),
+            ImprovementEmitter(2, 50),
+            ImprovementEmitter(3, 50),
         ]
-        sched = UcbScheduler(emitters, slots=2, zeta=0.05, stats_granularity="kind")
+        sched = UcbScheduler(emitters, slots=2, zeta=0.05, window=50, stats_granularity="kind")
         sched.record_generation({0: (50, 40), 2: (50, 2)})
         # instance 1 inherits the optimising kind's stats, instance 3 the
         # improvement kind's: both finite, optimising clearly ahead
@@ -197,13 +205,13 @@ class TestUcbScheduler:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            UcbScheduler(make_pool(4), slots=0)
+            UcbScheduler(make_pool(4), slots=0, zeta=0.05, window=50, stats_granularity="instance")
         with pytest.raises(ValueError):
-            UcbScheduler(make_pool(4), slots=2, zeta=-0.1)
+            UcbScheduler(make_pool(4), slots=2, zeta=-0.1, window=50, stats_granularity="instance")
         with pytest.raises(ValueError):
-            UcbScheduler(make_pool(4), slots=2, stats_granularity="pool")
+            UcbScheduler(make_pool(4), slots=2, zeta=0.05, window=50, stats_granularity="pool")
         with pytest.raises(ValueError):
-            UcbScheduler(make_pool(2), slots=3)
+            UcbScheduler(make_pool(2), slots=3, zeta=0.05, window=50, stats_granularity="instance")
         with pytest.raises(ValueError):
             BanditStats(["a"], window=0)
 
@@ -218,8 +226,8 @@ class TestUniformScheduler:
         emitters = []
         for kind_index, (kind, cls) in enumerate(EMITTER_CLASSES.items()):
             for j in range(3):
-                emitters.append(cls(kind_index * 3 + j))
-        sched = scheduler(emitters, slots=12)
+                emitters.append(cls(kind_index * 3 + j, 50))
+        sched = make_scheduler(scheduler, emitters, slots=12)
         sched.select()
 
         def active_kind_counts():
@@ -249,7 +257,7 @@ class TestUniformScheduler:
     def test_select_never_fills_more_than_the_slots(self, scheduler):
         rng = np.random.default_rng(11)
         for pool_size, slots in ((8, 2), (5, 5), (12, 5), (3, 1)):
-            sched = scheduler(make_pool(pool_size), slots=slots)
+            sched = make_scheduler(scheduler, make_pool(pool_size), slots=slots)
             for _ in range(40):
                 for e in list(sched.active):
                     if rng.uniform() < 0.4:

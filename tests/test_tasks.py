@@ -76,8 +76,10 @@ class TestTaskConstruction:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"dim": 1}, {"sigma0": 0.0}, {"sigma0": -1.0}, {"resolution": 0}, {"resolution": (10, 0)}],
-        ids=["dim-1", "sigma0-0", "sigma0-neg", "resolution-0", "resolution-axis-0"],
+        [{"dim": 1}, {"sigma0": 0.0}, {"sigma0": -1.0}, {"resolution": 0}, {"resolution": (10, 0)},
+         {"resolution": 2**32}, {"resolution": 2**64}],
+        ids=["dim-1", "sigma0-0", "sigma0-neg", "resolution-0", "resolution-axis-0", "cells-wrap",
+             "resolution-beyond-int64"],
     )
     def test_invalid_arguments_name_the_argument(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -88,6 +90,11 @@ class TestTaskConstruction:
         task = make_task("sphere", dim=4, resolution=5)
         with pytest.raises(ValueError, match="sigma0"):
             dataclasses.replace(task, sigma0=sigma0)
+
+    def test_task_built_without_make_task_checks_its_grid(self):
+        task = make_task("sphere", dim=4, resolution=5)
+        with pytest.raises(ValueError, match="cells"):
+            dataclasses.replace(task, grid_resolution=np.array([2**32, 2**32]))
 
 
 def test_clip_genotype():
