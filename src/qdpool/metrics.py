@@ -141,14 +141,16 @@ def write_aggregate_csv(series_by_rep, path) -> None:
     for series in series_by_rep[1:]:
         if [r.generation for r in series] != generations:
             raise ValueError("replication series have mismatched snapshot cadences")
-    rows = []
-    for i, gen in enumerate(generations):
-        records = [series[i] for series in series_by_rep]
-        row = [gen, records[0].evaluations]
-        for name in ("archive_size", "best_fitness_norm", "qd_score"):
-            quartiles = np.percentile([getattr(r, name) for r in records], [25, 50, 75])
-            row.extend(float(q) for q in quartiles)
-        rows.append(row)
+    values = np.array(
+        [[(r.archive_size, r.best_fitness_norm, r.qd_score) for r in series] for series in series_by_rep],
+        dtype=float,
+    )
+    # (generation, metric, quartile), in the column order of AGGREGATE_HEADER
+    quartiles = np.percentile(values, [25, 50, 75], axis=0).transpose(1, 2, 0)
+    rows = (
+        [r.generation, r.evaluations, *q.ravel().tolist()]
+        for r, q in zip(series_by_rep[0], quartiles)
+    )
     _write_csv(path, AGGREGATE_HEADER, rows)
 
 

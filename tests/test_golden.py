@@ -30,9 +30,15 @@ under the running kernel with ``PYTHONPATH=src python tests/test_golden.py``
 on an AVX2 machine, where OpenBLAS picks ``Haswell`` by itself; the test of
 forced kernels checks the set of every family older than the running one,
 as far as the machine at hand runs them.
+
+``SWEEP`` pins the files that only a ``qdpool run`` sweep writes,
+``summary.csv`` and each variant's ``aggregate.csv``, for a tiny
+``map-elites`` sweep, so one set holds under every kernel.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -41,6 +47,7 @@ from pathlib import Path
 import pytest
 
 from blas_kernel import openblas_corename
+from qdpool import cli
 from qdpool.engine import VARIANT_NAMES, RunConfig, run
 from qdpool.metrics import write_emitter_mix_csv, write_metrics_csv
 from qdpool.tasks import TASK_NAMES, make_task
@@ -73,6 +80,21 @@ MAP_ELITES = {
         "c6959a185419ce0de103519b62acb5c9133db33ac8826b2ae7a6395ccf399894",
         "019f5ceea4557a8d6f8408262edc35de351799f81ef66dc51613a7097e204d93",
     ),
+}
+
+# `qdpool run` arguments of the sweep whose files SWEEP pins; four
+# replications, so that every quartile of aggregate.csv interpolates
+SWEEP_ARGS = [
+    "run", "--task", "rastrigin_multi", "--dim", "6", "--resolution", "10", "--variant", "map-elites",
+    "--replications", "4", "--generations", "40", "--slots", "4", "--batch", "8",
+    "--init-samples", "20", "--metrics-every", "5", "--seed", "7",
+]
+
+SWEEP_FILES = ("summary.csv", "rastrigin_multi/map-elites/aggregate.csv")
+SWEEP = {
+    # path under --out: digest
+    "summary.csv": "1057fc0b9b207d4f21cdaa11d8a511b90fa769ae2e17adbeda48bb2bbf440a8f",
+    "rastrigin_multi/map-elites/aggregate.csv": "72bac431a80ab9d10b992fb72739cb12c8d344d473e8c6edf3178b1cc2b5be3f",
 }
 
 CMA_ES = {
@@ -505,6 +527,15 @@ def write_tree(task_name, variant, out_dir):
     write_emitter_mix_csv(result.kind_series, out_dir / "emitter_mix.csv")
 
 
+def write_sweep(out_dir):
+    with contextlib.redirect_stdout(io.StringIO()):  # the per-run lines, wall times included
+        assert cli.main([*SWEEP_ARGS, "--out", str(out_dir)]) == 0
+
+
+def sweep_digests(out_dir):
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in SWEEP_FILES}
+
+
 def digests(out_dir):
     return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES)
 
@@ -524,6 +555,11 @@ def test_golden_digests(task_name, variant, tmp_path):
     expected = MAP_ELITES[case] if case in MAP_ELITES else CMA_ES[kernel_family(openblas_corename())][case]
     write_tree(task_name, variant, tmp_path)
     assert digests(tmp_path) == expected
+
+
+def test_sweep_digests(tmp_path):
+    write_sweep(tmp_path)
+    assert sweep_digests(tmp_path) == SWEEP
 
 
 def test_digests_under_each_forced_older_kernel():
@@ -559,10 +595,16 @@ if __name__ == "__main__":
             write_tree(sys.argv[1], sys.argv[2], Path(tmp))
             print(core, *digests(Path(tmp)), sep="\n")
         sys.exit()
-    # Prints MAP_ELITES and the running kernel family's CMA_ES entry for the
-    # current code, in the order above, so that re-recording is one command
+    # Prints SWEEP, MAP_ELITES and the running kernel family's CMA_ES entry
+    # for the current code, in the order above, so that re-recording is one command
     # whose diff can be reviewed:
     #   PYTHONPATH=src python tests/test_golden.py
+    with tempfile.TemporaryDirectory() as tmp:
+        write_sweep(Path(tmp))
+        print("SWEEP = {")
+        for name, digest in sweep_digests(Path(tmp)).items():
+            print(f'    "{name}": "{digest}",')
+        print("}")
     cases = [*MAP_ELITES, *next(iter(CMA_ES.values()))]
     cases += [c for c in itertools.product(TASK_NAMES, VARIANT_NAMES) if c not in cases]
     print(f"# OpenBLAS kernel {core}")
