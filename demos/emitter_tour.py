@@ -2,10 +2,11 @@
 A tour of the four emitter kinds
 ================================
 
-Each emitter turns archive state into a batch of candidates and then
-absorbs the batch's insertion outcome in one `finish_generation` call. The
-three CMA-ES kinds rank the batch by their own per-sample reward signal;
-the random kind keeps no state. This script activates one instance of
+Each emitter turns archive state into a batch of candidates. Its family's
+`update_batch` then absorbs the batch's insertion outcome and gives each
+emitter its reason to stop, and `finish_generation` ends the emitter's
+generation with that reason. The three CMA-ES kinds rank the batch by
+their own per-sample reward signal; the random kind keeps no state. This script activates one instance of
 each kind on a small Rastrigin task and prints what it produces.
 """
 
@@ -46,5 +47,6 @@ for kind, cls in EMITTER_CLASSES.items():
     if kind is not EmitterKind.RANDOM:
         rewards = emitter.batch_rewards(bd, norm, status, improvement)
         print(f"  rewards: {np.array2string(rewards, precision=3)}")
-    terminated = emitter.finish_generation(bd, norm, status, improvement)
-    print(f"  terminated after this generation: {terminated}\n")
+    reason = emitter.update_batch([emitter], bd, norm, status, improvement)[0]
+    terminated = emitter.finish_generation(reason)
+    print(f"  terminated after this generation: {terminated} (reason to stop: {reason})\n")

@@ -37,7 +37,14 @@ from typing import NamedTuple
 
 from qdpool import engine, metrics
 from qdpool.scheduler import GRANULARITIES
-from qdpool.tasks import RASTRIGIN_PER_DIM_MAX, TASK_NAMES, TaskSpec, make_task
+from qdpool.tasks import (
+    DEFAULT_DIM,
+    DEFAULT_RESOLUTION,
+    RASTRIGIN_PER_DIM_MAX,
+    TASK_NAMES,
+    TaskSpec,
+    make_task,
+)
 
 
 class ConfigError(ValueError):
@@ -50,8 +57,8 @@ class ExperimentConfig:
     run parameters."""
 
     task_name: str = "rastrigin_multi"
-    dim: int = 100
-    resolution: int = 100
+    dim: int = DEFAULT_DIM
+    resolution: int = DEFAULT_RESOLUTION
     sigma0: float | None = None
     variants: list[str] = field(default_factory=lambda: list(engine.VARIANT_NAMES))
     replications: int = 20
@@ -338,9 +345,10 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     return 0
 
 
-def compare_summaries(paths, metric="qd_score", task_filter=None, alpha=0.05, echo=print) -> int:
+def compare_summaries(paths, *, metric, alpha, task_filter=None, echo=print) -> int:
     """Pairwise rank-sum comparison of variants found in summary files,
-    Holm-corrected within each task's family of comparisons."""
+    Holm-corrected within each task's family of comparisons; ``metric``
+    and ``alpha`` have their defaults in ``qdpool compare``'s flags."""
     if not 0 < alpha < 1:
         echo(f"error: alpha must be in (0, 1), got {alpha}", file=sys.stderr)
         return 2
@@ -460,7 +468,7 @@ def main(argv=None) -> int:
             cfg = parse_config(flags, args.config)
             return run_experiment(cfg)
         if args.command == "compare":
-            return compare_summaries(args.summaries, args.metric, args.task, args.alpha)
+            return compare_summaries(args.summaries, metric=args.metric, alpha=args.alpha, task_filter=args.task)
         if args.command == "dump-task":
             return dump_task(args.task, args.dim, args.resolution, args.sigma0)
     except ConfigError as exc:

@@ -14,20 +14,25 @@ restart criteria read A and C, never eigenvalues.  A sampled state keeps
 its batch, the samples with the normals ``z`` that drew them, until
 :meth:`CmaesState.tell` consumes it with the rewards.  The whitened mean
 shift ``A^-1 y_w`` is then the weighted sum of the parents' normals
-(Hansen 2016, arXiv 1604.00772), so an update makes one LAPACK call,
-``cholesky``, and no solve.
+(Hansen 2016, arXiv 1604.00772), so an update factors each ``C`` once,
+with LAPACK's ``cholesky``, and solves nothing.
 
-Sampling is batched across strategies: :func:`ask_stacked` draws every
-state's standard normals from that state's own generator, in the order
-given, and transforms all of them with one ``(k, lam, n)`` matmul, which
-gives the same bits as k separate transforms.  :meth:`CmaesState.ask` is
-its batch of one.  Updates stay per state: at n = 100 a stacked
-covariance update was slower than separate ones.
+``ask``, ``tell`` and ``should_stop`` are static methods over a family
+of states that share ``dim`` and ``lam``, as an emitter family generates
+together; a batch of one is ``CmaesState.tell([state], [rewards])[0]``.
+:meth:`CmaesState.ask` draws every state's standard normals from that
+state's own generator, in the order given, and transforms all of them
+with one ``(k, lam, n)`` matmul.  :meth:`CmaesState.tell` updates the
+family with one stacked op per step up to :data:`STACKED_UPDATE_MAX_DIM`
+and one state at a time above it, where the stacked temporaries cost
+more than the calls they save.  Every path gives each state the bits
+that it alone would get.
 
 :meth:`CmaesState.should_stop` evaluates the restart criteria on the
-live state, and :meth:`CmaesState.tell` returns its answer for the
-updated state.  Sampling never reads them: as in the usual ``while not
-es.stop(): ask/tell`` loop, stopping is the caller's call.
+live states in one pass over the family, and :meth:`CmaesState.tell`
+returns its answer for the updated states.  Sampling never reads them:
+as in the usual ``while not es.stop(): ask/tell`` loop, stopping is the
+caller's call.
 """
 
 from __future__ import annotations
@@ -106,7 +111,8 @@ class CmaesParams:
 
 
 class CmaesState:
-    """Mutable distribution state with ``ask`` / ``tell`` / ``should_stop``.
+    """Mutable distribution state, asked, told and checked by the family
+    operations ``ask`` / ``tell`` / ``should_stop``.
 
     The sampling distribution is ``N(mean, sigma^2 C)`` with the cached
     lower Cholesky factor ``A`` of ``C = A A^T``; ``A`` is NaN when ``C``
@@ -136,98 +142,88 @@ class CmaesState:
         self.best_reward_history: deque[float] = deque(maxlen=self.params.reward_history_window)
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
 
-    def ask(self, rng: np.random.Generator) -> np.ndarray:
-        """Draws ``lam`` samples from the current distribution: the batch of
-        one of :func:`ask_stacked`.
+    @staticmethod
+    def ask(states: Sequence["CmaesState"], rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Draws one ``lam``-sample batch from each state of a family, as a
+        ``(k, lam, n)`` stack whose slice ``i`` is ``states[i]``'s batch.
 
-        The samples are returned unclipped, and the returned array is the
-        one the state keeps for :meth:`tell`: callers clamp a copy to
-        their search bounds before evaluation.  The state is sampled
-        whatever :meth:`should_stop` says; stopping is the caller's call.
+        Each state draws its standard normals from its own generator, in
+        the order given, and all of them are transformed with one ``(k,
+        lam, n)`` matmul, which gives the same bits as k separate
+        transforms.  Each state keeps its slices of the samples and of the
+        normals as its ``pending`` batch, replacing any batch not yet told;
+        the samples are views into the returned stack, which callers clamp
+        a copy of before evaluation.  Each state is sampled whatever its
+        restart criteria say; stopping is the caller's call.  A sample too
+        large for a float (a huge ``sigma`` or ``mean``) becomes infinite
+        without a warning, and never NaN while the state is finite; an
+        infinite parent makes the next :meth:`tell` report ``numerical``.
         """
-        ask_stacked([self], [rng])
-        return self.pending[0]
+        p = _family_params(states)
+        z = np.empty((len(states), p.lam, p.dim))
+        for z_i, rng in zip(z, rngs):
+            rng.standard_normal(out=z_i)
+        steps = z @ _stack([state.A for state in states]).transpose(0, 2, 1)
+        with np.errstate(over="ignore"):
+            steps *= np.array([state.sigma for state in states])[:, None, None]
+            steps += _stack([state.mean for state in states])[:, None, :]
+        for state, samples, normals in zip(states, steps, z):
+            state.pending = (samples, normals)
+        return steps
 
+    @staticmethod
     @np.errstate(over="ignore", invalid="ignore")
-    def tell(self, rewards) -> str | None:
-        """Updates the distribution from the rewards of the pending batch,
-        one per sample in sample order (larger is better), consumes that
-        batch, and returns :meth:`should_stop` of the updated state.
+    def tell(states: Sequence["CmaesState"], rewards) -> list[str | None]:
+        """Updates each state of a family from the rewards of its pending
+        batch, ``rewards[i]`` holding one value per sample of
+        ``states[i]`` in sample order (larger is better), consumes those
+        batches, and returns :meth:`should_stop` of the updated states.
 
         Ranking uses a stable sort on the negated rewards, so ties are
         broken by sample position and the update is deterministic.  The
         evolution path ``p_sigma`` is whitened with the weighted normals
         of the parents, which equal ``A^-1 y_w`` for the factor ``A``
-        that drew them.  Non-finite parents (a step that overflowed in
-        :func:`ask_stacked`) give a non-finite update without a floating
-        point warning, which :meth:`should_stop` reports as ``numerical``.
+        that drew them.  Up to :data:`STACKED_UPDATE_MAX_DIM` the family
+        is updated with one stacked op per step; above it, where the
+        stacked temporaries cost more than the calls they save, one state
+        at a time.  Either way every state gets the bits that it alone
+        would get.  Non-finite parents (a step that overflowed in
+        :meth:`ask`) give a non-finite update without a floating point
+        warning, and a ``C`` with no Cholesky factor a NaN ``A``, both of
+        which :meth:`should_stop` reports as ``numerical``.
 
         Raises:
-            RuntimeError: If no batch is pending.
-            ValueError: If the rewards are not ``lam`` finite values; the
-                batch then stays pending.
+            RuntimeError: If a state has no pending batch.
+            ValueError: If the states do not share ``dim`` and ``lam``, or
+                some state's rewards are not ``lam`` finite values.  Every
+                check runs before any update, so a failed call leaves
+                every state as it was.
         """
-        p = self.params
-        if self.pending is None:
-            raise RuntimeError("tell called without a pending batch from ask")
-        rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape != (p.lam,):
-            raise ValueError(f"expected {p.lam} rewards, got shape {rewards.shape}")
+        p = _family_params(states)
+        if len(rewards) != len(states):
+            raise ValueError(f"expected rewards for {len(states)} states, got {len(rewards)}")
+        rewards = [np.asarray(r, dtype=float) for r in rewards]
+        for state, r in zip(states, rewards):
+            if state.pending is None:
+                raise RuntimeError("tell called without a pending batch from ask")
+            if r.shape != (p.lam,):
+                raise ValueError(f"expected {p.lam} rewards, got shape {r.shape}")
+        rewards = np.array(rewards)
         if not np.isfinite(rewards).all():
             raise ValueError("rewards must be finite")
-        (samples, normals), self.pending = self.pending, None
+        if p.dim <= STACKED_UPDATE_MAX_DIM:
+            _update(states, rewards)
+        else:
+            for i, state in enumerate(states):
+                _update([state], rewards[i : i + 1])
+        return CmaesState.should_stop(states)
 
-        self.generation_count += 1
-        best = np.argsort(-rewards, kind="stable")[: p.mu]
-        parents = samples[best]
-
-        old_mean = self.mean
-        self.mean = p.weights @ parents
-        y_w = (self.mean - old_mean) / self.sigma
-
-        # cumulative step-size adaptation in the isotropic coordinate system
-        self.p_sigma = (1.0 - p.c_sigma) * self.p_sigma + math.sqrt(
-            p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff
-        ) * (p.weights @ normals[best])
-        norm_p_sigma = math.sqrt(self.p_sigma.dot(self.p_sigma))  # what np.linalg.norm computes
-        h_sigma = norm_p_sigma / math.sqrt(
-            1.0 - (1.0 - p.c_sigma) ** (2 * self.generation_count)
-        ) < (1.4 + 2.0 / (p.dim + 1.0)) * p.chi_n
-
-        self.p_c = (1.0 - p.c_c) * self.p_c + h_sigma * math.sqrt(
-            p.c_c * (2.0 - p.c_c) * p.mu_eff
-        ) * y_w
-
-        y = (parents - old_mean) / self.sigma
-        rank_mu = (y.T * p.weights) @ y
-        # C' = a C + c_1 (p_c p_c^T + [not h_sigma] c_c (2 - c_c) C) + c_mu rank_mu,
-        # built in place in that association order; the bracketed term
-        # compensates the variance lost when the rank-1 path update is
-        # gated off
-        rank_one = self.p_c[:, None] * self.p_c  # what np.outer computes
-        if not h_sigma:
-            rank_one += p.c_c * (2.0 - p.c_c) * self.C
-        rank_one *= p.c_1
-        c_new = (1.0 - p.c_1 - p.c_mu) * self.C
-        c_new += rank_one
-        rank_mu *= p.c_mu
-        c_new += rank_mu
-        self.C = c_new + c_new.T
-        self.C /= 2.0
-
-        self.sigma *= math.exp((p.c_sigma / p.d_sigma) * (norm_p_sigma / p.chi_n - 1.0))
-
-        try:
-            self.A = np.linalg.cholesky(self.C)
-        except np.linalg.LinAlgError:  # C is not positive definite
-            self.A = np.full_like(self.C, np.nan)
-        self.best_reward_history.append(float(rewards.max()))
-        return self.should_stop()
-
-    def should_stop(self) -> str | None:
-        """Evaluates the restart criteria, always in the order below,
-        against the live state, with ``g`` the generation count and ``n``
-        the dimension:
+    @staticmethod
+    @np.errstate(over="ignore", invalid="ignore")
+    def should_stop(states: Sequence["CmaesState"]) -> list[str | None]:
+        """Evaluates the restart criteria of each state of a family,
+        always in the order below, against the live state, with ``g`` its
+        generation count and ``n`` the dimension:
 
         - ``numerical``: ``mean``, ``sigma`` or ``A`` is not finite, which
           includes a ``C`` with no Cholesky factor;
@@ -242,53 +238,145 @@ class CmaesState:
         - ``no_effect_coord``: adding ``0.2 * sigma * sqrt(C_ii)`` leaves
           some coordinate ``i`` of the mean unchanged.
 
+        The array tests run once over the family's stack.
+
         Returns:
-            The name of the first criterion that holds, or None.
+            For each state, the name of the first criterion that holds, or
+            None.
         """
-        finite = np.isfinite(self.A).all() and np.isfinite(self.mean).all()
-        if not (finite and math.isfinite(self.sigma)):
-            return "numerical"
-        a_diag = self.A.diagonal()
-        a_min, a_max = float(a_diag.min()), float(a_diag.max())
-        if a_min == 0.0 or (a_max / a_min) ** 2 > 1e14:
-            return "condition"
-        c_diag = self.C.diagonal()
-        if self.sigma * math.sqrt(float(c_diag.max())) < 1e-12 * self.sigma0:
-            return "tol_x"
-        history = self.best_reward_history
-        if len(history) == history.maxlen and max(history) - min(history) < 1e-12:
-            return "tol_fun"
-        axis = self.generation_count % self.params.dim
-        step = 0.1 * self.sigma * self.A[:, axis]
-        if ((self.mean + step) == self.mean).all():
-            return "no_effect_axis"
-        step = 0.2 * self.sigma * np.sqrt(c_diag)
-        if (self.mean + step == self.mean).any():
-            return "no_effect_coord"
-        return None
+        p = _family_params(states)
+        a = _stack([state.A for state in states])
+        mean = _stack([state.mean for state in states])
+        sigma = np.array([state.sigma for state in states])
+        c_diag = _stack([state.C.diagonal() for state in states])
+        finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(mean).all(axis=1)
+        finite = (finite & np.isfinite(sigma)).tolist()
+        a_diag = a.diagonal(axis1=1, axis2=2)
+        a_min, a_max = a_diag.min(axis=1).tolist(), a_diag.max(axis=1).tolist()
+        sigma0 = np.array([state.sigma0 for state in states])
+        tol_x = (sigma * np.sqrt(c_diag.max(axis=1)) < 1e-12 * sigma0).tolist()
+        axes = [state.generation_count % p.dim for state in states]
+        step = (0.1 * sigma)[:, None] * a[np.arange(len(states)), :, axes]
+        no_effect_axis = ((mean + step) == mean).all(axis=1).tolist()
+        step = (0.2 * sigma)[:, None] * np.sqrt(c_diag)
+        no_effect_coord = (mean + step == mean).any(axis=1).tolist()
+
+        reasons = []
+        for i, state in enumerate(states):
+            history = state.best_reward_history
+            if not finite[i]:
+                reasons.append("numerical")
+            elif a_min[i] == 0.0 or (a_max[i] / a_min[i]) ** 2 > 1e14:
+                reasons.append("condition")
+            elif tol_x[i]:
+                reasons.append("tol_x")
+            elif len(history) == history.maxlen and max(history) - min(history) < 1e-12:
+                reasons.append("tol_fun")
+            elif no_effect_axis[i]:
+                reasons.append("no_effect_axis")
+            elif no_effect_coord[i]:
+                reasons.append("no_effect_coord")
+            else:
+                reasons.append(None)
+        return reasons
 
 
-def ask_stacked(states: Sequence[CmaesState], rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Draws one ``lam``-sample batch from each state, as a ``(k, lam, n)``
-    stack whose slice ``i`` equals ``states[i].ask(rngs[i])`` bit for bit.
+# Largest dimension at which CmaesState.tell updates a family with stacked
+# ops; above it the stacked temporaries fall out of cache and the states
+# are updated one at a time.
+STACKED_UPDATE_MAX_DIM = 36
 
-    Each state draws from its own generator, in the order given, and
-    keeps its slices of the samples and of the normals as its
-    ``pending`` batch, replacing any batch not yet told; the samples are
-    views into the returned stack.  All states must share ``dim`` and
-    ``lam``.  Each state is sampled whatever its restart criteria say;
-    stopping is the caller's call.  A sample too large for a float (a
-    huge ``sigma`` or ``mean``) becomes infinite without a warning, and
-    never NaN while the state is finite; an infinite parent makes the
-    next ``tell`` report ``numerical``.
-    """
-    z = np.empty((len(states), states[0].params.lam, states[0].params.dim))
-    for z_i, rng in zip(z, rngs):
-        rng.standard_normal(out=z_i)
-    steps = z @ np.stack([state.A for state in states]).transpose(0, 2, 1)
-    with np.errstate(over="ignore"):
-        steps *= np.array([state.sigma for state in states])[:, None, None]
-        steps += np.stack([state.mean for state in states])[:, None, :]
-    for state, samples, normals in zip(states, steps, z):
-        state.pending = (samples, normals)
-    return steps
+
+def _family_params(states: Sequence[CmaesState]) -> CmaesParams:
+    """The constants that every state of a family shares."""
+    p = states[0].params
+    if any((state.params.dim, state.params.lam) != (p.dim, p.lam) for state in states):
+        raise ValueError("a family's states must share dim and lam")
+    return p
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new first axis (``np.array`` copies a list
+    of small arrays faster than ``np.stack``), or a view of a single
+    array."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _rows(stack: np.ndarray) -> list[np.ndarray]:
+    """The slices of ``stack`` as arrays of their own, so that no state
+    keeps a family's whole stack alive; a stack of one is its own slice."""
+    return list(stack) if len(stack) == 1 else [row.copy() for row in stack]
+
+
+def _update(states: Sequence[CmaesState], rewards: np.ndarray) -> None:
+    """The distribution update of :meth:`CmaesState.tell` for checked
+    states and their ``(k, lam)`` rewards, with the ranking, the
+    element-wise steps, the rank-mu products and ``cholesky`` stacked over
+    the states.  The parents' weighted sums, the path norm, ``h_sigma``
+    and the step size stay per state, since stacking those BLAS and libm
+    calls could move their bits."""
+    p = states[0].params
+    old_mean = _stack([state.mean for state in states])
+    sigma = np.array([state.sigma for state in states])
+    parents, means, z_w = [], [], []
+    ranked = np.argsort(-rewards, axis=1, kind="stable")[:, : p.mu]
+    for state, best, best_reward in zip(states, ranked, rewards.max(axis=1).tolist()):
+        (samples, normals), state.pending = state.pending, None
+        state.generation_count += 1
+        parents.append(samples[best])
+        means.append(p.weights @ parents[-1])
+        z_w.append(p.weights @ normals[best])
+        state.best_reward_history.append(best_reward)
+    parents = _stack(parents)
+    y_w = (_stack(means) - old_mean) / sigma[:, None]
+
+    # cumulative step-size adaptation in the isotropic coordinate system
+    p_sigma = (1.0 - p.c_sigma) * _stack([state.p_sigma for state in states]) + math.sqrt(
+        p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff
+    ) * _stack(z_w)
+    norms = [math.sqrt(row.dot(row)) for row in p_sigma]  # what np.linalg.norm computes
+    h_sigma = [
+        norm / math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2 * state.generation_count))
+        < (1.4 + 2.0 / (p.dim + 1.0)) * p.chi_n
+        for norm, state in zip(norms, states)
+    ]
+
+    c_gain = math.sqrt(p.c_c * (2.0 - p.c_c) * p.mu_eff)
+    p_c = (1.0 - p.c_c) * _stack([state.p_c for state in states]) + np.array(
+        [h * c_gain for h in h_sigma]
+    )[:, None] * y_w
+
+    y = (parents - old_mean[:, None, :]) / sigma[:, None, None]
+    rank_mu = (y.transpose(0, 2, 1) * p.weights) @ y
+    # C' = a C + c_1 (p_c p_c^T + [not h_sigma] c_c (2 - c_c) C) + c_mu rank_mu,
+    # built in place in that association order; the bracketed term
+    # compensates the variance lost when the rank-1 path update is
+    # gated off
+    c = _stack([state.C for state in states])
+    rank_one = p_c[:, :, None] * p_c[:, None, :]  # what np.outer computes
+    for rank_one_i, c_i, h in zip(rank_one, c, h_sigma):
+        if not h:
+            rank_one_i += p.c_c * (2.0 - p.c_c) * c_i
+    rank_one *= p.c_1
+    c_new = (1.0 - p.c_1 - p.c_mu) * c
+    c_new += rank_one
+    rank_mu *= p.c_mu
+    c_new += rank_mu
+    c = c_new + c_new.transpose(0, 2, 1)
+    c /= 2.0
+
+    try:
+        a = np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:  # some C is not positive definite: factor each alone
+        a = np.empty_like(c)
+        for c_i, a_i in zip(c, a):
+            try:
+                a_i[...] = np.linalg.cholesky(c_i)
+            except np.linalg.LinAlgError:
+                a_i[...] = np.nan
+
+    for state, mean, ps, pc, c_i, a_i, norm in zip(
+        states, means, _rows(p_sigma), _rows(p_c), _rows(c), _rows(a), norms
+    ):
+        state.mean, state.p_sigma, state.p_c, state.C, state.A = mean, ps, pc, c_i, a_i
+        state.sigma *= math.exp((p.c_sigma / p.d_sigma) * (norm / p.chi_n - 1.0))

@@ -4,18 +4,22 @@ archive.
 Each emitter turns archive state plus its own internal state into a batch
 of genotypes and, once the engine has evaluated and inserted the batch,
 absorbs its slice of the insertion outcome and reports whether it has
-exhausted itself.  Three kinds drive an internal CMA-ES with different
+exhausted itself, and why.  Three kinds drive an internal CMA-ES with different
 reward signals (raw quality, movement along a fixed descriptor direction,
 archive improvement); the fourth applies the directional-variation line
 operator, with the fixed gains :data:`SIGMA_ISO` and :data:`SIGMA_LINE`,
 between random elites and carries no internal state at all.
 
-Generation is batched per family, and :meth:`Emitter.generate_batch` is
-the only way to generate: it produces the batches of several emitters of
-one family (the three CMA-ES kinds, or the line operator) in one
-vectorized pass, with every emitter drawing from its own generator in
+Generation and update are batched per family (the three CMA-ES kinds,
+or the line operator).  :meth:`Emitter.generate_batch` is the only way to
+generate: it produces the batches of several emitters of one family in
+one vectorized pass, with every emitter drawing from its own generator in
 the order given.  One emitter's batch is
 ``emitter.generate_batch([emitter], archive, task, [rng])``.
+:meth:`Emitter.update_batch` absorbs the family's insertion outcome, one
+``CmaesState.tell`` for every CMA-ES emitter of the family, and returns
+each emitter's reason to stop; :meth:`Emitter.finish_generation` then
+ends each emitter's generation with its reason.
 
 Emitters only ever read the archive; insertion is the engine's job.
 """
@@ -28,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from qdpool.archive import IMPROVED_CODE, NEW_CODE, Archive
-from qdpool.cmaes import CmaesState, ask_stacked
+from qdpool.cmaes import CmaesState
 from qdpool.tasks import TaskSpec, clip_genotype
 
 __all__ = [
@@ -66,8 +70,10 @@ class Emitter:
 
     Subclasses implement ``activate`` (reset internal state from a random
     elite), ``generate_batch`` (produce ``batch_size`` in-bounds genotypes
-    for each emitter of a family), and ``finish_generation`` (absorb the
-    emitter's slice of the insertion outcome, report exhaustion).
+    for each emitter of a family), ``update_batch`` (absorb each emitter's
+    slice of the insertion outcome, give each emitter's reason to stop),
+    and ``finish_generation`` (end one emitter's generation with its
+    reason, report exhaustion).
     """
 
     kind: EmitterKind
@@ -93,17 +99,26 @@ class Emitter:
         ``i`` draws from ``rngs[i]`` only."""
         raise NotImplementedError
 
-    def finish_generation(
-        self,
+    @staticmethod
+    def update_batch(
+        emitters: Sequence["Emitter"],
         descriptors: np.ndarray,
         fitness_norms: np.ndarray,
         status: np.ndarray,
         improvement: np.ndarray,
-    ) -> bool:
-        """Absorbs this emitter's just-inserted batch, given as the
-        descriptors, normalized fitnesses and the per-sample ``status``
-        codes and ``improvement`` values of :meth:`Archive.insert_batch`,
-        and reports whether the emitter is exhausted."""
+    ) -> list[str | None]:
+        """Absorbs the just-inserted batches of ``emitters``, all of this
+        family and of one batch size, given row-wise in the order given as
+        the descriptors, normalized fitnesses and the per-sample ``status``
+        codes and ``improvement`` values of :meth:`Archive.insert_batch`.
+        Returns each emitter's reason to stop, or None for one that goes
+        on."""
+        raise NotImplementedError
+
+    def finish_generation(self, reason: str | None) -> bool:
+        """Ends this emitter's generation with its reason from
+        :meth:`update_batch` and reports whether the emitter is
+        exhausted."""
         raise NotImplementedError
 
 
@@ -127,34 +142,57 @@ class _CmaesEmitter(Emitter):
 
     @staticmethod
     def generate_batch(emitters, archive, task, rngs) -> np.ndarray:
-        """Asks every emitter's CMA-ES in one :func:`ask_stacked` call; each
-        strategy keeps its unclipped samples and their normals for the
-        distribution update, while the returned copies are clamped to the
-        search bounds for evaluation."""
+        """Asks every emitter's CMA-ES in one :meth:`CmaesState.ask` call;
+        each strategy keeps its unclipped samples and their normals for
+        the distribution update, while the returned copies are clamped to
+        the search bounds for evaluation."""
         if any(e.cmaes is None for e in emitters):
             raise RuntimeError("emitter must be activated before generating")
-        raw = ask_stacked([e.cmaes for e in emitters], rngs)
+        raw = CmaesState.ask([e.cmaes for e in emitters], rngs)
         return clip_genotype(raw.reshape(-1, raw.shape[2]), task)
 
     def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
-        """The per-sample rewards of a just-inserted batch, larger is
-        better; the arguments are those of :meth:`finish_generation`."""
+        """The per-sample rewards of this emitter's just-inserted batch,
+        larger is better; the arguments are its rows of those of
+        :meth:`update_batch`."""
         raise NotImplementedError
 
-    def finish_generation(self, descriptors, fitness_norms, status, improvement) -> bool:
-        """Feeds the batch's rewards back to the strategy's pending batch
-        and reports exhaustion: a native stop criterion, as returned by
-        ``tell`` for the updated state, or a whole generation without a
-        single archive add (every ``status`` is REJECTED, which is 0).
-        Without an add the rewards and the update are skipped, since the
-        next activation replaces the strategy anyway.  An exhausted emitter
-        drops its strategy, so only active emitters hold one."""
-        if self.cmaes is None or self.cmaes.pending is None:
-            raise RuntimeError("finish_generation called without a pending batch")
-        if np.any(status):
-            rewards = self.batch_rewards(descriptors, fitness_norms, status, improvement)
-            if self.cmaes.tell(rewards) is None:
-                return False
+    @staticmethod
+    def update_batch(emitters, descriptors, fitness_norms, status, improvement) -> list[str | None]:
+        """Feeds each emitter's rewards back to its strategy's pending
+        batch, with one :meth:`CmaesState.tell` for the family, and returns
+        each emitter's reason to stop: ``no_add`` for a batch without a
+        single archive add (every ``status`` is REJECTED, which is 0),
+        else the restart criterion that ``tell`` reports for the updated
+        strategy, or None.  Without an add the rewards and the update are
+        skipped, since the next activation replaces the strategy anyway."""
+        if any(e.cmaes is None or e.cmaes.pending is None for e in emitters):
+            raise RuntimeError("update_batch called without a pending batch")
+        batch = emitters[0].batch_size
+        reasons, told, rewards = [], [], []
+        for i, emitter in enumerate(emitters):
+            rows = slice(i * batch, (i + 1) * batch)
+            if not status[rows].any():
+                reasons.append("no_add")
+                continue
+            reasons.append(None)
+            told.append(i)
+            rewards.append(
+                emitter.batch_rewards(
+                    descriptors[rows], fitness_norms[rows], status[rows], improvement[rows]
+                )
+            )
+        if told:
+            for i, reason in zip(told, CmaesState.tell([emitters[i].cmaes for i in told], rewards)):
+                reasons[i] = reason
+        return reasons
+
+    def finish_generation(self, reason: str | None) -> bool:
+        """Reports exhaustion, which any reason from :meth:`update_batch`
+        is.  An exhausted emitter drops its strategy, so only active
+        emitters hold one."""
+        if reason is None:
+            return False
         self.cmaes = None
         return True
 
@@ -247,7 +285,13 @@ class RandomEmitter(Emitter):
         candidates += step
         return clip_genotype(candidates, task, out=candidates)
 
-    def finish_generation(self, descriptors, fitness_norms, status, improvement) -> bool:
+    @staticmethod
+    def update_batch(emitters, descriptors, fitness_norms, status, improvement) -> list[str | None]:
+        """Nothing to absorb: the operator is memoryless, which is every
+        emitter's reason to stop."""
+        return ["memoryless"] * len(emitters)
+
+    def finish_generation(self, reason: str | None) -> bool:
         """Always exhausts: the operator is memoryless, so it returns to
         the pool after every generation."""
         return True

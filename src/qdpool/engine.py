@@ -151,10 +151,12 @@ class Engine:
     (slot, sample) order), the whole generation is evaluated (the only
     parallel region), binned and inserted by one
     :meth:`Archive.insert_batch` whose outcome equals sequential insertion
-    in (slot, sample) order, each emitter absorbs its slice of the
-    outcome in one :meth:`Emitter.finish_generation` call and returns to
-    the pool at once if that reports exhaustion, and finally the bandit
-    statistics are recorded.  :meth:`initialize` and :meth:`step` insert
+    in (slot, sample) order, each family absorbs its rows of the outcome
+    in one :meth:`Emitter.update_batch` call (one CMA-ES update for the
+    family), each emitter ends its generation with its reason in one
+    :meth:`Emitter.finish_generation` call and returns to the pool at
+    once if that reports exhaustion, and finally the bandit statistics
+    are recorded.  :meth:`initialize` and :meth:`step` insert
     through the same :meth:`_insert`.
     """
 
@@ -217,26 +219,30 @@ class Engine:
             counts[emitter.kind] += 1
         kind_counts = tuple(counts[k] for k in EmitterKind)
 
-        families = []
         by_family = itertools.groupby(active, key=lambda e: type(e).generate_batch)
-        for generate_batch, group in by_family:
-            group = list(group)
-            rngs = [self._rngs[e.id] for e in group]
-            families.append(generate_batch(group, self.archive, self.task, rngs))
-        genotypes = families[0] if len(families) == 1 else np.concatenate(families)
+        families = [list(group) for _, group in by_family]
+        batches = [
+            type(family[0]).generate_batch(
+                family, self.archive, self.task, [self._rngs[e.id] for e in family]
+            )
+            for family in families
+        ]
+        genotypes = batches[0] if len(batches) == 1 else np.concatenate(batches)
         descriptors, norm, status, improvement = self._insert(genotypes)
         batch = cfg.batch_per_emitter
         adds = (status != REJECTED_CODE).reshape(len(active), batch).sum(1).tolist()
 
-        stats_counts: dict[int, tuple[int, int]] = {}
-        for i, (emitter, n_added) in enumerate(zip(active, adds)):
-            rows = slice(i * batch, (i + 1) * batch)
-            if emitter.finish_generation(
-                descriptors[rows], norm[rows], status[rows], improvement[rows]
-            ):
-                self.scheduler.deactivate(emitter)
-            stats_counts[emitter.id] = (batch, n_added)
-        self.scheduler.record_generation(stats_counts)
+        start = 0
+        for family in families:
+            rows = slice(start, start + len(family) * batch)
+            start = rows.stop
+            reasons = type(family[0]).update_batch(
+                family, descriptors[rows], norm[rows], status[rows], improvement[rows]
+            )
+            for emitter, reason in zip(family, reasons):
+                if emitter.finish_generation(reason):
+                    self.scheduler.deactivate(emitter)
+        self.scheduler.record_generation({e.id: (batch, n) for e, n in zip(active, adds)})
 
         self.generation += 1
         self.kind_series.append(kind_counts)

@@ -142,7 +142,10 @@ def write_aggregate_csv(series_by_rep, path) -> None:
         if [r.generation for r in series] != generations:
             raise ValueError("replication series have mismatched snapshot cadences")
     values = np.array(
-        [[(r.archive_size, r.best_fitness_norm, r.qd_score) for r in series] for series in series_by_rep],
+        [
+            [(r.archive_size, r.best_fitness_norm, r.qd_score) for r in series]
+            for series in series_by_rep
+        ],
         dtype=float,
     )
     # (generation, metric, quartile), in the column order of AGGREGATE_HEADER

@@ -70,13 +70,22 @@ class BanditStats:
         self._sums = self._totals.tolist()
         self.total_selections = sum(sel for sel, _ in self._sums)
 
-    def score(self, key, zeta: float) -> float:
-        """UCB1 value of one arm: success ratio plus exploration bonus,
+    def scores(self, keys, zeta: float) -> list[float]:
+        """UCB1 values of several arms in one pass, with one log of the
+        windowed total: each arm's success ratio plus exploration bonus,
         or +infinity while the arm has no windowed selections."""
-        sel, succ = self._sums[self._arm[key]]
-        if sel == 0:
-            return math.inf
-        return succ / sel + zeta * math.sqrt(math.log(self.total_selections) / sel)
+        sums = [self._sums[self._arm[key]] for key in keys]
+        if self.total_selections == 0:  # no arm has a selection
+            return [math.inf] * len(sums)
+        log_total = math.log(self.total_selections)
+        return [
+            math.inf if sel == 0 else succ / sel + zeta * math.sqrt(log_total / sel)
+            for sel, succ in sums
+        ]
+
+    def score(self, key, zeta: float) -> float:
+        """UCB1 value of one arm: the batch of one of :meth:`scores`."""
+        return self.scores([key], zeta)[0]
 
 
 class UniformScheduler:
@@ -159,7 +168,9 @@ class UcbScheduler(UniformScheduler):
         idle, free = self._idle()
         if free == 0:
             return []
-        chosen = sorted(idle, key=lambda e: (-self.emitter_score(e), e.id))[:free]
+        scores = self.stats.scores([self._key_of[e.id] for e in idle], self.zeta)
+        ranked = sorted(zip(idle, scores), key=lambda pair: (-pair[1], pair[0].id))
+        chosen = [e for e, _ in ranked[:free]]
         self._active_ids.update(e.id for e in chosen)
         return chosen
 

@@ -19,6 +19,9 @@ import numpy as np
 from qdpool.archive import GridSpec
 
 TASK_NAMES = ("rastrigin_proj", "rastrigin_multi", "sphere", "redundant_arm")
+# make_task's defaults: the paper's genotype size and cells per axis
+DEFAULT_DIM = 100
+DEFAULT_RESOLUTION = 100
 
 _SHIFT = 2.048  # optimum location 0.4 * 5.12, per dimension
 _REF_BOUND = 5.12  # reference hypercube half-width for normalization
@@ -71,12 +74,14 @@ class TaskSpec:
 RASTRIGIN_PER_DIM_MAX = 52.46592046502607
 
 
-def make_task(name: str, dim: int = 100, resolution=100, sigma0: float | None = None) -> TaskSpec:
+def make_task(
+    name: str, dim: int = DEFAULT_DIM, resolution=DEFAULT_RESOLUTION, sigma0: float | None = None
+) -> TaskSpec:
     """Builds the :class:`TaskSpec` for a benchmark by name.
 
     Args:
         name: One of ``TASK_NAMES``.
-        dim: Genotype dimensionality (default 100).
+        dim: Genotype dimensionality.
         resolution: Cells per descriptor axis; a scalar is used for both.
         sigma0: Override for the task's default initial step size.
 

@@ -124,14 +124,14 @@ def test_criterion_02_cmaes_reaches_shifted_sphere_optimum():
         best = -math.inf
         evaluations = 0
         while evaluations < budget:
-            samples = state.ask(rng)
+            samples = CmaesState.ask([state], [rng])[0]
             rewards = -np.sum((samples - target) ** 2, axis=1)
             evaluations += lam
             best = max(best, float(rewards.max()))
             if best >= -1e-9:
                 break
-            state.tell(rewards)
-            if state.should_stop() is not None:
+            CmaesState.tell([state], [rewards])
+            if CmaesState.should_stop([state])[0] is not None:
                 break
         assert best >= -1e-9, f"seed {seed}: best reward {best:.3e} after {evaluations} evals"
     elapsed = time.perf_counter() - start

@@ -464,7 +464,7 @@ class TestCompare:
             self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0, 4.0], "cma-me-opt": [10.0, 11.0, 12.0, 13.0]}),
         )
         lines = []
-        assert cli.compare_summaries([path], echo=collect_echo(lines)) == 0
+        assert cli.compare_summaries([path], metric="qd_score", alpha=0.05, echo=collect_echo(lines)) == 0
         table = "\n".join(lines)
         assert "task: sphere" in table
         assert "different" in table
@@ -475,7 +475,7 @@ class TestCompare:
             self.synthetic_rows({"map-elites": [4.0, 1.0, 3.0, 2.0], "cma-me-opt": [10.0, 12.0, 11.0]}),
         )
         lines = []
-        assert cli.compare_summaries([path], echo=collect_echo(lines)) == 0
+        assert cli.compare_summaries([path], metric="qd_score", alpha=0.05, echo=collect_echo(lines)) == 0
         row = next(line for line in lines if line.split()[:2] == ["cma-me-opt", "map-elites"])
         assert row.split()[2:4] == ["11.0000", "2.5000"]
 
@@ -485,7 +485,7 @@ class TestCompare:
             self.synthetic_rows({"map-elites": [5.0, 6.0, 7.0], "cma-me-opt": [5.0, 6.0, 7.0]}),
         )
         lines = []
-        assert cli.compare_summaries([path], echo=collect_echo(lines)) == 0
+        assert cli.compare_summaries([path], metric="qd_score", alpha=0.05, echo=collect_echo(lines)) == 0
         assert "equivalent" in "\n".join(lines)
 
     @pytest.mark.parametrize("column", ["task", "variant", "qd_score"])
@@ -567,14 +567,14 @@ class TestCompare:
     def test_task_filter_and_missing_rows(self, tmp_path):
         path = self.summary_file(tmp_path, self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0]}))
         lines = []
-        assert cli.compare_summaries([path], task_filter="redundant_arm", echo=collect_echo(lines)) == 2
+        assert cli.compare_summaries([path], metric="qd_score", alpha=0.05, task_filter="redundant_arm", echo=collect_echo(lines)) == 2
 
     def test_too_few_replications_is_an_error(self, tmp_path):
         path = self.summary_file(
             tmp_path,
             self.synthetic_rows({"map-elites": [1.0, 2.0], "cma-me-opt": [3.0, 4.0]}),
         )
-        assert cli.compare_summaries([path], echo=collect_echo([])) == 2
+        assert cli.compare_summaries([path], metric="qd_score", alpha=0.05, echo=collect_echo([])) == 2
 
     def test_compare_via_main(self, tmp_path, capsys):
         path = self.summary_file(
@@ -593,7 +593,7 @@ class TestCompare:
         path_b = self.summary_file(b, self.synthetic_rows({"cma-me-opt": [1.5, 2.5], "map-elites": [3.0]}))
         lines = []
         # pooled: map-elites has 3 values, cma-me-opt only 2 -> still an error
-        assert cli.compare_summaries([path_a, path_b], echo=collect_echo(lines)) == 2
+        assert cli.compare_summaries([path_a, path_b], metric="qd_score", alpha=0.05, echo=collect_echo(lines)) == 2
 
 
 class TestThreadsParity:

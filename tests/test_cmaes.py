@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdpool.cmaes import CmaesParams, CmaesState, ask_stacked
+from qdpool import cmaes
+from qdpool.cmaes import CmaesParams, CmaesState
 
 
 class TestParams:
@@ -67,14 +68,14 @@ def test_init_state_is_definitional():
     np.testing.assert_array_equal(state.A, np.eye(2))
     assert state.sigma == 0.5
     assert state.generation_count == 0
-    assert state.should_stop() is None
+    assert CmaesState.should_stop([state])[0] is None
 
 
 def test_ask_length_and_sampling_statistics():
     n, draws = 4, 100_000
     state = CmaesState(np.zeros(n), sigma0=0.5, lam=draws)
     rng = np.random.default_rng(123)
-    samples = state.ask(rng)
+    samples = CmaesState.ask([state], [rng])[0]
     assert samples.shape == (draws, n)
     target = 0.25 * np.eye(n)
     cov = np.cov(samples.T, bias=True)
@@ -90,7 +91,7 @@ def test_ask_respects_nondiagonal_covariance():
     state = CmaesState(np.zeros(2), sigma0=1.0, lam=200_000)
     state.C = target_c.copy()
     state.A = np.linalg.cholesky(state.C)
-    samples = state.ask(np.random.default_rng(7))
+    samples = CmaesState.ask([state], [np.random.default_rng(7)])[0]
     cov = np.cov(samples.T, bias=True)
     rel_err = np.linalg.norm(cov - target_c) / np.linalg.norm(target_c)
     assert rel_err < 0.05
@@ -100,14 +101,14 @@ class TestTell:
     def test_single_parent_moves_mean_to_best(self):
         m = np.array([1.0, -2.0, 0.5])
         state = CmaesState(m, sigma0=0.5, lam=2)  # mu=1, w=(1,)
-        samples = state.ask(np.random.default_rng(0))
-        state.tell(np.array([0.0, 1.0]))
+        samples = CmaesState.ask([state], [np.random.default_rng(0)])[0]
+        CmaesState.tell([state], [np.array([0.0, 1.0])])
         np.testing.assert_array_equal(state.mean, samples[1])
 
     def test_tied_rewards_use_stable_input_order(self):
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=4)  # mu=2
-        samples = state.ask(np.random.default_rng(0)).copy()
-        state.tell(np.zeros(4))
+        samples = CmaesState.ask([state], [np.random.default_rng(0)])[0].copy()
+        CmaesState.tell([state], [np.zeros(4)])
         expected = state.params.weights @ samples[:2]
         np.testing.assert_allclose(state.mean, expected, rtol=1e-14)
 
@@ -120,12 +121,12 @@ class TestTell:
 
         a = CmaesState(np.zeros(3), sigma0=0.3, lam=8)
         b = CmaesState(np.zeros(3), sigma0=0.3, lam=8)
-        a.ask(np.random.default_rng(6))
-        b.ask(np.random.default_rng(6))
+        CmaesState.ask([a], [np.random.default_rng(6)])
+        CmaesState.ask([b], [np.random.default_rng(6)])
         samples, normals = b.pending
         b.pending = (samples[perm], normals[perm])
-        a.tell(rewards)
-        b.tell(rewards[perm])
+        CmaesState.tell([a], [rewards])
+        CmaesState.tell([b], [rewards[perm]])
         for field in ("mean", "sigma", "C", "p_sigma", "p_c", "A"):
             np.testing.assert_array_equal(
                 np.asarray(getattr(a, field)), np.asarray(getattr(b, field)), err_msg=field
@@ -142,12 +143,12 @@ class TestTell:
         state.p_c = 10.0 * rng.normal(size=n)  # large enough to show in every sum
         # a long evolution path gates the rank-one path update off
         state.p_sigma = np.zeros(n) if h_sigma else np.full(n, 50.0)
-        samples = state.ask(rng)
+        samples = CmaesState.ask([state], [rng])[0]
         rewards = rng.normal(size=lam)
         p = state.params
         c_old, mean_old, sigma_old = state.C.copy(), state.mean.copy(), state.sigma
 
-        state.tell(rewards)
+        CmaesState.tell([state], [rewards])
 
         threshold = (1.4 + 2.0 / (n + 1.0)) * p.chi_n
         norm = np.linalg.norm(state.p_sigma) / math.sqrt(1.0 - (1.0 - p.c_sigma) ** 2)
@@ -163,22 +164,22 @@ class TestTell:
 
     def test_validation(self):
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=4)
-        state.ask(np.random.default_rng(0))
+        CmaesState.ask([state], [np.random.default_rng(0)])
         with pytest.raises(ValueError):
-            state.tell(np.zeros(3))
+            CmaesState.tell([state], [np.zeros(3)])
         with pytest.raises(ValueError):
-            state.tell(np.array([1.0, 2.0, np.nan, 0.0]))
+            CmaesState.tell([state], [np.array([1.0, 2.0, np.nan, 0.0])])
         assert state.pending is not None and state.generation_count == 0
 
     def test_tell_without_a_pending_batch_raises(self):
         state = CmaesState(np.zeros(2), sigma0=0.5, lam=4)
         with pytest.raises(RuntimeError, match="pending"):
-            state.tell(np.zeros(4))
-        state.ask(np.random.default_rng(0))
-        state.tell(np.arange(4.0))
+            CmaesState.tell([state], [np.zeros(4)])
+        CmaesState.ask([state], [np.random.default_rng(0)])
+        CmaesState.tell([state], [np.arange(4.0)])
         assert state.pending is None
         with pytest.raises(RuntimeError, match="pending"):
-            state.tell(np.arange(4.0))
+            CmaesState.tell([state], [np.arange(4.0)])
         assert state.generation_count == 1
 
 
@@ -189,8 +190,8 @@ def test_converges_on_shifted_sphere_oracle():
     state = CmaesState(np.zeros(10), sigma0=0.5, lam=10)
     rng = np.random.default_rng(2024)
     for _ in range(400):
-        samples = state.ask(rng)
-        state.tell(-np.sum((samples - x_star) ** 2, axis=1))
+        samples = CmaesState.ask([state], [rng])[0]
+        CmaesState.tell([state], [-np.sum((samples - x_star) ** 2, axis=1)])
         if np.linalg.norm(state.mean - x_star) < 1e-4:
             break
     assert np.linalg.norm(state.mean - x_star) < 1e-4
@@ -201,11 +202,11 @@ def test_window_best_reward_is_monotone_on_sphere():
     rng = np.random.default_rng(11)
     best_per_gen = []
     for _ in range(200):
-        if state.should_stop():
+        if CmaesState.should_stop([state])[0]:
             break
-        samples = state.ask(rng)
+        samples = CmaesState.ask([state], [rng])[0]
         rewards = -np.sum(samples**2, axis=1)
-        state.tell(rewards)
+        CmaesState.tell([state], [rewards])
         best_per_gen.append(rewards.max())
     window_best = [max(best_per_gen[i : i + 20]) for i in range(0, len(best_per_gen) - 19, 20)]
     assert all(a <= b for a, b in zip(window_best, window_best[1:]))
@@ -216,10 +217,10 @@ def test_covariance_stays_spd_until_stop():
     rng = np.random.default_rng(3)
     scale = np.linspace(1.0, 30.0, 6)  # ill-conditioned quadratic
     for _ in range(300):
-        if state.should_stop() is not None:
+        if CmaesState.should_stop([state])[0] is not None:
             break
-        samples = state.ask(rng)
-        state.tell(-np.sum((samples * scale) ** 2, axis=1))
+        samples = CmaesState.ask([state], [rng])[0]
+        CmaesState.tell([state], [-np.sum((samples * scale) ** 2, axis=1)])
         np.testing.assert_allclose(state.C, state.C.T, rtol=1e-12, atol=1e-300)
         assert np.all(np.linalg.eigvalsh(state.C) > 0)
 
@@ -233,8 +234,8 @@ def test_log_sigma_random_walk_band_under_pure_noise():
         rng = np.random.default_rng(seed)
         state = CmaesState(np.zeros(n), sigma0=1.0, lam=lam)
         for _ in range(gens):
-            state.ask(rng)
-            state.tell(rng.standard_normal(lam))  # reward is noise
+            CmaesState.ask([state], [rng])
+            CmaesState.tell([state], [rng.standard_normal(lam)])  # reward is noise
         magnitudes.append(abs(math.log(state.sigma / state.sigma0)))
     band = 3.0 * state.params.c_sigma * math.sqrt(gens)
     assert np.median(magnitudes) < band
@@ -305,36 +306,36 @@ class TestShouldStop:
     def test_fresh_state_runs(self):
         state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
         assert criteria_that_hold(state) == set()
-        assert state.should_stop() is None
+        assert CmaesState.should_stop([state])[0] is None
 
     @pytest.mark.parametrize("criterion", STOP_ORDER)
     def test_each_criterion_fires_by_itself(self, criterion):
         state = state_where(criterion)
         assert criteria_that_hold(state) == {criterion}
-        assert state.should_stop() == criterion
+        assert CmaesState.should_stop([state])[0] == criterion
 
     def test_tol_x(self):
         state = state_where("tol_x")
-        assert state.should_stop() == "tol_x"
+        assert CmaesState.should_stop([state])[0] == "tol_x"
         state.sigma = state.sigma0
-        assert state.should_stop() is None
+        assert CmaesState.should_stop([state])[0] is None
 
     def test_condition(self):
         state = state_where("condition")
-        assert state.should_stop() == "condition"
+        assert CmaesState.should_stop([state])[0] == "condition"
         set_covariance(state, np.diag([1.0, 1e12]))
-        assert state.should_stop() is None
+        assert CmaesState.should_stop([state])[0] is None
 
     def test_tol_fun_needs_full_window(self):
         state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
         window = state.best_reward_history.maxlen
         for _ in range(window - 1):
             state.best_reward_history.append(1.0)
-        assert state.should_stop() is None  # not full yet
+        assert CmaesState.should_stop([state])[0] is None  # not full yet
         state.best_reward_history.append(1.0)
-        assert state.should_stop() == "tol_fun"
+        assert CmaesState.should_stop([state])[0] == "tol_fun"
         state.best_reward_history.append(1.0 + 1e-9)
-        assert state.should_stop() is None
+        assert CmaesState.should_stop([state])[0] is None
 
     def test_no_effect_axis_and_coord(self):
         """Both no-effect criteria hold here; the axis check comes first,
@@ -342,13 +343,13 @@ class TestShouldStop:
         state = CmaesState(np.full(3, 1e16), sigma0=0.5, lam=8)
         state.sigma = 1e-3
         assert criteria_that_hold(state) == {"no_effect_axis", "no_effect_coord"}
-        assert state.should_stop() == "no_effect_axis"
-        assert state_where("no_effect_coord").should_stop() == "no_effect_coord"
+        assert CmaesState.should_stop([state])[0] == "no_effect_axis"
+        assert CmaesState.should_stop([state_where("no_effect_coord")])[0] == "no_effect_coord"
         # axis 1 moves a zero coordinate, and 0.2 sigma sqrt(C_22)
         # survives 1e16's rounding where 0.1 sigma A_22 did not
         state = state_where("no_effect_axis")
         state.generation_count = 1
-        assert state.should_stop() is None
+        assert CmaesState.should_stop([state])[0] is None
 
     def test_first_holding_criterion_wins(self):
         """With several criteria holding, the earliest in the fixed order
@@ -359,15 +360,15 @@ class TestShouldStop:
             state.sigma = 1e-30 * state.sigma0
             held = criteria_that_hold(state)
             assert {"tol_x", "tol_fun"} <= held
-            assert state.should_stop() == min(held, key=STOP_ORDER.index)
+            assert CmaesState.should_stop([state])[0] == min(held, key=STOP_ORDER.index)
 
     @pytest.mark.parametrize("criterion", STOP_ORDER)
     def test_ask_samples_a_stopped_state(self, criterion):
         """Stopping is the caller's call: ``ask`` on a state whose
         criteria hold still returns ``mean + sigma * z A^T``, bit for bit."""
         state = state_where(criterion)
-        assert state.should_stop() == criterion
-        samples = state.ask(np.random.default_rng(6))
+        assert CmaesState.should_stop([state])[0] == criterion
+        samples = CmaesState.ask([state], [np.random.default_rng(6)])[0]
         z = np.random.default_rng(6).standard_normal((state.params.lam, state.params.dim))
         np.testing.assert_array_equal(samples, state.mean + state.sigma * (z @ state.A.T))
         np.testing.assert_array_equal(state.pending[1], z)
@@ -418,8 +419,8 @@ def test_stop_reason_follows_its_docstring_on_told_states(
     rng = np.random.default_rng(seed)
     state = CmaesState(rng.normal(size=n), sigma0=0.5, lam=8)
     for _ in range(generations):
-        state.ask(rng)
-        reason = state.tell(reward_scale * rng.standard_normal(8))
+        CmaesState.ask([state], [rng])
+        reason = CmaesState.tell([state], [reward_scale * rng.standard_normal(8)])[0]
         assert reason == reason_from_docstring(state)
         if reason is not None:
             break
@@ -431,7 +432,7 @@ def test_stop_reason_follows_its_docstring_on_told_states(
         state.sigma = math.inf
     elif poison == "A":
         state.A = np.full_like(state.A, np.nan)
-    assert state.should_stop() == reason_from_docstring(state)
+    assert CmaesState.should_stop([state])[0] == reason_from_docstring(state)
 
 
 def states_on_thresholds():
@@ -476,7 +477,7 @@ def states_on_thresholds():
 
 @pytest.mark.parametrize("state", list(states_on_thresholds()))
 def test_stop_reason_follows_its_docstring_on_thresholds(state):
-    assert state.should_stop() == reason_from_docstring(state)
+    assert CmaesState.should_stop([state])[0] == reason_from_docstring(state)
 
 
 def test_threshold_states_reach_every_criterion():
@@ -492,7 +493,7 @@ def test_tol_x_threshold(ratio, reason):
     set_covariance(state, np.diag([0.5, 1.0, 2.0, 1.0]) ** 2)
     state.sigma = ratio * state.sigma0 / 2.0
     assert criteria_that_hold(state) == ({reason} if reason else set())
-    assert state.should_stop() == reason
+    assert CmaesState.should_stop([state])[0] == reason
 
 
 @pytest.mark.parametrize("factor, reason", [(0.99, None), (1.01, "condition")])
@@ -502,7 +503,7 @@ def test_condition_threshold(factor, reason):
     state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
     set_covariance(state, np.diag([4.0, 4.0 * factor * 1e14, 9.0]))
     assert criteria_that_hold(state) == ({reason} if reason else set())
-    assert state.should_stop() == reason
+    assert CmaesState.should_stop([state])[0] == reason
 
 
 def told_state(n, generations=5, seed=0):
@@ -513,15 +514,15 @@ def told_state(n, generations=5, seed=0):
     scale = np.geomspace(1.0, 100.0, n)
     state = CmaesState(rng.normal(size=n), sigma0=0.5, lam=max(8, n // 2))
     for _ in range(generations):
-        samples = state.ask(rng)
-        state.tell(-np.sum((samples @ rotation * scale) ** 2, axis=1))
+        samples = CmaesState.ask([state], [rng])[0]
+        CmaesState.tell([state], [-np.sum((samples @ rotation * scale) ** 2, axis=1)])
     return state
 
 
 @pytest.mark.parametrize("n", [2, 20, 100])
 def test_factor_reproduces_covariance_after_tells(n):
     state = told_state(n)
-    assert state.generation_count == 5 and state.should_stop() is None
+    assert state.generation_count == 5 and CmaesState.should_stop([state])[0] is None
     np.testing.assert_array_equal(state.A, np.tril(state.A))
     assert np.all(np.diag(state.A) > 0)
     np.testing.assert_allclose(state.A @ state.A.T, state.C, rtol=1e-12, atol=1e-14)
@@ -531,7 +532,7 @@ def test_whitening_the_samples_gives_back_the_normals_drawn():
     """Each state of a stacked ask keeps, bit for bit, the normals its own
     generator drew, and whitening its samples gives them back."""
     states = [told_state(6, seed=seed) for seed in range(3)]
-    samples = ask_stacked(states, [np.random.default_rng([8, i]) for i in range(3)])
+    samples = CmaesState.ask(states, [np.random.default_rng([8, i]) for i in range(3)])
     for i, state in enumerate(states):
         z = np.random.default_rng([8, i]).standard_normal((state.params.lam, 6))
         kept_samples, kept_normals = state.pending
@@ -550,8 +551,8 @@ def test_evolution_path_is_whitened_by_the_factor(n):
     state = told_state(n)
     p = state.params
     a_old, p_old, mean_old, sigma_old = state.A.copy(), state.p_sigma, state.mean, state.sigma
-    state.ask(rng)
-    state.tell(rng.standard_normal(p.lam))
+    CmaesState.ask([state], [rng])
+    CmaesState.tell([state], [rng.standard_normal(p.lam)])
     y_w = (state.mean - mean_old) / sigma_old
     gain = math.sqrt(p.c_sigma * (2.0 - p.c_sigma) * p.mu_eff)
     expected = (1.0 - p.c_sigma) * p_old + gain * np.linalg.solve(a_old, y_w)
@@ -565,11 +566,109 @@ def test_numerical_fault_from_tell_stops_the_state(fault):
     ``tell`` nor ``should_stop`` raises."""
     rng = np.random.default_rng(1)
     state = CmaesState(np.zeros(3), sigma0=0.5, lam=8)
-    samples = state.ask(rng)
+    samples = CmaesState.ask([state], [rng])[0]
     if fault == "nan_sample":
         samples[:, 0] = np.nan  # the state's own pending samples
     else:
         state.C = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalue -1
-    assert state.tell(rng.standard_normal(8)) == "numerical"
-    assert state.should_stop() == "numerical"
+    assert CmaesState.tell([state], [rng.standard_normal(8)])[0] == "numerical"
+    assert CmaesState.should_stop([state])[0] == "numerical"
     assert "numerical" in criteria_that_hold(state)
+
+
+STATE_FIELDS = ("mean", "sigma", "C", "A", "p_sigma", "p_c", "generation_count", "best_reward_history", "pending")
+
+
+def assert_states_equal(a, b):
+    for field in STATE_FIELDS:
+        got, want = getattr(a, field), getattr(b, field)
+        if field == "pending":
+            assert (got is None) == (want is None)
+            got, want = got or (), want or ()
+        np.testing.assert_array_equal(np.asarray(got), np.asarray(want), err_msg=field)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+
+def faulty_family(n):
+    """Six told states of dimension ``n`` with a pending batch, and their
+    rewards: two plain ones, one whose long evolution path turns
+    ``h_sigma`` off, one whose ``C`` has no Cholesky factor after the
+    update, one with an infinite parent, and one more plain one."""
+    states = [told_state(n, seed=seed) for seed in range(6)]
+    states[2].p_sigma = np.full(n, 50.0)
+    states[3].C = np.eye(n)
+    states[3].C[0, 1] = states[3].C[1, 0] = 2.0  # eigenvalue -1
+    rng = np.random.default_rng(n)
+    lam = states[0].params.lam
+    CmaesState.ask(states, [np.random.default_rng([n, i]) for i in range(6)])
+    states[4].pending[0][1, -1] = np.inf
+    rewards = [rng.standard_normal(lam) for _ in states]
+    rewards[4][1] = 10.0  # the infinite sample is a parent
+    return states, rewards
+
+
+@pytest.mark.parametrize("n", [2, 6, 20, 100])
+def test_stacked_and_per_state_updates_give_the_same_bits(n, monkeypatch):
+    """``tell`` updates a family with stacked ops up to
+    ``STACKED_UPDATE_MAX_DIM`` and one state at a time above it; both
+    paths, forced here at every dimension, give every state the same
+    arrays and reasons bit for bit, and each state the bits that a tell of
+    it alone gives.  A member with no Cholesky factor, or a non-finite
+    one, gets a NaN factor and stops with ``numerical`` by itself."""
+    told = {}
+    for path, max_dim in (("stacked", n), ("per_state", n - 1)):
+        monkeypatch.setattr(cmaes, "STACKED_UPDATE_MAX_DIM", max_dim)
+        states, rewards = faulty_family(n)
+        told[path] = states, CmaesState.tell(states, rewards)
+    alone_states, rewards = faulty_family(n)
+    alone = [CmaesState.tell([state], [r])[0] for state, r in zip(alone_states, rewards)]
+
+    (stacked, stacked_reasons), (per_state, per_state_reasons) = told["stacked"], told["per_state"]
+    assert stacked_reasons == per_state_reasons == alone
+    for a, b, c in zip(stacked, per_state, alone_states):
+        assert_states_equal(a, b)
+        assert_states_equal(a, c)
+    assert stacked_reasons[3] == stacked_reasons[4] == "numerical"
+    assert np.isnan(stacked[3].A).all() and not np.isfinite(stacked[4].mean).all()
+    assert all(np.isfinite(stacked[i].A).all() for i in (0, 1, 2, 5))
+    # both h_sigma branches: the textbook test on the updated path
+    p = stacked[0].params
+    threshold = (1.4 + 2.0 / (n + 1.0)) * p.chi_n
+    h_sigma = [
+        np.linalg.norm(s.p_sigma) / math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2 * s.generation_count)) < threshold
+        for s in stacked
+    ]
+    assert h_sigma[0] and not h_sigma[2]
+
+
+def test_family_stop_reasons_equal_each_states_own():
+    """One pass over a family gives each state the reason that its own
+    check gives, and that the docstring gives."""
+    states = list(states_on_thresholds())
+    for n in sorted({s.params.dim for s in states}):
+        family = [s for s in states if s.params.dim == n]
+        family.append(state_where("numerical") if n == 2 else told_state(n))
+        reasons = CmaesState.should_stop(family)
+        assert reasons == [CmaesState.should_stop([s])[0] for s in family]
+        assert reasons == [reason_from_docstring(s) for s in family]
+
+
+class TestFamilyCalls:
+    def test_a_failed_check_updates_no_state(self):
+        states = [CmaesState(np.zeros(3), sigma0=0.5, lam=8) for _ in range(3)]
+        CmaesState.ask(states, [np.random.default_rng(i) for i in range(3)])
+        with pytest.raises(ValueError, match="finite"):
+            CmaesState.tell(states, [np.zeros(8), np.zeros(8), np.full(8, np.nan)])
+        with pytest.raises(ValueError, match="3 states"):
+            CmaesState.tell(states, [np.zeros(8)] * 2)
+        assert all(s.pending is not None and s.generation_count == 0 for s in states)
+
+    def test_states_of_one_family_share_dim_and_lam(self):
+        for other in (CmaesState(np.zeros(4), sigma0=0.5, lam=8), CmaesState(np.zeros(3), sigma0=0.5, lam=9)):
+            states = [CmaesState(np.zeros(3), sigma0=0.5, lam=8), other]
+            for call in (
+                lambda: CmaesState.ask(states, [np.random.default_rng(0)] * 2),
+                lambda: CmaesState.should_stop(states),
+            ):
+                with pytest.raises(ValueError, match="share dim and lam"):
+                    call()

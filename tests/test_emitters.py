@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qdpool.archive import AddStatus, Archive, Elite, EmptyArchiveError
+from qdpool.cmaes import CmaesState
 from qdpool.emitters import (
     SIGMA_ISO,
     EmitterKind,
@@ -25,14 +26,21 @@ def build_archive(task, genotypes):
 
 
 def outcome(norms, added=True, descriptors=None):
-    """An insertion outcome as the engine passes it to
-    ``finish_generation``: every sample NEW (or, with ``added=False``,
-    every one REJECTED) with normalized fitness ``norms``."""
+    """An insertion outcome as the engine passes it to ``update_batch``:
+    every sample NEW (or, with ``added=False``, every one REJECTED) with
+    normalized fitness ``norms``."""
     norms = np.asarray(norms, dtype=float)
     if descriptors is None:
         descriptors = np.zeros((len(norms), 2))
     status = np.full(len(norms), AddStatus.NEW if added else AddStatus.REJECTED, dtype=np.int8)
     return descriptors, norms, status, norms * added
+
+
+def finish(emitter, *outcome):
+    """Ends one emitter's generation as the engine does, as a family of
+    one: ``update_batch``, then ``finish_generation`` with the reason."""
+    reason = type(emitter).update_batch([emitter], *outcome)[0]
+    return emitter.finish_generation(reason)
 
 
 @pytest.fixture
@@ -78,7 +86,7 @@ class TestActivate:
         rng = np.random.default_rng(1)
         emitter.activate(single_elite_archive, task, rng)
         emitter.generate_batch([emitter], single_elite_archive, task, [rng])
-        emitter.finish_generation(*outcome(np.arange(8.0)))
+        finish(emitter, *outcome(np.arange(8.0)))
         assert emitter.cmaes.generation_count == 1
         emitter.activate(single_elite_archive, task, rng)
         assert emitter.cmaes.generation_count == 0
@@ -155,8 +163,8 @@ def warmed_cmaes_emitters(kinds, archive, task):
         rng = np.random.default_rng([31, i])
         emitter.activate(archive, task, rng)
         emitter.generate_batch([emitter], archive, task, [rng])
-        emitter.finish_generation(
-            *outcome(rng.permutation(6).astype(float), descriptors=rng.standard_normal((6, 2)))
+        finish(
+            emitter, *outcome(rng.permutation(6).astype(float), descriptors=rng.standard_normal((6, 2)))
         )
         emitters.append(emitter)
     return emitters
@@ -199,6 +207,63 @@ class TestGenerateBatch:
         assert_batch_equals_singles(
             lambda: [RandomEmitter(i, 7) for i in range(count)], archive, task
         )
+
+
+STATE_FIELDS = ("mean", "sigma", "C", "A", "p_sigma", "p_c", "generation_count", "best_reward_history", "pending")
+
+
+class TestUpdateBatch:
+    """A family's one update equals its emitters' one-at-a-time updates bit
+    for bit, and gives each emitter its own reason to stop."""
+
+    @pytest.mark.parametrize("kinds", CMAES_SUBSETS)
+    def test_cmaes_family(self, task, kinds):
+        archive = build_archive(task, np.random.default_rng(3).uniform(-30, 30, (12, 4)))
+        batched, singles = assert_batch_equals_singles(
+            lambda: warmed_cmaes_emitters(kinds, archive, task), archive, task
+        )
+        rng = np.random.default_rng(4)
+        descriptors = rng.standard_normal((6 * len(kinds), 2))
+        norms = rng.uniform(0.0, 1.0, 6 * len(kinds))
+        status = rng.choice([AddStatus.REJECTED, AddStatus.IMPROVED, AddStatus.NEW], 6 * len(kinds))
+        status[:6] = AddStatus.REJECTED  # the first emitter adds nothing
+        status = status.astype(np.int8)
+        improvement = np.where(status == AddStatus.REJECTED, 0.0, norms / 2)
+        reasons = type(batched[0]).update_batch(batched, descriptors, norms, status, improvement)
+        expected = [
+            type(e).update_batch([e], *(a[6 * i : 6 * i + 6] for a in (descriptors, norms, status, improvement)))[0]
+            for i, e in enumerate(singles)
+        ]
+        assert reasons == expected and reasons[0] == "no_add"
+        for a, b in zip(batched, singles):
+            for field in STATE_FIELDS:
+                got, want = getattr(a.cmaes, field), getattr(b.cmaes, field)
+                if field == "pending":
+                    assert (got is None) == (want is None)
+                    got, want = got or (), want or ()
+                np.testing.assert_array_equal(np.asarray(got), np.asarray(want), err_msg=field)
+
+    def test_each_emitter_gets_its_own_reason(self, task, single_elite_archive):
+        family = [OptimisingEmitter(i, batch_size=10) for i in range(3)]
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        for emitter, rng in zip(family, rngs):
+            emitter.activate(single_elite_archive, task, rng)
+        history = family[2].cmaes.best_reward_history
+        history.extend([9.0] * history.maxlen)  # rewards of 9.0 fill a flat window
+        OptimisingEmitter.generate_batch(family, single_elite_archive, task, rngs)
+        norms = np.concatenate([np.arange(10.0), np.zeros(10), np.full(10, 9.0)])
+        _, _, status, improvement = outcome(norms)
+        status[10:20] = AddStatus.REJECTED
+        reasons = OptimisingEmitter.update_batch(family, np.zeros((30, 2)), norms, status, improvement)
+        assert reasons == [None, "no_add", "tol_fun"]
+        assert [e.finish_generation(r) for e, r in zip(family, reasons)] == [False, True, True]
+        assert [e.cmaes is None for e in family] == [False, True, True]
+
+    def test_random_family_is_memoryless(self, task, single_elite_archive):
+        family = [RandomEmitter(i, batch_size=4) for i in range(2)]
+        reasons = RandomEmitter.update_batch(family, *outcome(np.zeros(8)))
+        assert reasons == ["memoryless", "memoryless"]
+        assert [e.finish_generation(r) for e, r in zip(family, reasons)] == [True, True]
 
 
 class TestRewards:
@@ -282,15 +347,15 @@ class TestFinishGeneration:
     def test_random_always_terminates(self, task, single_elite_archive):
         emitter = self.generated(RandomEmitter, task, single_elite_archive)
         for added in (True, False):
-            assert emitter.finish_generation(*outcome(np.zeros(10), added)) is True
+            assert finish(emitter, *outcome(np.zeros(10), added)) is True
 
     def test_cmaes_continues_when_adding_and_healthy(self, task, single_elite_archive):
         emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
-        assert emitter.finish_generation(*outcome(np.arange(10.0))) is False
+        assert finish(emitter, *outcome(np.arange(10.0))) is False
 
     def test_cmaes_terminates_without_additions(self, task, single_elite_archive):
         emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
-        assert emitter.finish_generation(*outcome(np.arange(10.0), added=False)) is True
+        assert finish(emitter, *outcome(np.arange(10.0), added=False)) is True
 
     @pytest.mark.parametrize("cause", ["no_add", "tol_fun"])
     def test_exhausted_cmaes_emitter_holds_no_strategy(self, task, single_elite_archive, cause):
@@ -298,21 +363,21 @@ class TestFinishGeneration:
         history = emitter.cmaes.best_reward_history
         # every sample NEW at fitness 0.5 rewards 2.5; a window of 2.5 stops
         history.extend([2.5] * history.maxlen)
-        assert emitter.finish_generation(*outcome(np.full(10, 0.5), cause == "tol_fun")) is True
+        assert finish(emitter, *outcome(np.full(10, 0.5), cause == "tol_fun")) is True
         assert emitter.cmaes is None
         rng = np.random.default_rng(3)
         with pytest.raises(RuntimeError, match="activated"):
             emitter.generate_batch([emitter], single_elite_archive, task, [rng])
         emitter.activate(single_elite_archive, task, rng)
         assert emitter.cmaes.generation_count == 0
-        assert emitter.cmaes.should_stop() is None
+        assert CmaesState.should_stop([emitter.cmaes])[0] is None
         assert emitter.generate_batch([emitter], single_elite_archive, task, [rng]).shape == (10, 4)
-        assert emitter.finish_generation(*outcome(np.arange(10.0))) is False
+        assert finish(emitter, *outcome(np.arange(10.0))) is False
         assert emitter.cmaes.generation_count == 1
 
     def test_cmaes_skips_update_without_additions(self, task, single_elite_archive, monkeypatch):
         emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
-        emitter.finish_generation(*outcome(np.arange(10.0)))
+        finish(emitter, *outcome(np.arange(10.0)))
         state = emitter.cmaes
         count, cov, mean = state.generation_count, state.C.copy(), state.mean.copy()
         emitter.generate_batch([emitter], single_elite_archive, task, [np.random.default_rng(2)])
@@ -321,7 +386,7 @@ class TestFinishGeneration:
             raise AssertionError("rewards computed for a generation without an add")
 
         monkeypatch.setattr(emitter, "batch_rewards", no_rewards)
-        assert emitter.finish_generation(*outcome(np.arange(10.0), added=False)) is True
+        assert finish(emitter, *outcome(np.arange(10.0), added=False)) is True
         assert state.generation_count == count
         np.testing.assert_array_equal(state.C, cov)
         np.testing.assert_array_equal(state.mean, mean)
@@ -331,19 +396,19 @@ class TestFinishGeneration:
         emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
         descriptors, norms, status, improvement = outcome(np.arange(10.0), added=False)
         status[7] = code
-        assert emitter.finish_generation(descriptors, norms, status, improvement) is False
+        assert finish(emitter, descriptors, norms, status, improvement) is False
         assert emitter.cmaes.generation_count == 1
 
     def test_reward_length_mismatch_raises(self, task, single_elite_archive):
         emitter = self.generated(OptimisingEmitter, task, single_elite_archive)
         with pytest.raises(ValueError):
-            emitter.finish_generation(*outcome(np.zeros(9)))
+            finish(emitter, *outcome(np.zeros(9)))
 
     def test_finish_without_generate_raises(self, task, single_elite_archive):
         emitter = OptimisingEmitter(0, batch_size=50)
         emitter.activate(single_elite_archive, task, np.random.default_rng(0))
         with pytest.raises(RuntimeError):
-            emitter.finish_generation(*outcome(np.zeros(50), added=False))
+            finish(emitter, *outcome(np.zeros(50), added=False))
 
 
 def test_kind_enum_is_exactly_four():

@@ -2,6 +2,7 @@
 bookkeeping invariants, determinism, and equivalence of the map-elites
 variant with an independent vanilla MAP-Elites implementation."""
 
+import math
 import multiprocessing
 import os
 import weakref
@@ -235,41 +236,44 @@ class TestLiveState:
         assert created > 2 * len(engine.scheduler.emitters)  # many restarts
 
     def test_restart_criteria_are_evaluated_once_per_tell(self, monkeypatch):
-        """``tell`` evaluates the criteria on the updated state and returns
-        the reason; nothing else in a run evaluates them."""
-        calls = Counter()
+        """``tell`` evaluates the criteria on the updated states and returns
+        their reasons; nothing else in a run evaluates them.  Counted per
+        state, and per call: one check of the family per update."""
+        calls, states_seen = Counter(), Counter()
         for name in ("tell", "should_stop"):
             original = getattr(CmaesState, name)
 
-            def counted(self, *args, _name=name, _original=original, **kwargs):
+            def counted(states, *args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(self, *args, **kwargs)
+                states_seen[_name] += len(states)
+                return _original(states, *args, **kwargs)
 
             monkeypatch.setattr(CmaesState, name, counted)
         run(small_config(generations=40))
-        assert calls["tell"] > 0
+        assert states_seen["tell"] > calls["tell"] > 0  # some families of several
+        assert states_seen["should_stop"] == states_seen["tell"]
         assert calls["should_stop"] == calls["tell"]
 
 
 def test_numerical_fault_restarts_one_emitter_and_the_run_goes_on(monkeypatch):
-    """The first update of the run gets a NaN in every sample: that
-    strategy stops with ``numerical`` and is dropped, and the run
-    completes."""
+    """The first update of the run gets a NaN in every sample of the first
+    strategy of the family: that strategy stops with ``numerical`` and is
+    dropped, and the run completes."""
     tell = CmaesState.tell
     poisoned = []
 
-    def tell_once_with_nan(self, rewards):
+    def tell_once_with_nan(states, rewards):
         if not poisoned:
-            poisoned.append(self)
-            self.pending[0][:, 0] = np.nan
-        return tell(self, rewards)
+            poisoned.append(states[0])
+            states[0].pending[0][:, 0] = np.nan
+        return tell(states, rewards)
 
     monkeypatch.setattr(CmaesState, "tell", tell_once_with_nan)
     engine = Engine(small_config(generations=30))
     engine.initialize()
     for _ in range(30):
         engine.step()
-    assert poisoned[0].should_stop() == "numerical"
+    assert CmaesState.should_stop([poisoned[0]])[0] == "numerical"
     assert all(getattr(e, "cmaes", None) is not poisoned[0] for e in engine.scheduler.emitters)
     assert engine.generation == 30
     assert engine.evaluations == 30 + 30 * 4 * 5
@@ -283,10 +287,10 @@ def test_numerical_fault_from_ask_restarts_the_emitter_and_the_run_goes_on(monke
     reasons = Counter()
     tell = CmaesState.tell
 
-    def counted_tell(self, rewards):
-        reason = tell(self, rewards)
-        reasons[reason] += 1
-        return reason
+    def counted_tell(states, rewards):
+        told = tell(states, rewards)
+        reasons.update(told)
+        return told
 
     monkeypatch.setattr(CmaesState, "tell", counted_tell)
     task = make_task("rastrigin_multi", dim=5, resolution=8, sigma0=1e308)
@@ -304,20 +308,21 @@ def test_numerical_fault_from_ask_restarts_the_emitter_and_the_run_goes_on(monke
 
 
 def test_tell_whitens_without_a_solve_and_factors_once(monkeypatch):
-    """Every CMA-ES update of a ucb run makes exactly one LAPACK call,
-    ``cholesky``, and never solves with the factor."""
+    """Every CMA-ES update of a ucb run factors each updated ``C`` exactly
+    once, with ``cholesky``, and never solves with the factor; counted
+    per state, since ``cholesky`` takes a family's stack."""
     cholesky, calls = np.linalg.cholesky, Counter()
 
     def refuse_solve(*args, **kwargs):
         raise AssertionError("tell must not solve with the factor")
 
     def counted_cholesky(a):
-        calls["cholesky"] += 1
+        calls["cholesky"] += math.prod(a.shape[:-2])
         return cholesky(a)
 
-    def counted_tell(self, rewards):
-        calls["tell"] += 1
-        tell(self, rewards)
+    def counted_tell(states, rewards):
+        calls["tell"] += len(states)
+        return tell(states, rewards)
 
     tell = CmaesState.tell
     monkeypatch.setattr(np.linalg, "solve", refuse_solve)

@@ -31,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdpool.archive import Archive, Elite
+from qdpool.cmaes import CmaesState
 from qdpool.emitters import EMITTER_CLASSES, EmitterKind
 from qdpool.engine import VARIANT_NAMES, Engine, RunConfig, variant_composition
 from qdpool.metrics import snapshot
@@ -106,7 +107,7 @@ def reference_run(config):
                 exhausted = True
             else:
                 rewards = emitter.batch_rewards(descriptors, norm, status, improvement)
-                exhausted = emitter.cmaes.tell(rewards) is not None
+                exhausted = CmaesState.tell([emitter.cmaes], [rewards])[0] is not None
             if exhausted:
                 if emitter.kind is not EmitterKind.RANDOM:
                     emitter.cmaes = None
@@ -149,6 +150,9 @@ def configs(draw):
             draw(st.sampled_from(TASK_NAMES)),
             dim=draw(st.integers(2, 6)),
             resolution=draw(st.integers(2, 8)),
+            # a step size that overflows, or one too small to move the mean,
+            # so that restart criteria fire within a few generations
+            sigma0=draw(st.sampled_from([None, None, 1e-17, 1e308])),
         ),
         variant=variant,
         generations=draw(st.integers(1, 30)),

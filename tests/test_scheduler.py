@@ -5,8 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdpool.emitters import EmitterKind, RandomEmitter
+from qdpool.emitters import EMITTER_CLASSES, EmitterKind, RandomEmitter
 from qdpool.scheduler import (
     BanditStats,
     UcbScheduler,
@@ -115,18 +117,21 @@ class TestBanditStats:
                 history = (history + [counts])[-window:]
                 total = sum(sel for gen in history for sel, _ in gen.values())
                 assert stats.total_selections == total and type(stats.total_selections) is int
+                expected = {zeta: [] for zeta in (0.0, 0.05, 1.3)}
                 for key in keys:
                     sel = sum(gen.get(key, (0, 0))[0] for gen in history)
                     succ = sum(gen.get(key, (0, 0))[1] for gen in history)
                     assert stats.windowed_selections(key) == sel
                     assert stats.windowed_successes(key) == succ
-                    for zeta in (0.0, 0.05, 1.3):
-                        expected = (
+                    for zeta in expected:
+                        expected[zeta].append(
                             math.inf
                             if sel == 0
                             else succ / sel + zeta * math.sqrt(math.log(total) / sel)
                         )
-                        assert stats.score(key, zeta) == expected
+                        assert stats.score(key, zeta) == expected[zeta][-1]
+                for zeta, scores in expected.items():
+                    assert stats.scores(keys, zeta) == scores
 
 
 class TestUcbScheduler:
@@ -269,3 +274,43 @@ class TestUniformScheduler:
                     free = 0
                     assert len(sched.active) == slots
                 sched.record_generation({e.id: (50, int(rng.integers(0, 51))) for e in sched.active})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.integers(1, 12),
+    data=st.data(),
+    zeta=st.sampled_from([0.0, 0.05, 0.7, 3.0]),
+    window=st.integers(1, 6),
+    granularity=st.sampled_from(["instance", "kind"]),
+)
+def test_select_ranks_as_one_score_per_idle_emitter(pool, data, zeta, window, granularity):
+    """``select()`` picks what sorting the idle emitters on (-score, id),
+    one ``score`` call each, picked: the one-pass scores rank alike."""
+    kinds = list(EmitterKind)
+    emitters = [
+        EMITTER_CLASSES[kinds[data.draw(st.integers(0, 3))]](i, 4) for i in range(pool)
+    ]
+    slots = data.draw(st.integers(1, pool))
+    sched = UcbScheduler(emitters, slots, zeta=zeta, window=window, stats_granularity=granularity)
+    for _ in range(data.draw(st.integers(0, 8))):
+        before = sched.active
+        idle = [e for e in emitters if e not in before]
+        free = slots - len(before)
+
+        def score(e):
+            key = e.id if granularity == "instance" else e.kind
+            sel, succ = sched.stats.windowed_selections(key), sched.stats.windowed_successes(key)
+            if sel == 0:
+                return math.inf
+            return succ / sel + zeta * math.sqrt(math.log(sched.stats.total_selections) / sel)
+
+        expected = sorted(idle, key=lambda e: (-score(e), e.id))[:free]
+        assert sched.select() == expected
+        counts = {}
+        for e in sched.active:
+            sel = data.draw(st.integers(0, 4))
+            counts[e.id] = (sel, data.draw(st.integers(0, sel)))
+            if data.draw(st.booleans()):
+                sched.deactivate(e)
+        sched.record_generation(counts)
