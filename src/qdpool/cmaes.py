@@ -23,10 +23,10 @@ together; a batch of one is ``CmaesState.tell([state], [rewards])[0]``.
 :meth:`CmaesState.ask` draws every state's standard normals from that
 state's own generator, in the order given, and transforms all of them
 with one ``(k, lam, n)`` matmul.  :meth:`CmaesState.tell` updates the
-family with one stacked op per step up to :data:`STACKED_UPDATE_MAX_DIM`
-and one state at a time above it, where the stacked temporaries cost
-more than the calls they save.  Every path gives each state the bits
-that it alone would get.
+family with one stacked op per step; above :data:`STACKED_UPDATE_MAX_DIM`,
+where stacked ``n x n`` temporaries cost more than the calls they save,
+it updates the covariance matrices one state at a time.  Every path
+gives each state the bits that it alone would get.
 
 :meth:`CmaesState.should_stop` evaluates the restart criteria on the
 live states in one pass over the family, and :meth:`CmaesState.tell`
@@ -183,11 +183,11 @@ class CmaesState:
         broken by sample position and the update is deterministic.  The
         evolution path ``p_sigma`` is whitened with the weighted normals
         of the parents, which equal ``A^-1 y_w`` for the factor ``A``
-        that drew them.  Up to :data:`STACKED_UPDATE_MAX_DIM` the family
-        is updated with one stacked op per step; above it, where the
-        stacked temporaries cost more than the calls they save, one state
-        at a time.  Either way every state gets the bits that it alone
-        would get.  Non-finite parents (a step that overflowed in
+        that drew them.  The family is updated with one stacked op per
+        step, except the covariance matrices above
+        :data:`STACKED_UPDATE_MAX_DIM`, which are updated one state at a
+        time.  Either way every state gets the bits that it alone would
+        get.  Non-finite parents (a step that overflowed in
         :meth:`ask`) give a non-finite update without a floating point
         warning, and a ``C`` with no Cholesky factor a NaN ``A``, both of
         which :meth:`should_stop` reports as ``numerical``.
@@ -211,11 +211,7 @@ class CmaesState:
         rewards = np.array(rewards)
         if not np.isfinite(rewards).all():
             raise ValueError("rewards must be finite")
-        if p.dim <= STACKED_UPDATE_MAX_DIM:
-            _update(states, rewards)
-        else:
-            for i, state in enumerate(states):
-                _update([state], rewards[i : i + 1])
+        _update(states, rewards)
         return CmaesState.should_stop(states)
 
     @staticmethod
@@ -238,25 +234,29 @@ class CmaesState:
         - ``no_effect_coord``: adding ``0.2 * sigma * sqrt(C_ii)`` leaves
           some coordinate ``i`` of the mean unchanged.
 
-        The array tests run once over the family's stack.
+        The array tests run once over the family's stack, except that
+        above :data:`STACKED_UPDATE_MAX_DIM` each factor is checked for
+        finiteness by itself rather than copied into a stack.
 
         Returns:
             For each state, the name of the first criterion that holds, or
             None.
         """
         p = _family_params(states)
-        a = _stack([state.A for state in states])
+        if p.dim <= STACKED_UPDATE_MAX_DIM:
+            finite = np.isfinite(_stack([state.A for state in states])).all(axis=(1, 2))
+        else:  # a copy of every large factor costs more than the calls it saves
+            finite = np.array([np.isfinite(state.A).all() for state in states])
         mean = _stack([state.mean for state in states])
         sigma = np.array([state.sigma for state in states])
-        c_diag = _stack([state.C.diagonal() for state in states])
-        finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(mean).all(axis=1)
-        finite = (finite & np.isfinite(sigma)).tolist()
-        a_diag = a.diagonal(axis1=1, axis2=2)
+        finite = (finite & np.isfinite(mean).all(axis=1) & np.isfinite(sigma)).tolist()
+        a_diag = _stack([state.A.diagonal() for state in states])
         a_min, a_max = a_diag.min(axis=1).tolist(), a_diag.max(axis=1).tolist()
+        c_diag = _stack([state.C.diagonal() for state in states])
         sigma0 = np.array([state.sigma0 for state in states])
         tol_x = (sigma * np.sqrt(c_diag.max(axis=1)) < 1e-12 * sigma0).tolist()
-        axes = [state.generation_count % p.dim for state in states]
-        step = (0.1 * sigma)[:, None] * a[np.arange(len(states)), :, axes]
+        a_axis = _stack([state.A[:, state.generation_count % p.dim] for state in states])
+        step = (0.1 * sigma)[:, None] * a_axis
         no_effect_axis = ((mean + step) == mean).all(axis=1).tolist()
         step = (0.2 * sigma)[:, None] * np.sqrt(c_diag)
         no_effect_coord = (mean + step == mean).any(axis=1).tolist()
@@ -281,10 +281,11 @@ class CmaesState:
         return reasons
 
 
-# Largest dimension at which CmaesState.tell updates a family with stacked
-# ops; above it the stacked temporaries fall out of cache and the states
-# are updated one at a time.
-STACKED_UPDATE_MAX_DIM = 36
+# Largest dimension at which CmaesState.tell and should_stop stack a
+# family's n x n matrices; above it the stacked temporaries fall out of
+# cache, so the matrices are updated and checked one state at a time.
+# Measured crossover for 9 states of 50 samples: about n = 29.
+STACKED_UPDATE_MAX_DIM = 28
 
 
 def _family_params(states: Sequence[CmaesState]) -> CmaesParams:
@@ -310,11 +311,13 @@ def _rows(stack: np.ndarray) -> list[np.ndarray]:
 
 def _update(states: Sequence[CmaesState], rewards: np.ndarray) -> None:
     """The distribution update of :meth:`CmaesState.tell` for checked
-    states and their ``(k, lam)`` rewards, with the ranking, the
-    element-wise steps, the rank-mu products and ``cholesky`` stacked over
-    the states.  The parents' weighted sums, the path norm, ``h_sigma``
-    and the step size stay per state, since stacking those BLAS and libm
-    calls could move their bits."""
+    states and their ``(k, lam)`` rewards.  The ranking and the
+    element-wise vector steps are stacked over the family; the covariance
+    update and its factor (:func:`_covariance`) are stacked too up to
+    :data:`STACKED_UPDATE_MAX_DIM`, and made one state at a time above
+    it.  The parents' weighted sums, the path norm, ``h_sigma`` and the
+    step size stay per state, since stacking those BLAS and libm calls
+    could move their bits."""
     p = states[0].params
     old_mean = _stack([state.mean for state in states])
     sigma = np.array([state.sigma for state in states])
@@ -327,7 +330,6 @@ def _update(states: Sequence[CmaesState], rewards: np.ndarray) -> None:
         means.append(p.weights @ parents[-1])
         z_w.append(p.weights @ normals[best])
         state.best_reward_history.append(best_reward)
-    parents = _stack(parents)
     y_w = (_stack(means) - old_mean) / sigma[:, None]
 
     # cumulative step-size adaptation in the isotropic coordinate system
@@ -346,13 +348,38 @@ def _update(states: Sequence[CmaesState], rewards: np.ndarray) -> None:
         [h * c_gain for h in h_sigma]
     )[:, None] * y_w
 
+    if p.dim <= STACKED_UPDATE_MAX_DIM:
+        c, a = _covariance(
+            p, _stack([state.C for state in states]), p_c, _stack(parents), old_mean, sigma, h_sigma
+        )
+        for state, c_i, a_i in zip(states, _rows(c), _rows(a)):
+            state.C, state.A = c_i, a_i
+    else:
+        # each state's matrices are replaced before the next state's are
+        # built, so the freed ones are reused while they are in cache
+        for i, state in enumerate(states):
+            one = slice(i, i + 1)
+            c, a = _covariance(
+                p, state.C[None], p_c[one], parents[i][None], old_mean[one], sigma[one], h_sigma[one]
+            )
+            state.C, state.A = c[0], a[0]
+
+    for state, mean, ps, pc, norm in zip(states, means, _rows(p_sigma), _rows(p_c), norms):
+        state.mean, state.p_sigma, state.p_c = mean, ps, pc
+        state.sigma *= math.exp((p.c_sigma / p.d_sigma) * (norm / p.chi_n - 1.0))
+
+
+def _covariance(p: CmaesParams, c, p_c, parents, old_mean, sigma, h_sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The updated covariance matrices of a stack of states, from their
+    ``C``, updated ``p_c``, ``(k, mu, n)`` parents, old means, step sizes
+    and ``h_sigma``, and their lower Cholesky factors; a ``C`` with no
+    factor gets a NaN one, and only that state."""
     y = (parents - old_mean[:, None, :]) / sigma[:, None, None]
     rank_mu = (y.transpose(0, 2, 1) * p.weights) @ y
     # C' = a C + c_1 (p_c p_c^T + [not h_sigma] c_c (2 - c_c) C) + c_mu rank_mu,
     # built in place in that association order; the bracketed term
     # compensates the variance lost when the rank-1 path update is
     # gated off
-    c = _stack([state.C for state in states])
     rank_one = p_c[:, :, None] * p_c[:, None, :]  # what np.outer computes
     for rank_one_i, c_i, h in zip(rank_one, c, h_sigma):
         if not h:
@@ -374,9 +401,4 @@ def _update(states: Sequence[CmaesState], rewards: np.ndarray) -> None:
                 a_i[...] = np.linalg.cholesky(c_i)
             except np.linalg.LinAlgError:
                 a_i[...] = np.nan
-
-    for state, mean, ps, pc, c_i, a_i, norm in zip(
-        states, means, _rows(p_sigma), _rows(p_c), _rows(c), _rows(a), norms
-    ):
-        state.mean, state.p_sigma, state.p_c, state.C, state.A = mean, ps, pc, c_i, a_i
-        state.sigma *= math.exp((p.c_sigma / p.d_sigma) * (norm / p.chi_n - 1.0))
+    return c, a
