@@ -614,7 +614,8 @@ def test_stacked_and_per_state_updates_give_the_same_bits(n, monkeypatch):
     paths, forced here at every dimension, give every state the same
     arrays and reasons bit for bit, and each state the bits that a tell of
     it alone gives.  A member with no Cholesky factor, or a non-finite
-    one, gets a NaN factor and stops with ``numerical`` by itself."""
+    one, gets a NaN factor and stops with ``numerical`` by itself.  Each
+    state keeps arrays of its own, not views into the family's stacks."""
     told = {}
     for path, max_dim in (("stacked", n), ("per_state", n - 1)):
         monkeypatch.setattr(cmaes, "STACKED_UPDATE_MAX_DIM", max_dim)
@@ -628,6 +629,10 @@ def test_stacked_and_per_state_updates_give_the_same_bits(n, monkeypatch):
     for a, b, c in zip(stacked, per_state, alone_states):
         assert_states_equal(a, b)
         assert_states_equal(a, c)
+    for state in stacked + per_state:  # copies, not views into the family's stacks
+        for field in ("mean", "C", "A", "p_sigma", "p_c"):
+            array = getattr(state, field)
+            assert array.base is None or array.base.nbytes == array.nbytes, field
     assert stacked_reasons[3] == stacked_reasons[4] == "numerical"
     assert np.isnan(stacked[3].A).all() and not np.isfinite(stacked[4].mean).all()
     assert all(np.isfinite(stacked[i].A).all() for i in (0, 1, 2, 5))
