@@ -185,6 +185,9 @@ class AddResult:
 
 _REJECTED = AddResult(AddStatus.REJECTED, 0.0)
 
+# Grids of at most this many cells sort their cell indices as uint16.
+_UINT16_CELLS = 1 << 16
+
 
 def _csv_header(bd_dim: int, genotype_dim: int) -> list[str]:
     """The column names of :meth:`Archive.write_csv`."""
@@ -218,7 +221,12 @@ class Archive:
       page resident;
     * ``_objects``, per row: the :class:`Elite` a caller passed in through
       :meth:`add_attempt` or :meth:`read_csv`, or ``None``
-      where :meth:`insert_batch` wrote the row.
+      where :meth:`insert_batch` wrote the row.  numpy writes every entry
+      of an object array when it allocates one, so this column is reserved
+      (one row per cell, like the others) only at the first
+      :meth:`add_attempt`; until then it is empty and every row reads as
+      ``None``.  A run, which only calls :meth:`insert_batch`, never
+      reserves it.
 
     Reads are canonical: iteration, ranks and uniform elite sampling
     follow ascending cell index regardless of insertion history.  A cell
@@ -253,11 +261,12 @@ class Archive:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Reserves one row per cell again, as the first insertion did."""
+        """Reserves one row per cell again for each column the original
+        had reserved, as the first insertion did."""
         self.__dict__.update(state)
-        if self._size:
-            for name in self._ROWS:
-                used = getattr(self, name)
+        for name in self._ROWS:
+            used = getattr(self, name)
+            if len(used):
                 rows = np.empty((self.spec.total_cells, *used.shape[1:]), dtype=used.dtype)
                 rows[: self._size] = used
                 setattr(self, name, rows)
@@ -273,7 +282,6 @@ class Archive:
             total = self.spec.total_cells
             self._genotypes = np.empty((total, genotype_dim))
             self._descriptors = np.empty((total, self.spec.dims))
-            self._objects = np.empty(total, dtype=object)
         elif genotype_dim != self._genotypes.shape[1]:
             raise ValueError(
                 f"genotype has {genotype_dim} components, "
@@ -315,6 +323,8 @@ class Archive:
             return _REJECTED
         self._genotypes[row] = elite.genotype
         self._descriptors[row] = elite.descriptor
+        if not len(self._objects):
+            self._objects = np.empty(self.spec.total_cells, dtype=object)  # all None
         self._objects[row] = elite
         self._raw[cell] = elite.fitness_raw
         self._norm[cell] = elite.fitness_norm
@@ -376,7 +386,10 @@ class Archive:
         if m == 0:
             return status, improvement
 
-        order = np.argsort(cells, kind="stable")
+        # numpy radix-sorts 16-bit keys; a stable order is unique, so a
+        # grid whose cells fit in uint16 gets the int64 sort's permutation
+        keys = cells.astype(np.uint16) if self.spec.total_cells <= _UINT16_CELLS else cells
+        order = np.argsort(keys, kind="stable")
         sorted_cells, s_raw, s_norm = cells[order], raw[order], norm[order]
         first = np.ones(m, dtype=bool)  # first candidate of its cell
         first[1:] = sorted_cells[1:] != sorted_cells[:-1]
@@ -421,14 +434,15 @@ class Archive:
         rows[fresh] = self._claim_rows(win_cells[fresh], genotypes.shape[1])
         self._genotypes[rows] = genotypes[src]
         self._descriptors[rows] = descriptors[src]
-        self._objects[rows] = None
+        if len(self._objects):
+            self._objects[rows] = None
         self._raw[win_cells] = raw[src]
         self._norm[win_cells] = norm[src]
         return status, improvement
 
     def _elite(self, cell: int) -> Elite:
         row = self._row[cell]
-        stored = self._objects[row]
+        stored = self._objects[row] if len(self._objects) else None
         if stored is not None:
             return stored
         return Elite(

@@ -266,7 +266,7 @@ class CmaesState:
             history = state.best_reward_history
             if not finite[i]:
                 reasons.append("numerical")
-            elif a_min[i] == 0.0 or (a_max[i] / a_min[i]) ** 2 > 1e14:
+            elif _ill_conditioned(a_min[i], a_max[i]):
                 reasons.append("condition")
             elif tol_x[i]:
                 reasons.append("tol_x")
@@ -286,6 +286,17 @@ class CmaesState:
 # cache, so the matrices are updated and checked one state at a time.
 # Measured crossover for 9 states of 50 samples: about n = 29.
 STACKED_UPDATE_MAX_DIM = 28
+
+
+def _ill_conditioned(a_min: float, a_max: float) -> bool:
+    """The ``condition`` criterion of :meth:`CmaesState.should_stop` on
+    the extreme diagonal entries of a finite factor."""
+    if a_min == 0.0:
+        return True
+    try:
+        return (a_max / a_min) ** 2 > 1e14
+    except OverflowError:  # Python's ** raises past a ratio of ~1.34e154
+        return True
 
 
 def _family_params(states: Sequence[CmaesState]) -> CmaesParams:

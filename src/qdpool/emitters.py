@@ -273,14 +273,14 @@ class RandomEmitter(Emitter):
             rng.standard_normal(out=line[i])
         iso *= SIGMA_ISO * (task.upper - task.lower)
         line *= SIGMA_LINE
-        parents = archive.genotypes_at_ranks(picks.reshape(-1, 2))
-        x1, x2 = parents[:, 0], parents[:, 1]
-        # built in iso, which this call owns, to keep the batch-sized
-        # temporaries few: in a process's first run each one is
-        # page-faulted in afresh every generation
+        # one gather, each parent a contiguous (k * batch, dim) block
+        x1, x2 = archive.genotypes_at_ranks(picks.reshape(-1, 2).T)
+        # built in iso and x2, which this call owns, to keep the
+        # batch-sized temporaries few: in a process's first run each one
+        # is page-faulted in afresh every generation
         candidates = iso.reshape(-1, task.dim)
         candidates += x1
-        step = x2 - x1
+        step = np.subtract(x2, x1, out=x2)
         step *= line.reshape(-1, 1)
         candidates += step
         return clip_genotype(candidates, task, out=candidates)

@@ -29,7 +29,6 @@ import itertools
 import os
 import time
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -166,7 +165,7 @@ class Engine:
         self.archive = Archive(self.task.grid())
         self.scheduler = build_scheduler(config)
         self._rngs = {e.id: _substream(config.seed, (1, e.id)) for e in self.scheduler.emitters}
-        self._executor: ThreadPoolExecutor | None = None
+        self._executor = None  # a ThreadPoolExecutor while a threaded run lasts
         self.generation = 0
         self.evaluations = 0
         self.records: list[GenerationRecord] = []
@@ -256,6 +255,9 @@ class Engine:
         start = time.perf_counter()
         try:
             if self.config.threads > 1:
+                # only a threaded run pays for the import
+                from concurrent.futures import ThreadPoolExecutor
+
                 self._executor = ThreadPoolExecutor(max_workers=self.config.threads)
             self.initialize()
             for _ in range(self.config.generations):

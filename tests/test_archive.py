@@ -20,6 +20,8 @@ from qdpool.archive import (
     cell_index,
     cell_indices,
 )
+from qdpool.engine import RunConfig, run
+from qdpool.tasks import make_task
 
 
 def reference_cell_index(descriptor, lower, upper, resolution):
@@ -407,21 +409,28 @@ def test_read_csv_rejects_an_invalid_fitness(tmp_path, spec, field, value, match
 
 class RowWatch(Archive):
     """An archive that records its row buffers, and whether the rows in
-    use are exactly ``0..len-1``, after every claim of rows."""
+    use are exactly ``0..len-1``, after every claim of rows, and its
+    object column after every :meth:`add_attempt`."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self.seen = []
         self.prefix = []
+        self.object_columns = []
 
     def rows_in_use_are_a_prefix(self):
         return np.array_equal(np.sort(self._row[self._row >= 0]), np.arange(len(self)))
 
     def _claim_rows(self, cells, genotype_dim):
         rows = super()._claim_rows(cells, genotype_dim)
-        self.seen.append((self._genotypes, self._descriptors, self._objects))
+        self.seen.append((self._genotypes, self._descriptors))
         self.prefix.append(self.rows_in_use_are_a_prefix())
         return rows
+
+    def add_attempt(self, elite):
+        result = super().add_attempt(elite)
+        self.object_columns.append(self._objects)
+        return result
 
 
 def cell_centres(spec):
@@ -432,10 +441,11 @@ def cell_centres(spec):
 
 @pytest.mark.parametrize("path", ["insert_batch", "add_attempt", "read_csv"])
 def test_row_buffers_never_move_until_the_grid_is_full(tmp_path, path):
-    """The first insertion reserves one row per cell; filling every cell,
-    on any insertion path, keeps the same buffers, and the rows in use
-    stay the prefix ``0..len-1`` (see the ``Archive`` docstring for why
-    rows are not indexed by cell)."""
+    """The first insertion reserves one row per cell, and the first
+    ``add_attempt`` one object per row; filling every cell, on any
+    insertion path, keeps the same buffers, and the rows in use stay the
+    prefix ``0..len-1`` (see the ``Archive`` docstring for why rows are
+    not indexed by cell)."""
     spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([8, 8]))
     rng = np.random.default_rng(8)
     centres = cell_centres(spec)[rng.permutation(spec.total_cells)]
@@ -457,10 +467,15 @@ def test_row_buffers_never_move_until_the_grid_is_full(tmp_path, path):
     assert len(archive) == spec.total_cells
     assert len(archive.seen) >= spec.total_cells // 5
     first = archive.seen[0]
-    assert len(first[0]) == len(first[1]) == len(first[2]) == spec.total_cells
+    assert len(first[0]) == len(first[1]) == spec.total_cells
     for buffers in archive.seen:
         assert all(a is b for a, b in zip(buffers, first))
     assert all(archive.prefix) and archive.rows_in_use_are_a_prefix()
+    if path == "insert_batch":
+        assert not archive.object_columns and not len(archive._objects)
+    else:
+        assert len(archive.object_columns[0]) == spec.total_cells
+        assert all(column is archive.object_columns[0] for column in archive.object_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +581,29 @@ def test_insert_batch_copies_and_keeps_offered_objects(spec):
     np.testing.assert_array_equal(
         archive.genotypes_at_ranks(np.array([[1, 0]])), [[[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]]
     )
+
+
+def test_a_batch_only_archive_holds_no_object_column():
+    """A run only calls insert_batch, so its archive never reserves the
+    object column, whose entries numpy would write at once.  A pickled
+    copy stays without one, and the first add_attempt reserves it with
+    the batch rows reading as fresh copies."""
+    config = RunConfig(
+        task=make_task("sphere", dim=4, resolution=10), generations=5, slots=4,
+        batch_per_emitter=8, init_samples=20, seed=2,
+    )
+    archive = run(config).archive
+    assert len(archive) and archive._objects.nbytes == 0
+    copy = pickle.loads(pickle.dumps(archive))
+    assert copy._objects.nbytes == 0
+    assert_same_contents(copy, archive)
+    spare = next(c for c in range(copy.spec.total_cells) if c not in dict(iter(copy)))
+    descriptor = cell_centres(copy.spec)[spare]
+    kept = Elite(np.zeros(4), descriptor, fitness_raw=-1.0, fitness_norm=0.5)
+    assert copy.add_attempt(kept).status == AddStatus.NEW
+    assert len(copy._objects) == copy.spec.total_cells
+    assert dict(iter(copy))[spare] is kept
+    assert_same_contents([(c, e) for c, e in copy if c != spare], archive)
 
 
 def test_insert_batch_rejects_nan_fitness(spec):

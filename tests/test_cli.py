@@ -817,3 +817,14 @@ class TestParallelSweep:
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_importing_qdpool_loads_no_pool_or_masked_arrays(self):
+        """Every ``qdpool`` command and benchmark worker pays for what the
+        package imports; thread pools, process pools and masked arrays are
+        imported only where a call needs them."""
+        heavy = ("concurrent.futures", "multiprocessing", "numpy.ma")
+        code = f"import sys, qdpool; print([m for m in {heavy!r} if m in sys.modules])"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

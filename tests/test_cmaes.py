@@ -326,6 +326,16 @@ class TestShouldStop:
         set_covariance(state, np.diag([1.0, 1e12]))
         assert CmaesState.should_stop([state])[0] is None
 
+    def test_condition_past_the_largest_float_square(self):
+        """A ratio of diagonal entries whose square no float holds (past
+        ~1.34e154, where Python's ``**`` raises OverflowError) is
+        ``condition`` too."""
+        state = CmaesState(np.zeros(2), sigma0=0.5, lam=8)
+        state.A = np.diag([1e-160, 1.0])
+        state.C = state.A @ state.A.T
+        fresh = CmaesState(np.zeros(2), sigma0=0.5, lam=8)
+        assert CmaesState.should_stop([state, fresh]) == ["condition", None]
+
     def test_tol_fun_needs_full_window(self):
         state = CmaesState(np.zeros(4), sigma0=0.5, lam=8)
         window = state.best_reward_history.maxlen
