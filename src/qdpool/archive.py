@@ -218,23 +218,13 @@ class Archive:
       would need no ``_row``, but their writes scatter over the whole
       block: numpy advises huge pages for arrays of 4 MiB or more, so
       under transparent huge pages a sparse grid would make every 2 MiB
-      page resident;
-    * ``_objects``, per row: the :class:`Elite` a caller passed in through
-      :meth:`add_attempt` or :meth:`read_csv`, or ``None``
-      where :meth:`insert_batch` wrote the row.  numpy writes every entry
-      of an object array when it allocates one, so this column is reserved
-      (one row per cell, like the others) only at the first
-      :meth:`add_attempt`; until then it is empty and every row reads as
-      ``None``.  A run, which only calls :meth:`insert_batch`, never
-      reserves it.
+      page resident.
 
+    Each elite is kept once, in those arrays: both insertion paths copy
+    the winner into its row, and every read (iteration, :meth:`elites`,
+    :meth:`random_elite`) builds a fresh :class:`Elite` from the rows.
     Reads are canonical: iteration, ranks and uniform elite sampling
-    follow ascending cell index regardless of insertion history.  A cell
-    whose elite came in as an :class:`Elite` yields that same object.  A
-    cell filled by :meth:`insert_batch` holds one copy of the genotype and
-    yields a fresh :class:`Elite` copy on every read, so the identity of
-    batch-inserted elites is not preserved across reads.  Callers must
-    not mutate an elite after handing it to the archive.
+    follow ascending cell index regardless of insertion history.
     """
 
     def __init__(self, spec: GridSpec):
@@ -245,12 +235,11 @@ class Archive:
         self._size = 0
         self._genotypes = np.empty((0, 0))
         self._descriptors = np.empty((0, spec.dims))
-        self._objects = np.empty(0, dtype=object)
 
     def __len__(self) -> int:
         return self._size
 
-    _ROWS = ("_genotypes", "_descriptors", "_objects")
+    _ROWS = ("_genotypes", "_descriptors")
 
     def __getstate__(self) -> dict:
         """Pickles only the rows in use, so an archive sent to another
@@ -275,6 +264,17 @@ class Archive:
         """Occupied cells in ascending order."""
         return np.flatnonzero(self._row >= 0)
 
+    def _check_genotype_shape(self, shape: tuple) -> None:
+        """Raises unless ``shape`` is that of one genotype the archive can
+        hold: one axis, as long as the rows it already holds."""
+        if len(shape) != 1:
+            raise ValueError(f"genotype has shape {shape}, expected one axis")
+        if len(self._genotypes) and shape[0] != self._genotypes.shape[1]:
+            raise ValueError(
+                f"genotype has {shape[0]} components, "
+                f"the archive holds {self._genotypes.shape[1]}"
+            )
+
     def _claim_rows(self, cells: np.ndarray, genotype_dim: int) -> np.ndarray:
         """Gives each newly occupied cell the next unused row and returns
         the rows; the first call reserves one row per cell."""
@@ -282,11 +282,6 @@ class Archive:
             total = self.spec.total_cells
             self._genotypes = np.empty((total, genotype_dim))
             self._descriptors = np.empty((total, self.spec.dims))
-        elif genotype_dim != self._genotypes.shape[1]:
-            raise ValueError(
-                f"genotype has {genotype_dim} components, "
-                f"the archive holds {self._genotypes.shape[1]}"
-            )
         end = self._size + len(cells)
         rows = np.arange(self._size, end)
         self._row[cells] = rows
@@ -298,19 +293,23 @@ class Archive:
 
         A new cell is always filled.  An occupied cell is replaced only if
         the candidate's raw fitness is strictly higher; ties keep the
-        incumbent.  A winning elite is stored as the object itself.
+        incumbent.  A winning elite is copied into the archive's rows, so
+        the caller keeps no hold on what the archive stores.
 
         Returns:
             The :class:`AddResult` describing what happened.
 
         Raises:
             ValueError: If ``fitness_raw`` is NaN, ``fitness_norm`` lies
-                outside [0, 1], or the descriptor is not finite.
+                outside [0, 1], the descriptor is not finite, or the
+                genotype is not one axis as long as the stored ones.  The
+                archive is unchanged then.
         """
         if math.isnan(elite.fitness_raw):
             raise ValueError("fitness_raw is NaN")
         if not (0.0 <= elite.fitness_norm <= 1.0):
             raise ValueError(f"fitness_norm must be in [0, 1], got {elite.fitness_norm}")
+        self._check_genotype_shape(np.shape(elite.genotype))
         cell = cell_index(elite.descriptor, self.spec)
         row = int(self._row[cell])
         if row < 0:
@@ -323,9 +322,6 @@ class Archive:
             return _REJECTED
         self._genotypes[row] = elite.genotype
         self._descriptors[row] = elite.descriptor
-        if not len(self._objects):
-            self._objects = np.empty(self.spec.total_cells, dtype=object)  # all None
-        self._objects[row] = elite
         self._raw[cell] = elite.fitness_raw
         self._norm[cell] = elite.fitness_norm
         return result
@@ -385,6 +381,7 @@ class Archive:
         improvement = np.zeros(m)
         if m == 0:
             return status, improvement
+        self._check_genotype_shape(genotypes.shape[1:])
 
         # numpy radix-sorts 16-bit keys; a stable order is unique, so a
         # grid whose cells fit in uint16 gets the int64 sort's permutation
@@ -434,17 +431,12 @@ class Archive:
         rows[fresh] = self._claim_rows(win_cells[fresh], genotypes.shape[1])
         self._genotypes[rows] = genotypes[src]
         self._descriptors[rows] = descriptors[src]
-        if len(self._objects):
-            self._objects[rows] = None
         self._raw[win_cells] = raw[src]
         self._norm[win_cells] = norm[src]
         return status, improvement
 
     def _elite(self, cell: int) -> Elite:
         row = self._row[cell]
-        stored = self._objects[row] if len(self._objects) else None
-        if stored is not None:
-            return stored
         return Elite(
             self._genotypes[row].copy(),
             self._descriptors[row].copy(),

@@ -72,7 +72,7 @@ class ExperimentConfig:
     stats_granularity: str = engine.RunConfig.stats_granularity
     metrics_every: int = engine.RunConfig.metrics_every
     out_dir: str = "results"
-    threads: int | None = None
+    threads: int = engine.RunConfig.threads
 
 
 class _Setting(NamedTuple):
@@ -128,7 +128,7 @@ _SETTINGS = (
     _Setting("task", "sigma0", "sigma0", float, "--sigma0"),
     _Setting("output", "dir", "out_dir", str, "--out"),
     _Setting(
-        "run", "threads", "threads", int, "--threads", {"help": "evaluation threads (QD_THREADS fallback)"},
+        "run", "threads", "threads", int, "--threads", {"help": "evaluation threads"},
         feeds="threads",
     ),
     _Setting("run", "metrics_every", "metrics_every", int, "--metrics-every", feeds="metrics_every"),
@@ -205,12 +205,6 @@ def parse_config(flags: dict, config_path: str | None = None) -> ExperimentConfi
     values = _read_config_file(config_path) if config_path is not None else {}
     values.update((key, value) for key, value in flags.items() if value is not None)
     cfg = ExperimentConfig(**values)
-
-    if cfg.threads is None:
-        try:
-            cfg.threads = int(os.environ.get("QD_THREADS", "1"))
-        except ValueError as exc:
-            raise ConfigError(f"threads: cannot parse QD_THREADS={os.environ['QD_THREADS']!r}") from exc
     if isinstance(cfg.variants, str):
         cfg.variants = [cfg.variants]
     repeated = sorted({v for v in cfg.variants if cfg.variants.count(v) > 1})
@@ -402,7 +396,8 @@ def compare_summaries(paths, *, metric, alpha, task_filter=None, echo=print) -> 
         echo(f"\ntask: {task}")
         echo(f"{'variant a':>22} {'variant b':>22} {'median a':>12} {'median b':>12} {'W':>8} {'p':>10} {'p(holm)':>10}  verdict")
         for (a, b, med_a, med_b, stat, p), p_adj in zip(rows, adjusted):
-            verdict = "different" if p_adj < alpha else "equivalent"
+            # a p at or above alpha shows no difference, not an equivalence
+            verdict = "different" if p_adj < alpha else "undecided"
             echo(
                 f"{a:>22} {b:>22} {med_a:>12.4f} {med_b:>12.4f} {stat:>8.1f} "
                 f"{p:>10.4g} {p_adj:>10.4g}  {verdict}"
@@ -474,6 +469,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`qdpool compare … | head`); point it at
+        # devnull so that the flush at exit does not raise again (see "Note
+        # on SIGPIPE" in the docs of Python's `signal` module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

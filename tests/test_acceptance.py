@@ -86,11 +86,13 @@ def test_criterion_01_archive_matches_bruteforce_oracle():
         rng = np.random.default_rng(seed)
         archive = Archive(spec)
         reference = {}
+        genotypes = set()
         for _ in range(10_000):
             descriptor = rng.uniform(-3.5, 3.5, 2)
             raw = float(rng.uniform(-20.0, 5.0))
             norm = min(max((raw + 5.0) / 10.0, 0.0), 1.0)
             elite = Elite(rng.uniform(-1.0, 1.0, 4), descriptor, raw, norm)
+            genotypes.add(elite.genotype.tobytes())
             archive.add_attempt(elite)
             # oracle: flat map keyed by cell, keep max fitness, strict improvement
             axes = np.clip(
@@ -102,9 +104,17 @@ def test_criterion_01_archive_matches_bruteforce_oracle():
             held = reference.get(cell)
             if held is None or elite.fitness_raw > held.fitness_raw:
                 reference[cell] = elite
+        # distinct genotypes make the values name the kept candidate
+        assert len(genotypes) == 10_000, f"seed {seed}: two candidates share a genotype"
         assert len(archive) == len(reference), f"seed {seed}: size mismatch"
         for cell, elite in archive:
-            assert reference[cell] is elite, f"seed {seed}: cell {cell} holds a different elite"
+            held = reference[cell]
+            assert (
+                elite.genotype.tobytes() == held.genotype.tobytes()
+                and elite.descriptor.tobytes() == held.descriptor.tobytes()
+                and np.float64(elite.fitness_raw).tobytes() == np.float64(held.fitness_raw).tobytes()
+                and np.float64(elite.fitness_norm).tobytes() == np.float64(held.fitness_norm).tobytes()
+            ), f"seed {seed}: cell {cell} holds a different elite"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"archive oracle comparison took {elapsed:.2f}s (budget 5s)"
     report(f"criterion 1: PASS - archives identical for 10/10 seeds in {elapsed:.2f}s")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qdpool.archive import (
     MAX_CELLS,
+    AddResult,
     AddStatus,
     Archive,
     Elite,
@@ -20,8 +21,6 @@ from qdpool.archive import (
     cell_index,
     cell_indices,
 )
-from qdpool.engine import RunConfig, run
-from qdpool.tasks import make_task
 
 
 def reference_cell_index(descriptor, lower, upper, resolution):
@@ -32,6 +31,24 @@ def reference_cell_index(descriptor, lower, upper, resolution):
         i = int(np.floor((d - lo) / width))
         axes.append(min(max(i, 0), r - 1))
     return int(np.ravel_multi_index(axes, resolution))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_same_elite(a, b):
+    """Bit for bit the same genotype, descriptor and fitness values."""
+    assert bits(a.genotype) == bits(b.genotype)
+    assert bits(a.descriptor) == bits(b.descriptor)
+    assert bits(a.fitness_raw) == bits(b.fitness_raw)
+    assert bits(a.fitness_norm) == bits(b.fitness_norm)
+
+
+def assert_distinct_genotypes(elites):
+    """No two candidates share a genotype, so a read's values name the
+    candidate it came from."""
+    assert len({bits(e.genotype) for e in elites}) == len(elites)
 
 
 def make_elite(rng, dim=3, bd=None, fn=None):
@@ -162,7 +179,7 @@ class TestAddAttempt:
             result = archive.add_attempt(make_elite(rng, bd=[0.1, 0.1], fn=fn))
             assert result.status is AddStatus.REJECTED
             assert result.improvement == 0.0
-        assert archive.elites()[0] is incumbent
+        assert_same_elite(archive.elites()[0], incumbent)
 
     def test_fitness_norm_out_of_range_rejected(self, spec):
         archive = Archive(spec)
@@ -181,6 +198,40 @@ class TestAddAttempt:
         assert len(archive) == 0
         later = Elite(np.ones(3), np.array([0.1, 0.1]), fitness_raw=5.0, fitness_norm=0.5)
         assert archive.add_attempt(later).status is AddStatus.NEW
+
+    def test_a_first_genotype_of_two_axes_leaves_the_archive_empty(self, spec):
+        """The shape is checked before a row is claimed, so no cell is
+        left holding uninitialised memory."""
+        archive = Archive(spec)
+        matrix = Elite(np.zeros((1, 3)), np.array([0.1, 0.1]), fitness_raw=1.0, fitness_norm=0.5)
+        with pytest.raises(ValueError, match=r"genotype has shape \(1, 3\), expected one axis"):
+            archive.add_attempt(matrix)
+        assert len(archive) == 0 and archive.elites() == []
+        with pytest.raises(EmptyArchiveError):
+            archive.random_elite(np.random.default_rng(0))
+        later = Elite(np.ones(2), np.array([0.1, 0.1]), fitness_raw=1.0, fitness_norm=0.5)
+        assert archive.add_attempt(later).status is AddStatus.NEW
+        assert_same_elite(archive.elites()[0], later)
+
+    @pytest.mark.parametrize(
+        "descriptor, raw",
+        [([0.1, 0.1], 5.0), ([0.1, 0.1], 0.5), ([-0.9, 0.9], 5.0)],
+        ids=["better", "worse", "new-cell"],
+    )
+    def test_a_genotype_of_another_length_leaves_the_archive_unchanged(self, spec, descriptor, raw):
+        """A short genotype raises whatever the competition would decide,
+        rather than being broadcast into the incumbent's row."""
+        archive = Archive(spec)
+        incumbent = Elite(np.arange(3.0), np.array([0.1, 0.1]), fitness_raw=1.0, fitness_norm=0.5)
+        archive.add_attempt(incumbent)
+        short = Elite(np.array([5.0]), np.array(descriptor), fitness_raw=raw, fitness_norm=1.0)
+        with pytest.raises(ValueError, match="genotype has 1 components, the archive holds 3"):
+            archive.add_attempt(short)
+        assert len(archive) == 1
+        assert_same_elite(archive.elites()[0], incumbent)
+        assert archive.best_fitness == 0.5
+        better = Elite(np.ones(3), np.array([0.1, 0.1]), fitness_raw=2.0, fitness_norm=0.75)
+        assert archive.add_attempt(better) == AddResult(AddStatus.IMPROVED, 0.25)
 
 
 def make_saturating_elite(rng, bd):
@@ -201,16 +252,19 @@ def test_archive_matches_bruteforce_map():
     spec = GridSpec(lower, upper, resolution)
     archive = Archive(spec)
     reference: dict[int, Elite] = {}
+    offered = []
     for _ in range(5000):
         elite = make_saturating_elite(rng, bd=rng.uniform(-2.5, 2.5, 2))
+        offered.append(elite)
         archive.add_attempt(elite)
         cell = reference_cell_index(elite.descriptor, lower, upper, resolution)
         held = reference.get(cell)
         if held is None or elite.fitness_raw > held.fitness_raw:
             reference[cell] = elite
+    assert_distinct_genotypes(offered)
     assert len(archive) == len(reference)
     for cell, elite in archive:
-        assert reference[cell] is elite
+        assert_same_elite(elite, reference[cell])
 
 
 def test_saturated_cells_still_compete_on_raw_fitness(spec):
@@ -224,7 +278,7 @@ def test_saturated_cells_still_compete_on_raw_fitness(spec):
     assert result.improvement == 0.0  # normalized scale is saturated here
     assert archive.add_attempt(worse).status is AddStatus.REJECTED
     ((_, held),) = archive
-    assert held is better
+    assert_same_elite(held, better)
 
 
 def test_iteration_is_ascending_and_insertion_order_free(spec):
@@ -254,11 +308,16 @@ def test_random_elite_is_uniform_over_cells(spec):
                 bd = [-1 + 0.25 + i * 0.5, -1 + 0.25 + j * 0.5]
                 archive.add_attempt(make_elite(rng, bd=bd))
     assert len(archive) == 10
+    listed = archive.elites()
+    assert_distinct_genotypes(listed)
     draws = 20000
     counts = np.zeros(10)
-    ranked = {id(elite): r for r, (_, elite) in enumerate(archive)}
+    ranked = {bits(elite.genotype): r for r, elite in enumerate(listed)}
     for _ in range(draws):
-        counts[ranked[id(archive.random_elite(rng))]] += 1
+        drawn = archive.random_elite(rng)
+        rank = ranked[bits(drawn.genotype)]
+        assert_same_elite(drawn, listed[rank])
+        counts[rank] += 1
     expected = draws / 10
     sigma = np.sqrt(draws * 0.1 * 0.9)
     assert np.all(np.abs(counts - expected) < 5 * sigma)
@@ -409,14 +468,12 @@ def test_read_csv_rejects_an_invalid_fitness(tmp_path, spec, field, value, match
 
 class RowWatch(Archive):
     """An archive that records its row buffers, and whether the rows in
-    use are exactly ``0..len-1``, after every claim of rows, and its
-    object column after every :meth:`add_attempt`."""
+    use are exactly ``0..len-1``, after every claim of rows."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self.seen = []
         self.prefix = []
-        self.object_columns = []
 
     def rows_in_use_are_a_prefix(self):
         return np.array_equal(np.sort(self._row[self._row >= 0]), np.arange(len(self)))
@@ -427,11 +484,6 @@ class RowWatch(Archive):
         self.prefix.append(self.rows_in_use_are_a_prefix())
         return rows
 
-    def add_attempt(self, elite):
-        result = super().add_attempt(elite)
-        self.object_columns.append(self._objects)
-        return result
-
 
 def cell_centres(spec):
     """One descriptor per cell of a 2-D grid, in ascending cell order."""
@@ -441,11 +493,10 @@ def cell_centres(spec):
 
 @pytest.mark.parametrize("path", ["insert_batch", "add_attempt", "read_csv"])
 def test_row_buffers_never_move_until_the_grid_is_full(tmp_path, path):
-    """The first insertion reserves one row per cell, and the first
-    ``add_attempt`` one object per row; filling every cell, on any
-    insertion path, keeps the same buffers, and the rows in use stay the
-    prefix ``0..len-1`` (see the ``Archive`` docstring for why rows are
-    not indexed by cell)."""
+    """The first insertion reserves one row per cell; filling every cell,
+    on any insertion path, keeps the same buffers, and the rows in use
+    stay the prefix ``0..len-1`` (see the ``Archive`` docstring for why
+    rows are not indexed by cell)."""
     spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([8, 8]))
     rng = np.random.default_rng(8)
     centres = cell_centres(spec)[rng.permutation(spec.total_cells)]
@@ -471,11 +522,6 @@ def test_row_buffers_never_move_until_the_grid_is_full(tmp_path, path):
     for buffers in archive.seen:
         assert all(a is b for a, b in zip(buffers, first))
     assert all(archive.prefix) and archive.rows_in_use_are_a_prefix()
-    if path == "insert_batch":
-        assert not archive.object_columns and not len(archive._objects)
-    else:
-        assert len(archive.object_columns[0]) == spec.total_cells
-        assert all(column is archive.object_columns[0] for column in archive.object_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +558,11 @@ def reference_offer(reference, cell, elite):
     return AddStatus.REJECTED, 0.0
 
 
-def bits(values):
-    return np.asarray(values, dtype=float).tobytes()
-
-
 def assert_same_contents(a, b):
     assert len(a) == len(b)
     for (cell_a, ea), (cell_b, eb) in zip(a, b):
         assert cell_a == cell_b
-        assert bits(ea.genotype) == bits(eb.genotype)
-        assert bits(ea.descriptor) == bits(eb.descriptor)
-        assert bits(ea.fitness_raw) == bits(eb.fitness_raw)
-        assert bits(ea.fitness_norm) == bits(eb.fitness_norm)
+        assert_same_elite(ea, eb)
 
 
 @settings(max_examples=400, deadline=None)
@@ -564,46 +603,68 @@ def test_insert_batch_matches_sequential_offers(preload, batch):
     )
 
 
-def test_insert_batch_copies_and_keeps_offered_objects(spec):
+def test_both_insertion_paths_copy(spec):
+    """The archive holds its own copy of what either path offers, and each
+    read is a fresh copy of its own."""
     archive = Archive(spec)
-    kept = Elite(np.zeros(3), np.array([-0.9, -0.9]), fitness_raw=1.0, fitness_norm=0.6)
-    archive.add_attempt(kept)
+    offered = Elite(np.zeros(3), np.array([-0.9, -0.9]), fitness_raw=1.0, fitness_norm=0.6)
+    archive.add_attempt(offered)
     genotypes = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     status, _ = archive.insert_batch(
         [5, 0], genotypes, np.array([[-0.4, -0.4], [-0.9, -0.9]]), [0.5, 0.5], [0.55, 0.55]
     )
     assert status.tolist() == [AddStatus.NEW, AddStatus.REJECTED]
-    genotypes[:] = -1.0  # the archive holds its own copy of the batch rows
-    assert archive.elites()[0] is kept
-    copy_a, copy_b = archive.elites()[1], archive.elites()[1]
-    assert copy_a is not copy_b  # batch-inserted elites are fresh copies per read
-    np.testing.assert_array_equal(copy_a.genotype, [1.0, 2.0, 3.0])
+    kept = archive.elites()[0]
+    assert kept is not offered and kept.genotype is not offered.genotype
+    assert_same_elite(kept, offered)
+    offered.genotype[:] = -1.0
+    genotypes[:] = -1.0
+    for cell in (0, 1):
+        copy_a, copy_b = archive.elites()[cell], archive.elites()[cell]
+        assert copy_a is not copy_b and copy_a.genotype is not copy_b.genotype
+    np.testing.assert_array_equal(archive.elites()[0].genotype, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(archive.elites()[1].genotype, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(
         archive.genotypes_at_ranks(np.array([[1, 0]])), [[[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]]
     )
 
 
-def test_a_batch_only_archive_holds_no_object_column():
-    """A run only calls insert_batch, so its archive never reserves the
-    object column, whose entries numpy would write at once.  A pickled
-    copy stays without one, and the first add_attempt reserves it with
-    the batch rows reading as fresh copies."""
-    config = RunConfig(
-        task=make_task("sphere", dim=4, resolution=10), generations=5, slots=4,
-        batch_per_emitter=8, init_samples=20, seed=2,
+def test_mutating_an_elite_outside_the_archive_changes_nothing_inside(tmp_path, spec):
+    """Neither the elite handed to ``add_attempt`` nor one read back is
+    the stored elite: after both are mutated, every read, the CSV dump and
+    the next competition see the values the archive stored."""
+    handed = Elite(np.zeros(3), np.array([-0.9, -0.9]), fitness_raw=1.0, fitness_norm=0.6)
+    batch = (np.array([[1.0, 2.0, 3.0]]), np.array([[0.4, 0.4]]), [0.5], [0.55])
+    archive, expected = Archive(spec), Archive(spec)
+    twin = Elite(handed.genotype.copy(), handed.descriptor.copy(), 1.0, 0.6)
+    for target, elite in ((archive, handed), (expected, twin)):
+        target.add_attempt(elite)
+        target.insert_batch(cell_indices(batch[1], spec), *batch)
+    handed.genotype[:] = 7.0
+    handed.descriptor[:] = 0.9
+    handed.fitness_raw, handed.fitness_norm = 5.0, 1.0
+    read = archive.elites()[1]
+    read.genotype[:] = 8.0
+    read.descriptor[:] = -0.9
+    read.fitness_raw, read.fitness_norm = 6.0, 1.0
+
+    assert_same_contents(archive, expected)
+    for seed in range(4):
+        assert_same_elite(
+            archive.random_elite(np.random.default_rng(seed)),
+            expected.random_elite(np.random.default_rng(seed)),
+        )
+    np.testing.assert_array_equal(archive.genotypes_at_ranks(np.arange(2)), [[0.0] * 3, [1.0, 2.0, 3.0]])
+    archive.write_csv(tmp_path / "archive.csv")
+    expected.write_csv(tmp_path / "expected.csv")
+    assert (tmp_path / "archive.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    # the stored raws are 1.0 and 0.5, not the mutated 5.0 and 6.0
+    later = Elite(np.ones(3), np.array([-0.9, -0.9]), fitness_raw=2.0, fitness_norm=0.7)
+    assert archive.add_attempt(later) == AddResult(AddStatus.IMPROVED, 0.7 - 0.6)
+    status, improvement = archive.insert_batch(
+        cell_indices(batch[1], spec), np.ones((1, 3)), batch[1], [0.75], [0.6]
     )
-    archive = run(config).archive
-    assert len(archive) and archive._objects.nbytes == 0
-    copy = pickle.loads(pickle.dumps(archive))
-    assert copy._objects.nbytes == 0
-    assert_same_contents(copy, archive)
-    spare = next(c for c in range(copy.spec.total_cells) if c not in dict(iter(copy)))
-    descriptor = cell_centres(copy.spec)[spare]
-    kept = Elite(np.zeros(4), descriptor, fitness_raw=-1.0, fitness_norm=0.5)
-    assert copy.add_attempt(kept).status == AddStatus.NEW
-    assert len(copy._objects) == copy.spec.total_cells
-    assert dict(iter(copy))[spare] is kept
-    assert_same_contents([(c, e) for c, e in copy if c != spare], archive)
+    assert status.tolist() == [AddStatus.IMPROVED] and improvement.tolist() == [0.6 - 0.55]
 
 
 def test_insert_batch_rejects_nan_fitness(spec):

@@ -2,15 +2,13 @@
 through mixed sequences of its operations and checks it, after every
 step, against a plain dict.
 
-The model maps each occupied cell to ``[contents, object]``: an
-:class:`Elite` holding what the cell must hold, and the :class:`Elite`
-that came in through ``add_attempt`` (or ``read_csv``), or ``None`` where
-``insert_batch`` wrote the cell.  Its competition rule is the textbook one, applied one
+The model maps each occupied cell to an :class:`Elite` holding what the
+cell must hold.  Its competition rule is the textbook one, applied one
 candidate at a time: an empty cell takes the candidate, an occupied one
 only on strictly higher raw fitness.
 
 Every candidate's genotype carries a serial number, so a row that keeps a
-stale genotype or object shows.  Raw fitness comes from a few values,
+stale genotype shows.  Raw fitness comes from a few values,
 so duplicate cells and ties are common, and the normalized fitness
 saturates at both ends, so equal norms hide different raws.  The grid has
 12 cells.  The whole machine runs in about 4 s on a 2-core machine;
@@ -55,7 +53,7 @@ class ArchiveMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.archive = Archive(SPEC)
-        self.model = {}  # cell -> [contents, object or None]
+        self.model = {}  # cell -> contents
         self.serial = 0
         self.tmp = tempfile.TemporaryDirectory()
 
@@ -66,24 +64,24 @@ class ArchiveMachine(RuleBasedStateMachine):
         self.serial += 1
         return np.array([float(self.serial), -float(self.serial)])
 
-    def offer(self, cell, raw, genotype, obj):
+    def offer(self, cell, raw, genotype):
         """The model's competition rule for one candidate: its status and
         improvement."""
         held = self.model.get(cell)
-        if held is not None and not raw > held[0].fitness_raw:
+        if held is not None and not raw > held.fitness_raw:
             return AddStatus.REJECTED, 0.0
         norm = norm_of(raw)
-        self.model[cell] = [Elite(genotype, centre(cell), raw, norm), obj]
+        self.model[cell] = Elite(genotype, centre(cell), raw, norm)
         if held is None:
             return AddStatus.NEW, norm
-        return AddStatus.IMPROVED, norm - held[0].fitness_norm
+        return AddStatus.IMPROVED, norm - held.fitness_norm
 
     @rule(candidate=candidates)
     def add_attempt(self, candidate):
         cell, raw = candidate
         elite = Elite(self.genotype(), centre(cell), raw, norm_of(raw))
         result = self.archive.add_attempt(elite)
-        assert (result.status, result.improvement) == self.offer(cell, raw, elite.genotype, elite)
+        assert (result.status, result.improvement) == self.offer(cell, raw, elite.genotype)
 
     @rule(batch=st.lists(candidates, min_size=1, max_size=10))
     def insert_batch(self, batch):
@@ -94,30 +92,19 @@ class ArchiveMachine(RuleBasedStateMachine):
         status, improvement = self.archive.insert_batch(
             cells, genotypes, descriptors, raws, [norm_of(raw) for raw in raws]
         )
-        expected = [self.offer(cell, raw, g, None) for cell, raw, g in zip(cells, raws, genotypes)]
+        expected = [self.offer(cell, raw, g) for cell, raw, g in zip(cells, raws, genotypes)]
         assert status.tolist() == [s for s, _ in expected]
         assert improvement.tolist() == [i for _, i in expected]
 
-    def reload(self, archive, all_objects):
-        """Takes ``archive``, a copy of the archive under test, as the new
-        archive under test.  The elites the copy keeps as objects are its
-        own: those of the original's object cells, or of every cell."""
-        for cell, elite in archive:
-            entry = self.model[cell]
-            if all_objects or entry[1] is not None:
-                assert elite is not entry[1]
-                entry[1] = elite
-        self.archive = archive
-
     @rule()
     def pickle_round_trip(self):
-        self.reload(pickle.loads(pickle.dumps(self.archive)), all_objects=False)
+        self.archive = pickle.loads(pickle.dumps(self.archive))
 
     @rule()
     def csv_round_trip(self):
         path = Path(self.tmp.name) / "archive.csv"
         self.archive.write_csv(path)
-        self.reload(Archive.read_csv(path, SPEC), all_objects=True)  # read_csv offers each row as an Elite
+        self.archive = Archive.read_csv(path, SPEC)
 
     @rule(seed=st.integers(0, 2**32 - 1))
     def random_elite(self, seed):
@@ -127,10 +114,8 @@ class ArchiveMachine(RuleBasedStateMachine):
             return
         elite = self.archive.random_elite(np.random.default_rng(seed))
         occupied = sorted(self.model)
-        entry = self.model[occupied[np.random.default_rng(seed).integers(len(occupied))]]
-        assert values(elite) == values(entry[0])
-        if entry[1] is not None:
-            assert elite is entry[1]
+        contents = self.model[occupied[np.random.default_rng(seed).integers(len(occupied))]]
+        assert values(elite) == values(contents)
 
     @invariant()
     def same_contents(self):
@@ -139,18 +124,15 @@ class ArchiveMachine(RuleBasedStateMachine):
         rows = archive._row[archive._row >= 0]
         assert sorted(rows.tolist()) == list(range(len(model)))
         order = sorted(model)
-        assert archive.fitness_norms().tolist() == [model[c][0].fitness_norm for c in order]
+        assert archive.fitness_norms().tolist() == [model[c].fitness_norm for c in order]
         listed = list(archive)
         assert [c for c, _ in listed] == order
         for cell, elite in listed:
-            entry = model[cell]
-            assert values(elite) == values(entry[0])
-            if entry[1] is not None:
-                assert elite is entry[1]
+            assert values(elite) == values(model[cell])
         if model:
-            assert archive.best_fitness == max(contents.fitness_norm for contents, _ in model.values())
+            assert archive.best_fitness == max(contents.fitness_norm for contents in model.values())
             genotypes = archive.genotypes_at_ranks(np.arange(len(model)))
-            assert genotypes.tolist() == [model[c][0].genotype.tolist() for c in order]
+            assert genotypes.tolist() == [model[c].genotype.tolist() for c in order]
         else:
             with pytest.raises(EmptyArchiveError):
                 archive.best_fitness

@@ -52,8 +52,7 @@ def small_flags(out_dir, **overrides):
 
 
 class TestParseConfig:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("QD_THREADS", raising=False)
+    def test_defaults(self):
         cfg = cli.parse_config({})
         assert cfg.task_name == "rastrigin_multi"
         assert cfg.variants == list(engine.VARIANT_NAMES)
@@ -183,13 +182,13 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="config"):
             cli.parse_config({}, str(tmp_path / "absent.ini"))
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("QD_THREADS", "4")
-        assert cli.parse_config({}).threads == 4
+    @pytest.mark.parametrize("value", ["4", "many"])
+    def test_the_environment_sets_no_thread_count(self, monkeypatch, value):
+        """The default lives in ``RunConfig`` alone; no environment
+        variable stands in for the flag or the file key."""
+        monkeypatch.setenv("QD_THREADS", value)
+        assert cli.parse_config({}).threads == engine.RunConfig.threads == 1
         assert cli.parse_config({"threads": 2}).threads == 2
-        monkeypatch.setenv("QD_THREADS", "many")
-        with pytest.raises(cli.ConfigError, match="threads"):
-            cli.parse_config({})
 
 
 class TestSettingsTable:
@@ -218,8 +217,7 @@ class TestSettingsTable:
         assert [s.name for s in cli._SETTINGS] == list(self.VALUES)
 
     @pytest.mark.parametrize("setting", cli._SETTINGS, ids=lambda s: s.name)
-    def test_file_key_and_flag_set_the_same_field(self, setting, tmp_path, monkeypatch):
-        monkeypatch.delenv("QD_THREADS", raising=False)
+    def test_file_key_and_flag_set_the_same_field(self, setting, tmp_path):
         text = self.VALUES[setting.name]
         path = tmp_path / "exp.ini"
         path.write_text(f"[{setting.section}]\n{setting.key} = {text}\n")
@@ -479,14 +477,37 @@ class TestCompare:
         row = next(line for line in lines if line.split()[:2] == ["cma-me-opt", "map-elites"])
         assert row.split()[2:4] == ["11.0000", "2.5000"]
 
-    def test_identical_groups_are_equivalent(self, tmp_path):
+    def test_identical_groups_are_undecided(self, tmp_path):
+        """A p at or above alpha shows no difference; it does not show an
+        equivalence either."""
         path = self.summary_file(
             tmp_path,
             self.synthetic_rows({"map-elites": [5.0, 6.0, 7.0], "cma-me-opt": [5.0, 6.0, 7.0]}),
         )
         lines = []
         assert cli.compare_summaries([path], metric="qd_score", alpha=0.05, echo=collect_echo(lines)) == 0
-        assert "equivalent" in "\n".join(lines)
+        row = next(line for line in lines if line.split()[:2] == ["cma-me-opt", "map-elites"])
+        assert row.split()[-1] == "undecided"
+        assert "equivalent" not in "\n".join(lines)
+
+    def test_a_closed_pipe_ends_compare_without_a_traceback(self, tmp_path):
+        """``qdpool compare … | head -1``: the table is far larger than a
+        pipe holds, so the reader closes the pipe while compare still
+        writes."""
+        rows = []
+        for t in range(1500):
+            rows += self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0], "cma-me-opt": [4.0, 5.0, 6.0]}, task=f"t{t}")
+        path = self.summary_file(tmp_path, rows)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "qdpool.cli", "compare", path],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"metric: qd_score")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
     @pytest.mark.parametrize("column", ["task", "variant", "qd_score"])
     def test_missing_column_is_an_error(self, tmp_path, capsys, column):
