@@ -366,6 +366,10 @@ class Archive:
             ``(status, improvement)`` in batch order: the
             :class:`AddStatus` code of each candidate (``int8``) and its
             improvement as defined by :class:`AddResult`.
+
+        Raises:
+            ValueError: On mismatched lengths, NaN raw fitness or rows of
+                the wrong shape; the archive is unchanged then.
         """
         cells = np.asarray(cells, dtype=np.int64)
         genotypes = np.asarray(genotypes, dtype=float)
@@ -382,6 +386,10 @@ class Archive:
         if m == 0:
             return status, improvement
         self._check_genotype_shape(genotypes.shape[1:])
+        if descriptors.shape[1:] != (self.spec.dims,):
+            raise ValueError(
+                f"descriptors have shape {descriptors.shape}, expected (m, {self.spec.dims})"
+            )
 
         # numpy radix-sorts 16-bit keys; a stable order is unique, so a
         # grid whose cells fit in uint16 gets the int64 sort's permutation

@@ -414,8 +414,8 @@ def dump_task(name: str, dim: int, resolution: int, sigma0: float | None, echo=p
     task = _task(name, dim, resolution, sigma0)
     echo(f"name: {task.name}")
     echo(f"dim: {task.dim}")
-    echo(f"genotype_lower: {float(task.lower[0])!r}")
-    echo(f"genotype_upper: {float(task.upper[0])!r}")
+    echo(f"genotype_lower: {task.lower!r}")
+    echo(f"genotype_upper: {task.upper!r}")
     echo(f"sigma0: {float(task.sigma0)!r}")
     echo(f"bd_lower: {[float(v) for v in task.bd_lower]!r}")
     echo(f"bd_upper: {[float(v) for v in task.bd_upper]!r}")

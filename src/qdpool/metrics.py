@@ -149,12 +149,28 @@ def write_aggregate_csv(series_by_rep, path) -> None:
         dtype=float,
     )
     # (generation, metric, quartile), in the column order of AGGREGATE_HEADER
-    quartiles = np.percentile(values, [25, 50, 75], axis=0).transpose(1, 2, 0)
+    quartiles = _quartiles(values)
     rows = (
         [r.generation, r.evaluations, *q.ravel().tolist()]
         for r, q in zip(series_by_rep[0], quartiles)
     )
     _write_csv(path, AGGREGATE_HEADER, rows)
+
+
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """``np.percentile(values, [25, 50, 75], axis=0)``, quartile axis last:
+    numpy's linear method and ``_lerp``, bit for bit on values without NaN
+    or -0.0, without the ``numpy.ma`` import that the first
+    ``np.percentile`` of a process pays (15-27 ms)."""
+    ordered = np.sort(values, axis=0)
+    last = len(ordered) - 1
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        below = math.floor(last * q)
+        g = last * q - below
+        a, b = ordered[below], ordered[min(below + 1, last)]
+        quartiles.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return np.stack(quartiles, axis=-1)
 
 
 def _average_ranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ solutions outside that reference region clamp to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,14 @@ _REF_BOUND = 5.12  # reference hypercube half-width for normalization
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Static description of one benchmark problem.
+    """Static description of one benchmark problem, whose search space is
+    the hypercube ``[lower, upper]^dim``.
 
     Args:
         name: One of ``TASK_NAMES``.
         dim: Genotype dimensionality.
-        lower: Per-dimension genotype lower bounds, shape ``(dim,)``.
-        upper: Per-dimension genotype upper bounds.
+        lower: Genotype lower bound of every dimension.
+        upper: Genotype upper bound of every dimension.
         bd_lower: Descriptor-space lower bounds, shape ``(2,)``.
         bd_upper: Descriptor-space upper bounds.
         grid_resolution: Cells per descriptor axis, shape ``(2,)``.
@@ -47,18 +48,14 @@ class TaskSpec:
 
     name: str
     dim: int
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: float
+    upper: float
     bd_lower: np.ndarray
     bd_upper: np.ndarray
     grid_resolution: np.ndarray
     sigma0: float
     fitness_worst_raw: float
     fitness_best_raw: float
-    # (lower, upper) as two Python floats when every dimension has the same
-    # bounds, bit for bit, else None; clamps and bound checks then skip the
-    # broadcast of the bound arrays
-    _bounds: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.sigma0 < math.inf:
@@ -66,7 +63,6 @@ class TaskSpec:
         if self.fitness_worst_raw >= self.fitness_best_raw:
             raise ValueError("fitness_worst_raw must be below fitness_best_raw")
         self.grid()  # its checks, including the cell count, apply to every task
-        object.__setattr__(self, "_bounds", _uniform(self.lower, self.upper))
 
     def grid(self) -> GridSpec:
         """The descriptor grid induced by this task's bounds and resolution."""
@@ -77,18 +73,6 @@ class TaskSpec:
 # over x in [-5.12, 5.12]; it lies on an interior ripple near x = -4.49.  A literal
 # keeps every normalized fitness independent of how a platform's cos rounds.
 RASTRIGIN_PER_DIM_MAX = 52.46592046502607
-
-
-def _uniform(lower, upper) -> tuple | None:
-    """``(lower[0], upper[0])`` as Python floats if each array repeats
-    its first entry bit for bit (so -0.0 and 0.0 differ), else None."""
-    bounds = []
-    for a in (lower, upper):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 1 or not len(a) or a.tobytes() != np.full_like(a, a[0]).tobytes():
-            return None
-        bounds.append(float(a[0]))
-    return tuple(bounds)
 
 
 def make_task(
@@ -132,8 +116,8 @@ def make_task(
     return TaskSpec(
         name=name,
         dim=dim,
-        lower=np.full(dim, -bounds),
-        upper=np.full(dim, bounds),
+        lower=-bounds,
+        upper=bounds,
         bd_lower=-bd,
         bd_upper=bd,
         grid_resolution=resolution,
@@ -156,16 +140,18 @@ def clip_genotype(x: np.ndarray, spec: TaskSpec, out: np.ndarray | None = None) 
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
         raise ValueError("cannot clip a genotype with NaN components")
-    lower, upper = spec._bounds or (spec.lower, spec.upper)
-    return np.clip(x, lower, upper, out=out)
+    return np.clip(x, spec.lower, spec.upper, out=out)
 
 
-def _proj_fold(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`bd_proj_clip` of the float array ``x`` into ``out``, which
-    must not share memory with ``x``."""
-    far = np.abs(x, out=out) > _REF_BOUND  # so x != 0 wherever it divides
-    np.copyto(out, x)
-    return np.divide(_REF_BOUND, x, out=out, where=far)
+@np.errstate(divide="ignore", over="ignore")
+def _proj_fold(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`bd_proj_clip` of the float array ``x``, with ``scratch`` (not
+    sharing memory with ``x``) as a buffer.  Every component divides, as a
+    masked ufunc is slow on mixed masks; only near ones, which ``where``
+    drops, can divide by zero or overflow (5.12 over a subnormal)."""
+    far = np.abs(x, out=scratch) > _REF_BOUND
+    np.divide(_REF_BOUND, x, out=scratch)
+    return np.where(far, scratch, x)
 
 
 def bd_proj_clip(x):
@@ -203,14 +189,9 @@ def evaluate_batch(genotypes: np.ndarray, spec: TaskSpec):
     x = np.asarray(genotypes, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.dim:
         raise ValueError(f"genotype batch has shape {x.shape}, expected (m, {spec.dim})")
-    if x.size:
-        if spec._bounds is None:
-            inside = (x >= spec.lower).all() and (x <= spec.upper).all()
-        else:  # min and max carry a NaN through, which then fails the test
-            lower, upper = spec._bounds
-            inside = x.min() >= lower and x.max() <= upper
-        if not inside:
-            raise ValueError("genotypes out of bounds; clip before evaluating")
+    # min and max carry a NaN through, which then fails the test
+    if x.size and not (x.min() >= spec.lower and x.max() <= spec.upper):
+        raise ValueError("genotypes out of bounds; clip before evaluating")
 
     if spec.name == "redundant_arm":
         heading = np.cumsum(x, axis=1)
@@ -228,11 +209,12 @@ def evaluate_batch(genotypes: np.ndarray, spec: TaskSpec):
             wave *= 10.0
             terms = np.square(u, out=u)
             terms -= wave
+            del wave  # freed before the fold allocates its result
         fitness_raw = -np.sum(terms, axis=1)
         if spec.name == "rastrigin_multi":
             descriptors = x[:, :2].copy()
-        else:  # the projection descriptor, folded into the free u
-            folded = _proj_fold(x, out=u)
+        else:  # the projection descriptor, with the free u as scratch
+            folded = _proj_fold(x, u)
             half = spec.dim // 2
             descriptors = np.stack(
                 [np.sum(folded[:, :half], axis=1), np.sum(folded[:, half:], axis=1)], axis=1

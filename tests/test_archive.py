@@ -672,6 +672,33 @@ def test_insert_batch_rejects_nan_fitness(spec):
         Archive(spec).insert_batch([0], np.zeros((1, 3)), np.zeros((1, 2)), [np.nan], [0.0])
 
 
+def archive_reads(archive, path):
+    """Everything an archive lets a caller read, ``write_csv``'s bytes included."""
+    archive.write_csv(path)
+    elites = [(cell, bits(e.genotype), bits(e.descriptor), e.fitness_raw, e.fitness_norm)
+              for cell, e in archive]
+    return (len(archive), elites, bits(archive.fitness_norms()),
+            bits(archive.genotype_matrix()), path.read_bytes())
+
+
+@pytest.mark.parametrize("width", [0, 1, 3])
+@pytest.mark.parametrize("preload", [False, True], ids=["empty", "preloaded"])
+def test_insert_batch_rejects_descriptors_of_another_width_before_any_change(
+    tmp_path, spec, width, preload
+):
+    """The width is checked before a row is claimed, so no cell is left
+    holding an uninitialised descriptor."""
+    archive = Archive(spec)
+    if preload:
+        archive.insert_batch([1], np.ones((1, 3)), [[-0.4, -0.9]], [2.0], [0.75])
+    before = archive_reads(archive, tmp_path / "before.csv")
+    with pytest.raises(ValueError, match="descriptors have shape"):
+        archive.insert_batch([5], np.zeros((1, 3)), np.zeros((1, width)), [1.0], [0.5])
+    with pytest.raises(ValueError, match="descriptors have shape"):
+        archive.insert_batch([5], np.zeros((1, 3)), np.zeros(1), [1.0], [0.5])
+    assert archive_reads(archive, tmp_path / "after.csv") == before
+
+
 def test_pickle_keeps_contents_and_sends_only_the_rows_in_use():
     """An archive crosses processes by pickle (``engine.run_many``): the copy
     must hold the same elites and go on competing the same way, and the

@@ -849,3 +849,22 @@ class TestParallelSweep:
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_a_sweep_loads_no_masked_arrays(self, tmp_path):
+        """The first ``np.percentile`` of a process imports ``numpy.ma``
+        (15-27 ms on the caller's path), so a sweep's aggregate quartiles
+        are computed without it."""
+        argv = [
+            "run", "--task", "sphere", "--dim", "4", "--resolution", "5",
+            "--variant", "map-elites", "--generations", "3", "--slots", "2", "--batch", "3",
+            "--init-samples", "8", "--replications", "2", "--out", str(tmp_path / "out"),
+        ]
+        code = (
+            "import sys; from qdpool import cli; "
+            f"status = cli.main({argv!r}); print(status, 'numpy.ma' in sys.modules)"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "out" / "sphere" / "map-elites" / "aggregate.csv").exists()

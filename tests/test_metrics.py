@@ -110,6 +110,38 @@ def test_aggregate_csv_quartiles(tmp_path):
         write_aggregate_csv([reps[0], series([1.0])], tmp_path / "broken.csv")
 
 
+@st.composite
+def replicated_records(draw):
+    """1-25 replications of the same few snapshots, holding what records
+    hold: sizes, normalized fitness and QD-scores, all finite and never
+    -0.0, with ties."""
+    reps, gens = draw(st.integers(1, 25)), draw(st.integers(1, 3))
+    size = st.one_of(st.sampled_from([0, 1, 7, 100]), st.integers(0, 10**15))
+    fraction = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 5e-324]), st.floats(0.0, 1.0))
+    return [
+        [
+            GenerationRecord(g, g, n, draw(fraction), draw(fraction) * n, (0, 0, 0, 0))
+            for g, n in enumerate(draw(st.lists(size, min_size=gens, max_size=gens)))
+        ]
+        for _ in range(reps)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_by_rep=replicated_records())
+def test_aggregate_quartiles_match_numpy_percentile(tmp_path_factory, series_by_rep):
+    """Bit for bit against numpy's linear method."""
+    path = tmp_path_factory.mktemp("aggregate") / "aggregate.csv"
+    write_aggregate_csv(series_by_rep, path)
+    values = np.array(
+        [[(r.archive_size, r.best_fitness_norm, r.qd_score) for r in series] for series in series_by_rep]
+    )
+    expected = np.percentile(values, [25, 50, 75], axis=0).transpose(1, 2, 0)
+    rows = [[float(v) for v in line.split(",")[2:]] for line in path.read_text().splitlines()[1:]]
+    got = np.array(rows).reshape(expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
 def exact_rank_sum_p(a, b):
     """Independent oracle: enumerate every assignment of pooled ranks."""
     pooled = sorted(a + b)

@@ -36,10 +36,12 @@ class TestTaskConstruction:
         multi = make_task("rastrigin_multi", dim=10)
         sphere = make_task("sphere", dim=10)
         arm = make_task("redundant_arm", dim=10)
-        assert proj.upper[0] == 51.2 and proj.lower[0] == -51.2
-        assert multi.upper[0] == 5.12
-        assert sphere.upper[0] == 51.2
-        assert arm.upper[0] == math.pi
+        assert (proj.lower, proj.upper) == (-51.2, 51.2)
+        assert (multi.lower, multi.upper) == (-5.12, 5.12)
+        assert (sphere.lower, sphere.upper) == (-51.2, 51.2)
+        assert (arm.lower, arm.upper) == (-math.pi, math.pi)
+        for task in (proj, multi, sphere, arm):
+            assert type(task.lower) is type(task.upper) is float
         assert proj.sigma0 == multi.sigma0 == sphere.sigma0 == 0.5
         assert arm.sigma0 == 0.25
 
