@@ -77,7 +77,10 @@ class GridSpec:
                 f"more than the {MAX_CELLS} whose per-cell arrays numpy can size"
             )
         object.__setattr__(self, "total_cells", total_cells)
-        widths = (upper - lower) / resolution
+        with np.errstate(over="ignore"):
+            widths = (upper - lower) / resolution
+        if not (np.isfinite(widths) & (widths > 0)).all():
+            raise ValueError(f"cell widths {widths.tolist()} must be positive and finite")
         object.__setattr__(self, "widths", widths)
         object.__setattr__(
             self,
@@ -135,13 +138,8 @@ def cell_indices(descriptors: np.ndarray, spec: GridSpec) -> np.ndarray:
     axis -= spec.lower
     axis /= spec.widths
     np.floor(axis, out=axis)
-    np.minimum(axis, spec.resolution - 1, out=axis)  # the upper bound itself
-    axis = axis.astype(np.int64)
-    flat = axis[:, 0].copy()
-    for k in range(1, spec.dims):
-        flat *= spec.resolution[k]
-        flat += axis[:, k]
-    return flat
+    # "clip" puts the upper bound itself in the last cell
+    return np.ravel_multi_index(tuple(axis.astype(np.int64).T), spec.resolution, mode="clip")
 
 
 @dataclass(slots=True)

@@ -229,9 +229,6 @@ SUMMARY_HEADER = (
 )
 
 
-_RUN_FILES = ("metrics.csv", "archive.csv", "emitter_mix.csv")
-
-
 def _staged(staging: Path, config: engine.RunConfig) -> Path:
     """A run's directory under a sweep's staging directory; variants are
     distinct and a variant's replications have distinct seeds."""
@@ -297,9 +294,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
                 records, wall_time = next(runs)
                 rep_dir = out_root / cfg.task_name / variant / f"rep{rep}"
                 rep_dir.mkdir(parents=True, exist_ok=True)
-                staged = _staged(staging, run_config)
-                for name in _RUN_FILES:
-                    os.replace(staged / name, rep_dir / name)
+                for staged in _staged(staging, run_config).iterdir():
+                    os.replace(staged, rep_dir / staged.name)
                 series_by_rep.append(records)
                 final = records[-1]
                 echo(

@@ -222,7 +222,11 @@ class CmaesState:
         generation count and ``n`` the dimension:
 
         - ``numerical``: ``mean``, ``sigma`` or ``A`` is not finite, which
-          includes a ``C`` with no Cholesky factor;
+          includes a ``C`` with no Cholesky factor.  Only the diagonal of
+          ``A`` is read: every entry of row ``i`` of a Cholesky factor
+          enters ``A_ii = sqrt(C_ii - sum_{k<i} A_ik^2)``, and a ``C`` that
+          LAPACK refuses gets an all-NaN ``A``, so ``A`` has a non-finite
+          entry exactly when its diagonal has one;
         - ``condition``: ``|max A_ii / min A_ii| > 1e7`` or
           ``min A_ii == 0``.  Since ``lambda_min(C) <= A_ii^2 <=
           lambda_max(C)``, the squared ratio, which exceeds 1e14 exactly
@@ -235,23 +239,15 @@ class CmaesState:
         - ``no_effect_coord``: adding ``0.2 * sigma * sqrt(C_ii)`` leaves
           some coordinate ``i`` of the mean unchanged.
 
-        The array tests run once over the family's stack, except that
-        above :data:`STACKED_UPDATE_MAX_DIM` each factor is checked for
-        finiteness by itself rather than copied into a stack.
-
         Returns:
             For each state, the name of the first criterion that holds, or
             None.
         """
         p = _family_params(states)
-        if p.dim <= STACKED_UPDATE_MAX_DIM:
-            finite = np.isfinite(_stack([state.A for state in states])).all(axis=(1, 2))
-        else:  # a copy of every large factor costs more than the calls it saves
-            finite = np.array([np.isfinite(state.A).all() for state in states])
         mean = _stack([state.mean for state in states])
         sigma = np.array([state.sigma for state in states])
-        finite = (finite & np.isfinite(mean).all(axis=1) & np.isfinite(sigma)).tolist()
         a_diag = _stack([state.A.diagonal() for state in states])
+        finite = (np.isfinite(a_diag).all(axis=1) & np.isfinite(mean).all(axis=1) & np.isfinite(sigma)).tolist()
         a_min, a_max = a_diag.min(axis=1).tolist(), a_diag.max(axis=1).tolist()
         c_diag = _stack([state.C.diagonal() for state in states])
         sigma0 = np.array([state.sigma0 for state in states])
@@ -282,9 +278,9 @@ class CmaesState:
         return reasons
 
 
-# Largest dimension at which CmaesState.tell and should_stop stack a
-# family's n x n matrices; above it the stacked temporaries fall out of
-# cache, so the matrices are updated and checked one state at a time.
+# Largest dimension at which CmaesState.tell stacks a family's n x n
+# matrices; above it the stacked temporaries fall out of cache, so the
+# matrices are updated one state at a time.
 # Measured crossover for 9 states of 50 samples: about n = 29.
 STACKED_UPDATE_MAX_DIM = 28
 

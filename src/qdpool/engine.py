@@ -82,7 +82,8 @@ class RunConfig:
     else): task, variant, loop sizes, scheduler knobs, and the seed.
 
     Construction builds the run's pool and scheduler once
-    (:func:`build_scheduler`), so their checks apply here too.
+    (:func:`build_scheduler`), so their checks apply here too.  Only
+    :meth:`Engine.run` reads ``threads``.
     """
 
     task: TaskSpec
@@ -156,7 +157,10 @@ class Engine:
     :meth:`Emitter.finish_generation` call and returns to the pool at
     once if that reports exhaustion, and finally the bandit statistics
     are recorded.  :meth:`initialize` and :meth:`step` insert
-    through the same :meth:`_insert`.
+    through the same :meth:`_insert`.  Only :meth:`run` starts evaluation
+    threads, and joins them before it returns (:func:`run_many` forks on
+    that); stepped by hand, an engine evaluates on the calling thread,
+    whatever ``threads`` says.
     """
 
     def __init__(self, config: RunConfig):

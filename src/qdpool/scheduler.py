@@ -36,7 +36,10 @@ class BanditStats:
             raise ValueError("window must be at least 1")
         self.window = int(window)
         self._arm = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        self._table = np.zeros((self.window, len(self._arm), 2), dtype=np.int64)
+        try:
+            self._table = np.zeros((self.window, len(self._arm), 2), dtype=np.int64)
+        except (MemoryError, ValueError) as exc:  # numpy raises ValueError past what intp can size
+            raise ValueError(f"window {self.window} is too large: {exc}") from exc
         self._oldest = 0
         self._totals = np.zeros((len(self._arm), 2), dtype=np.int64)
         self._sums = self._totals.tolist()

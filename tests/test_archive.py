@@ -139,6 +139,19 @@ def test_grid_spec_validation():
         GridSpec(np.array([0.0]), np.array([1.0]), np.array([0]))
 
 
+@pytest.mark.parametrize(
+    "lower, upper, resolution",
+    [([-1e308], [1e308], [4]), ([0.0], [5e-324], [10])],
+    ids=["width-overflows-to-inf", "width-underflows-to-0"],
+)
+def test_a_grid_without_positive_finite_cell_widths_is_rejected(lower, upper, resolution):
+    """Finite bounds can still give a width of inf (their difference
+    overflows) or 0 (the width underflows), with which binning would return
+    int64's minimum or divide by zero; such a grid is refused when built."""
+    with pytest.raises(ValueError, match="widths"):
+        GridSpec(np.array(lower), np.array(upper), np.array(resolution))
+
+
 def test_cell_count_is_exact_up_to_the_largest_sizable_grid():
     """Cells are counted with Python ints, so a product that would wrap in
     int64 cannot slip through; no grid here is ever allocated."""

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qdpool import cli, engine, metrics
@@ -306,6 +307,26 @@ class TestRunExperiment:
         assert (rep_dir / "archive.csv").read_bytes() == (tmp_path / "direct_archive.csv").read_bytes()
         assert (rep_dir / "metrics.csv").read_bytes() == (tmp_path / "direct_metrics.csv").read_bytes()
 
+    def test_a_sweep_into_an_existing_out_rewrites_only_its_plan(self, tmp_path):
+        """A sweep into the ``--out`` of an earlier one writes the files of
+        its own plan as a fresh sweep does, and leaves the reps and variants
+        outside its plan as they were; ``summary.csv`` lists only its runs."""
+        first = cli.parse_config(small_flags(tmp_path / "out", base_seed=1))
+        cli.run_experiment(first, echo=collect_echo([]))
+        before = tree_bytes(tmp_path / "out")
+        second = dict(variants=["map-elites"], replications=2, base_seed=7)
+        for out in ("out", "fresh"):
+            cli.run_experiment(cli.parse_config(small_flags(tmp_path / out, **second)), echo=collect_echo([]))
+        after, fresh = tree_bytes(tmp_path / "out"), tree_bytes(tmp_path / "fresh")
+        assert after == {**before, **fresh}
+        kept = {name for name in before if name not in fresh}
+        assert "rastrigin_multi/map-elites/rep2/archive.csv" in kept
+        assert "rastrigin_multi/me-map-elites-ucb/aggregate.csv" in kept
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            assert [(row["variant"], row["rep"], row["seed"]) for row in csv.DictReader(f)] == [
+                ("map-elites", "0", "7"), ("map-elites", "1", "8")
+            ]
+
     def test_unwritable_output_returns_error(self, tmp_path):
         blocker = tmp_path / "taken"
         blocker.write_text("a file, not a directory\n")
@@ -373,6 +394,34 @@ class TestMainEntry:
         small += ["--slots", "2", "--batch", "4", "--init-samples", "10", "--replications", "1"]
         assert cli.main(["run", *small, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate the per-cell arrays of 100 cells\n"
+
+    @pytest.mark.parametrize(
+        "window, refused", [(10**12, True), (2**62, False)], ids=["refused-by-the-machine", "beyond-what-numpy-sizes"]
+    )
+    def test_a_window_too_large_to_allocate_is_a_config_error(self, window, refused, tmp_path, monkeypatch, capsys):
+        """A window whose count table the machine refuses, or numpy cannot
+        size, is one config error line that names ``window``; nothing is
+        written and no process is started.  The refusal is simulated:
+        whether 29 TiB is refused depends on the kernel's overcommit policy."""
+        if refused:
+            zeros = np.zeros
+
+            def refusing_zeros(shape, *args, **kwargs):
+                if isinstance(shape, tuple) and shape[:1] == (window,):
+                    raise MemoryError(f"Unable to allocate an array with shape {shape}")
+                return zeros(shape, *args, **kwargs)
+
+            monkeypatch.setattr(np, "zeros", refusing_zeros)
+        set_cores(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / "out"
+        small = ["--task", "sphere", "--dim", "4", "--resolution", "5", "--generations", "2", "--variant", "map-elites"]
+        small += ["--slots", "2", "--batch", "4", "--init-samples", "10", "--replications", "2"]
+        assert cli.main(["run", *small, "--window", str(window), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: window {window} is too large: ") and err.count("\n") == 1
+        assert forks == []
+        assert not out.exists()
 
     def test_config_error_exits_2(self, capsys):
         status = cli.main(["run", "--task", "sphere", "--replications", "0"])

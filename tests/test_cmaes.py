@@ -2,6 +2,7 @@
 semantics, convergence oracle, and stop criteria."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -666,6 +667,43 @@ def test_family_stop_reasons_equal_each_states_own():
         reasons = CmaesState.should_stop(family)
         assert reasons == [CmaesState.should_stop([s])[0] for s in family]
         assert reasons == [reason_from_docstring(s) for s in family]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 5, 29, 40]),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.sampled_from([0.5, 1e150, 1e307, 1e308]),
+    infinite_parent=st.sampled_from([None, math.inf, -math.inf]),
+    poison_c=st.sampled_from([None, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+)
+def test_a_told_factor_is_finite_exactly_where_its_diagonal_is(n, stacked, seed, sigma, infinite_parent, poison_c):
+    """``should_stop`` decides ``numerical`` from the diagonal of ``A``
+    alone.  Over families told on both update paths, with infinite parents,
+    huge steps and non-finite or huge entries in ``C``, every factor has a
+    non-finite entry exactly when its diagonal has one, and the reasons
+    equal those of the whole-matrix docstring oracle."""
+    rng = np.random.default_rng(seed)
+    states = [CmaesState(rng.normal(size=n), sigma0=0.5, lam=8) for _ in range(3)]
+    states[0].sigma = sigma
+    if poison_c is not None:
+        i, j = rng.integers(n, size=2)
+        states[1].C[i, j] = states[1].C[j, i] = poison_c
+    with mock.patch.object(cmaes, "STACKED_UPDATE_MAX_DIM", n if stacked else n - 1):
+        # a stopped state is never asked again, as in the engine, and one
+        # more state leaves each generation, so the loop ends
+        while states:
+            samples = CmaesState.ask(states, [rng] * len(states))
+            rewards = [rng.standard_normal(8) for _ in states]
+            if infinite_parent is not None:
+                samples[-1, 0, rng.integers(n)] = infinite_parent
+                rewards[-1][0] = 10.0
+            reasons = CmaesState.tell(states, rewards)
+            for state in states:
+                assert np.isfinite(state.A).all() == np.isfinite(np.diag(state.A)).all()
+            assert reasons == [reason_from_docstring(state) for state in states]
+            states = [state for state, reason in zip(states, reasons) if reason is None][:-1]
 
 
 class TestFamilyCalls:

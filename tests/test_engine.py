@@ -5,6 +5,7 @@ variant with an independent vanilla MAP-Elites implementation."""
 import math
 import multiprocessing
 import os
+import threading
 import weakref
 from collections import Counter
 
@@ -354,6 +355,26 @@ class TestDeterminism:
         a.archive.write_csv(pa)
         b.archive.write_csv(pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_a_hand_driven_engine_evaluates_on_the_calling_thread(self):
+        """Only ``Engine.run`` starts evaluation threads.  Stepping an engine
+        with ``threads=2`` by hand starts none, and reaches the archive and
+        records of ``run()`` bit for bit."""
+        config = small_config(generations=15, threads=2)
+        threads = threading.active_count()
+        stepped = Engine(config)
+        stepped.initialize()
+        for _ in range(config.generations):
+            stepped.step()
+            assert threading.active_count() == threads
+        result = run(config)
+        assert stepped.records == result.records
+
+        def contents(archive):
+            fields = ("genotype", "descriptor", "fitness_raw", "fitness_norm")
+            return [(cell, *(np.asarray(getattr(e, f)).tobytes() for f in fields)) for cell, e in archive]
+
+        assert contents(stepped.archive) == contents(result.archive)
 
     def test_different_seeds_differ(self):
         a = run(small_config(generations=15))
