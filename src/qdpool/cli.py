@@ -176,7 +176,9 @@ def _task(name: str, dim: int, resolution: int, sigma0: float | None) -> TaskSpe
 
 def _plan(cfg: ExperimentConfig) -> dict[str, list[engine.RunConfig]]:
     """The engine configuration of each replication of each variant, with
-    an invalid task argument or setting reported as a :class:`ConfigError`."""
+    an invalid task argument or setting reported as a :class:`ConfigError`;
+    an error that opens with a :class:`engine.RunConfig` field names the
+    setting that feeds it instead."""
     task = _task(cfg.task_name, cfg.dim, cfg.resolution, cfg.sigma0)
     fed = {s.feeds: getattr(cfg, s.name) for s in _SETTINGS if s.feeds}
     try:
@@ -188,7 +190,9 @@ def _plan(cfg: ExperimentConfig) -> dict[str, list[engine.RunConfig]]:
             for variant in cfg.variants
         }
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        field_name, space, rest = str(exc).partition(" ")
+        names = {s.feeds: s.name for s in _SETTINGS if s.feeds}
+        raise ConfigError(names.get(field_name, field_name) + space + rest) from exc
 
 
 def parse_config(flags: dict, config_path: str | None = None) -> ExperimentConfig:
@@ -229,20 +233,15 @@ SUMMARY_HEADER = (
 )
 
 
-def _staged(staging: Path, config: engine.RunConfig) -> Path:
-    """A run's directory under a sweep's staging directory; variants are
-    distinct and a variant's replications have distinct seeds."""
-    return staging / f"{config.variant}-seed{config.seed}"
-
-
 def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     """Runs every (variant, replication) pair and writes the output tree.
 
     Layout: ``<out>/<task>/<variant>/rep<k>/{metrics,archive,emitter_mix}
     .csv`` plus per-variant ``aggregate.csv`` and a global
-    ``summary.csv``.  ``--out`` is created before the first run, and
-    ``summary.csv`` gets each run's row as soon as that run's files are
-    in place, so a sweep that dies keeps the rows of its finished runs.
+    ``summary.csv``.  ``--out`` is created before the first run.
+    ``summary.csv`` is line-buffered and gets each run's row once that
+    run's files are in place and before its line is echoed, so a sweep
+    that raises or is killed keeps the row of every run it echoed.
     Returns a process exit status: 1, after an ``error: …`` line, if the
     worker processes cannot be started, an output cannot be written, or a
     run's memory (its grid, say) cannot be allocated.
@@ -251,14 +250,15 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     ``usable cores // threads`` of them run at the same time, this process
     running its share and forked workers the rest.  The process that made
     a run writes its three files into ``<out>/.staging-<pid>/`` (``pid``
-    being this process's) and hands back only its thinned records and wall
-    time, so no archive crosses a pipe.  In plan order, this process then
-    makes ``rep<k>``, moves the run's files into it with ``os.replace``,
-    writes its summary row and echoes its line, and after a variant's last
-    run writes its ``aggregate.csv``.  So the tree, and the echoed lines
-    apart from their wall times, are those of a serial sweep, also when a
-    run fails.  On every exit path the workers are stopped and then the
-    staging directory is removed, so neither outlives the call.
+    being this process's) and hands back only that directory, its thinned
+    records and its wall time, so no archive crosses a pipe.  In plan
+    order, this process then makes ``rep<k>``, moves the run's files into
+    it with ``os.replace``, writes its summary row and echoes its line,
+    and after a variant's last run writes its ``aggregate.csv``.  So the
+    tree, and the echoed lines apart from their wall times, are those of
+    a serial sweep, also when a run fails.  On every exit path the workers
+    are stopped and then the staging directory is removed, so neither
+    outlives the call; only a killed sweep leaves the staging directory.
 
     Raises:
         ConfigError: If any run's configuration is invalid; every run is
@@ -270,14 +270,16 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     plan = _plan(cfg)
 
     def stage(result: engine.RunResult):
-        """Writes a run's files into its staging directory, in the process
-        that made the run, and returns what this process still needs."""
-        staged = _staged(staging, result.config)
+        """Writes a run's files into its own staging directory (variants
+        are distinct and a variant's replications have distinct seeds), in
+        the process that made the run, and returns what this process still
+        needs."""
+        staged = staging / f"{result.config.variant}-seed{result.config.seed}"
         staged.mkdir(parents=True, exist_ok=True)
         metrics.write_metrics_csv(result.records, staged / "metrics.csv")
         result.archive.write_csv(staged / "archive.csv")
         metrics.write_emitter_mix_csv(result.kind_series, staged / "emitter_mix.csv")
-        return result.records, result.wall_time
+        return staged, result.records, result.wall_time
 
     try:
         runs = engine.run_many([c for run_configs in plan.values() for c in run_configs], stage)
@@ -285,44 +287,40 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
         echo(f"error: cannot start worker processes: {exc}", file=sys.stderr)
         return 1
 
-    def summary_rows():
-        """Moves each run's files into place and echoes it in plan order,
-        yielding its summary row once its files are in place."""
-        for variant, run_configs in plan.items():
-            series_by_rep = []
-            for rep, run_config in enumerate(run_configs):
-                records, wall_time = next(runs)
-                rep_dir = out_root / cfg.task_name / variant / f"rep{rep}"
-                rep_dir.mkdir(parents=True, exist_ok=True)
-                for staged in _staged(staging, run_config).iterdir():
-                    os.replace(staged, rep_dir / staged.name)
-                series_by_rep.append(records)
-                final = records[-1]
-                echo(
-                    f"{cfg.task_name}/{variant}/rep{rep}: size={final.archive_size} "
-                    f"best={final.best_fitness_norm:.4f} qd={final.qd_score:.2f} "
-                    f"({wall_time:.1f}s)"
-                )
-                yield [
-                    cfg.task_name,
-                    variant,
-                    rep,
-                    run_config.seed,
-                    final.generation,
-                    final.evaluations,
-                    final.archive_size,
-                    float(final.best_fitness_norm),
-                    float(final.qd_score),
-                ]
-            metrics.write_aggregate_csv(
-                series_by_rep, out_root / cfg.task_name / variant / "aggregate.csv"
-            )
-
     try:
         out_root.mkdir(parents=True, exist_ok=True)
-        # the writer's `with` block flushes every finished row, also when a
-        # later run raises
-        metrics._write_csv(out_root / "summary.csv", SUMMARY_HEADER, summary_rows())
+        # line-buffered, so a killed sweep keeps the row of every echoed run
+        with open(out_root / "summary.csv", "w", newline="", buffering=1) as summary_file:
+            summary = csv.writer(summary_file, lineterminator="\n")
+            summary.writerow(SUMMARY_HEADER)
+            for variant, run_configs in plan.items():
+                variant_dir = out_root / cfg.task_name / variant
+                series_by_rep = []
+                for rep, run_config in enumerate(run_configs):
+                    staged, records, wall_time = next(runs)
+                    rep_dir = variant_dir / f"rep{rep}"
+                    rep_dir.mkdir(parents=True, exist_ok=True)
+                    for path in staged.iterdir():
+                        os.replace(path, rep_dir / path.name)
+                    series_by_rep.append(records)
+                    final = records[-1]
+                    summary.writerow([
+                        cfg.task_name,
+                        variant,
+                        rep,
+                        run_config.seed,
+                        final.generation,
+                        final.evaluations,
+                        final.archive_size,
+                        float(final.best_fitness_norm),
+                        float(final.qd_score),
+                    ])
+                    echo(
+                        f"{cfg.task_name}/{variant}/rep{rep}: size={final.archive_size} "
+                        f"best={final.best_fitness_norm:.4f} qd={final.qd_score:.2f} "
+                        f"({wall_time:.1f}s)"
+                    )
+                metrics.write_aggregate_csv(series_by_rep, variant_dir / "aggregate.csv")
     except OSError as exc:
         echo(f"error: cannot write run outputs: {exc}", file=sys.stderr)
         return 1

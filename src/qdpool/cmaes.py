@@ -158,13 +158,16 @@ class CmaesState:
         large for a float (a huge ``sigma`` or ``mean``) becomes infinite
         without a warning, and never NaN while the state is finite; an
         infinite parent makes the next :meth:`tell` report ``numerical``.
+        A non-finite state (``A`` or ``mean`` holding ±inf or NaN) is
+        sampled without a warning too, but may give NaN samples, which
+        :func:`~qdpool.tasks.clip_genotype` refuses.
         """
         p = _family_params(states)
         z = np.empty((len(states), p.lam, p.dim))
         for z_i, rng in zip(z, rngs):
             rng.standard_normal(out=z_i)
-        steps = z @ _stack([state.A for state in states]).transpose(0, 2, 1)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = z @ _stack([state.A for state in states]).transpose(0, 2, 1)
             steps *= np.array([state.sigma for state in states])[:, None, None]
             steps += _stack([state.mean for state in states])[:, None, :]
         for state, samples, normals in zip(states, steps, z):
@@ -345,21 +348,17 @@ def _update(states: Sequence[CmaesState], rewards: np.ndarray) -> None:
         [h * c_gain for h in h_sigma]
     )[:, None] * y_w
 
-    if p.dim <= STACKED_UPDATE_MAX_DIM:
+    # above the threshold, each state's matrices are replaced before the
+    # next state's are built, so the freed ones are reused while in cache
+    group = len(states) if p.dim <= STACKED_UPDATE_MAX_DIM else 1
+    for lo in range(0, len(states), group):
+        chunk = slice(lo, lo + group)
         c, a = _covariance(
-            p, _stack([state.C for state in states]), p_c, _stack(parents), old_mean, sigma, h_sigma
+            p, _stack([state.C for state in states[chunk]]), p_c[chunk], _stack(parents[chunk]),
+            old_mean[chunk], sigma[chunk], h_sigma[chunk],
         )
-        for state, c_i, a_i in zip(states, _rows(c), _rows(a)):
+        for state, c_i, a_i in zip(states[chunk], _rows(c), _rows(a)):
             state.C, state.A = c_i, a_i
-    else:
-        # each state's matrices are replaced before the next state's are
-        # built, so the freed ones are reused while they are in cache
-        for i, state in enumerate(states):
-            one = slice(i, i + 1)
-            c, a = _covariance(
-                p, state.C[None], p_c[one], parents[i][None], old_mean[one], sigma[one], h_sigma[one]
-            )
-            state.C, state.A = c[0], a[0]
 
     for state, mean, ps, pc, norm in zip(states, means, _rows(p_sigma), _rows(p_c), norms):
         state.mean, state.p_sigma, state.p_c = mean, ps, pc

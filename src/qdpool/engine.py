@@ -104,6 +104,8 @@ class RunConfig:
         for name in ("generations", "slots", "init_samples", "metrics_every", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.batch_per_emitter < 2:
+            raise ValueError("batch_per_emitter must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         build_scheduler(self)

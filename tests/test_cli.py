@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -347,6 +348,50 @@ class TestRunExperiment:
         assert lines[-1].startswith("error: cannot write run outputs:")
         assert (out / "summary.csv").read_text() == ",".join(cli.SUMMARY_HEADER) + "\n"
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_each_row_reaches_the_file_before_its_line_is_echoed(self, tmp_path, monkeypatch, cores):
+        """At each echo, ``summary.csv`` holds one data row per line echoed
+        so far, the current one included."""
+        out = tmp_path / "out"
+        rows_at_echo = []
+
+        def echo(message="", **_kwargs):
+            rows_at_echo.append(len((out / "summary.csv").read_text().splitlines()) - 1)
+
+        set_cores(monkeypatch, cores)
+        assert cli.run_experiment(cli.parse_config(small_flags(out, replications=2)), echo=echo) == 0
+        assert rows_at_echo == [1, 2, 3, 4]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="the platform has no SIGKILL")
+    def test_a_killed_sweep_keeps_the_row_of_every_echoed_run(self, tmp_path):
+        """A serial sweep killed at the start of its third run keeps the
+        header and the rows of the two runs before it, byte for byte, and
+        their rep files; the staging directory is left behind."""
+        code = (
+            "import os, signal\n"
+            "from qdpool import cli, engine\n"
+            "engine.process_count = lambda runs, threads: 1\n"
+            "run, calls = engine.run, []\n"
+            "def killing_run(config):\n"
+            "    calls.append(config)\n"
+            "    if len(calls) == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return run(config)\n"
+            "engine.run = killing_run\n"
+            f"cli.run_experiment(cli.parse_config({small_flags(tmp_path / 'killed')!r}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-u", "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == -signal.SIGKILL
+        assert len(proc.stdout.splitlines()) == 2
+        cli.run_experiment(cli.parse_config(small_flags(tmp_path / "finished")), echo=collect_echo([]))
+        killed, finished = tree_bytes(tmp_path / "killed"), tree_bytes(tmp_path / "finished")
+        assert killed.pop("summary.csv") == b"".join(finished["summary.csv"].splitlines(keepends=True)[:3])
+        echoed = tuple(f"rastrigin_multi/me-map-elites-ucb/rep{rep}/" for rep in (0, 1))
+        assert killed == {name: data for name, data in finished.items() if name.startswith(echoed)}
+        staging, *rest = sorted(os.listdir(tmp_path / "killed"))
+        assert staging.startswith(".staging-") and rest == ["rastrigin_multi", "summary.csv"]
+
 
 class TestMainEntry:
     def test_run_via_argv(self, tmp_path):
@@ -427,6 +472,21 @@ class TestMainEntry:
         status = cli.main(["run", "--task", "sphere", "--replications", "0"])
         assert status == 2
         assert "replications" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_a_batch_of_one_is_reported_under_batch(self, source, tmp_path, capsys):
+        """The engine field ``batch_per_emitter`` is fed by the ``batch``
+        setting, so its error names ``batch``, from the flag or the file."""
+        out = tmp_path / "out"
+        argv = ["run", "--task", "sphere", "--out", str(out)]
+        if source == "flag":
+            argv += ["--batch", "1"]
+        else:
+            (tmp_path / "exp.ini").write_text("[run]\nbatch = 1\n")
+            argv += ["--config", str(tmp_path / "exp.ini")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "config error: batch must be at least 2\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -98,6 +98,32 @@ def test_ask_respects_nondiagonal_covariance():
     assert rel_err < 0.05
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from(["A", "mean"]),
+    poison=st.sampled_from([math.inf, -math.inf, math.nan]),
+    entries=st.integers(1, 3),
+)
+def test_ask_samples_a_non_finite_state_without_a_warning(n, seed, field, poison, entries):
+    """Each state is sampled whatever its criteria say, also one whose
+    ``A`` or ``mean`` holds ±inf or NaN: ``ask`` raises no floating point
+    warning (the suite's filter makes one an error) and gives
+    ``mean + sigma * z A^T``, NaN where that is NaN, and the finite state
+    beside it the bits that it alone would get."""
+    rng = np.random.default_rng(seed)
+    states = [CmaesState(rng.normal(size=n), sigma0=0.5, lam=6) for _ in range(2)]
+    getattr(states[0], field).flat[rng.integers(n * n if field == "A" else n, size=entries)] = poison
+    samples = CmaesState.ask(states, [np.random.default_rng([seed, i]) for i in range(2)])
+    z = np.random.default_rng([seed, 0]).standard_normal((6, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = states[0].mean + states[0].sigma * (z @ states[0].A.T)
+    np.testing.assert_array_equal(samples[0], expected)
+    alone = CmaesState(states[1].mean, sigma0=0.5, lam=6)
+    np.testing.assert_array_equal(samples[1], CmaesState.ask([alone], [np.random.default_rng([seed, 1])])[0])
+
+
 class TestTell:
     def test_single_parent_moves_mean_to_best(self):
         m = np.array([1.0, -2.0, 0.5])
