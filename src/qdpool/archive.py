@@ -219,7 +219,7 @@ class Archive:
       page resident.
 
     Each elite is kept once, in those arrays: both insertion paths copy
-    the winner into its row, and every read (iteration, :meth:`elites`,
+    the winner into its row, and every read (iteration and
     :meth:`random_elite`) builds a fresh :class:`Elite` from the rows.
     Reads are canonical: iteration, ranks and uniform elite sampling
     follow ascending cell index regardless of insertion history.
@@ -472,10 +472,6 @@ class Archive:
         """Yields ``(cell index, elite)`` pairs in ascending cell order."""
         for cell in self._occupied().tolist():
             yield cell, self._elite(cell)
-
-    def elites(self) -> list[Elite]:
-        """All elites in ascending cell order."""
-        return [elite for _, elite in self]
 
     def genotypes_at_ranks(self, ranks) -> np.ndarray:
         """Genotypes of the elites at ``ranks`` (any integer array shape)

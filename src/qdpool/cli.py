@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import math
 import os
 import shutil
@@ -455,7 +456,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             flags = {s.name: getattr(args, s.name) for s in _SETTINGS}
             cfg = parse_config(flags, args.config)
-            return run_experiment(cfg)
+            # flushed, so a killed sweep's log keeps the line of each kept row
+            return run_experiment(cfg, echo=functools.partial(print, flush=True))
         if args.command == "compare":
             return compare_summaries(args.summaries, metric=args.metric, alpha=args.alpha, task_filter=args.task)
         if args.command == "dump-task":

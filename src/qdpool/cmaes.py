@@ -66,21 +66,6 @@ class CmaesParams:
     c_mu: float
     chi_n: float
 
-    def __post_init__(self):
-        if not 1 <= self.mu <= self.lam:
-            raise ValueError("mu must satisfy 1 <= mu <= lam")
-        w = self.weights
-        if not (np.all(w > 0) and np.all(np.diff(w) <= 0) and abs(w.sum() - 1) < 1e-12):
-            raise ValueError("weights must be positive, non-increasing, and sum to 1")
-        for rate in (self.c_sigma, self.c_c, self.c_1):
-            if not 0 < rate <= 1:
-                raise ValueError("learning rates must lie in (0, 1]")
-        # c_mu legitimately hits 0 when mu = 1 (the rank-mu term vanishes)
-        if not 0 <= self.c_mu <= 1:
-            raise ValueError("c_mu must lie in [0, 1]")
-        if self.d_sigma < 1:
-            raise ValueError("d_sigma must be >= 1")
-
     @classmethod
     @functools.cache
     def defaults(cls, dim: int, lam: int) -> "CmaesParams":

@@ -45,12 +45,6 @@ class BanditStats:
         self._sums = self._totals.tolist()
         self.total_selections = 0
 
-    def windowed_selections(self, key) -> int:
-        return self._sums[self._arm[key]][0]
-
-    def windowed_successes(self, key) -> int:
-        return self._sums[self._arm[key]][1]
-
     def record(self, counts: dict) -> None:
         """Records one generation of per-arm counts (missing arms count
         as (0, 0)) over the oldest generation in the window.

@@ -145,22 +145,14 @@ def clip_genotype(x: np.ndarray, spec: TaskSpec, out: np.ndarray | None = None) 
 
 @np.errstate(divide="ignore", over="ignore")
 def _proj_fold(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """:func:`bd_proj_clip` of the float array ``x``, with ``scratch`` (not
-    sharing memory with ``x``) as a buffer.  Every component divides, as a
-    masked ufunc is slow on mixed masks; only near ones, which ``where``
-    drops, can divide by zero or overflow (5.12 over a subnormal)."""
+    """Soft clip of the projection descriptor, element-wise on the float array
+    ``x``: identity inside [-5.12, 5.12] and ``5.12 / x`` outside, with
+    ``scratch`` (sharing no memory with ``x``) as a buffer.  Every component
+    divides, as a masked ufunc is slow on mixed masks; only near ones, which
+    ``where`` drops, can divide by zero or overflow (5.12 over a subnormal)."""
     far = np.abs(x, out=scratch) > _REF_BOUND
     np.divide(_REF_BOUND, x, out=scratch)
     return np.where(far, scratch, x)
-
-
-def bd_proj_clip(x):
-    """Soft clip used by the projection descriptor: identity inside
-    [-5.12, 5.12], and ``5.12 / x`` outside (which folds far-away
-    components into (-1, 1))."""
-    x = np.asarray(x, dtype=float)
-    out = _proj_fold(x, np.empty_like(x))
-    return out if out.ndim else float(out)
 
 
 def evaluate_batch(genotypes: np.ndarray, spec: TaskSpec):

@@ -192,7 +192,8 @@ class TestAddAttempt:
             result = archive.add_attempt(make_elite(rng, bd=[0.1, 0.1], fn=fn))
             assert result.status is AddStatus.REJECTED
             assert result.improvement == 0.0
-        assert_same_elite(archive.elites()[0], incumbent)
+        ((_, held),) = archive
+        assert_same_elite(held, incumbent)
 
     def test_fitness_norm_out_of_range_rejected(self, spec):
         archive = Archive(spec)
@@ -219,12 +220,13 @@ class TestAddAttempt:
         matrix = Elite(np.zeros((1, 3)), np.array([0.1, 0.1]), fitness_raw=1.0, fitness_norm=0.5)
         with pytest.raises(ValueError, match=r"genotype has shape \(1, 3\), expected one axis"):
             archive.add_attempt(matrix)
-        assert len(archive) == 0 and archive.elites() == []
+        assert len(archive) == 0 and list(archive) == []
         with pytest.raises(EmptyArchiveError):
             archive.random_elite(np.random.default_rng(0))
         later = Elite(np.ones(2), np.array([0.1, 0.1]), fitness_raw=1.0, fitness_norm=0.5)
         assert archive.add_attempt(later).status is AddStatus.NEW
-        assert_same_elite(archive.elites()[0], later)
+        ((_, held),) = archive
+        assert_same_elite(held, later)
 
     @pytest.mark.parametrize(
         "descriptor, raw",
@@ -241,7 +243,8 @@ class TestAddAttempt:
         with pytest.raises(ValueError, match="genotype has 1 components, the archive holds 3"):
             archive.add_attempt(short)
         assert len(archive) == 1
-        assert_same_elite(archive.elites()[0], incumbent)
+        ((_, held),) = archive
+        assert_same_elite(held, incumbent)
         assert archive.best_fitness == 0.5
         better = Elite(np.ones(3), np.array([0.1, 0.1]), fitness_raw=2.0, fitness_norm=0.75)
         assert archive.add_attempt(better) == AddResult(AddStatus.IMPROVED, 0.25)
@@ -321,7 +324,7 @@ def test_random_elite_is_uniform_over_cells(spec):
                 bd = [-1 + 0.25 + i * 0.5, -1 + 0.25 + j * 0.5]
                 archive.add_attempt(make_elite(rng, bd=bd))
     assert len(archive) == 10
-    listed = archive.elites()
+    listed = [e for _, e in archive]
     assert_distinct_genotypes(listed)
     draws = 20000
     counts = np.zeros(10)
@@ -627,16 +630,17 @@ def test_both_insertion_paths_copy(spec):
         [5, 0], genotypes, np.array([[-0.4, -0.4], [-0.9, -0.9]]), [0.5, 0.5], [0.55, 0.55]
     )
     assert status.tolist() == [AddStatus.NEW, AddStatus.REJECTED]
-    kept = archive.elites()[0]
+    kept = [e for _, e in archive][0]
     assert kept is not offered and kept.genotype is not offered.genotype
     assert_same_elite(kept, offered)
     offered.genotype[:] = -1.0
     genotypes[:] = -1.0
     for cell in (0, 1):
-        copy_a, copy_b = archive.elites()[cell], archive.elites()[cell]
+        copy_a, copy_b = [e for _, e in archive][cell], [e for _, e in archive][cell]
         assert copy_a is not copy_b and copy_a.genotype is not copy_b.genotype
-    np.testing.assert_array_equal(archive.elites()[0].genotype, [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(archive.elites()[1].genotype, [1.0, 2.0, 3.0])
+    (_, first), (_, second) = archive
+    np.testing.assert_array_equal(first.genotype, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(second.genotype, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(
         archive.genotypes_at_ranks(np.array([[1, 0]])), [[[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]]
     )
@@ -656,7 +660,7 @@ def test_mutating_an_elite_outside_the_archive_changes_nothing_inside(tmp_path, 
     handed.genotype[:] = 7.0
     handed.descriptor[:] = 0.9
     handed.fitness_raw, handed.fitness_norm = 5.0, 1.0
-    read = archive.elites()[1]
+    read = [e for _, e in archive][1]
     read.genotype[:] = 8.0
     read.descriptor[:] = -0.9
     read.fitness_raw, read.fitness_norm = 6.0, 1.0

@@ -364,9 +364,15 @@ class TestRunExperiment:
 
     @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="the platform has no SIGKILL")
     def test_a_killed_sweep_keeps_the_row_of_every_echoed_run(self, tmp_path):
-        """A serial sweep killed at the start of its third run keeps the
-        header and the rows of the two runs before it, byte for byte, and
-        their rep files; the staging directory is left behind."""
+        """A serial ``qdpool run`` killed at the start of its third run
+        keeps the header and the rows of the two runs before it, byte for
+        byte, and their rep files; the staging directory is left behind.
+        Its stdout is a pipe, which Python block-buffers, and still holds
+        the two runs' lines."""
+        argv = ["run", "--task", "rastrigin_multi", "--dim", "4", "--resolution", "10"]
+        argv += ["--variant", "me-map-elites-ucb", "--variant", "map-elites", "--generations", "10"]
+        argv += ["--slots", "4", "--batch", "4", "--init-samples", "20", "--replications", "3"]
+        argv += ["--seed", "11", "--metrics-every", "5", "--out", str(tmp_path / "killed")]
         code = (
             "import os, signal\n"
             "from qdpool import cli, engine\n"
@@ -378,13 +384,16 @@ class TestRunExperiment:
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return run(config)\n"
             "engine.run = killing_run\n"
-            f"cli.run_experiment(cli.parse_config({small_flags(tmp_path / 'killed')!r}))\n"
+            f"cli.main({argv!r})\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-        proc = subprocess.run([sys.executable, "-u", "-c", code], env=env, capture_output=True, text=True)
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == -signal.SIGKILL
-        assert len(proc.stdout.splitlines()) == 2
-        cli.run_experiment(cli.parse_config(small_flags(tmp_path / "finished")), echo=collect_echo([]))
+        lines = []
+        cli.run_experiment(cli.parse_config(small_flags(tmp_path / "finished")), echo=collect_echo(lines))
+        without_wall_time = [line.rsplit(" (", 1)[0] for line in lines[:2]]
+        assert [line.rsplit(" (", 1)[0] for line in proc.stdout.splitlines()] == without_wall_time
         killed, finished = tree_bytes(tmp_path / "killed"), tree_bytes(tmp_path / "finished")
         assert killed.pop("summary.csv") == b"".join(finished["summary.csv"].splitlines(keepends=True)[:3])
         echoed = tuple(f"rastrigin_multi/me-map-elites-ucb/rep{rep}/" for rep in (0, 1))

@@ -28,13 +28,16 @@ class TestParams:
         assert params.weights.sum() == pytest.approx(1.0)
 
     def test_invariants_hold_across_shapes(self):
-        for dim, lam in [(2, 4), (10, 10), (20, 50), (100, 50)]:
+        for dim, lam in [(1, 2), (2, 4), (3, 3), (10, 10), (20, 50), (100, 50)]:
             p = CmaesParams.defaults(dim, lam)
+            assert 1 <= p.mu <= lam
             assert np.all(p.weights > 0) and np.all(np.diff(p.weights) <= 0)
-            assert p.weights.sum() == pytest.approx(1.0)
+            assert abs(p.weights.sum() - 1) < 1e-12
             assert p.mu_eff == pytest.approx(1.0 / np.sum(p.weights**2))
-            for rate in (p.c_sigma, p.c_c, p.c_1, p.c_mu):
+            for rate in (p.c_sigma, p.c_c, p.c_1):
                 assert 0 < rate <= 1
+            # c_mu is 0 when mu = 1: the rank-mu term vanishes
+            assert 0 < p.c_mu <= 1 if p.mu > 1 else p.c_mu == 0
             assert p.d_sigma >= 1
             assert p.chi_n == pytest.approx(
                 math.sqrt(dim) * (1 - 1 / (4 * dim) + 1 / (21 * dim**2))
@@ -578,6 +581,63 @@ def test_whitening_the_samples_gives_back_the_normals_drawn():
         np.testing.assert_array_equal(kept_normals, z)
         whitened = np.linalg.solve(state.A, ((samples[i] - state.mean) / state.sigma).T).T
         np.testing.assert_allclose(whitened, z, rtol=0, atol=1e-12)
+
+
+# Agreement of a stacked ask with the one-sample oracle, relative to the
+# magnitude of the terms summed, |mean| + sigma |A| @ |z|: the matmul may
+# sum them in another order, which moves a sum by a few n ulps of that.
+ASK_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (6, 3), (20, 2), (100, 2)])
+def test_ask_matches_a_one_sample_at_a_time_oracle(n, k):
+    """Oracle: each state's generator replayed one sample at a time, and
+    each sample built alone as ``mean + sigma * (A @ z)``.  The normals
+    agree bit for bit, the samples within ``ASK_RTOL``."""
+    states = [told_state(n, seed=seed) for seed in range(k)]
+    samples = CmaesState.ask(states, [np.random.default_rng([5, i]) for i in range(k)])
+    for i, state in enumerate(states):
+        replay = np.random.default_rng([5, i])
+        for j in range(state.params.lam):
+            z = replay.standard_normal(n)
+            np.testing.assert_array_equal(state.pending[1][j], z)
+            expected = state.mean + state.sigma * (state.A @ z)
+            scale = np.abs(state.mean) + state.sigma * (np.abs(state.A) @ np.abs(z))
+            assert np.all(np.abs(samples[i, j] - expected) <= ASK_RTOL * scale)
+
+
+# eigvalsh's own rounding, and that of the factor should_stop reads, as a
+# share of the largest eigenvalue (a few n ulps for n <= 6)
+EIGVALSH_TOL = 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 40.0),
+    tilt=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]),
+)
+def test_condition_means_an_eigenvalue_ratio_of_at_least_1e14(n, seed, spread, tilt):
+    """Whenever ``should_stop`` says ``condition``, the eigenvalues of
+    ``C`` span at least 1e14, infinitely when the smallest is not
+    positive, up to ``EIGVALSH_TOL`` of the largest.  ``C`` has
+    eigenvalues from 1 down to ``10**-spread``, on axes turned from the
+    coordinate ones by about ``tilt``."""
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(np.eye(n) + tilt * rng.normal(size=(n, n)))[0]
+    exponents = rng.uniform(-spread, 0.0, size=n)
+    exponents[:2] = 0.0, -spread
+    c = (rotation * 10.0**exponents) @ rotation.T
+    state = CmaesState(np.zeros(n), sigma0=0.5, lam=8)
+    try:
+        set_covariance(state, (c + c.T) / 2.0)
+    except np.linalg.LinAlgError:  # no factor: the state would stop as numerical
+        return
+    if CmaesState.should_stop([state])[0] == "condition":
+        low, *_, high = np.linalg.eigvalsh(state.C)
+        # high / low >= 1e14, or low <= 0, within the tolerance
+        assert low <= (1e-14 + EIGVALSH_TOL) * high
 
 
 @pytest.mark.parametrize("n", [6, 20, 100])

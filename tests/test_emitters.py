@@ -57,7 +57,7 @@ class TestActivate:
     def test_cmaes_kind_centers_on_elite(self, task, single_elite_archive):
         emitter = OptimisingEmitter(0, batch_size=50)
         emitter.activate(single_elite_archive, task, np.random.default_rng(0))
-        elite = single_elite_archive.elites()[0]
+        ((_, elite),) = single_elite_archive
         np.testing.assert_array_equal(emitter.cmaes.mean, elite.genotype)
         np.testing.assert_array_equal(emitter.cmaes.C, np.eye(4))
         assert emitter.cmaes.sigma == task.sigma0
@@ -68,7 +68,7 @@ class TestActivate:
         for seed in range(20):
             emitter.activate(single_elite_archive, task, np.random.default_rng(seed))
             assert abs(np.linalg.norm(emitter.direction) - 1.0) < 1e-12
-        elite = single_elite_archive.elites()[0]
+        ((_, elite),) = single_elite_archive
         np.testing.assert_array_equal(emitter.anchor_bd, elite.descriptor)
 
     def test_random_kind_is_noop(self, task, single_elite_archive):
@@ -113,7 +113,7 @@ class TestGenerate:
         rng = np.random.default_rng(5)
         rng.integers(0, 1, size=(20, 2))
         iso = SIGMA_ISO * (task.upper - task.lower) * rng.standard_normal((20, task.dim))
-        elite = single_elite_archive.elites()[0]
+        ((_, elite),) = single_elite_archive
         np.testing.assert_array_equal(batch, clip_genotype(elite.genotype + iso, task))
 
     def test_line_operator_monte_carlo_mean(self, task):
@@ -133,7 +133,7 @@ class TestGenerate:
         emitter.activate(single_elite_archive, task, np.random.default_rng(7))
         rngs = [np.random.default_rng(8)]
         batch = emitter.generate_batch([emitter], single_elite_archive, task, rngs)
-        elite = single_elite_archive.elites()[0]
+        ((_, elite),) = single_elite_archive
         tol = 5 * task.sigma0 / np.sqrt(len(batch))
         np.testing.assert_allclose(batch.mean(axis=0), elite.genotype, atol=tol)
 

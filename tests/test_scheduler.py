@@ -28,6 +28,23 @@ def make_scheduler(scheduler, emitters, slots):
     return scheduler(emitters, slots)
 
 
+def ucb1(sel, succ, total, zeta):
+    """UCB1 of one arm with ``math``, in the order ``BanditStats`` sums it."""
+    return math.inf if sel == 0 else succ / sel + zeta * math.sqrt(math.log(total) / sel)
+
+
+def assert_windowed(stats, sums):
+    """Asserts every arm's windowed ``(selections, successes)`` in ``sums``
+    through the public reads.  ``total_selections`` fixes their total, the
+    ``zeta=0`` score each arm's success ratio, and the ``zeta=1`` score adds
+    a bonus that falls strictly with selections, so together they fix both
+    counts of every arm."""
+    total = sum(sel for sel, _ in sums.values())
+    assert stats.total_selections == total
+    for zeta in (0.0, 1.0):
+        assert stats.scores(list(sums), zeta) == [ucb1(sel, succ, total, zeta) for sel, succ in sums.values()]
+
+
 class TestBanditStats:
     def test_hand_worked_ucb_scores(self):
         """Two-arm table checked by hand arithmetic: 100 selections with
@@ -53,16 +70,14 @@ class TestBanditStats:
         stats.record({"a": (50, 10)})
         stats.record({"a": (50, 0)})
         stats.record({"a": (50, 20)})
-        assert stats.windowed_selections("a") == 100
-        assert stats.windowed_successes("a") == 20
+        assert_windowed(stats, {"a": (100, 20)})
 
     def test_idle_arm_expires_back_to_infinity(self):
         stats = BanditStats(["a"], window=3)
         stats.record({"a": (50, 10)})
         for _ in range(3):
             stats.record({})
-        assert stats.windowed_selections("a") == 0
-        assert stats.score("a", zeta=0.05) == math.inf
+        assert_windowed(stats, {"a": (0, 0)})
 
     def test_invalid_counts_rejected(self):
         stats = BanditStats(["a"], window=3)
@@ -75,9 +90,7 @@ class TestBanditStats:
         stats = BanditStats(["a", "b"], window=5)
         with pytest.raises(ValueError, match="'zz'"):
             stats.record({"a": (4, 1), "zz": (3, 1)})
-        assert stats.total_selections == 0
-        assert stats.windowed_selections("a") == 0
-        assert stats.windowed_successes("a") == 0
+        assert_windowed(stats, {"a": (0, 0), "b": (0, 0)})
 
     def test_invalid_later_arm_leaves_every_sum_unchanged(self):
         stats = BanditStats(["a", "b", "c"], window=3)
@@ -92,10 +105,8 @@ class TestBanditStats:
         # the failed records must not have taken a row of the window either
         for counts in ({"a": (1, 1)}, {}, {"c": (3, 0)}):
             assert stats.total_selections == twin.total_selections
-            for key in "abc":
-                assert stats.windowed_selections(key) == twin.windowed_selections(key)
-                assert stats.windowed_successes(key) == twin.windowed_successes(key)
-                assert stats.score(key, 0.05) == twin.score(key, 0.05)
+            for zeta in (0.0, 0.05, 1.0):
+                assert stats.scores("abc", zeta) == twin.scores("abc", zeta)
             stats.record(counts)
             twin.record(counts)
 
@@ -117,21 +128,15 @@ class TestBanditStats:
                 history = (history + [counts])[-window:]
                 total = sum(sel for gen in history for sel, _ in gen.values())
                 assert stats.total_selections == total and type(stats.total_selections) is int
-                expected = {zeta: [] for zeta in (0.0, 0.05, 1.3)}
-                for key in keys:
-                    sel = sum(gen.get(key, (0, 0))[0] for gen in history)
-                    succ = sum(gen.get(key, (0, 0))[1] for gen in history)
-                    assert stats.windowed_selections(key) == sel
-                    assert stats.windowed_successes(key) == succ
-                    for zeta in expected:
-                        expected[zeta].append(
-                            math.inf
-                            if sel == 0
-                            else succ / sel + zeta * math.sqrt(math.log(total) / sel)
-                        )
-                        assert stats.score(key, zeta) == expected[zeta][-1]
-                for zeta, scores in expected.items():
-                    assert stats.scores(keys, zeta) == scores
+                sums = {
+                    key: tuple(sum(gen.get(key, (0, 0))[i] for gen in history) for i in (0, 1))
+                    for key in keys
+                }
+                assert_windowed(stats, sums)
+                for zeta in (0.0, 0.05, 1.3):
+                    expected = [ucb1(sel, succ, total, zeta) for sel, succ in sums.values()]
+                    assert stats.scores(keys, zeta) == expected
+                    assert [stats.score(key, zeta) for key in keys] == expected
 
 
 class TestUcbScheduler:
@@ -205,8 +210,7 @@ class TestUcbScheduler:
         assert sched.emitter_score(emitters[1]) > sched.emitter_score(emitters[3])
         # aggregation sums instances of the same kind within a generation
         sched.record_generation({0: (50, 10), 1: (50, 20)})
-        assert sched.stats.windowed_selections(EmitterKind.OPTIMISING) == 150
-        assert sched.stats.windowed_successes(EmitterKind.OPTIMISING) == 70
+        assert_windowed(sched.stats, {EmitterKind.OPTIMISING: (150, 70), EmitterKind.IMPROVEMENT: (50, 2)})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -285,25 +289,26 @@ class TestUniformScheduler:
     granularity=st.sampled_from(["instance", "kind"]),
 )
 def test_select_ranks_as_one_score_per_idle_emitter(pool, data, zeta, window, granularity):
-    """``select()`` picks what sorting the idle emitters on (-score, id),
-    one ``score`` call each, picked: the one-pass scores rank alike."""
+    """``select()`` picks what sorting the idle emitters on (-score, id)
+    picks, each score UCB1 of the windowed counts of the emitter's arm,
+    summed here from the last ``window`` generations' counts."""
     kinds = list(EmitterKind)
     emitters = [
         EMITTER_CLASSES[kinds[data.draw(st.integers(0, 3))]](i, 4) for i in range(pool)
     ]
+    key_of = {e.id: (e.id if granularity == "instance" else e.kind) for e in emitters}
     slots = data.draw(st.integers(1, pool))
     sched = UcbScheduler(emitters, slots, zeta=zeta, window=window, stats_granularity=granularity)
+    recent = []  # per generation, (arm, selections, successes) per emitter
     for _ in range(data.draw(st.integers(0, 8))):
         before = sched.active
         idle = [e for e in emitters if e not in before]
         free = slots - len(before)
+        total = sum(sel for gen in recent for _, sel, _ in gen)
 
         def score(e):
-            key = e.id if granularity == "instance" else e.kind
-            sel, succ = sched.stats.windowed_selections(key), sched.stats.windowed_successes(key)
-            if sel == 0:
-                return math.inf
-            return succ / sel + zeta * math.sqrt(math.log(sched.stats.total_selections) / sel)
+            rows = [(sel, succ) for gen in recent for key, sel, succ in gen if key == key_of[e.id]]
+            return ucb1(sum(sel for sel, _ in rows), sum(succ for _, succ in rows), total, zeta)
 
         expected = sorted(idle, key=lambda e: (-score(e), e.id))[:free]
         assert sched.select() == expected
@@ -314,3 +319,4 @@ def test_select_ranks_as_one_score_per_idle_emitter(pool, data, zeta, window, gr
             if data.draw(st.booleans()):
                 sched.deactivate(e)
         sched.record_generation(counts)
+        recent = (recent + [[(key_of[i], sel, succ) for i, (sel, succ) in counts.items()]])[-window:]

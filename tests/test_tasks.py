@@ -10,7 +10,6 @@ import pytest
 from qdpool.tasks import (
     RASTRIGIN_PER_DIM_MAX,
     TASK_NAMES,
-    bd_proj_clip,
     clip_genotype,
     evaluate_batch,
     make_task,
@@ -120,11 +119,15 @@ def test_clip_genotype_in_place():
     np.testing.assert_array_equal(bad, [np.nan, 60.0])
 
 
-def test_bd_proj_clip_values():
-    assert bd_proj_clip(3.0) == 3.0
-    assert bd_proj_clip(6.4) == pytest.approx(0.8)
-    assert bd_proj_clip(-10.24) == pytest.approx(-0.5)
-    np.testing.assert_allclose(bd_proj_clip(np.array([5.12, -5.12])), [5.12, -5.12])
+def test_proj_fold_values():
+    """At dim 2 each projection descriptor is one folded component:
+    identity inside [-5.12, 5.12], bounds included, and ``5.12 / x``
+    outside."""
+    _, _, descriptors = evaluate_batch(
+        np.array([[3.0, 6.4], [-10.24, 5.12], [-5.12, 0.0]]), make_task("sphere", dim=2)
+    )
+    assert descriptors[0, 0] == 3.0
+    np.testing.assert_allclose(descriptors, [[3.0, 0.8], [-0.5, 5.12], [-5.12, 0.0]])
 
 
 @pytest.mark.parametrize("name", ["rastrigin_proj", "sphere"])
