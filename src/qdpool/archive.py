@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator
 
@@ -32,35 +32,28 @@ class EmptyArchiveError(RuntimeError):
 MAX_CELLS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned uniform grid over a bounded descriptor space.
+    """Axis-aligned uniform grid over a bounded descriptor space, a
+    read-only value: construction copies the three inputs, checks them,
+    derives the rest once and marks every array read-only.  Grids compare
+    and hash by identity.
 
     Args:
         lower: Per-axis lower bounds of the descriptor space.
         upper: Per-axis upper bounds (strictly greater than ``lower``).
         resolution: Number of cells along each axis; the product, counted
             with Python ints, must not exceed :data:`MAX_CELLS`.
+
+    Attributes:
+        widths: Cell width along each axis, ``(upper - lower) / resolution``.
+        total_cells: Number of cells, the product of ``resolution``.
+        dims: Number of descriptor axes.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
-    resolution: np.ndarray
-    #: Cell width along each axis, ``(upper - lower) / resolution``.
-    widths: np.ndarray = field(init=False, repr=False, compare=False)
-    #: Number of cells, the product of ``resolution``.
-    total_cells: int = field(init=False, repr=False, compare=False)
-    # per axis (lower, upper, width, resolution) as Python scalars, for
-    # cell_index
-    _axes: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        resolution = np.asarray(self.resolution, dtype=np.int64)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "resolution", resolution)
+    def __init__(self, lower, upper, resolution):
+        self.lower = lower = np.array(lower, dtype=float)
+        self.upper = upper = np.array(upper, dtype=float)
+        self.resolution = resolution = np.array(resolution, dtype=np.int64)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.shape != resolution.shape:
             raise ValueError("lower, upper and resolution must be 1-D with equal length")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
@@ -70,27 +63,27 @@ class GridSpec:
         if not (resolution >= 1).all():
             raise ValueError("resolution must be at least 1 per axis")
         # a product of int64s would wrap silently
-        total_cells = math.prod(resolution.tolist())
-        if total_cells > MAX_CELLS:
+        self.total_cells = math.prod(resolution.tolist())
+        if self.total_cells > MAX_CELLS:
             raise ValueError(
-                f"resolution {resolution.tolist()} makes {total_cells} cells, "
+                f"resolution {resolution.tolist()} makes {self.total_cells} cells, "
                 f"more than the {MAX_CELLS} whose per-cell arrays numpy can size"
             )
-        object.__setattr__(self, "total_cells", total_cells)
         with np.errstate(over="ignore"):
-            widths = (upper - lower) / resolution
+            self.widths = widths = (upper - lower) / resolution
         if not (np.isfinite(widths) & (widths > 0)).all():
             raise ValueError(f"cell widths {widths.tolist()} must be positive and finite")
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(
-            self,
-            "_axes",
-            tuple(zip(lower.tolist(), upper.tolist(), widths.tolist(), resolution.tolist())),
-        )
+        self.dims = len(lower)
+        # per axis (lower, upper, width, resolution) as Python scalars, for
+        # cell_index
+        self._axes = tuple(zip(lower.tolist(), upper.tolist(), widths.tolist(), resolution.tolist()))
+        for array in (lower, upper, resolution, widths):
+            array.flags.writeable = False
 
-    @property
-    def dims(self) -> int:
-        return len(self.lower)
+    def __reduce__(self):
+        """Pickles the three inputs, so an unpickled grid is checked and
+        read-only again."""
+        return GridSpec, (self.lower, self.upper, self.resolution)
 
 
 def cell_index(descriptor: np.ndarray, spec: GridSpec) -> int:
@@ -142,7 +135,7 @@ def cell_indices(descriptors: np.ndarray, spec: GridSpec) -> np.ndarray:
     return np.ravel_multi_index(tuple(axis.astype(np.int64).T), spec.resolution, mode="clip")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Elite:
     """A stored solution: genotype, its descriptor and both fitness scales."""
 

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CmaesParams:
     """Strategy constants derived from the dimension and population size.
 

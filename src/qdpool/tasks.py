@@ -27,7 +27,7 @@ _SHIFT = 2.048  # optimum location 0.4 * 5.12, per dimension
 _REF_BOUND = 5.12  # reference hypercube half-width for normalization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskSpec:
     """Static description of one benchmark problem, whose search space is
     the hypercube ``[lower, upper]^dim``.

@@ -21,6 +21,7 @@ from qdpool.archive import (
     cell_index,
     cell_indices,
 )
+from qdpool.tasks import make_task
 
 
 def reference_cell_index(descriptor, lower, upper, resolution):
@@ -162,6 +163,54 @@ def test_cell_count_is_exact_up_to_the_largest_sizable_grid():
     for resolution in ([2**30, 2**30], [2**32, 2**32], [3037000500, 3037000500]):
         with pytest.raises(ValueError, match="cells"):
             GridSpec(lower, upper, np.array(resolution))
+
+
+def test_a_grid_keeps_its_own_bounds_when_the_caller_edits_theirs():
+    """A grid copies its inputs, so editing a task's bounds in place after
+    ``task.grid()`` moves neither binning rule: ``cell_index`` (per-axis
+    scalars fixed at construction) and ``cell_indices`` (the arrays) agree."""
+    task = make_task("rastrigin_multi", dim=4, resolution=10)
+    grid = task.grid()
+    task.bd_lower[0] = -1.0
+    assert grid.lower.tolist() == [-5.12, -5.12]
+    descriptor = np.array([0.3, -2.0])
+    assert cell_index(descriptor, grid) == cell_indices(descriptor[None], grid)[0] == 53
+
+    lower, upper, resolution = np.zeros(2), np.ones(2), np.array([4, 4])
+    grid = GridSpec(lower, upper, resolution)
+    lower[0], upper[0], resolution[0] = -1.0, 3.0, 2
+    assert (grid.lower.tolist(), grid.upper.tolist(), grid.resolution.tolist()) == (
+        [0.0, 0.0], [1.0, 1.0], [4, 4]
+    )
+
+
+@pytest.mark.parametrize("name", ["lower", "upper", "resolution", "widths"])
+def test_a_grids_arrays_are_read_only(spec, name):
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(spec, name)[0] = 0
+
+
+def test_grids_and_elites_compare_and_hash_by_identity(spec):
+    """The arrays they hold have no truth value, so a generated ``==``
+    could only raise; identity gives a bool, and a hash."""
+    twin = GridSpec(spec.lower, spec.upper, spec.resolution)
+    assert (spec == twin, spec == spec) == (False, True)
+    assert hash(spec) != hash(twin)
+    elite = Elite(np.zeros(3), np.zeros(2), 1.0, 0.5)
+    assert (elite == Elite(np.zeros(3), np.zeros(2), 1.0, 0.5), elite == elite) == (False, True)
+
+
+def test_a_pickled_grid_is_read_only_and_bins_the_same(spec):
+    """Unpickling builds the grid again, through its checks, both alone and
+    inside an archive."""
+    descriptors = np.random.default_rng(4).uniform(-1.5, 1.5, (200, 2))
+    for copy in (pickle.loads(pickle.dumps(spec)), pickle.loads(pickle.dumps(Archive(spec))).spec):
+        assert copy is not spec
+        for name in ("lower", "upper", "resolution", "widths"):
+            assert not getattr(copy, name).flags.writeable
+            assert getattr(copy, name).tolist() == getattr(spec, name).tolist()
+        assert (copy.total_cells, copy.dims, copy._axes) == (spec.total_cells, spec.dims, spec._axes)
+        assert cell_indices(descriptors, copy).tolist() == cell_indices(descriptors, spec).tolist()
 
 
 class TestAddAttempt:

@@ -1,11 +1,16 @@
 """CMA-ES unit tests: parameter formulas, sampling statistics, update
 semantics, convergence oracle, and stop criteria."""
 
+import copy
+import dataclasses
+import itertools
 import math
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +55,14 @@ class TestParams:
         assert not params.weights.flags.writeable
         with pytest.raises(ValueError):
             params.weights[0] = 0.0
+
+    def test_params_compare_and_hash_by_identity(self):
+        """``weights`` has no truth value, so a generated ``==`` could only
+        raise; identity gives a bool, and a hash."""
+        defaults = CmaesParams.defaults(5, 10)
+        params, twin = (dataclasses.replace(defaults, weights=defaults.weights.copy()) for _ in range(2))
+        assert (params == twin, params == params) == (False, True)
+        assert hash(params) != hash(twin)
 
     def test_reward_history_window(self):
         assert CmaesParams.defaults(10, 10).reward_history_window == 10 + 30
@@ -790,6 +803,162 @@ def test_a_told_factor_is_finite_exactly_where_its_diagonal_is(n, stacked, seed,
                 assert np.isfinite(state.A).all() == np.isfinite(np.diag(state.A)).all()
             assert reasons == [reason_from_docstring(state) for state in states]
             states = [state for state, reason in zip(states, reasons) if reason is None][:-1]
+
+
+def tutorial_constants(n, lam):
+    """The default strategy parameters of Hansen's tutorial (arXiv
+    1604.00772) for an even ``lam``, with positive weights only."""
+    mu = lam // 2
+    raw = [math.log((lam + 1) / 2) - math.log(i) for i in range(1, mu + 1)]
+    weights = [w / sum(raw) for w in raw]
+    mu_eff = 1.0 / sum(w * w for w in weights)
+    c_sigma = (mu_eff + 2.0) / (n + mu_eff + 5.0)
+    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_eff)
+    return dict(
+        mu=mu,
+        weights=weights,
+        mu_eff=mu_eff,
+        c_sigma=c_sigma,
+        d_sigma=1.0 + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (n + 1.0)) - 1.0) + c_sigma,
+        c_c=(4.0 + mu_eff / n) / (n + 4.0 + 2.0 * mu_eff / n),
+        c_1=c_1,
+        c_mu=min(1.0 - c_1, 2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((n + 2.0) ** 2 + mu_eff)),
+        chi_n=math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n**2)),
+    )
+
+
+def tutorial_tell(state, rewards):
+    """One (mu/mu_W, lambda) update of Hansen's tutorial (arXiv
+    1604.00772, with c_m = 1), one sample at a time, from an untold
+    ``state`` and its pending samples.  Returns the new values, the
+    parents in rank order and ``h_sigma``."""
+    samples = state.pending[0]
+    n, lam = len(state.mean), len(samples)
+    k = tutorial_constants(n, lam)
+    g = state.generation_count + 1  # the generation this update completes
+    parents = sorted(range(lam), key=lambda i: -rewards[i])[: k["mu"]]  # stable: ties by position
+    y = [(samples[i] - state.mean) / state.sigma for i in parents]
+    y_w = sum(w * y_i for w, y_i in zip(k["weights"], y))
+    mean = state.mean + state.sigma * y_w
+    whitened = scipy.linalg.solve_triangular(state.A, y_w, lower=True)  # C^-1/2 y_w for C = A A^T
+    p_sigma = (1.0 - k["c_sigma"]) * state.p_sigma + math.sqrt(
+        k["c_sigma"] * (2.0 - k["c_sigma"]) * k["mu_eff"]
+    ) * whitened
+    norm = math.sqrt(sum(x * x for x in p_sigma))
+    h_sigma = norm / math.sqrt(1.0 - (1.0 - k["c_sigma"]) ** (2 * g)) < (1.4 + 2.0 / (n + 1.0)) * k["chi_n"]
+    p_c = (1.0 - k["c_c"]) * state.p_c + h_sigma * math.sqrt(k["c_c"] * (2.0 - k["c_c"]) * k["mu_eff"]) * y_w
+    delta = (1.0 - h_sigma) * k["c_c"] * (2.0 - k["c_c"])
+    rank_mu = sum(w * np.outer(y_i, y_i) for w, y_i in zip(k["weights"], y))
+    C = (
+        (1.0 + k["c_1"] * delta - k["c_1"] - k["c_mu"] * sum(k["weights"])) * state.C
+        + k["c_1"] * np.outer(p_c, p_c)
+        + k["c_mu"] * rank_mu
+    )
+    sigma = state.sigma * math.exp(k["c_sigma"] / k["d_sigma"] * (norm / k["chi_n"] - 1.0))
+    told = dict(mean=mean, sigma=sigma, p_sigma=p_sigma, p_c=p_c, C=C, A=scipy.linalg.cholesky(C, lower=True))
+    return told, parents, h_sigma
+
+
+# Agreement of tell with the tutorial oracle, relative to the largest
+# entry of each value: both sum the same terms in other orders (about
+# 1e-15 apart), and the factor's rounding grows with C's condition
+# number, below 10 here.
+TELL_RTOL = 1e-12
+ORACLE_LAM = 8  # small enough to try every ordered choice of parents
+ORACLE_BUDGET_S = 10.0
+
+
+def oracle_family(n):
+    """Four states of dimension ``n`` with a pending batch, and tied
+    rewards (integers 0-3).  State 1's long path turns ``h_sigma`` off.
+    The others' paths are set so that their updated norms sit where a
+    wrong bias correction or threshold flips ``h_sigma``: state 0's
+    between its thresholds corrected with exponents ``g`` and ``2g``
+    (on), state 2's 3% above its own (off), and state 3's between its own
+    and the uncorrected one (off).  State 2's best-reward window is full
+    and flat, so it stops with ``tol_fun``."""
+    rng = np.random.default_rng(n)
+    states = []
+    for i in range(4):
+        state = CmaesState(rng.normal(size=n), sigma0=0.5, lam=ORACLE_LAM)
+        a = rng.normal(size=(n, n)) / math.sqrt(n)
+        set_covariance(state, a @ a.T + 0.5 * np.eye(n))
+        state.sigma = 0.3 + 0.1 * i
+        state.p_c = rng.normal(size=n)
+        state.generation_count = 3 - i  # the bias correction still matters
+        states.append(state)
+    states[1].p_sigma = np.full(n, 50.0)
+    states[2].best_reward_history.extend([3.0] * states[2].best_reward_history.maxlen)
+    CmaesState.ask(states, [np.random.default_rng([n, i]) for i in range(4)])
+    rewards = [rng.integers(0, 4, ORACLE_LAM).astype(float) for _ in states]
+    for r in rewards:
+        r[0] = 3.0
+
+    k = tutorial_constants(n, ORACLE_LAM)
+    plain = (1.4 + 2.0 / (n + 1.0)) * k["chi_n"]
+    gain = math.sqrt(k["c_sigma"] * (2.0 - k["c_sigma"]) * k["mu_eff"])
+
+    def threshold(g, power=2):
+        """The norm threshold after ``g`` generations, corrected with
+        ``(1 - c_sigma)^(power g)``."""
+        return plain * math.sqrt(1.0 - (1.0 - k["c_sigma"]) ** (power * g))
+
+    norms = {0: (threshold(4, 1) + threshold(4)) / 2.0, 2: 1.03 * threshold(2), 3: (threshold(1) + plain) / 2.0}
+    for i, norm in norms.items():
+        normals = states[i].pending[1]
+        parents = sorted(range(ORACLE_LAM), key=lambda j: -rewards[i][j])[: k["mu"]]
+        z_w = sum(w * normals[j] for w, j in zip(k["weights"], parents))
+        target = rng.normal(size=n)
+        target *= norm / np.linalg.norm(target)
+        states[i].p_sigma = (target - gain * z_w) / (1.0 - k["c_sigma"])
+    return states, rewards
+
+
+def assert_close(got, want, name):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.abs(got - want).max() <= TELL_RTOL * np.abs(want).max(), name
+
+
+def parents_from_mean(mean, samples, weights):
+    """Every ordered choice of ``mu`` samples whose weighted sum is
+    ``mean`` within ``TELL_RTOL``."""
+    orders = np.array(list(itertools.permutations(range(len(samples)), len(weights))))
+    sums = np.einsum("m,omn->on", weights, samples[orders])
+    close = np.abs(sums - mean).max(axis=1) <= TELL_RTOL * np.abs(mean).max()
+    return orders[close].tolist()
+
+
+@pytest.mark.parametrize("n", [6, 40])
+@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "per_state"])
+def test_tell_matches_the_tutorial_update_one_sample_at_a_time(n, stacked, monkeypatch):
+    """Oracle: the update of Hansen's tutorial transcribed per sample, with
+    the path whitened by a triangular solve, on a family that takes both
+    ``h_sigma`` branches, on both sides of ``STACKED_UPDATE_MAX_DIM`` and
+    down both update paths.  Every value agrees within ``TELL_RTOL``; the
+    parents, recovered from the new mean as the only ordered choice of
+    samples that sums to it, and the reasons agree exactly."""
+    start = time.perf_counter()
+    monkeypatch.setattr(cmaes, "STACKED_UPDATE_MAX_DIM", n if stacked else n - 1)
+    states, rewards = oracle_family(n)
+    before = copy.deepcopy(states)
+    reasons = CmaesState.tell(states, rewards)
+
+    weights = tutorial_constants(n, ORACLE_LAM)["weights"]
+    expected_reasons, h_sigmas = [], []
+    for state, old, r in zip(states, before, rewards):
+        told, parents, h_sigma = tutorial_tell(old, r)
+        h_sigmas.append(h_sigma)
+        for name, want in told.items():
+            assert_close(getattr(state, name), want, name)
+        assert parents_from_mean(state.mean, old.pending[0], weights) == [parents]
+        oracle_state = copy.deepcopy(state)
+        for name, want in told.items():
+            setattr(oracle_state, name, want)
+        expected_reasons.append(reason_from_docstring(oracle_state))
+    assert h_sigmas == [True, False, False, False]
+    assert reasons == expected_reasons == [None, None, "tol_fun", None]
+    elapsed = time.perf_counter() - start
+    assert elapsed < ORACLE_BUDGET_S, f"tell oracle took {elapsed:.2f}s (budget {ORACLE_BUDGET_S:.0f}s)"
 
 
 class TestFamilyCalls:

@@ -2,9 +2,11 @@
 bookkeeping invariants, determinism, and equivalence of the map-elites
 variant with an independent vanilla MAP-Elites implementation."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
+import pickle
 import threading
 import weakref
 from collections import Counter
@@ -87,6 +89,16 @@ class TestConfigAndPool:
         small_config(
             variant="me-map-elites-uniform", slots=6, pool_composition={EmitterKind.RANDOM: 6}
         )
+
+    def test_configs_and_results_compare_without_raising(self):
+        """A config is equal when its fields match and its task is the
+        same object; a pickled copy holds another task, so it compares
+        unequal, as a result does with its own copy."""
+        config = small_config(generations=2)
+        assert dataclasses.replace(config) == config
+        assert (config == pickle.loads(pickle.dumps(config))) is False
+        result = run(config)
+        assert (result == pickle.loads(pickle.dumps(result)), result == result) == (False, True)
 
     def test_pool_smaller_than_slots_is_rejected_by_the_config(self):
         """The config builds its pool and scheduler, so a pool that cannot

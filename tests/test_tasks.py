@@ -97,6 +97,14 @@ class TestTaskConstruction:
         with pytest.raises(ValueError, match="cells"):
             dataclasses.replace(task, grid_resolution=np.array([2**32, 2**32]))
 
+    def test_tasks_compare_and_hash_by_identity(self):
+        """Their bound arrays have no truth value, so a generated ``==``
+        could only raise; identity gives a bool, and a hash."""
+        task = make_task("sphere", dim=4, resolution=5)
+        twin = make_task("sphere", dim=4, resolution=5)
+        assert (task == twin, task == task) == (False, True)
+        assert hash(task) != hash(twin)
+
 
 def test_clip_genotype():
     task = make_task("rastrigin_proj", dim=2)
