@@ -41,8 +41,9 @@ class GridSpec:
     Args:
         lower: Per-axis lower bounds of the descriptor space.
         upper: Per-axis upper bounds (strictly greater than ``lower``).
-        resolution: Number of cells along each axis; the product, counted
-            with Python ints, must not exceed :data:`MAX_CELLS`.
+        resolution: Number of cells along each axis, as integers (a float
+            is refused, not truncated); the product, counted with Python
+            ints, must not exceed :data:`MAX_CELLS`.
 
     Attributes:
         widths: Cell width along each axis, ``(upper - lower) / resolution``.
@@ -53,7 +54,14 @@ class GridSpec:
     def __init__(self, lower, upper, resolution):
         self.lower = lower = np.array(lower, dtype=float)
         self.upper = upper = np.array(upper, dtype=float)
-        self.resolution = resolution = np.array(resolution, dtype=np.int64)
+        resolution = np.asarray(resolution)
+        # numpy infers int64 or uint64 for Python ints below 2**64, object above
+        if resolution.dtype.kind not in "iu" or (resolution > np.iinfo(np.int64).max).any():
+            raise ValueError(
+                f"resolution must be integers of at most {np.iinfo(np.int64).max}, "
+                f"got {resolution.tolist()}"
+            )
+        self.resolution = resolution = resolution.astype(np.int64)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.shape != resolution.shape:
             raise ValueError("lower, upper and resolution must be 1-D with equal length")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
@@ -199,17 +207,18 @@ class Archive:
       cell's elite or -1 for an empty cell, and ``_raw``/``_norm``, the
       elite's two fitness values (meaningless where the cell is empty);
     * per row, one row per occupied cell: ``_genotypes`` and
-      ``_descriptors``.  Both are reserved once, at the first insertion,
-      with ``spec.total_cells`` rows (a grid never holds more elites than
-      cells), so rows never move.  A newly occupied cell takes the next
-      unused row and a replacement overwrites its cell's row in place, so
-      the rows in use are always a prefix.  Pages the archive has not
-      written are not resident: resident memory follows occupancy, while
-      the reserved address space follows grid size.  Rows indexed by cell
-      would need no ``_row``, but their writes scatter over the whole
-      block: numpy advises huge pages for arrays of 4 MiB or more, so
-      under transparent huge pages a sparse grid would make every 2 MiB
-      page resident.
+      ``_descriptors``.  Both are reserved with ``spec.total_cells`` rows
+      (a grid never holds more elites than cells) at the first insertion,
+      or, for an unpickled archive, which holds only the rows in use, at
+      its first new cell; from then on rows never move.  A newly occupied
+      cell takes the next unused row and a replacement overwrites its
+      cell's row in place, so the rows in use are always a prefix.  Pages
+      the archive has not written are not resident: resident memory
+      follows occupancy, while the reserved address space follows grid
+      size.  Rows indexed by cell would need no ``_row``, but their
+      writes scatter over the whole block: numpy advises huge pages for
+      arrays of 4 MiB or more, so under transparent huge pages a sparse
+      grid would make every 2 MiB page resident.
 
     Each elite is kept once, in those arrays: both insertion paths copy
     the winner into its row, and every read (iteration and
@@ -234,22 +243,12 @@ class Archive:
 
     def __getstate__(self) -> dict:
         """Pickles only the rows in use, so an archive sent to another
-        process costs its occupancy, not its grid size."""
+        process (or copied with ``copy.deepcopy``) costs its occupancy, not
+        its grid size; the copy reserves its rows at its first new cell."""
         state = self.__dict__.copy()
         for name in self._ROWS:
             state[name] = state[name][: self._size]
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Reserves one row per cell again for each column the original
-        had reserved, as the first insertion did."""
-        self.__dict__.update(state)
-        for name in self._ROWS:
-            used = getattr(self, name)
-            if len(used):
-                rows = np.empty((self.spec.total_cells, *used.shape[1:]), dtype=used.dtype)
-                rows[: self._size] = used
-                setattr(self, name, rows)
 
     def _occupied(self) -> np.ndarray:
         """Occupied cells in ascending order."""
@@ -268,12 +267,16 @@ class Archive:
 
     def _claim_rows(self, cells: np.ndarray, genotype_dim: int) -> np.ndarray:
         """Gives each newly occupied cell the next unused row and returns
-        the rows; the first call reserves one row per cell."""
-        if not len(self._genotypes):
-            total = self.spec.total_cells
-            self._genotypes = np.empty((total, genotype_dim))
-            self._descriptors = np.empty((total, self.spec.dims))
+        the rows.  A claim that finds too few rows (the first insertion, or
+        the first new cell after unpickling) reserves one row per cell and
+        copies the rows in use into its prefix."""
         end = self._size + len(cells)
+        if end > len(self._genotypes):
+            used, total = self._size, self.spec.total_cells
+            genotypes, descriptors = np.empty((total, genotype_dim)), np.empty((total, self.spec.dims))
+            if used:
+                genotypes[:used], descriptors[:used] = self._genotypes, self._descriptors
+            self._genotypes, self._descriptors = genotypes, descriptors
         rows = np.arange(self._size, end)
         self._row[cells] = rows
         self._size = end

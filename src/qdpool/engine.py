@@ -26,6 +26,7 @@ not depend on which process ran it.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -101,6 +102,13 @@ class RunConfig:
     pool_composition: dict[EmitterKind, int] | None = None
 
     def __post_init__(self):
+        # the fields that count or seed something: a float is refused, not truncated
+        for name in (
+            "generations", "slots", "batch_per_emitter", "init_samples", "seed", "window",
+            "metrics_every", "threads",
+        ):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("generations", "slots", "init_samples", "metrics_every", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

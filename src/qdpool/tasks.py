@@ -12,7 +12,8 @@ solutions outside that reference region clamp to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,9 @@ _REF_BOUND = 5.12  # reference hypercube half-width for normalization
 @dataclass(frozen=True, eq=False)
 class TaskSpec:
     """Static description of one benchmark problem, whose search space is
-    the hypercube ``[lower, upper]^dim``.
+    the hypercube ``[lower, upper]^dim``, a read-only value: construction
+    builds the task's :class:`GridSpec` once, and ``bd_lower``,
+    ``bd_upper`` and ``grid_resolution`` are that grid's read-only arrays.
 
     Args:
         name: One of ``TASK_NAMES``.
@@ -62,11 +65,22 @@ class TaskSpec:
             raise ValueError("sigma0 must be positive and finite")
         if self.fitness_worst_raw >= self.fitness_best_raw:
             raise ValueError("fitness_worst_raw must be below fitness_best_raw")
-        self.grid()  # its checks, including the cell count, apply to every task
+        # one grid per task: its checks, including the cell count, apply to
+        # every task, and its read-only arrays replace the ones given
+        grid = GridSpec(self.bd_lower, self.bd_upper, self.grid_resolution)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "bd_lower", grid.lower)
+        object.__setattr__(self, "bd_upper", grid.upper)
+        object.__setattr__(self, "grid_resolution", grid.resolution)
+
+    def __reduce__(self):
+        """Pickles the constructor's arguments: numpy drops the read-only
+        flag on unpickling, and construction sets it again."""
+        return TaskSpec, tuple(getattr(self, f.name) for f in fields(self))
 
     def grid(self) -> GridSpec:
         """The descriptor grid induced by this task's bounds and resolution."""
-        return GridSpec(self.bd_lower, self.bd_upper, self.grid_resolution)
+        return self._grid
 
 
 # Worst per-dimension Rastrigin term, max (x - 2.048)^2 - 10 cos(2 pi (x - 2.048))
@@ -83,7 +97,8 @@ def make_task(
     Args:
         name: One of ``TASK_NAMES``.
         dim: Genotype dimensionality.
-        resolution: Cells per descriptor axis; a scalar is used for both.
+        resolution: Cells per descriptor axis, an integer or two; a scalar
+            is used for both.
         sigma0: Override for the task's default initial step size.
 
     Returns:
@@ -91,12 +106,10 @@ def make_task(
     """
     if name not in TASK_NAMES:
         raise ValueError(f"unknown task {name!r}, expected one of {TASK_NAMES}")
+    if not isinstance(dim, numbers.Integral):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if dim < 2:
-        raise ValueError("tasks need dim >= 2 (descriptors read two components)")
-    try:
-        resolution = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (2,)).copy()
-    except OverflowError:
-        raise ValueError(f"resolution must be at most {np.iinfo(np.int64).max}") from None
+        raise ValueError("dim must be at least 2 (descriptors read two components)")
     half = dim // 2
     proj_extent = np.array([_REF_BOUND * half, _REF_BOUND * (dim - half)])
 
@@ -120,7 +133,7 @@ def make_task(
         upper=bounds,
         bd_lower=-bd,
         bd_upper=bd,
-        grid_resolution=resolution,
+        grid_resolution=np.broadcast_to(resolution, (2,)),
         sigma0=s0 if sigma0 is None else float(sigma0),
         fitness_worst_raw=float(worst),
         fitness_best_raw=float(best),

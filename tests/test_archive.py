@@ -4,6 +4,7 @@ import csv
 import io
 import pickle
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from qdpool.archive import (
     cell_index,
     cell_indices,
 )
-from qdpool.tasks import make_task
 
 
 def reference_cell_index(descriptor, lower, upper, resolution):
@@ -166,22 +166,30 @@ def test_cell_count_is_exact_up_to_the_largest_sizable_grid():
 
 
 def test_a_grid_keeps_its_own_bounds_when_the_caller_edits_theirs():
-    """A grid copies its inputs, so editing a task's bounds in place after
-    ``task.grid()`` moves neither binning rule: ``cell_index`` (per-axis
-    scalars fixed at construction) and ``cell_indices`` (the arrays) agree."""
-    task = make_task("rastrigin_multi", dim=4, resolution=10)
-    grid = task.grid()
-    task.bd_lower[0] = -1.0
-    assert grid.lower.tolist() == [-5.12, -5.12]
-    descriptor = np.array([0.3, -2.0])
-    assert cell_index(descriptor, grid) == cell_indices(descriptor[None], grid)[0] == 53
-
-    lower, upper, resolution = np.zeros(2), np.ones(2), np.array([4, 4])
+    """A grid copies its inputs, so editing the arrays it was built from
+    moves neither binning rule: ``cell_index`` (per-axis scalars fixed at
+    construction) and ``cell_indices`` (the arrays) agree."""
+    lower, upper, resolution = np.full(2, -5.12), np.full(2, 5.12), np.array([10, 10])
     grid = GridSpec(lower, upper, resolution)
     lower[0], upper[0], resolution[0] = -1.0, 3.0, 2
     assert (grid.lower.tolist(), grid.upper.tolist(), grid.resolution.tolist()) == (
-        [0.0, 0.0], [1.0, 1.0], [4, 4]
+        [-5.12, -5.12], [5.12, 5.12], [10, 10]
     )
+    descriptor = np.array([0.3, -2.0])
+    assert cell_index(descriptor, grid) == cell_indices(descriptor[None], grid)[0] == 53
+
+
+@pytest.mark.parametrize("resolution", [[3.7], [3.0], [2**63], [2**64], [True]])
+def test_a_resolution_that_is_not_an_int64_integer_is_refused(resolution):
+    """A float resolution used to be truncated (``[3.7]`` made 3 cells)."""
+    with pytest.raises(ValueError, match="^resolution must be integers"):
+        GridSpec([0.0], [1.0], resolution)
+
+
+@pytest.mark.parametrize("resolution", [[3], [np.int64(3)], np.array([3], dtype=np.uint8)])
+def test_a_resolution_of_python_or_numpy_integers_is_taken(resolution):
+    grid = GridSpec([0.0], [1.0], resolution)
+    assert grid.total_cells == 3 and grid.resolution.dtype == np.int64
 
 
 @pytest.mark.parametrize("name", ["lower", "upper", "resolution", "widths"])
@@ -765,23 +773,26 @@ def test_insert_batch_rejects_descriptors_of_another_width_before_any_change(
     assert archive_reads(archive, tmp_path / "after.csv") == before
 
 
+PICKLE_SPEC = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([40, 40]))
+
+
+def offer(target, seed):
+    """Inserts 30 random candidates of genotype length 8 over ``PICKLE_SPEC``."""
+    batch = np.random.default_rng(seed)
+    genotypes, descriptors = batch.uniform(-1, 1, (30, 8)), batch.uniform(-1, 1, (30, 2))
+    raws = batch.uniform(-5, 5, 30)
+    norms = [saturating_norm(raw) for raw in raws]
+    return target.insert_batch(cell_indices(descriptors, PICKLE_SPEC), genotypes, descriptors, raws, norms)
+
+
 def test_pickle_keeps_contents_and_sends_only_the_rows_in_use():
     """An archive crosses processes by pickle (``engine.run_many``): the copy
     must hold the same elites and go on competing the same way, and the
     rows reserved for empty cells must not be sent."""
-    spec = GridSpec(np.array([-1.0, -1.0]), np.array([1.0, 1.0]), np.array([40, 40]))
     rng = np.random.default_rng(3)
-    archive = Archive(spec)
+    archive = Archive(PICKLE_SPEC)
     assert len(pickle.loads(pickle.dumps(archive))) == 0
     archive.add_attempt(make_elite(rng, dim=8))
-
-    def offer(target, seed):
-        batch = np.random.default_rng(seed)
-        genotypes, descriptors = batch.uniform(-1, 1, (30, 8)), batch.uniform(-1, 1, (30, 2))
-        raws = batch.uniform(-5, 5, 30)
-        norms = [saturating_norm(raw) for raw in raws]
-        return target.insert_batch(cell_indices(descriptors, spec), genotypes, descriptors, raws, norms)
-
     offer(archive, 1)
     data = pickle.dumps(archive)
     assert len(data) < archive._genotypes.nbytes  # the reserved rows alone are larger
@@ -792,3 +803,39 @@ def test_pickle_keeps_contents_and_sends_only_the_rows_in_use():
     assert copy_status.tolist() == status.tolist()
     assert bits(copy_improvement) == bits(improvement)
     assert_same_contents(copy, archive)
+
+
+@pytest.mark.parametrize(
+    "duplicate", [lambda archive: pickle.loads(pickle.dumps(archive)), deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_a_copy_holds_only_the_rows_in_use_until_its_first_new_cell(tmp_path, duplicate):
+    """An unpickled or deep-copied archive holds ``len(archive)`` rows, and
+    every read touches only those, so it reads exactly like the original.
+    Its first new cell reserves one row per cell, with the rows in use
+    copied into the prefix; a replacement before that reserves nothing."""
+    archive = Archive(PICKLE_SPEC)
+    offer(archive, 1)
+    twin = duplicate(archive)
+    size = len(archive)
+    assert len(twin._genotypes) == len(twin._descriptors) == size
+    assert archive_reads(twin, tmp_path / "twin.csv") == archive_reads(archive, tmp_path / "archive.csv")
+    for seed in range(5):
+        assert_same_elite(twin.random_elite(np.random.default_rng(seed)),
+                          archive.random_elite(np.random.default_rng(seed)))
+
+    cell = int(archive._occupied()[0])
+    descriptor = twin._descriptors[twin._row[cell]].copy()
+    for target in (twin, archive):  # insert_batch claims rows for no cell here
+        status, _ = target.insert_batch([cell], np.full((1, 8), 0.25), descriptor[None], [100.0], [1.0])
+        assert status.tolist() == [AddStatus.IMPROVED]
+    assert len(twin._genotypes) == size
+    used = twin._genotypes.copy(), twin._descriptors.copy()
+
+    empty = int(np.flatnonzero(archive._row < 0)[0])
+    newcomer = Elite(np.full(8, -0.5), cell_centres(PICKLE_SPEC)[empty], 0.0, 0.5)
+    for target in (twin, archive):
+        assert target.add_attempt(newcomer).status == AddStatus.NEW
+    assert len(twin._genotypes) == len(twin._descriptors) == PICKLE_SPEC.total_cells
+    assert bits(twin._genotypes[:size]) == bits(used[0])
+    assert bits(twin._descriptors[:size]) == bits(used[1])
+    assert archive_reads(twin, tmp_path / "twin.csv") == archive_reads(archive, tmp_path / "archive.csv")

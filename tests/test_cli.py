@@ -3,6 +3,7 @@ reproducibility of written artifacts, and parity with the library API."""
 
 import csv
 import errno
+import hashlib
 import math
 import multiprocessing
 import os
@@ -549,6 +550,21 @@ class TestMainEntry:
         task = make_task("sphere", dim=20, resolution=50)
         assert float(parsed["fitness_worst_raw"]) == float(task.fitness_worst_raw)
 
+    @pytest.mark.parametrize(
+        "task, digest",
+        [
+            ("rastrigin_proj", "4084c800385f89b8bcf675e4c09dc098c3863f8ec7c87769e5083a3937fe0e5e"),
+            ("rastrigin_multi", "89b78650663f77a47f4c7cff6569cce3b34c1155d40d2b6a6786442aa7cc299b"),
+            ("sphere", "101d48fb8879ab9c643f28746424a21843859244c3e17492e1805cd2e0890a32"),
+            ("redundant_arm", "8911c884aac430e0c3cd52930ebebb0b1d0f17042d454a13563cc14151cda127"),
+        ],
+    )
+    def test_dump_task_bytes_are_pinned(self, task, digest, capsys):
+        """sha256 of each task's default ``dump-task`` output: how a task
+        stores its constants must not move a byte of it."""
+        assert cli.main(["dump-task", "--task", task]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_dump_task_reports_rastrigin_constant(self, capsys):
         cli.main(["dump-task", "--task", "rastrigin_proj", "--dim", "10"])
         out = capsys.readouterr().out
@@ -785,8 +801,12 @@ class TestParallelSweep:
 
     def test_workers_write_their_runs_and_send_back_no_archive(self, tmp_path, monkeypatch):
         loaded = []
-        setstate = Archive.__setstate__
-        monkeypatch.setattr(Archive, "__setstate__", lambda self, state: loaded.append(1) or setstate(self, state))
+
+        def record(self, state):  # unpickling's default, plus a record of the call
+            loaded.append(1)
+            self.__dict__.update(state)
+
+        monkeypatch.setattr(Archive, "__setstate__", record, raising=False)
         set_cores(monkeypatch, 2)
         cfg = cli.parse_config(small_flags(tmp_path / "out", replications=2))
         assert cli.run_experiment(cfg, echo=collect_echo([])) == 0

@@ -90,6 +90,21 @@ class TestConfigAndPool:
             variant="me-map-elites-uniform", slots=6, pool_composition={EmitterKind.RANDOM: 6}
         )
 
+    @pytest.mark.parametrize(
+        "name",
+        ["generations", "slots", "batch_per_emitter", "init_samples", "seed", "window", "metrics_every",
+         "threads"],
+    )
+    def test_a_non_integer_size_is_refused_not_truncated(self, name):
+        """``window=2.5`` used to run with a window of 2, ``metrics_every=2.5``
+        on a 5-generation cadence, and ``generations=2.5`` to fail only in
+        ``Engine.run``.  The message opens with the field, as ``cli._plan``
+        needs to name the setting."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 4.0"):
+            small_config(**{name: 4.0})
+        config = small_config(**{name: np.int64(4)})
+        assert getattr(config, name) == 4
+
     def test_configs_and_results_compare_without_raising(self):
         """A config is equal when its fields match and its task is the
         same object; a pickled copy holds another task, so it compares

@@ -1,7 +1,9 @@
 """Benchmark task tests: hand-worked values, oracles, and invariants."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -96,6 +98,59 @@ class TestTaskConstruction:
         task = make_task("sphere", dim=4, resolution=5)
         with pytest.raises(ValueError, match="cells"):
             dataclasses.replace(task, grid_resolution=np.array([2**32, 2**32]))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"dim": 4.5}, {"dim": 4.0}, {"resolution": 2.9}, {"resolution": (5, 2.5)}],
+        ids=["dim", "dim-float-integral", "resolution", "resolution-axis"],
+    )
+    def test_non_integer_sizes_are_refused_not_truncated(self, kwargs):
+        """``resolution=2.9`` used to build a 2 x 2 grid, and ``dim=4.5`` a task."""
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
+            make_task("sphere", **{"dim": 4, "resolution": 5, **kwargs})
+
+    def test_numpy_integer_sizes_are_taken(self):
+        task = make_task("sphere", dim=np.int64(4), resolution=np.int32(3))
+        assert (task.dim, task.grid().total_cells) == (4, 9)
+
+    @pytest.mark.parametrize("name", ["bd_lower", "bd_upper", "grid_resolution"])
+    def test_a_tasks_arrays_are_read_only(self, name):
+        """An edit in place used to pass until ``Engine(config)`` built the
+        grid; now the task's arrays are its grid's, and refuse writes."""
+        task = make_task("sphere", dim=4, resolution=5)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(task, name)[0] = 1
+        grid = task.grid()
+        assert grid is task.grid()
+        assert task.bd_lower is grid.lower and task.bd_upper is grid.upper
+        assert task.grid_resolution is grid.resolution
+        assert grid.total_cells == 25 and grid.lower.tolist() == [-10.24, -10.24]
+
+    def test_a_task_keeps_none_of_its_callers_arrays(self):
+        lower, upper, resolution = np.full(2, -1.0), np.full(2, 1.0), np.array([3, 3])
+        task = dataclasses.replace(
+            make_task("sphere", dim=4), bd_lower=lower, bd_upper=upper, grid_resolution=resolution
+        )
+        lower[0], upper[0], resolution[0] = -5.0, 5.0, 7
+        assert (task.bd_lower.tolist(), task.bd_upper.tolist(), task.grid_resolution.tolist()) == (
+            [-1.0, -1.0], [1.0, 1.0], [3, 3]
+        )
+
+    @pytest.mark.parametrize(
+        "duplicate", [lambda task: pickle.loads(pickle.dumps(task)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_a_copied_task_is_read_only_again(self, duplicate):
+        """numpy drops the read-only flag on unpickling, so a task pickles
+        its constructor's arguments and is built, checked and frozen again."""
+        task = make_task("rastrigin_proj", dim=5, resolution=7, sigma0=0.3)
+        twin = duplicate(task)
+        assert twin is not task and twin.grid() is not task.grid()
+        for name in ("bd_lower", "bd_upper", "grid_resolution"):
+            assert not getattr(twin, name).flags.writeable
+            assert getattr(twin, name).tolist() == getattr(task, name).tolist()
+        assert twin.grid().lower is twin.bd_lower and not twin.grid().widths.flags.writeable
+        for field in dataclasses.fields(task):
+            if field.name not in ("bd_lower", "bd_upper", "grid_resolution"):
+                assert getattr(twin, field.name) == getattr(task, field.name)
 
     def test_tasks_compare_and_hash_by_identity(self):
         """Their bound arrays have no truth value, so a generated ``==``
