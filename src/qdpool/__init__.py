@@ -26,7 +26,6 @@ from qdpool.engine import (
     Engine,
     RunConfig,
     RunResult,
-    build_pool,
     run,
     run_many,
     variant_composition,
@@ -69,7 +68,6 @@ __all__ = [
     "UcbScheduler",
     "UniformScheduler",
     "VARIANT_NAMES",
-    "build_pool",
     "cell_index",
     "cell_indices",
     "evaluate_batch",

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from qdpool import engine, metrics
+from qdpool._counts import count
 from qdpool.scheduler import GRANULARITIES
 from qdpool.tasks import (
     DEFAULT_DIM,
@@ -215,8 +216,10 @@ def parse_config(flags: dict, config_path: str | None = None) -> ExperimentConfi
     repeated = sorted({v for v in cfg.variants if cfg.variants.count(v) > 1})
     if repeated:
         raise ConfigError(f"variants: {', '.join(repeated)} given more than once")
-    if cfg.replications < 1:
-        raise ConfigError("replications: must be at least 1")
+    try:
+        cfg.replications = count("replications", cfg.replications, 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _plan(cfg)
     return cfg
 

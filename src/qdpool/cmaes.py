@@ -45,6 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
+from qdpool._counts import count
+
 
 @dataclass(frozen=True, eq=False)
 class CmaesParams:
@@ -72,10 +74,7 @@ class CmaesParams:
         """The default constants for ``(dim, lam)``, computed once per pair;
         every caller shares the returned object, whose ``weights`` array is
         read-only."""
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        if lam < 2:
-            raise ValueError("population size must be at least 2")
+        dim, lam = count("dim", dim, 1), count("lam", lam, 2)
         mu = lam // 2
         raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
         weights = raw / raw.sum()
@@ -114,7 +113,8 @@ class CmaesState:
             raise ValueError("mean0 must be a finite 1-D vector")
         if not 0 < sigma0 < math.inf:
             raise ValueError("sigma0 must be positive and finite")
-        self.params = CmaesParams.defaults(len(mean0), lam)
+        # checked before the cache, which answers lam=4.0 with lam=4's entry
+        self.params = CmaesParams.defaults(len(mean0), count("lam", lam, 2))
         self.mean = mean0
         self.sigma = float(sigma0)
         self.sigma0 = float(sigma0)

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from qdpool._counts import count
 from qdpool.archive import IMPROVED_CODE, NEW_CODE, Archive
 from qdpool.cmaes import CmaesState
 from qdpool.tasks import TaskSpec, clip_genotype
@@ -79,10 +80,8 @@ class Emitter:
     kind: EmitterKind
 
     def __init__(self, emitter_id: int, batch_size: int):
-        if batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        self.id = int(emitter_id)
-        self.batch_size = int(batch_size)
+        self.id = count("emitter_id", emitter_id, 0)
+        self.batch_size = count("batch_size", batch_size, 2)
 
     def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
         raise NotImplementedError

@@ -26,7 +26,6 @@ not depend on which process ran it.
 from __future__ import annotations
 
 import itertools
-import numbers
 import os
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -35,6 +34,7 @@ from typing import TypeVar
 
 import numpy as np
 
+from qdpool._counts import count
 from qdpool.archive import REJECTED_CODE, Archive, cell_indices
 from qdpool.emitters import EMITTER_CLASSES, Emitter, EmitterKind
 from qdpool.metrics import GenerationRecord, snapshot
@@ -65,18 +65,6 @@ def variant_composition(variant: str, slots: int) -> dict[EmitterKind, int]:
     return {kind: slots // sharing for kind in kinds}
 
 
-def build_pool(composition: dict[EmitterKind, int], batch_size: int) -> list[Emitter]:
-    """Instantiates the emitter pool with stable ids: kinds in canonical
-    enum order, instances of a kind consecutive."""
-    emitters: list[Emitter] = []
-    for kind in EmitterKind:
-        for _ in range(int(composition.get(kind, 0))):
-            emitters.append(EMITTER_CLASSES[kind](len(emitters), batch_size))
-    if not emitters:
-        raise ValueError("pool composition is empty")
-    return emitters
-
-
 @dataclass
 class RunConfig:
     """Everything that determines a single run (together with nothing
@@ -102,28 +90,26 @@ class RunConfig:
     pool_composition: dict[EmitterKind, int] | None = None
 
     def __post_init__(self):
-        # the fields that count or seed something: a float is refused, not truncated
-        for name in (
-            "generations", "slots", "batch_per_emitter", "init_samples", "seed", "window",
-            "metrics_every", "threads",
+        for name, least in (
+            ("generations", 1), ("slots", 1), ("batch_per_emitter", 2), ("init_samples", 1),
+            ("seed", 0), ("window", 1), ("metrics_every", 1), ("threads", 1),
         ):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("generations", "slots", "init_samples", "metrics_every", "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.batch_per_emitter < 2:
-            raise ValueError("batch_per_emitter must be at least 2")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            setattr(self, name, count(name, getattr(self, name), least))
         build_scheduler(self)
 
 
 def build_scheduler(config: RunConfig) -> UcbScheduler:
     """A fresh pool for ``config`` (its ``pool_composition``, else its
-    variant's) under the :class:`UcbScheduler` that fills its slots."""
+    variant's) under the :class:`UcbScheduler` that fills its slots.  The
+    pool holds the kinds in canonical enum order, the instances of a kind
+    consecutive, with ids 0, 1, ... in that order."""
     composition = config.pool_composition or variant_composition(config.variant, config.slots)
-    pool = build_pool(composition, config.batch_per_emitter)
+    pool: list[Emitter] = []
+    for kind in EmitterKind:
+        for _ in range(count(f"pool_composition[{kind}]", composition.get(kind, 0), 0)):
+            pool.append(EMITTER_CLASSES[kind](len(pool), config.batch_per_emitter))
+    if not pool:
+        raise ValueError("pool composition is empty")
     return UcbScheduler(pool, config.slots, config.zeta, config.window, config.stats_granularity)
 
 
@@ -156,9 +142,9 @@ class Engine:
     the free slots, new emitters are activated, the active emitters
     generate their batches against the frozen archive with one
     :meth:`Emitter.generate_batch` call per family (active emitters are in
-    ascending id order and :func:`build_pool` numbers kinds in canonical
-    order, so each family is one contiguous run and the rows stay in
-    (slot, sample) order), the whole generation is evaluated (the only
+    ascending id order and :func:`build_scheduler` numbers kinds in
+    canonical order, so each family is one contiguous run and the rows stay
+    in (slot, sample) order), the whole generation is evaluated (the only
     parallel region), binned and inserted by one
     :meth:`Archive.insert_batch` whose outcome equals sequential insertion
     in (slot, sample) order, each family absorbs its rows of the outcome

@@ -215,8 +215,8 @@ def rank_sum_compare(a, b) -> tuple[float, float]:
         count_le = 0
         count_ge = 0
         eps = 1e-12
-        for combo in itertools.combinations(range(n + m), n):
-            ws = ranks[list(combo)].sum()
+        # every rank is a whole or half integer, so each sum is exact
+        for ws in map(sum, itertools.combinations(ranks.tolist(), n)):
             count_le += ws <= w + eps
             count_ge += ws >= w - eps
         p = min(1.0, 2.0 * min(count_le, count_ge) / total)

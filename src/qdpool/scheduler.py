@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from qdpool._counts import count
 from qdpool.emitters import Emitter
 
 GRANULARITIES = ("instance", "kind")
@@ -32,9 +33,7 @@ class BanditStats:
     """
 
     def __init__(self, keys, window: int):
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.window = int(window)
+        self.window = count("window", window, 1)
         self._arm = {key: i for i, key in enumerate(dict.fromkeys(keys))}
         try:
             self._table = np.zeros((self.window, len(self._arm), 2), dtype=np.int64)
@@ -91,12 +90,10 @@ class UniformScheduler:
     that :class:`UcbScheduler` inherits."""
 
     def __init__(self, emitters: list[Emitter], slots: int):
-        if slots < 1:
-            raise ValueError("need at least one active slot")
-        if slots > len(emitters):
+        self.slots = count("slots", slots, 1)
+        if self.slots > len(emitters):
             raise ValueError("pool must hold at least as many emitters as slots")
         self.emitters = list(emitters)
-        self.slots = int(slots)
         self._active_ids: set[int] = set()
 
     @property

@@ -12,11 +12,11 @@ solutions outside that reference region clamp to 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from qdpool._counts import count
 from qdpool.archive import GridSpec
 
 TASK_NAMES = ("rastrigin_proj", "rastrigin_multi", "sphere", "redundant_arm")
@@ -106,10 +106,9 @@ def make_task(
     """
     if name not in TASK_NAMES:
         raise ValueError(f"unknown task {name!r}, expected one of {TASK_NAMES}")
-    if not isinstance(dim, numbers.Integral):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    if dim < 2:
-        raise ValueError("dim must be at least 2 (descriptors read two components)")
+    dim = count("dim", dim, 2)  # the descriptors read two components
+    if np.shape(resolution) not in ((), (2,)):
+        raise ValueError(f"resolution must be one integer or two, got {resolution!r}")
     half = dim // 2
     proj_extent = np.array([_REF_BOUND * half, _REF_BOUND * (dim - half)])
 

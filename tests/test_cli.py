@@ -105,6 +105,16 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match=key.split("_")[0]):
             cli.parse_config({key: value})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_a_non_integer_replications_is_a_config_error(self, tmp_path, value):
+        """``replications=2.5`` used to raise a bare ``TypeError`` from
+        ``range``; a numpy integer is taken as an ``int``."""
+        flags = small_flags(tmp_path / "out")
+        with pytest.raises(cli.ConfigError, match=f"^replications must be an integer, got {value}$"):
+            cli.parse_config({**flags, "replications": value})
+        cfg = cli.parse_config({**flags, "replications": np.int64(2)})
+        assert type(cfg.replications) is int and cfg.replications == 2
+
     def test_config_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(

@@ -76,6 +76,30 @@ class TestParams:
         with pytest.raises(ValueError):
             CmaesState(np.array([np.nan, 0.0]), sigma0=0.5, lam=4)
 
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("lam", lambda v: CmaesState(np.zeros(3), 0.5, v).params),
+            ("lam", lambda v: CmaesParams.defaults(3, v)),
+            ("dim", lambda v: CmaesParams.defaults(v, 6)),
+        ],
+        ids=["state-lam", "defaults-lam", "defaults-dim"],
+    )
+    def test_counts_are_ints_or_refused_by_name(self, name, build):
+        """``CmaesState(np.zeros(3), 0.5, 4.5)`` used to be accepted and to
+        sample with a float population."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 4.5$"):
+            build(4.5)
+        params = build(np.int64(4))
+        assert type(getattr(params, name)) is int and getattr(params, name) == 4
+
+    def test_lam_is_checked_before_the_cache(self):
+        """``defaults`` caches by value and ``4.0 == 4``, so after
+        ``defaults(3, 4)`` a check inside it would not see ``lam=4.0``."""
+        CmaesParams.defaults(3, 4)
+        with pytest.raises(ValueError, match="^lam must be an integer, got 4.0$"):
+            CmaesState(np.zeros(3), 0.5, 4.0)
+
 
 def test_init_state_is_definitional():
     state = CmaesState(np.array([1.0, 1.0]), sigma0=0.5, lam=10)

@@ -411,6 +411,19 @@ class TestFinishGeneration:
             finish(emitter, *outcome(np.zeros(50), added=False))
 
 
+@pytest.mark.parametrize("name, attribute", [("emitter_id", "id"), ("batch_size", "batch_size")])
+def test_counts_are_ints_or_refused_by_name(name, attribute):
+    """``RandomEmitter(0, 2.5)`` used to get a batch of 2; a negative id
+    is refused too."""
+    counts = {"emitter_id": 3, "batch_size": 4}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+        RandomEmitter(**{**counts, name: 2.5})
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        RandomEmitter(**{**counts, name: -1})
+    value = getattr(RandomEmitter(**{**counts, name: np.int64(5)}), attribute)
+    assert type(value) is int and value == 5
+
+
 def test_kind_enum_is_exactly_four():
     assert [k.value for k in EmitterKind] == [
         "optimising",

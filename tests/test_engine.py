@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import threading
 import weakref
 from collections import Counter
@@ -20,7 +21,7 @@ from qdpool.emitters import EMITTER_CLASSES, EmitterKind
 from qdpool.engine import (
     Engine,
     RunConfig,
-    build_pool,
+    build_scheduler,
     process_count,
     run,
     run_many,
@@ -60,7 +61,7 @@ class TestConfigAndPool:
             variant_composition("me-map-elites-uniform", 10)
 
     def test_pool_ids_follow_kind_order(self):
-        pool = build_pool(variant_composition("me-map-elites-ucb", 3), 5)
+        pool = build_scheduler(small_config(slots=3)).emitters
         assert len(pool) == 12
         assert [e.id for e in pool] == list(range(12))
         kinds = [e.kind for e in pool]
@@ -104,6 +105,18 @@ class TestConfigAndPool:
             small_config(**{name: 4.0})
         config = small_config(**{name: np.int64(4)})
         assert getattr(config, name) == 4
+
+    @pytest.mark.parametrize("kind", list(EmitterKind))
+    def test_a_pool_count_is_an_int_or_refused_by_name(self, kind):
+        """``pool_composition={EmitterKind.RANDOM: 4.7}`` used to build 4
+        emitters, and a negative count none."""
+        name = re.escape(f"pool_composition[{kind}]")
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 4.7$"):
+            small_config(pool_composition={kind: 4.7})
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0$"):
+            small_config(pool_composition={**dict.fromkeys(EmitterKind, 4), kind: -1})
+        config = small_config(pool_composition={kind: np.int64(4)})
+        assert [e.kind for e in build_scheduler(config).emitters] == [kind] * 4
 
     def test_configs_and_results_compare_without_raising(self):
         """A config is equal when its fields match and its task is the

@@ -225,6 +225,24 @@ class TestUcbScheduler:
             BanditStats(["a"], window=0)
 
 
+@pytest.mark.parametrize("scheduler", [UniformScheduler, UcbScheduler])
+def test_slots_are_an_int_or_refused_by_name(scheduler):
+    """``UniformScheduler(pool, 2.5)`` used to fill 2 slots."""
+    with pytest.raises(ValueError, match="^slots must be an integer, got 2.5$"):
+        make_scheduler(scheduler, make_pool(4), 2.5)
+    slots = make_scheduler(scheduler, make_pool(4), np.int64(3)).slots
+    assert type(slots) is int and slots == 3
+
+
+@pytest.mark.parametrize("window", [2.5, 2.0])
+def test_a_window_is_an_int_or_refused_by_name(window):
+    """``BanditStats([0, 1], 2.5)`` used to keep a window of 2."""
+    with pytest.raises(ValueError, match=f"^window must be an integer, got {window}$"):
+        BanditStats([0, 1], window)
+    stats = BanditStats([0, 1], np.int64(3))
+    assert type(stats.window) is int and stats.window == 3
+
+
 class TestUniformScheduler:
     @pytest.mark.parametrize("scheduler", [UniformScheduler, UcbScheduler])
     def test_constant_kind_mix(self, scheduler):

@@ -108,6 +108,22 @@ class TestTaskConstruction:
         with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be"):
             make_task("sphere", **{"dim": 4, "resolution": 5, **kwargs})
 
+    @pytest.mark.parametrize("dim", [np.int64(4), np.int32(4), np.uint8(4)], ids=["int64", "int32", "uint8"])
+    def test_a_numpy_integer_dim_is_held_as_an_int(self, dim):
+        """A numpy integer dim is taken (a float one is refused above) and
+        held as an ``int``."""
+        task = make_task("sphere", dim=dim, resolution=5)
+        assert type(task.dim) is int and task.dim == 4
+
+    @pytest.mark.parametrize(
+        "resolution", [(1, 2, 3), [5], [[5, 5]], np.full((2, 2), 5)], ids=["three", "one", "row", "square"]
+    )
+    def test_a_resolution_of_another_shape_is_refused_by_name(self, resolution):
+        """``resolution=(1, 2, 3)`` used to raise numpy's broadcast error,
+        which names no argument."""
+        with pytest.raises(ValueError, match="^resolution must be one integer or two, got "):
+            make_task("sphere", dim=4, resolution=resolution)
+
     def test_numpy_integer_sizes_are_taken(self):
         task = make_task("sphere", dim=np.int64(4), resolution=np.int32(3))
         assert (task.dim, task.grid().total_cells) == (4, 9)
