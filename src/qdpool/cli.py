@@ -213,6 +213,8 @@ def parse_config(flags: dict, config_path: str | None = None) -> ExperimentConfi
     cfg = ExperimentConfig(**values)
     if isinstance(cfg.variants, str):
         cfg.variants = [cfg.variants]
+    if not cfg.variants:
+        raise ConfigError("variants: none given")
     repeated = sorted({v for v in cfg.variants if cfg.variants.count(v) > 1})
     if repeated:
         raise ConfigError(f"variants: {', '.join(repeated)} given more than once")

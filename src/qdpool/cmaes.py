@@ -69,12 +69,16 @@ class CmaesParams:
     chi_n: float
 
     @classmethod
-    @functools.cache
     def defaults(cls, dim: int, lam: int) -> "CmaesParams":
         """The default constants for ``(dim, lam)``, computed once per pair;
         every caller shares the returned object, whose ``weights`` array is
-        read-only."""
-        dim, lam = count("dim", dim, 1), count("lam", lam, 2)
+        read-only.  Both counts are checked before the cache, which would
+        answer ``lam=4.0`` with ``lam=4``'s entry."""
+        return cls._build(count("dim", dim, 1), count("lam", lam, 2))
+
+    @classmethod
+    @functools.cache
+    def _build(cls, dim: int, lam: int) -> "CmaesParams":
         mu = lam // 2
         raw = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
         weights = raw / raw.sum()
@@ -113,8 +117,7 @@ class CmaesState:
             raise ValueError("mean0 must be a finite 1-D vector")
         if not 0 < sigma0 < math.inf:
             raise ValueError("sigma0 must be positive and finite")
-        # checked before the cache, which answers lam=4.0 with lam=4's entry
-        self.params = CmaesParams.defaults(len(mean0), count("lam", lam, 2))
+        self.params = CmaesParams.defaults(len(mean0), lam)
         self.mean = mean0
         self.sigma = float(sigma0)
         self.sigma0 = float(sigma0)

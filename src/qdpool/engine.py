@@ -65,14 +65,16 @@ def variant_composition(variant: str, slots: int) -> dict[EmitterKind, int]:
     return {kind: slots // sharing for kind in kinds}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a single run (together with nothing
     else): task, variant, loop sizes, scheduler knobs, and the seed.
 
     Construction builds the run's pool and scheduler once
-    (:func:`build_scheduler`), so their checks apply here too.  Only
-    :meth:`Engine.run` reads ``threads``.
+    (:func:`build_scheduler`), so their checks apply here too.  The
+    config is read-only, so no later assignment skips a check, and it
+    keeps its own copy of ``pool_composition``.  Only :meth:`Engine.run`
+    reads ``threads``.
     """
 
     task: TaskSpec
@@ -94,7 +96,9 @@ class RunConfig:
             ("generations", 1), ("slots", 1), ("batch_per_emitter", 2), ("init_samples", 1),
             ("seed", 0), ("window", 1), ("metrics_every", 1), ("threads", 1),
         ):
-            setattr(self, name, count(name, getattr(self, name), least))
+            object.__setattr__(self, name, count(name, getattr(self, name), least))
+        if self.pool_composition is not None:
+            object.__setattr__(self, "pool_composition", dict(self.pool_composition))
         build_scheduler(self)
 
 

@@ -1,12 +1,15 @@
 """Emitter-pool scheduling: a multi-play UCB1 bandit over a sliding
-window, built on the uniform round-robin policy's pool bookkeeping.
+window, and the uniform round-robin policy as that bandit with no
+feedback.
 
 The engine frees an emitter's slot in the generation that exhausts it
 and, at the start of the next, calls ``select()``, which fills every free
 slot.  The UCB policy scores every idle pool emitter by windowed success
 ratio plus an exploration bonus and picks the top scorers; arms with no
 selections inside the window score +infinity, so every instance is
-eventually retried.
+eventually retried.  Before any feedback every arm scores +infinity and
+ties break toward the lowest id, so a UCB scheduler that records nothing
+is round-robin: :class:`UniformScheduler` is exactly that.
 Statistics are tracked per emitter instance by default, with an optional
 per-kind sharing mode.  The engine schedules every variant with
 :class:`UcbScheduler`.
@@ -84,47 +87,7 @@ class BanditStats:
         return self.scores([key], zeta)[0]
 
 
-class UniformScheduler:
-    """Round-robin policy: terminated emitters are re-activated in
-    ascending id order.  It holds the pool and active-set bookkeeping
-    that :class:`UcbScheduler` inherits."""
-
-    def __init__(self, emitters: list[Emitter], slots: int):
-        self.slots = count("slots", slots, 1)
-        if self.slots > len(emitters):
-            raise ValueError("pool must hold at least as many emitters as slots")
-        self.emitters = list(emitters)
-        self._active_ids: set[int] = set()
-
-    @property
-    def active(self) -> list[Emitter]:
-        """Currently active emitters in ascending id (slot) order."""
-        return [e for e in self.emitters if e.id in self._active_ids]
-
-    def deactivate(self, emitter: Emitter) -> None:
-        self._active_ids.discard(emitter.id)
-
-    def _idle(self) -> tuple[list[Emitter], int]:
-        """Idle emitters in ascending id order, and the number of free
-        slots (never more than the idle count, since the pool holds at
-        least ``slots`` emitters)."""
-        idle = [e for e in self.emitters if e.id not in self._active_ids]
-        return idle, self.slots - len(self._active_ids)
-
-    def select(self) -> list[Emitter]:
-        """Fills every free slot with the lowest-id idle emitters, marks
-        them active and returns them; the caller is responsible for
-        calling ``activate`` on each."""
-        idle, free = self._idle()
-        chosen = idle[:free]
-        self._active_ids.update(e.id for e in chosen)
-        return chosen
-
-    def record_generation(self, counts: dict[int, tuple[int, int]]) -> None:
-        """Uniform policy keeps no statistics."""
-
-
-class UcbScheduler(UniformScheduler):
+class UcbScheduler:
     """Fills free emitter slots with the highest-UCB idle instances.
 
     Ties break toward the lowest emitter id, so runs are reproducible and
@@ -141,16 +104,28 @@ class UcbScheduler(UniformScheduler):
         window: int,
         stats_granularity: str,
     ):
-        super().__init__(emitters, slots)
+        self.slots = count("slots", slots, 1)
+        if self.slots > len(emitters):
+            raise ValueError("pool must hold at least as many emitters as slots")
         if not 0 <= zeta < math.inf:
             raise ValueError("zeta must be non-negative and finite")
         if stats_granularity not in GRANULARITIES:
             raise ValueError(f"stats_granularity must be one of {GRANULARITIES}")
+        self.emitters = list(emitters)
+        self._active_ids: set[int] = set()
         self.zeta = float(zeta)
         self._key_of = {
             e.id: (e.id if stats_granularity == "instance" else e.kind) for e in self.emitters
         }
         self.stats = BanditStats(self._key_of.values(), window)
+
+    @property
+    def active(self) -> list[Emitter]:
+        """Currently active emitters in ascending id (slot) order."""
+        return [e for e in self.emitters if e.id in self._active_ids]
+
+    def deactivate(self, emitter: Emitter) -> None:
+        self._active_ids.discard(emitter.id)
 
     def emitter_score(self, emitter: Emitter) -> float:
         return self.stats.score(self._key_of[emitter.id], self.zeta)
@@ -158,10 +133,12 @@ class UcbScheduler(UniformScheduler):
     def select(self) -> list[Emitter]:
         """Fills every free slot with the best idle emitters, marks them
         active and returns them best-first; the caller is responsible for
-        calling ``activate`` on each."""
-        idle, free = self._idle()
+        calling ``activate`` on each.  The pool holds at least ``slots``
+        emitters, so there are never fewer idle emitters than free slots."""
+        free = self.slots - len(self._active_ids)
         if free == 0:
             return []
+        idle = [e for e in self.emitters if e.id not in self._active_ids]
         scores = self.stats.scores([self._key_of[e.id] for e in idle], self.zeta)
         ranked = sorted(zip(idle, scores), key=lambda pair: (-pair[1], pair[0].id))
         chosen = [e for e, _ in ranked[:free]]
@@ -178,3 +155,18 @@ class UcbScheduler(UniformScheduler):
             prev = merged.get(key, (0, 0))
             merged[key] = (prev[0] + sel, prev[1] + succ)
         self.stats.record(merged)
+
+
+class UniformScheduler(UcbScheduler):
+    """Round-robin policy: UCB with no feedback.  Every arm keeps scoring
+    +infinity, so ``select`` fills free slots with the lowest-id idle
+    emitters in ascending order."""
+
+    def __init__(self, emitters: list[Emitter], slots: int):
+        super().__init__(emitters, slots, 0.0, 1, "instance")
+
+    # bound here too: the benchmark tracer wraps each class's own ``select``
+    select = UcbScheduler.select
+
+    def record_generation(self, counts: dict[int, tuple[int, int]]) -> None:
+        """Records nothing, so every arm stays untried."""

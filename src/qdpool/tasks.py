@@ -107,7 +107,11 @@ def make_task(
     if name not in TASK_NAMES:
         raise ValueError(f"unknown task {name!r}, expected one of {TASK_NAMES}")
     dim = count("dim", dim, 2)  # the descriptors read two components
-    if np.shape(resolution) not in ((), (2,)):
+    try:
+        shape = np.shape(resolution)
+    except ValueError:  # a ragged nesting has no shape
+        shape = None
+    if shape not in ((), (2,)):
         raise ValueError(f"resolution must be one integer or two, got {resolution!r}")
     half = dim // 2
     proj_extent = np.array([_REF_BOUND * half, _REF_BOUND * (dim - half)])

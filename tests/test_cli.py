@@ -80,6 +80,13 @@ class TestParseConfig:
             cli.parse_config(small_flags(tmp_path / "out", variants=["map-elites", "cma-me-opt", "map-elites"]))
         assert not (tmp_path / "out").exists()
 
+    def test_an_empty_variant_list_is_rejected_before_writing(self, tmp_path):
+        """``variants=[]`` used to run nothing and write a header-only
+        ``summary.csv``."""
+        with pytest.raises(cli.ConfigError, match="^variants: none given$"):
+            cli.parse_config(small_flags(tmp_path / "out", variants=[]))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key,value",
         [

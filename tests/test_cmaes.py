@@ -100,6 +100,18 @@ class TestParams:
         with pytest.raises(ValueError, match="^lam must be an integer, got 4.0$"):
             CmaesState(np.zeros(3), 0.5, 4.0)
 
+    @pytest.mark.parametrize(
+        "cold, message",
+        [((3, 4.0), "lam must be an integer, got 4.0"), ((3.0, 4), "dim must be an integer, got 3.0")],
+        ids=["lam", "dim"],
+    )
+    def test_defaults_refuses_a_float_count_after_its_int_is_cached(self, cold, message):
+        """``defaults(3, 4.0)`` used to return ``defaults(3, 4)``'s cached
+        entry once that existed, and to be refused on a cold cache."""
+        CmaesParams.defaults(3, 4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CmaesParams.defaults(*cold)
+
 
 def test_init_state_is_definitional():
     state = CmaesState(np.array([1.0, 1.0]), sigma0=0.5, lam=10)

@@ -118,6 +118,23 @@ class TestConfigAndPool:
         config = small_config(pool_composition={kind: np.int64(4)})
         assert [e.kind for e in build_scheduler(config).emitters] == [kind] * 4
 
+    @pytest.mark.parametrize(
+        "name", ["generations", "init_samples", "seed", "metrics_every", "threads", "pool_composition"]
+    )
+    def test_a_config_is_read_only(self, name):
+        """``config.metrics_every = 0`` used to be taken after the checks,
+        and ``Engine.step`` then divided by zero."""
+        config = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, 0)
+
+    def test_a_config_keeps_its_own_pool_composition(self):
+        composition = {EmitterKind.RANDOM: 4}
+        config = small_config(pool_composition=composition)
+        composition[EmitterKind.RANDOM] = 0
+        assert config.pool_composition == {EmitterKind.RANDOM: 4}
+        assert len(build_scheduler(config).emitters) == 4
+
     def test_configs_and_results_compare_without_raising(self):
         """A config is equal when its fields match and its task is the
         same object; a pickled copy holds another task, so it compares

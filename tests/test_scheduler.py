@@ -338,3 +338,31 @@ def test_select_ranks_as_one_score_per_idle_emitter(pool, data, zeta, window, gr
                 sched.deactivate(e)
         sched.record_generation(counts)
         recent = (recent + [[(key_of[i], sel, succ) for i, (sel, succ) in counts.items()]])[-window:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool=st.integers(1, 12), data=st.data())
+def test_uniform_is_round_robin_and_ucb_that_records_nothing(pool, data):
+    """Every ``select`` of ``UniformScheduler`` takes the lowest-id idle
+    emitters, ascending, as many as there are free slots, whatever was
+    deactivated or recorded before; a ``UcbScheduler`` fed no counts picks
+    the same emitters."""
+    slots = data.draw(st.integers(1, pool))
+    uniform = UniformScheduler(make_pool(pool), slots)
+    silent = UcbScheduler(make_pool(pool), slots, zeta=0.05, window=3, stats_granularity="instance")
+    active: set[int] = set()
+    for step in data.draw(st.lists(st.sampled_from(["select", "deactivate", "record"]), max_size=30)):
+        if step == "select":
+            expected = sorted(set(range(pool)) - active)[: slots - len(active)]
+            active.update(expected)
+            assert [e.id for e in uniform.select()] == expected
+            assert [e.id for e in silent.select()] == expected
+        elif step == "deactivate" and active:
+            emitter_id = data.draw(st.sampled_from(sorted(active)))
+            active.discard(emitter_id)
+            uniform.deactivate(uniform.emitters[emitter_id])
+            silent.deactivate(silent.emitters[emitter_id])
+        elif step == "record":
+            sel = data.draw(st.integers(0, 50))
+            uniform.record_generation({i: (sel, data.draw(st.integers(0, sel))) for i in active})
+        assert [e.id for e in uniform.active] == [e.id for e in silent.active] == sorted(active)

@@ -116,11 +116,14 @@ class TestTaskConstruction:
         assert type(task.dim) is int and task.dim == 4
 
     @pytest.mark.parametrize(
-        "resolution", [(1, 2, 3), [5], [[5, 5]], np.full((2, 2), 5)], ids=["three", "one", "row", "square"]
+        "resolution",
+        [(1, 2, 3), [5], [[5, 5]], np.full((2, 2), 5), [1, [2, 3]]],
+        ids=["three", "one", "row", "square", "ragged"],
     )
     def test_a_resolution_of_another_shape_is_refused_by_name(self, resolution):
         """``resolution=(1, 2, 3)`` used to raise numpy's broadcast error,
-        which names no argument."""
+        and ``[1, [2, 3]]`` its ragged-sequence error, neither of which
+        names an argument."""
         with pytest.raises(ValueError, match="^resolution must be one integer or two, got "):
             make_task("sphere", dim=4, resolution=resolution)
 
