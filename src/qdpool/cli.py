@@ -476,7 +476,6 @@ def main(argv=None) -> int:
         # on SIGPIPE" in the docs of Python's `signal` module)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return 0
 
 
 if __name__ == "__main__":

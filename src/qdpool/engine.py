@@ -107,7 +107,9 @@ def build_scheduler(config: RunConfig) -> UcbScheduler:
     variant's) under the :class:`UcbScheduler` that fills its slots.  The
     pool holds the kinds in canonical enum order, the instances of a kind
     consecutive, with ids 0, 1, ... in that order."""
-    composition = config.pool_composition or variant_composition(config.variant, config.slots)
+    composition = config.pool_composition
+    if composition is None:
+        composition = variant_composition(config.variant, config.slots)
     pool: list[Emitter] = []
     for kind in EmitterKind:
         for _ in range(count(f"pool_composition[{kind}]", composition.get(kind, 0), 0)):

@@ -18,8 +18,7 @@ per-kind sharing mode.  The engine schedules every variant with
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from collections import deque
 
 from qdpool._counts import count
 from qdpool.emitters import Emitter
@@ -30,44 +29,44 @@ GRANULARITIES = ("instance", "kind")
 class BanditStats:
     """Sliding-window (selections, successes) counts per arm.
 
-    A ``(window, arms, 2)`` integer table holds one row per generation;
-    each record overwrites the oldest row and moves an exact running
-    total by the difference, so its cost does not grow with the window.
+    A deque holds the last ``window`` recorded generations, each as its
+    ``(arm, selections, successes)`` entries, and exact Python-int sums
+    move by the generation each record adds and the one it drops.  A
+    window longer than the run simply counts every generation.
     """
 
     def __init__(self, keys, window: int):
         self.window = count("window", window, 1)
         self._arm = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        try:
-            self._table = np.zeros((self.window, len(self._arm), 2), dtype=np.int64)
-        except (MemoryError, ValueError) as exc:  # numpy raises ValueError past what intp can size
-            raise ValueError(f"window {self.window} is too large: {exc}") from exc
-        self._oldest = 0
-        self._totals = np.zeros((len(self._arm), 2), dtype=np.int64)
-        self._sums = self._totals.tolist()
+        self._rows: deque[list[tuple[int, int, int]]] = deque()
+        self._sums = [[0, 0] for _ in self._arm]
         self.total_selections = 0
 
     def record(self, counts: dict) -> None:
         """Records one generation of per-arm counts (missing arms count
-        as (0, 0)) over the oldest generation in the window.
+        as (0, 0)) and drops the oldest once more than ``window`` are held.
 
         Raises:
             ValueError: If a key is not an arm, or successes exceed
                 selections for any arm; nothing is recorded then.
         """
-        row = np.zeros_like(self._totals)
+        row = []
         for key, (sel, succ) in counts.items():
             if key not in self._arm:
                 raise ValueError(f"counts for unknown arm {key!r}")
             if sel < 0 or succ < 0 or succ > sel:
                 raise ValueError(f"need 0 <= successes <= selections, got ({sel}, {succ})")
-            row[self._arm[key]] = sel, succ
-        self._totals += row
-        self._totals -= self._table[self._oldest]
-        self._table[self._oldest] = row
-        self._oldest = (self._oldest + 1) % self.window
-        self._sums = self._totals.tolist()
-        self.total_selections = sum(sel for sel, _ in self._sums)
+            row.append((self._arm[key], int(sel), int(succ)))
+        self._rows.append(row)
+        self._add(row, 1)
+        if len(self._rows) > self.window:
+            self._add(self._rows.popleft(), -1)
+
+    def _add(self, row: list[tuple[int, int, int]], sign: int) -> None:
+        for arm, sel, succ in row:
+            self._sums[arm][0] += sign * sel
+            self._sums[arm][1] += sign * succ
+            self.total_selections += sign * sel
 
     def scores(self, keys, zeta: float) -> list[float]:
         """UCB1 values of several arms in one pass, with one log of the

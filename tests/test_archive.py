@@ -124,6 +124,32 @@ def test_descriptors_near_the_float_maximum_bin_to_the_edge(spec, descriptor, ce
         assert cell_indices(np.array([descriptor]), spec).tolist() == [cell]
 
 
+@pytest.mark.parametrize("bound, resolution, cell", [(3.0, 12, 6 * 12 + 11), (256.0, 100, 50 * 100 + 99)])
+def test_the_float_just_below_the_upper_bound_bins_into_the_last_cell(bound, resolution, cell):
+    """On these grids ``(x - lower) / width`` rounds up to ``resolution``
+    for the largest float below ``upper``; both binnings still give the
+    last cell of that axis."""
+    spec = GridSpec(np.full(2, -bound), np.full(2, bound), np.full(2, resolution))
+    descriptor = np.array([0.0, np.nextafter(bound, -np.inf)])
+    assert cell_index(descriptor, spec) == cell_indices(descriptor[None], spec)[0] == cell
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    axes=st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.integers(1, 1000)), min_size=1, max_size=3
+    )
+)
+def test_descriptors_just_below_the_upper_bounds_bin_inside_the_grid(axes):
+    lower, span, resolution = (np.array(column) for column in zip(*axes))
+    spec = GridSpec(lower, lower + span, resolution)
+    descriptor = np.nextafter(spec.upper, -np.inf)
+    flat = cell_index(descriptor, spec)
+    assert flat == cell_indices(descriptor[None], spec)[0]
+    assert flat == reference_cell_index(descriptor, spec.lower, spec.upper, spec.resolution)
+    assert 0 <= flat < spec.total_cells
+
+
 def test_cell_index_rejects_non_finite(spec):
     with pytest.raises(ValueError):
         cell_index(np.array([np.nan, 0.0]), spec)

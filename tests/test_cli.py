@@ -80,6 +80,13 @@ class TestParseConfig:
             cli.parse_config(small_flags(tmp_path / "out", variants=["map-elites", "cma-me-opt", "map-elites"]))
         assert not (tmp_path / "out").exists()
 
+    def test_a_single_variant_name_plans_that_variant(self, tmp_path):
+        """A config may name one variant as a string rather than a list."""
+        cfg = cli.parse_config(small_flags(tmp_path / "out", variants="map-elites", replications=1))
+        assert cfg.variants == ["map-elites"]
+        assert cli.run_experiment(cfg, echo=collect_echo([])) == 0
+        assert [p.name for p in (tmp_path / "out" / "rastrigin_multi").iterdir()] == ["map-elites"]
+
     def test_an_empty_variant_list_is_rejected_before_writing(self, tmp_path):
         """``variants=[]`` used to run nothing and write a header-only
         ``summary.csv``."""
@@ -467,33 +474,18 @@ class TestMainEntry:
         assert cli.main(["run", *small, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate the per-cell arrays of 100 cells\n"
 
-    @pytest.mark.parametrize(
-        "window, refused", [(10**12, True), (2**62, False)], ids=["refused-by-the-machine", "beyond-what-numpy-sizes"]
-    )
-    def test_a_window_too_large_to_allocate_is_a_config_error(self, window, refused, tmp_path, monkeypatch, capsys):
-        """A window whose count table the machine refuses, or numpy cannot
-        size, is one config error line that names ``window``; nothing is
-        written and no process is started.  The refusal is simulated:
-        whether 29 TiB is refused depends on the kernel's overcommit policy."""
-        if refused:
-            zeros = np.zeros
-
-            def refusing_zeros(shape, *args, **kwargs):
-                if isinstance(shape, tuple) and shape[:1] == (window,):
-                    raise MemoryError(f"Unable to allocate an array with shape {shape}")
-                return zeros(shape, *args, **kwargs)
-
-            monkeypatch.setattr(np, "zeros", refusing_zeros)
-        set_cores(monkeypatch, 4)
-        forks = count_forks(monkeypatch)
-        out = tmp_path / "out"
-        small = ["--task", "sphere", "--dim", "4", "--resolution", "5", "--generations", "2", "--variant", "map-elites"]
-        small += ["--slots", "2", "--batch", "4", "--init-samples", "10", "--replications", "2"]
-        assert cli.main(["run", *small, "--window", str(window), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: window {window} is too large: ") and err.count("\n") == 1
-        assert forks == []
-        assert not out.exists()
+    def test_a_window_longer_than_the_run_counts_every_generation(self, tmp_path):
+        """Nothing is sized by ``window``: a window of 10**12 generations
+        runs and writes the same tree as any other window longer than the
+        run, while a short window changes the selections."""
+        small = ["--task", "sphere", "--dim", "6", "--resolution", "10", "--generations", "40"]
+        small += ["--variant", "me-map-elites-ucb", "--slots", "4", "--batch", "4", "--init-samples", "10"]
+        trees = {}
+        for window in ("1000000000000", "100000", "3"):
+            out = tmp_path / window
+            assert cli.main(["run", *small, "--replications", "2", "--window", window, "--out", str(out)]) == 0
+            trees[window] = tree_bytes(out)
+        assert trees["1000000000000"] == trees["100000"] != trees["3"]
 
     def test_config_error_exits_2(self, capsys):
         status = cli.main(["run", "--task", "sphere", "--replications", "0"])

@@ -118,6 +118,13 @@ class TestConfigAndPool:
         config = small_config(pool_composition={kind: np.int64(4)})
         assert [e.kind for e in build_scheduler(config).emitters] == [kind] * 4
 
+    @pytest.mark.parametrize("composition", [{}, {EmitterKind.RANDOM: 0}], ids=["no-kinds", "zero-emitters"])
+    def test_an_empty_pool_composition_is_refused(self, composition):
+        """``pool_composition={}`` used to be taken as absent, so the run
+        silently used its variant's pool."""
+        with pytest.raises(ValueError, match="^pool composition is empty$"):
+            small_config(pool_composition=composition)
+
     @pytest.mark.parametrize(
         "name", ["generations", "init_samples", "seed", "metrics_every", "threads", "pool_composition"]
     )

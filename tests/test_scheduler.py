@@ -1,6 +1,7 @@
 """Bandit statistics and emitter-slot scheduling tests."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -43,6 +44,30 @@ def assert_windowed(stats, sums):
     assert stats.total_selections == total
     for zeta in (0.0, 1.0):
         assert stats.scores(list(sums), zeta) == [ucb1(sel, succ, total, zeta) for sel, succ in sums.values()]
+
+
+def assert_matches_the_window_list(stats, keys, generations, rng):
+    """Records ``generations`` random count dicts over the arms ``keys``
+    into ``stats`` and checks it after each against an oracle: the last
+    ``window`` count dicts, kept in a plain list, summed per key into
+    Python ints, and UCB1 scored with ``math``."""
+    history = []
+    for _ in range(generations):
+        counts = {}
+        for key in keys:
+            if rng.uniform() < 0.6:
+                sel = int(rng.integers(0, 60))
+                counts[key] = (sel, int(rng.integers(0, sel + 1)))
+        stats.record(counts)
+        history = (history + [counts])[-stats.window:]
+        total = sum(sel for gen in history for sel, _ in gen.values())
+        assert stats.total_selections == total and type(stats.total_selections) is int
+        sums = {key: tuple(sum(gen.get(key, (0, 0))[i] for gen in history) for i in (0, 1)) for key in keys}
+        assert_windowed(stats, sums)
+        for zeta in (0.0, 0.05, 1.3):
+            expected = [ucb1(sel, succ, total, zeta) for sel, succ in sums.values()]
+            assert stats.scores(keys, zeta) == expected
+            assert [stats.score(key, zeta) for key in keys] == expected
 
 
 class TestBanditStats:
@@ -111,32 +136,22 @@ class TestBanditStats:
             twin.record(counts)
 
     def test_sums_and_scores_match_the_window_list(self):
-        """Oracle: the last ``window`` count dicts, kept in a plain list,
-        summed per key into Python ints, and UCB1 scored with ``math``."""
-        keys = list(range(5))
         rng = np.random.default_rng(0)
         for window in (1, 2, 7, 50, 300):
-            stats = BanditStats(keys, window=window)
-            history = []
-            for _ in range(3 * window + 20):
-                counts = {}
-                for key in keys:
-                    if rng.uniform() < 0.6:
-                        sel = int(rng.integers(0, 60))
-                        counts[key] = (sel, int(rng.integers(0, sel + 1)))
-                stats.record(counts)
-                history = (history + [counts])[-window:]
-                total = sum(sel for gen in history for sel, _ in gen.values())
-                assert stats.total_selections == total and type(stats.total_selections) is int
-                sums = {
-                    key: tuple(sum(gen.get(key, (0, 0))[i] for gen in history) for i in (0, 1))
-                    for key in keys
-                }
-                assert_windowed(stats, sums)
-                for zeta in (0.0, 0.05, 1.3):
-                    expected = [ucb1(sel, succ, total, zeta) for sel, succ in sums.values()]
-                    assert stats.scores(keys, zeta) == expected
-                    assert [stats.score(key, zeta) for key in keys] == expected
+            assert_matches_the_window_list(BanditStats(range(5), window), range(5), 3 * window + 20, rng)
+
+    def test_a_window_longer_than_any_run_reserves_nothing(self):
+        """The window holds the generations recorded, not ``window`` rows:
+        a window of ``10**12`` generations over 48 arms takes a few
+        kilobytes, and counts every generation of a 200-generation run."""
+        tracemalloc.start()
+        try:
+            stats = BanditStats(range(48), 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+        assert_matches_the_window_list(stats, range(48), 200, np.random.default_rng(1))
 
 
 class TestUcbScheduler:
