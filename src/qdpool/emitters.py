@@ -11,15 +11,11 @@ operator, with the fixed gains :data:`SIGMA_ISO` and :data:`SIGMA_LINE`,
 between random elites and carries no internal state at all.
 
 Generation and update are batched per family (the three CMA-ES kinds,
-or the line operator).  :meth:`Emitter.generate_batch` is the only way to
-generate: it produces the batches of several emitters of one family in
-one vectorized pass, with every emitter drawing from its own generator in
-the order given.  One emitter's batch is
-``emitter.generate_batch([emitter], archive, task, [rng])``.
-:meth:`Emitter.update_batch` absorbs the family's insertion outcome, one
-``CmaesState.tell`` for every CMA-ES emitter of the family, and returns
-each emitter's reason to stop; :meth:`Emitter.finish_generation` then
-ends each emitter's generation with its reason.
+or the line operator), through the family's own class: every emitter of a
+family draws from its own generator in the order given, and one
+emitter's batch is ``type(emitter).generate_batch([emitter], archive,
+task, [rng])``.  :class:`Emitter` states the lifecycle every family
+implements.
 
 Emitters only ever read the archive; insertion is the engine's job.
 """
@@ -27,12 +23,11 @@ Emitters only ever read the archive; insertion is the engine's job.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from qdpool._counts import count
-from qdpool.archive import IMPROVED_CODE, NEW_CODE, Archive
+from qdpool.archive import IMPROVED_CODE, NEW_CODE, Archive, EmptyArchiveError
 from qdpool.cmaes import CmaesState
 from qdpool.tasks import TaskSpec, clip_genotype
 
@@ -67,14 +62,24 @@ SIGMA_LINE = 0.1
 
 
 class Emitter:
-    """Base class with the shared lifecycle contract.
+    """An emitter of the pool; its family's class implements the lifecycle.
 
-    Subclasses implement ``activate`` (reset internal state from a random
-    elite), ``generate_batch`` (produce ``batch_size`` in-bounds genotypes
-    for each emitter of a family), ``update_batch`` (absorb each emitter's
-    slice of the insertion outcome, give each emitter's reason to stop),
-    and ``finish_generation`` (end one emitter's generation with its
-    reason, report exhaustion).
+    * ``activate(archive, task, rng)`` resets the emitter's internal
+      state, drawing from ``rng`` only, before it generates again.
+    * ``generate_batch(emitters, archive, task, rngs)``, a static method,
+      returns the batches of ``emitters``, all of this family and of one
+      batch size, as one ``(len(emitters) * batch_size, task.dim)`` array
+      of in-bounds genotypes stacked row-wise in the order given; emitter
+      ``i`` draws from ``rngs[i]`` only.
+    * ``update_batch(emitters, descriptors, fitness_norms, status,
+      improvement)``, a static method, absorbs the just-inserted batches of
+      ``emitters``, given row-wise in the same order as the descriptors,
+      normalized fitnesses and the per-sample ``status`` codes and
+      ``improvement`` values of :meth:`Archive.insert_batch`.  It returns
+      each emitter's reason to stop, or None for one that goes on.
+    * ``finish_generation(reason)`` ends this emitter's generation with
+      its reason from ``update_batch`` and returns whether the emitter is
+      exhausted, so that the engine returns it to the pool.
     """
 
     kind: EmitterKind
@@ -83,47 +88,13 @@ class Emitter:
         self.id = count("emitter_id", emitter_id, 0)
         self.batch_size = count("batch_size", batch_size, 2)
 
-    def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
-        raise NotImplementedError
-
-    @staticmethod
-    def generate_batch(
-        emitters: Sequence["Emitter"],
-        archive: Archive,
-        task: TaskSpec,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        """Generates the batches of ``emitters``, all of this family and
-        of one batch size, stacked row-wise in the order given; emitter
-        ``i`` draws from ``rngs[i]`` only."""
-        raise NotImplementedError
-
-    @staticmethod
-    def update_batch(
-        emitters: Sequence["Emitter"],
-        descriptors: np.ndarray,
-        fitness_norms: np.ndarray,
-        status: np.ndarray,
-        improvement: np.ndarray,
-    ) -> list[str | None]:
-        """Absorbs the just-inserted batches of ``emitters``, all of this
-        family and of one batch size, given row-wise in the order given as
-        the descriptors, normalized fitnesses and the per-sample ``status``
-        codes and ``improvement`` values of :meth:`Archive.insert_batch`.
-        Returns each emitter's reason to stop, or None for one that goes
-        on."""
-        raise NotImplementedError
-
-    def finish_generation(self, reason: str | None) -> bool:
-        """Ends this emitter's generation with its reason from
-        :meth:`update_batch` and reports whether the emitter is
-        exhausted."""
-        raise NotImplementedError
-
 
 class _CmaesEmitter(Emitter):
-    """Shared machinery for the three CMA-ES-driven kinds; each kind
-    defines ``batch_rewards``, the per-sample rewards fed to ``tell``.
+    """Shared machinery for the three CMA-ES-driven kinds.  Each kind
+    defines ``batch_rewards(descriptors, fitness_norms, status,
+    improvement)``: given its own rows of the arguments of
+    ``update_batch``, it returns one reward per sample, larger is better,
+    which ``update_batch`` feeds to ``tell``.
 
     ``cmaes`` holds the strategy from :meth:`activate` until
     :meth:`finish_generation` reports exhaustion, and is None otherwise:
@@ -149,12 +120,6 @@ class _CmaesEmitter(Emitter):
             raise RuntimeError("emitter must be activated before generating")
         raw = CmaesState.ask([e.cmaes for e in emitters], rngs)
         return clip_genotype(raw.reshape(-1, raw.shape[2]), task)
-
-    def batch_rewards(self, descriptors, fitness_norms, status, improvement) -> np.ndarray:
-        """The per-sample rewards of this emitter's just-inserted batch,
-        larger is better; the arguments are its rows of those of
-        :meth:`update_batch`."""
-        raise NotImplementedError
 
     @staticmethod
     def update_batch(emitters, descriptors, fitness_norms, status, improvement) -> list[str | None]:
@@ -261,7 +226,7 @@ class RandomEmitter(Emitter):
         generator, then scales the noises and applies the line operator to
         all rows at once."""
         if len(archive) == 0:
-            raise RuntimeError("cannot generate from an empty archive")
+            raise EmptyArchiveError("cannot generate from an empty archive")
         k, batch = len(emitters), emitters[0].batch_size
         picks = np.empty((k, batch, 2), dtype=np.int64)
         iso = np.empty((k, batch, task.dim))

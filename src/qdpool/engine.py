@@ -147,18 +147,19 @@ class Engine:
     The per-generation cycle is strictly ordered: the scheduler fills
     the free slots, new emitters are activated, the active emitters
     generate their batches against the frozen archive with one
-    :meth:`Emitter.generate_batch` call per family (active emitters are in
+    ``generate_batch`` call per family (active emitters are in
     ascending id order and :func:`build_scheduler` numbers kinds in
     canonical order, so each family is one contiguous run and the rows stay
     in (slot, sample) order), the whole generation is evaluated (the only
     parallel region), binned and inserted by one
     :meth:`Archive.insert_batch` whose outcome equals sequential insertion
     in (slot, sample) order, each family absorbs its rows of the outcome
-    in one :meth:`Emitter.update_batch` call (one CMA-ES update for the
-    family), each emitter ends its generation with its reason in one
-    :meth:`Emitter.finish_generation` call and returns to the pool at
-    once if that reports exhaustion, and finally the bandit statistics
-    are recorded.  :meth:`initialize` and :meth:`step` insert
+    in one ``update_batch`` call (one CMA-ES update for the family),
+    each emitter ends its generation with its reason in one
+    ``finish_generation`` call and returns to the pool at once if that
+    reports exhaustion, and finally the bandit statistics are recorded.
+    Each family is called through its own class; :class:`Emitter` states
+    the four calls.  :meth:`initialize` and :meth:`step` insert
     through the same :meth:`_insert`.  Only :meth:`run` starts evaluation
     threads, and joins them before it returns (:func:`run_many` forks on
     that); stepped by hand, an engine evaluates on the calling thread,

@@ -47,16 +47,19 @@ class BanditStats:
         as (0, 0)) and drops the oldest once more than ``window`` are held.
 
         Raises:
-            ValueError: If a key is not an arm, or successes exceed
-                selections for any arm; nothing is recorded then.
+            ValueError: If a key is not an arm, or a count is not an
+                integer of at least 0 or successes exceed selections for
+                any arm; nothing is recorded then.
         """
         row = []
         for key, (sel, succ) in counts.items():
             if key not in self._arm:
                 raise ValueError(f"counts for unknown arm {key!r}")
-            if sel < 0 or succ < 0 or succ > sel:
-                raise ValueError(f"need 0 <= successes <= selections, got ({sel}, {succ})")
-            row.append((self._arm[key], int(sel), int(succ)))
+            sel = count(f"selections[{key!r}]", sel, 0)
+            succ = count(f"successes[{key!r}]", succ, 0)
+            if succ > sel:
+                raise ValueError(f"need successes <= selections, got ({sel}, {succ})")
+            row.append((self._arm[key], sel, succ))
         self._rows.append(row)
         self._add(row, 1)
         if len(self._rows) > self.window:

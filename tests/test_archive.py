@@ -3,6 +3,7 @@
 import csv
 import io
 import pickle
+import re
 import warnings
 from copy import deepcopy
 
@@ -164,6 +165,28 @@ def test_grid_spec_validation():
         GridSpec(np.array([0.0, 0.0]), np.array([1.0]), np.array([4]))
     with pytest.raises(ValueError):
         GridSpec(np.array([0.0]), np.array([1.0]), np.array([0]))
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf]), ([-np.inf, 0.0], [1.0, 1.0])],
+    ids=["nan", "inf", "-inf"],
+)
+def test_a_grid_with_a_non_finite_bound_is_rejected(lower, upper):
+    with pytest.raises(ValueError, match="grid bounds must be finite"):
+        GridSpec(np.array(lower), np.array(upper), np.array([4, 4]))
+
+
+@pytest.mark.parametrize("descriptor", [np.zeros(3), np.zeros(1), np.zeros((1, 2))], ids=["3", "1", "1x2"])
+def test_cell_index_rejects_a_descriptor_of_another_shape(spec, descriptor):
+    with pytest.raises(ValueError, match=re.escape(f"descriptor has shape {descriptor.shape}, expected (2,)")):
+        cell_index(descriptor, spec)
+
+
+@pytest.mark.parametrize("descriptors", [np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)], ids=["4x3", "4x1", "2"])
+def test_cell_indices_rejects_a_batch_of_another_shape(spec, descriptors):
+    with pytest.raises(ValueError, match=r"descriptor batch has shape .*, expected \(m, 2\)"):
+        cell_indices(descriptors, spec)
 
 
 @pytest.mark.parametrize(
@@ -535,6 +558,18 @@ def test_read_csv_rejects_a_short_row(tmp_path, spec):
         Archive.read_csv(path, spec)
 
 
+def test_read_csv_rejects_a_row_that_bins_to_another_cell(tmp_path, spec):
+    archive = Archive(spec)
+    archive.add_attempt(make_elite(np.random.default_rng(0), bd=[-0.35, 0.2]))
+    path = tmp_path / "archive.csv"
+    archive.write_csv(path)
+    header, row = path.read_text().splitlines()
+    assert row.startswith("6,")
+    path.write_text(f"{header}\n7{row[1:]}\n")
+    with pytest.raises(ValueError, match="row for cell 7 does not bin to its own cell"):
+        Archive.read_csv(path, spec)
+
+
 @pytest.mark.parametrize(
     "field, value, match",
     [("fitness_norm", "1.5", r"fitness_norm must be in \[0, 1\]"),
@@ -765,6 +800,16 @@ def test_mutating_an_elite_outside_the_archive_changes_nothing_inside(tmp_path, 
         cell_indices(batch[1], spec), np.ones((1, 3)), batch[1], [0.75], [0.6]
     )
     assert status.tolist() == [AddStatus.IMPROVED] and improvement.tolist() == [0.6 - 0.55]
+
+
+@pytest.mark.parametrize("short", range(4), ids=["genotypes", "descriptors", "raw", "norm"])
+def test_insert_batch_rejects_arrays_of_unequal_length(spec, short):
+    args = [np.ones((2, 3)), np.zeros((2, 2)), [1.0, 2.0], [0.5, 0.6]]
+    args[short] = args[short][:1]
+    archive = Archive(spec)
+    with pytest.raises(ValueError, match="insert_batch arguments must have one entry per candidate"):
+        archive.insert_batch([0, 5], *args)
+    assert len(archive) == 0
 
 
 def test_insert_batch_rejects_nan_fitness(spec):

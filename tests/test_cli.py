@@ -610,6 +610,16 @@ class TestCompare:
         assert "task: sphere" in table
         assert "different" in table
 
+    def test_a_task_with_one_variant_gets_no_table(self, tmp_path):
+        """A lone variant has nothing to be compared with, however few its
+        values; the other tasks are compared as usual."""
+        rows = self.synthetic_rows({"map-elites": [1.0]}, task="arm")
+        rows += self.synthetic_rows({"map-elites": [1.0, 2.0, 3.0], "cma-me-opt": [4.0, 5.0, 6.0]})
+        lines = []
+        path = self.summary_file(tmp_path, rows)
+        assert cli.compare_summaries([path], metric="qd_score", alpha=0.05, echo=collect_echo(lines)) == 0
+        assert [line for line in lines if line.startswith("\ntask:")] == ["\ntask: sphere"]
+
     def test_median_of_an_even_count_is_the_mean_of_the_middle_two(self, tmp_path):
         path = self.summary_file(
             tmp_path,

@@ -81,6 +81,11 @@ class TestActivate:
         with pytest.raises(EmptyArchiveError):
             OptimisingEmitter(0, batch_size=50).activate(Archive(task.grid()), task, np.random.default_rng(0))
 
+    def test_line_operator_on_an_empty_archive_raises_the_archives_error(self, task):
+        """As a CMA-ES activation does through ``random_elite``."""
+        with pytest.raises(EmptyArchiveError, match="cannot generate from an empty archive"):
+            RandomEmitter.generate_batch([RandomEmitter(0, 8)], Archive(task.grid()), task, [np.random.default_rng(0)])
+
     def test_reactivation_resets_state(self, task, single_elite_archive):
         emitter = ImprovementEmitter(0, batch_size=8)
         rng = np.random.default_rng(1)

@@ -4,7 +4,9 @@ A refactor that must not change behaviour keeps every digest here.  A
 change that alters output bits on purpose re-records the digests it
 changes and says why.
 
-Recorded with Python 3.11.7 and numpy 2.4.6 (OpenBLAS 0.3.31).  The
+Recorded with Python 3.11.7, numpy 2.4.6 (OpenBLAS 0.3.31) and glibc
+2.36 (:data:`RECORDED_WITH`), whose libm gives the ``cos`` and ``sin``
+bits that the rastrigin and redundant_arm digests rest on.  The
 ``map-elites`` runs involve no BLAS or LAPACK call, so one set of their
 digests, ``MAP_ELITES``, holds under every OpenBLAS kernel.  The runs of
 the other five variants go through CMA-ES, whose matmuls and
@@ -24,7 +26,9 @@ The sets were recorded on a 2-core AVX-512 machine, whose OpenBLAS picks
 
 Each family's CMA-ES set differs from every other's.  ``Prescott`` runs a
 kernel named ``Katmai``, which has no set.  A kernel without a set fails
-the CMA-ES digests, naming itself.  Print the digests of the current code
+the CMA-ES digests.  A missing or differing set fails naming the
+running OpenBLAS kernel, numpy and C library beside those recorded.
+Print the digests of the current code
 under the running kernel with ``PYTHONPATH=src python tests/test_golden.py``
 (prefix ``OPENBLAS_CORETYPE=<kernel>`` to force one).  No set was recorded
 on an AVX2 machine, where OpenBLAS picks ``Haswell`` by itself; the test of
@@ -40,10 +44,12 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blas_kernel import openblas_corename
@@ -57,6 +63,9 @@ FILES = ("metrics.csv", "archive.csv", "emitter_mix.csv")
 # OpenBLAS core name -> its kernel family, oldest first: a CPU that runs a
 # family's kernel runs the kernels of every family before it too
 KERNEL_FAMILIES = {"Nehalem": "Nehalem", "Sandybridge": "Sandybridge", "Haswell": "AVX2", "SkylakeX": "AVX-512"}
+
+# what every digest set below was recorded with, besides its kernel
+RECORDED_WITH = "numpy 2.4.6, C library glibc 2.36"
 
 MAP_ELITES = {
     # (task, variant): (metrics.csv, archive.csv, emitter_mix.csv)
@@ -540,11 +549,21 @@ def digests(out_dir):
     return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in FILES)
 
 
+def platform_facts(core):
+    """The running facts a digest set rests on, beside those it was recorded with."""
+    libc = " ".join(filter(None, platform.libc_ver())) or "unknown"
+    return (
+        f"running OpenBLAS kernel {core}, numpy {np.__version__}, C library {libc}; "
+        f"sets recorded for kernels {', '.join(KERNEL_FAMILIES)} with {RECORDED_WITH}"
+    )
+
+
 def kernel_family(core):
     """The family of OpenBLAS kernel ``core``; a kernel without a digest set
-    fails the calling test and names itself."""
+    fails the calling test, naming the facts the sets rest on."""
     if core not in KERNEL_FAMILIES:
-        pytest.fail(f"no golden CMA-ES digests for OpenBLAS kernel {core!r}; record its family's set")
+        pytest.fail(f"no golden CMA-ES digests for OpenBLAS kernel {core!r}; record its family's set "
+                    f"({platform_facts(core)})")
     return KERNEL_FAMILIES[core]
 
 
@@ -552,9 +571,30 @@ def kernel_family(core):
 @pytest.mark.parametrize("task_name", TASK_NAMES)
 def test_golden_digests(task_name, variant, tmp_path):
     case = (task_name, variant)
-    expected = MAP_ELITES[case] if case in MAP_ELITES else CMA_ES[kernel_family(openblas_corename())][case]
+    core = openblas_corename()
+    expected = MAP_ELITES[case] if case in MAP_ELITES else CMA_ES[kernel_family(core)][case]
     write_tree(task_name, variant, tmp_path)
-    assert digests(tmp_path) == expected
+    assert digests(tmp_path) == expected, platform_facts(core)
+
+
+def test_a_kernel_without_a_set_fails_naming_what_the_sets_rest_on():
+    """``Prescott`` runs the ``Katmai`` kernel, for which no set was recorded."""
+    if openblas_corename() is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("no bundled x86-64 OpenBLAS whose kernel could be forced")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--no-header",
+         f"{__file__}::test_golden_digests[sphere-cma-me-opt]"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    libc = " ".join(filter(None, platform.libc_ver())) or "unknown"
+    assert (
+        f"no golden CMA-ES digests for OpenBLAS kernel 'Katmai'; record its family's set "
+        f"(running OpenBLAS kernel Katmai, numpy {np.__version__}, C library {libc}; "
+        f"sets recorded for kernels Nehalem, Sandybridge, Haswell, SkylakeX with {RECORDED_WITH})"
+    ) in proc.stdout, proc.stdout
 
 
 def test_sweep_digests(tmp_path):

@@ -110,6 +110,12 @@ def test_aggregate_csv_quartiles(tmp_path):
         write_aggregate_csv([reps[0], series([1.0])], tmp_path / "broken.csv")
 
 
+def test_aggregate_csv_needs_a_series(tmp_path):
+    with pytest.raises(ValueError, match="need at least one replication series"):
+        write_aggregate_csv([], tmp_path / "aggregate.csv")
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
 @st.composite
 def replicated_records(draw):
     """1-25 replications of the same few snapshots, holding what records

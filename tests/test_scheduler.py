@@ -111,6 +111,30 @@ class TestBanditStats:
         with pytest.raises(ValueError):
             stats.record({"a": (-1, 0)})
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [((2.5, 1), r"^selections\['a'\] must be an integer, got 2.5"),
+         ((2.0, 1), r"^selections\['a'\] must be an integer, got 2.0"),
+         ((3, 1.5), r"^successes\['a'\] must be an integer, got 1.5"),
+         ((-1, 0), r"^selections\['a'\] must be at least 0"),
+         ((3, -1), r"^successes\['a'\] must be at least 0"),
+         ((3, 4), r"^need successes <= selections, got \(3, 4\)")],
+        ids=["float-selections", "integral-float", "float-successes", "negative-selections",
+             "negative-successes", "more-successes"],
+    )
+    def test_a_bad_count_is_refused_by_name_and_records_nothing(self, counts, match):
+        stats = BanditStats(["a", "b"], window=3)
+        stats.record({"b": (4, 1)})
+        with pytest.raises(ValueError, match=match):
+            stats.record({"b": (2, 2), "a": counts})
+        assert_windowed(stats, {"a": (0, 0), "b": (4, 1)})
+
+    def test_numpy_integer_counts_are_recorded_as_ints(self):
+        stats = BanditStats(["a"], window=3)
+        stats.record({"a": (np.int64(7), np.uint8(3))})
+        assert_windowed(stats, {"a": (7, 3)})
+        assert type(stats.total_selections) is int
+
     def test_unknown_arm_is_rejected_before_recording(self):
         stats = BanditStats(["a", "b"], window=5)
         with pytest.raises(ValueError, match="'zz'"):

@@ -94,6 +94,12 @@ class TestTaskConstruction:
         with pytest.raises(ValueError, match="sigma0"):
             dataclasses.replace(task, sigma0=sigma0)
 
+    @pytest.mark.parametrize("worst_above_best", [0.0, 1.0], ids=["equal", "above"])
+    def test_task_built_without_make_task_checks_its_fitness_range(self, worst_above_best):
+        task = make_task("sphere", dim=4, resolution=5)
+        with pytest.raises(ValueError, match="fitness_worst_raw must be below fitness_best_raw"):
+            dataclasses.replace(task, fitness_worst_raw=task.fitness_best_raw + worst_above_best)
+
     def test_task_built_without_make_task_checks_its_grid(self):
         task = make_task("sphere", dim=4, resolution=5)
         with pytest.raises(ValueError, match="cells"):
