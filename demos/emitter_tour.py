@@ -3,11 +3,12 @@ A tour of the four emitter kinds
 ================================
 
 Each emitter turns archive state into a batch of candidates. Its family's
-`update_batch` then absorbs the batch's insertion outcome and gives each
-emitter its reason to stop, and `finish_generation` ends the emitter's
-generation with that reason. The three CMA-ES kinds rank the batch by
-their own per-sample reward signal; the random kind keeps no state. This script activates one instance of
-each kind on a small Rastrigin task and prints what it produces.
+`update_batch` then absorbs the batch's insertion outcome, ends the
+emitter's generation and gives it its reason to stop: an emitter with a
+reason is exhausted and returns to the pool. The three CMA-ES kinds rank
+the batch by their own per-sample reward signal; the random kind keeps no
+state. This script activates one instance of each kind on a small
+Rastrigin task and prints what it produces.
 """
 
 import numpy as np
@@ -48,5 +49,5 @@ for kind, cls in EMITTER_CLASSES.items():
         rewards = emitter.batch_rewards(bd, norm, status, improvement)
         print(f"  rewards: {np.array2string(rewards, precision=3)}")
     reason = emitter.update_batch([emitter], bd, norm, status, improvement)[0]
-    terminated = emitter.finish_generation(reason)
+    terminated = reason is not None
     print(f"  terminated after this generation: {terminated} (reason to stop: {reason})\n")

@@ -345,16 +345,15 @@ class Archive:
         them held the cell just before it.  Only each cell's final winner
         is written, into a single genotype copy.
 
-        Trusted fast path, unlike :meth:`add_attempt`: ``cells`` must be
-        the candidates' cell indices and ``fitness_norm`` must lie in
-        [0, 1].
+        Unlike :meth:`add_attempt`, it trusts ``cells`` to be the
+        descriptors' bins.
 
         Args:
-            cells: ``(m,)`` flat cell indices.
+            cells: ``(m,)`` flat cell indices, in ``[0, spec.total_cells)``.
             genotypes: ``(m, n)`` candidate genotypes.
             descriptors: ``(m, dims)`` candidate descriptors.
             fitness_raw: ``(m,)`` raw fitness, without NaN.
-            fitness_norm: ``(m,)`` normalized fitness.
+            fitness_norm: ``(m,)`` normalized fitness, in [0, 1].
 
         Returns:
             ``(status, improvement)`` in batch order: the
@@ -362,8 +361,9 @@ class Archive:
             improvement as defined by :class:`AddResult`.
 
         Raises:
-            ValueError: On mismatched lengths, NaN raw fitness or rows of
-                the wrong shape; the archive is unchanged then.
+            ValueError: On mismatched lengths, NaN raw fitness, a value
+                outside the ranges above or rows of the wrong shape; the
+                archive is unchanged then.
         """
         cells = np.asarray(cells, dtype=np.int64)
         genotypes = np.asarray(genotypes, dtype=float)
@@ -379,6 +379,10 @@ class Archive:
         improvement = np.zeros(m)
         if m == 0:
             return status, improvement
+        if not (0 <= cells.min() and cells.max() < self.spec.total_cells):
+            raise ValueError(f"cells must lie in [0, {self.spec.total_cells})")
+        if not (norm.min() >= 0.0 and norm.max() <= 1.0):
+            raise ValueError("fitness_norm must lie in [0, 1], NaN excluded")
         self._check_genotype_shape(genotypes.shape[1:])
         if descriptors.shape[1:] != (self.spec.dims,):
             raise ValueError(
@@ -515,9 +519,9 @@ class Archive:
         Raises:
             ValueError: If the header is not that of an archive over
                 ``spec.dims`` descriptor axes, a row's length differs from
-                the header's, a row's descriptor does not bin to its
-                recorded cell index under ``spec``, or a row fails
-                :meth:`add_attempt`'s checks (each row goes through it).
+                the header's or a field does not parse, a row's descriptor
+                does not bin to its recorded cell under ``spec``, or a row
+                fails :meth:`add_attempt`'s checks (each row goes through it).
         """
         archive = cls(spec)
         with open(path, newline="") as f:
@@ -533,11 +537,12 @@ class Archive:
                         f"line {reader.line_num} of {path} has {len(row)} fields, "
                         f"expected {len(header)}"
                     )
-                cell = int(row[0])
-                descriptor = np.array([float(v) for v in row[1 : 1 + bd_dim]])
-                fitness_raw = float(row[1 + bd_dim])
-                fitness_norm = float(row[2 + bd_dim])
-                genotype = np.array([float(v) for v in row[3 + bd_dim : 3 + bd_dim + n_geno]])
+                try:
+                    cell, values = int(row[0]), [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
+                descriptor, genotype = np.array(values[:bd_dim]), np.array(values[bd_dim + 2 :])
+                fitness_raw, fitness_norm = values[bd_dim : bd_dim + 2]
                 if cell_index(descriptor, spec) != cell:
                     raise ValueError(
                         f"row for cell {cell} does not bin to its own cell under this grid"

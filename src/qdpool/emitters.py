@@ -72,14 +72,13 @@ class Emitter:
       of in-bounds genotypes stacked row-wise in the order given; emitter
       ``i`` draws from ``rngs[i]`` only.
     * ``update_batch(emitters, descriptors, fitness_norms, status,
-      improvement)``, a static method, absorbs the just-inserted batches of
-      ``emitters``, given row-wise in the same order as the descriptors,
-      normalized fitnesses and the per-sample ``status`` codes and
-      ``improvement`` values of :meth:`Archive.insert_batch`.  It returns
-      each emitter's reason to stop, or None for one that goes on.
-    * ``finish_generation(reason)`` ends this emitter's generation with
-      its reason from ``update_batch`` and returns whether the emitter is
-      exhausted, so that the engine returns it to the pool.
+      improvement)``, a static method, ends the generation of ``emitters``:
+      it absorbs their just-inserted batches, given row-wise in the same
+      order as the descriptors, normalized fitnesses and the per-sample
+      ``status`` codes and ``improvement`` values of
+      :meth:`Archive.insert_batch`, and returns each emitter's reason to
+      stop, or None for one that goes on.  An emitter with a reason is
+      exhausted: it keeps no state, and the engine returns it to the pool.
     """
 
     kind: EmitterKind
@@ -96,10 +95,9 @@ class _CmaesEmitter(Emitter):
     ``update_batch``, it returns one reward per sample, larger is better,
     which ``update_batch`` feeds to ``tell``.
 
-    ``cmaes`` holds the strategy from :meth:`activate` until
-    :meth:`finish_generation` reports exhaustion, and is None otherwise:
-    an idle emitter in the pool keeps no covariance matrix.  The batch
-    between generation and update is the strategy's own pending batch.
+    ``cmaes`` holds the strategy while the emitter is active, and is None
+    otherwise: an idle emitter in the pool keeps no covariance matrix.  The
+    batch between generation and update is the strategy's own pending batch.
     """
 
     cmaes: CmaesState | None = None
@@ -149,12 +147,13 @@ class _CmaesEmitter(Emitter):
         if told:
             for i, reason in zip(told, CmaesState.tell([emitters[i].cmaes for i in told], rewards)):
                 reasons[i] = reason
+        for emitter, reason in zip(emitters, reasons):
+            emitter.finish_generation(reason)
         return reasons
 
     def finish_generation(self, reason: str | None) -> bool:
-        """Reports exhaustion, which any reason from :meth:`update_batch`
-        is.  An exhausted emitter drops its strategy, so only active
-        emitters hold one."""
+        """Drops an exhausted emitter's strategy and returns whether
+        ``reason`` exhausted it, which the benchmark's tracer counts."""
         if reason is None:
             return False
         self.cmaes = None
@@ -254,11 +253,6 @@ class RandomEmitter(Emitter):
         """Nothing to absorb: the operator is memoryless, which is every
         emitter's reason to stop."""
         return ["memoryless"] * len(emitters)
-
-    def finish_generation(self, reason: str | None) -> bool:
-        """Always exhausts: the operator is memoryless, so it returns to
-        the pool after every generation."""
-        return True
 
 
 EMITTER_CLASSES: dict[EmitterKind, type[Emitter]] = {

@@ -108,7 +108,7 @@ def build_scheduler(config: RunConfig) -> UcbScheduler:
     pool holds the kinds in canonical enum order, the instances of a kind
     consecutive, with ids 0, 1, ... in that order."""
     composition = config.pool_composition
-    if composition is None:
+    if composition is None or config.variant not in _VARIANTS:  # also refuses an unknown variant
         composition = variant_composition(config.variant, config.slots)
     pool: list[Emitter] = []
     for kind in EmitterKind:
@@ -154,16 +154,16 @@ class Engine:
     parallel region), binned and inserted by one
     :meth:`Archive.insert_batch` whose outcome equals sequential insertion
     in (slot, sample) order, each family absorbs its rows of the outcome
-    in one ``update_batch`` call (one CMA-ES update for the family),
-    each emitter ends its generation with its reason in one
-    ``finish_generation`` call and returns to the pool at once if that
-    reports exhaustion, and finally the bandit statistics are recorded.
-    Each family is called through its own class; :class:`Emitter` states
-    the four calls.  :meth:`initialize` and :meth:`step` insert
-    through the same :meth:`_insert`.  Only :meth:`run` starts evaluation
-    threads, and joins them before it returns (:func:`run_many` forks on
-    that); stepped by hand, an engine evaluates on the calling thread,
-    whatever ``threads`` says.
+    and ends its emitters' generation in one ``update_batch`` call (one
+    CMA-ES update for the family), every emitter with a reason to stop
+    returns to the pool at once, and finally the bandit statistics are
+    recorded.  Each family is called through its own class;
+    :class:`Emitter` states the three calls and the exhaustion rule.
+    :meth:`initialize` and :meth:`step` insert through the same
+    :meth:`_insert`.  Only :meth:`run` starts evaluation threads, and
+    joins them before it returns (:func:`run_many` forks on that); stepped
+    by hand, an engine evaluates on the calling thread, whatever
+    ``threads`` says.
     """
 
     def __init__(self, config: RunConfig):
@@ -246,7 +246,7 @@ class Engine:
                 family, descriptors[rows], norm[rows], status[rows], improvement[rows]
             )
             for emitter, reason in zip(family, reasons):
-                if emitter.finish_generation(reason):
+                if reason is not None:
                     self.scheduler.deactivate(emitter)
         self.scheduler.record_generation({e.id: (batch, n) for e, n in zip(active, adds)})
 

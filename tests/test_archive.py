@@ -558,6 +558,26 @@ def test_read_csv_rejects_a_short_row(tmp_path, spec):
         Archive.read_csv(path, spec)
 
 
+@pytest.mark.parametrize(
+    "column, value", [("cell_index", "12.0"), ("bd_1", "north"), ("fitness_raw", ""), ("g_2", "1,5")]
+)
+def test_read_csv_names_the_file_and_line_of_a_field_that_does_not_parse(tmp_path, spec, column, value):
+    """A cell index of ``12.0`` used to raise int()'s bare ``invalid
+    literal for int() with base 10: '12.0'``."""
+    archive = Archive(spec)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        archive.add_attempt(make_elite(rng))
+    path = tmp_path / "archive.csv"
+    archive.write_csv(path)
+    rows = list(csv.reader(io.StringIO(path.read_text())))
+    rows[2][rows[0].index(column)] = value
+    with open(path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    with pytest.raises(ValueError, match=f"^line 3 of {re.escape(str(path))}: .*{re.escape(repr(value))}$"):
+        Archive.read_csv(path, spec)
+
+
 def test_read_csv_rejects_a_row_that_bins_to_another_cell(tmp_path, spec):
     archive = Archive(spec)
     archive.add_attempt(make_elite(np.random.default_rng(0), bd=[-0.35, 0.2]))
@@ -815,6 +835,42 @@ def test_insert_batch_rejects_arrays_of_unequal_length(spec, short):
 def test_insert_batch_rejects_nan_fitness(spec):
     with pytest.raises(ValueError):
         Archive(spec).insert_batch([0], np.zeros((1, 3)), np.zeros((1, 2)), [np.nan], [0.0])
+
+
+def preloaded_archive(spec, preload):
+    archive = Archive(spec)
+    if preload:
+        archive.insert_batch([1], np.ones((1, 3)), [[-0.4, -0.9]], [2.0], [0.75])
+    return archive
+
+
+@pytest.mark.parametrize("cell", [-1, 16], ids=["negative", "past-the-last"])
+@pytest.mark.parametrize("preload", [False, True], ids=["empty", "preloaded"])
+def test_insert_batch_refuses_a_cell_outside_the_grid_before_any_change(tmp_path, spec, cell, preload):
+    """``insert_batch([-1], ...)`` used to file the candidate under the
+    last cell, whatever its descriptor binned to."""
+    archive = preloaded_archive(spec, preload)
+    before = archive_reads(archive, tmp_path / "before.csv")
+    descriptors = np.array([[0.1, 0.1], [-0.9, 0.9]])
+    cells = [int(cell_indices(descriptors[:1], spec)[0]), cell]
+    with pytest.raises(ValueError, match=r"^cells must lie in \[0, 16\)"):
+        archive.insert_batch(cells, np.zeros((2, 3)), descriptors, [1.0, 1.0], [0.5, 0.5])
+    assert archive_reads(archive, tmp_path / "after.csv") == before
+
+
+@pytest.mark.parametrize("norm", [2.0, -0.5, np.nan], ids=["above-1", "below-0", "nan"])
+@pytest.mark.parametrize("preload", [False, True], ids=["empty", "preloaded"])
+def test_insert_batch_refuses_a_norm_outside_0_1_before_any_change(tmp_path, spec, norm, preload):
+    """A norm of 2.0 used to be stored and reported as an improvement of
+    2.0, and a NaN norm as an improvement of NaN."""
+    archive = preloaded_archive(spec, preload)
+    before = archive_reads(archive, tmp_path / "before.csv")
+    descriptors = np.array([[0.1, 0.1], [-0.4, -0.9]])
+    with pytest.raises(ValueError, match=r"^fitness_norm must lie in \[0, 1\]"):
+        archive.insert_batch(
+            cell_indices(descriptors, spec), np.zeros((2, 3)), descriptors, [1.0, 3.0], [0.5, norm]
+        )
+    assert archive_reads(archive, tmp_path / "after.csv") == before
 
 
 def archive_reads(archive, path):

@@ -91,6 +91,12 @@ class TestConfigAndPool:
             variant="me-map-elites-uniform", slots=6, pool_composition={EmitterKind.RANDOM: 6}
         )
 
+    def test_an_unknown_variant_is_refused_with_a_pool_composition_too(self):
+        """It used to be accepted, and its results labelled with the
+        unknown name."""
+        with pytest.raises(ValueError, match="^unknown variant 'bogus'"):
+            small_config(variant="bogus", pool_composition={EmitterKind.RANDOM: 4})
+
     @pytest.mark.parametrize(
         "name",
         ["generations", "slots", "batch_per_emitter", "init_samples", "seed", "window", "metrics_every",
@@ -243,16 +249,18 @@ class TestGenerationLoop:
             assert engine.scheduler.emitters == pool
 
     def test_exhausted_emitters_leave_the_active_set_in_the_same_step(self, monkeypatch):
-        """After each step, the active emitters are exactly those whose
-        ``finish_generation`` reported that they go on."""
+        """After each step, the active emitters are exactly those that
+        ``update_batch`` gave no reason to stop, and every exhausted CMA-ES
+        emitter has dropped its strategy."""
         reported = {}
         for cls in EMITTER_CLASSES.values():
 
-            def finish(self, *outcome, _finish=cls.finish_generation):
-                reported[self.id] = _finish(self, *outcome)
-                return reported[self.id]
+            def update(emitters, *outcome, _update=cls.update_batch):
+                reasons = _update(emitters, *outcome)
+                reported.update((e.id, reason is not None) for e, reason in zip(emitters, reasons))
+                return reasons
 
-            monkeypatch.setattr(cls, "finish_generation", finish)
+            monkeypatch.setattr(cls, "update_batch", staticmethod(update))
         engine = Engine(small_config(generations=40))
         engine.initialize()
         cmaes_restarts = 0
@@ -263,10 +271,13 @@ class TestGenerationLoop:
             assert [e.id for e in engine.scheduler.active] == sorted(
                 i for i, exhausted in reported.items() if not exhausted
             )
-            cmaes_restarts += sum(
-                exhausted and engine.scheduler.emitters[i].kind is not EmitterKind.RANDOM
+            restarted = [
+                engine.scheduler.emitters[i]
                 for i, exhausted in reported.items()
-            )
+                if exhausted and engine.scheduler.emitters[i].kind is not EmitterKind.RANDOM
+            ]
+            assert all(e.cmaes is None for e in restarted)
+            cmaes_restarts += len(restarted)
         assert cmaes_restarts > 0
 
     def test_first_generation_activates_lowest_ids(self):

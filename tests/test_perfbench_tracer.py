@@ -58,3 +58,25 @@ def test_tracer_records_spans_and_uninstall_restores_originals():
     assert all(tracer.spans[span[3]][0] == "cmaes.tell" for span in checks)
     for (owner, attr), original in originals.items():
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} was not restored"
+
+
+def test_the_tracer_still_counts_cmaes_restarts():
+    """``cmaes.restarts_per_gen`` counts the exhausted CMA-ES emitters
+    through ``_CmaesEmitter.finish_generation``, which each family's
+    ``update_batch`` calls; a UCB run restarts some of them."""
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        engine.run(
+            engine.RunConfig(
+                task=make_task("sphere", dim=4, resolution=5),
+                generations=20,
+                slots=4,
+                batch_per_emitter=4,
+                init_samples=20,
+                seed=7,
+            )
+        )
+    finally:
+        tracer.uninstall()
+    assert tracer.layers()["metrics"]["cmaes.restarts_per_gen"] > 0
