@@ -2,13 +2,15 @@
 A tour of the four emitter kinds
 ================================
 
-Each emitter turns archive state into a batch of candidates. Its family's
-`update_batch` then absorbs the batch's insertion outcome, ends the
-emitter's generation and gives it its reason to stop: an emitter with a
-reason is exhausted and returns to the pool. The three CMA-ES kinds rank
-the batch by their own per-sample reward signal; the random kind keeps no
-state. This script activates one instance of each kind on a small
-Rastrigin task and prints what it produces.
+Each emitter turns archive state into a batch of candidates through its
+family's `generate_batch`, which first starts a CMA-ES emitter that holds
+no strategy from a random elite. Its family's `update_batch` then absorbs
+the batch's insertion outcome, ends the emitter's generation and gives it
+its reason to stop: an emitter with a reason is exhausted and returns to
+the pool. The three CMA-ES kinds rank the batch by their own per-sample
+reward signal; the random kind keeps no state. This script runs one
+generation of one instance of each kind on a small Rastrigin task and
+prints what it produces.
 """
 
 import numpy as np
@@ -35,7 +37,6 @@ print(f"seeded archive with {len(archive)} elites\n")
 
 for kind, cls in EMITTER_CLASSES.items():
     emitter = cls(emitter_id=0, batch_size=8)
-    emitter.activate(archive, task, rng)
     genotypes = emitter.generate_batch([emitter], archive, task, [rng])
     raw, norm, bd = evaluate_batch(genotypes, task)
 

@@ -349,7 +349,8 @@ class Archive:
         descriptors' bins.
 
         Args:
-            cells: ``(m,)`` flat cell indices, in ``[0, spec.total_cells)``.
+            cells: ``(m,)`` flat cell indices of an integer dtype, in
+                ``[0, spec.total_cells)``.
             genotypes: ``(m, n)`` candidate genotypes.
             descriptors: ``(m, dims)`` candidate descriptors.
             fitness_raw: ``(m,)`` raw fitness, without NaN.
@@ -361,11 +362,11 @@ class Archive:
             improvement as defined by :class:`AddResult`.
 
         Raises:
-            ValueError: On mismatched lengths, NaN raw fitness, a value
-                outside the ranges above or rows of the wrong shape; the
-                archive is unchanged then.
+            ValueError: On mismatched lengths, NaN raw fitness, cells that
+                are not integers, a value outside the ranges above or rows
+                of the wrong shape; the archive is unchanged then.
         """
-        cells = np.asarray(cells, dtype=np.int64)
+        cells = np.asarray(cells)
         genotypes = np.asarray(genotypes, dtype=float)
         descriptors = np.asarray(descriptors, dtype=float)
         raw = np.asarray(fitness_raw, dtype=float)
@@ -379,6 +380,9 @@ class Archive:
         improvement = np.zeros(m)
         if m == 0:
             return status, improvement
+        if not np.issubdtype(cells.dtype, np.integer):
+            raise ValueError(f"cells must be integers, got dtype {cells.dtype}")
+        cells = cells.astype(np.int64, copy=False)
         if not (0 <= cells.min() and cells.max() < self.spec.total_cells):
             raise ValueError(f"cells must lie in [0, {self.spec.total_cells})")
         if not (norm.min() >= 0.0 and norm.max() <= 1.0):
@@ -522,6 +526,7 @@ class Archive:
                 the header's or a field does not parse, a row's descriptor
                 does not bin to its recorded cell under ``spec``, or a row
                 fails :meth:`add_attempt`'s checks (each row goes through it).
+                Every error about a row names the file and the line.
         """
         archive = cls(spec)
         with open(path, newline="") as f:
@@ -539,13 +544,13 @@ class Archive:
                     )
                 try:
                     cell, values = int(row[0]), [float(v) for v in row[1:]]
+                    descriptor, genotype = np.array(values[:bd_dim]), np.array(values[bd_dim + 2 :])
+                    fitness_raw, fitness_norm = values[bd_dim : bd_dim + 2]
+                    if cell_index(descriptor, spec) != cell:
+                        raise ValueError(
+                            f"row for cell {cell} does not bin to its own cell under this grid"
+                        )
+                    archive.add_attempt(Elite(genotype, descriptor, fitness_raw, fitness_norm))
                 except ValueError as exc:
                     raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
-                descriptor, genotype = np.array(values[:bd_dim]), np.array(values[bd_dim + 2 :])
-                fitness_raw, fitness_norm = values[bd_dim : bd_dim + 2]
-                if cell_index(descriptor, spec) != cell:
-                    raise ValueError(
-                        f"row for cell {cell} does not bin to its own cell under this grid"
-                    )
-                archive.add_attempt(Elite(genotype, descriptor, fitness_raw, fitness_norm))
         return archive

@@ -62,23 +62,23 @@ SIGMA_LINE = 0.1
 
 
 class Emitter:
-    """An emitter of the pool; its family's class implements the lifecycle.
+    """An emitter of the pool; its family's class implements the lifecycle
+    in two static methods.
 
-    * ``activate(archive, task, rng)`` resets the emitter's internal
-      state, drawing from ``rng`` only, before it generates again.
-    * ``generate_batch(emitters, archive, task, rngs)``, a static method,
-      returns the batches of ``emitters``, all of this family and of one
-      batch size, as one ``(len(emitters) * batch_size, task.dim)`` array
-      of in-bounds genotypes stacked row-wise in the order given; emitter
-      ``i`` draws from ``rngs[i]`` only.
+    * ``generate_batch(emitters, archive, task, rngs)`` returns the
+      batches of ``emitters``, all of this family and of one batch size,
+      as one ``(len(emitters) * batch_size, task.dim)`` array of in-bounds
+      genotypes stacked row-wise in the order given; emitter ``i`` draws
+      from ``rngs[i]`` only.  A CMA-ES emitter that holds no strategy,
+      because it was just picked, starts afresh first.
     * ``update_batch(emitters, descriptors, fitness_norms, status,
-      improvement)``, a static method, ends the generation of ``emitters``:
-      it absorbs their just-inserted batches, given row-wise in the same
-      order as the descriptors, normalized fitnesses and the per-sample
-      ``status`` codes and ``improvement`` values of
-      :meth:`Archive.insert_batch`, and returns each emitter's reason to
-      stop, or None for one that goes on.  An emitter with a reason is
-      exhausted: it keeps no state, and the engine returns it to the pool.
+      improvement)`` ends the generation of ``emitters``: it absorbs their
+      just-inserted batches, given row-wise in the same order as the
+      descriptors, normalized fitnesses and the per-sample ``status`` codes
+      and ``improvement`` values of :meth:`Archive.insert_batch`, and
+      returns each emitter's reason to stop, or None for one that goes on.
+      An emitter with a reason is exhausted: it keeps no state, and the
+      engine returns it to the pool.
     """
 
     kind: EmitterKind
@@ -96,7 +96,8 @@ class _CmaesEmitter(Emitter):
     which ``update_batch`` feeds to ``tell``.
 
     ``cmaes`` holds the strategy while the emitter is active, and is None
-    otherwise: an idle emitter in the pool keeps no covariance matrix.  The
+    otherwise: an idle emitter in the pool keeps no covariance matrix, and
+    ``generate_batch`` starts a picked one with :meth:`activate`.  The
     batch between generation and update is the strategy's own pending batch.
     """
 
@@ -104,18 +105,20 @@ class _CmaesEmitter(Emitter):
 
     def activate(self, archive: Archive, task: TaskSpec, rng: np.random.Generator) -> None:
         """Restarts the strategy on a uniformly drawn elite at the task's
-        initial step size."""
+        initial step size, drawing from ``rng`` only."""
         elite = archive.random_elite(rng)
         self.cmaes = CmaesState(elite.genotype, task.sigma0, self.batch_size)
 
     @staticmethod
     def generate_batch(emitters, archive, task, rngs) -> np.ndarray:
-        """Asks every emitter's CMA-ES in one :meth:`CmaesState.ask` call;
-        each strategy keeps its unclipped samples and their normals for
-        the distribution update, while the returned copies are clamped to
-        the search bounds for evaluation."""
-        if any(e.cmaes is None for e in emitters):
-            raise RuntimeError("emitter must be activated before generating")
+        """Starts every emitter that holds no strategy (:meth:`activate`,
+        from its own generator), then asks every emitter's CMA-ES in one
+        :meth:`CmaesState.ask` call; each strategy keeps its unclipped
+        samples and their normals for the distribution update, while the
+        returned copies are clamped to the search bounds for evaluation."""
+        for emitter, rng in zip(emitters, rngs):
+            if emitter.cmaes is None:
+                emitter.activate(archive, task, rng)
         raw = CmaesState.ask([e.cmaes for e in emitters], rngs)
         return clip_genotype(raw.reshape(-1, raw.shape[2]), task)
 
@@ -215,9 +218,6 @@ class RandomEmitter(Emitter):
     (x2 - x1)``, clipped to the bounds."""
 
     kind = EmitterKind.RANDOM
-
-    def activate(self, archive, task, rng) -> None:
-        """No internal state to reset."""
 
     @staticmethod
     def generate_batch(emitters, archive, task, rngs) -> np.ndarray:

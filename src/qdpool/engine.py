@@ -11,9 +11,9 @@ four kinds, ``me-map-elites-uniform`` ``slots/4`` of each, and
 ``cma-me-opt``, ``cma-me-dir``, ``cma-me-imp`` and ``map-elites``
 ``slots`` of their one kind.  Every pool but the first holds exactly
 ``slots`` emitters, so the bandit's choices are forced: each generation
-it re-activates every idle emitter, which is plain round-robin
+it picks every idle emitter again, which is plain round-robin
 reactivation.  Each emitter draws from its own random stream, so the
-order of activation cannot matter.
+order in which picked emitters start cannot matter.
 
 Determinism contract: a run's outputs depend only on (config, seed).
 The root seed spawns one named substream for initialization and one per
@@ -145,9 +145,9 @@ class Engine:
     """Stepwise driver of one run; :func:`run` is the one-call wrapper.
 
     The per-generation cycle is strictly ordered: the scheduler fills
-    the free slots, new emitters are activated, the active emitters
-    generate their batches against the frozen archive with one
-    ``generate_batch`` call per family (active emitters are in
+    the free slots, the active emitters generate their batches against
+    the frozen archive with one ``generate_batch`` call per family, which
+    first starts the family's newly picked emitters (active emitters are in
     ascending id order and :func:`build_scheduler` numbers kinds in
     canonical order, so each family is one contiguous run and the rows stay
     in (slot, sample) order), the whole generation is evaluated (the only
@@ -158,7 +158,8 @@ class Engine:
     CMA-ES update for the family), every emitter with a reason to stop
     returns to the pool at once, and finally the bandit statistics are
     recorded.  Each family is called through its own class;
-    :class:`Emitter` states the three calls and the exhaustion rule.
+    :class:`Emitter` states the two calls and the exhaustion rule, and the
+    engine calls no other emitter method.
     :meth:`initialize` and :meth:`step` insert through the same
     :meth:`_insert`.  Only :meth:`run` starts evaluation threads, and
     joins them before it returns (:func:`run_many` forks on that); stepped
@@ -206,7 +207,10 @@ class Engine:
 
     def initialize(self) -> None:
         """Fills the archive with uniformly sampled genotypes and records
-        the generation-0 snapshot."""
+        the generation-0 snapshot, once: a second call, which would insert
+        the samples again, raises ``RuntimeError``."""
+        if self.records:
+            raise RuntimeError("engine is already initialized")
         rng = _substream(self.config.seed, (0,))
         self._insert(
             rng.uniform(self.task.lower, self.task.upper, (self.config.init_samples, self.task.dim))
@@ -216,9 +220,7 @@ class Engine:
     def step(self) -> None:
         """Advances the run by one generation."""
         cfg = self.config
-        for emitter in self.scheduler.select():
-            emitter.activate(self.archive, self.task, self._rngs[emitter.id])
-
+        self.scheduler.select()
         active = self.scheduler.active  # ascending id = slot order
         counts = dict.fromkeys(EmitterKind, 0)
         for emitter in active:

@@ -134,8 +134,8 @@ class UcbScheduler:
 
     def select(self) -> list[Emitter]:
         """Fills every free slot with the best idle emitters, marks them
-        active and returns them best-first; the caller is responsible for
-        calling ``activate`` on each.  The pool holds at least ``slots``
+        active and returns them best-first; each starts afresh at its
+        family's next ``generate_batch``.  The pool holds at least ``slots``
         emitters, so there are never fewer idle emitters than free slots."""
         free = self.slots - len(self._active_ids)
         if free == 0:

@@ -559,11 +559,21 @@ def test_read_csv_rejects_a_short_row(tmp_path, spec):
 
 
 @pytest.mark.parametrize(
-    "column, value", [("cell_index", "12.0"), ("bd_1", "north"), ("fitness_raw", ""), ("g_2", "1,5")]
+    "column, value, tail",
+    [
+        ("cell_index", "12.0", "'12.0'"),
+        ("bd_1", "north", "'north'"),
+        ("fitness_raw", "", "''"),
+        ("g_2", "1,5", "'1,5'"),
+        ("fitness_norm", "1.5", "fitness_norm must be in [0, 1], got 1.5"),
+        ("fitness_raw", "nan", "fitness_raw is NaN"),
+    ],
+    ids=["cell_index-12.0", "bd_1-north", "fitness_raw-", "g_2-1,5", "fitness_norm-1.5", "fitness_raw-nan"],
 )
-def test_read_csv_names_the_file_and_line_of_a_field_that_does_not_parse(tmp_path, spec, column, value):
+def test_read_csv_names_the_file_and_line_of_a_field_that_does_not_parse(tmp_path, spec, column, value, tail):
     """A cell index of ``12.0`` used to raise int()'s bare ``invalid
-    literal for int() with base 10: '12.0'``."""
+    literal for int() with base 10: '12.0'``, and a row that
+    :meth:`Archive.add_attempt` refuses raised its bare message."""
     archive = Archive(spec)
     rng = np.random.default_rng(1)
     for _ in range(3):
@@ -574,7 +584,7 @@ def test_read_csv_names_the_file_and_line_of_a_field_that_does_not_parse(tmp_pat
     rows[2][rows[0].index(column)] = value
     with open(path, "w", newline="") as f:
         csv.writer(f, lineterminator="\n").writerows(rows)
-    with pytest.raises(ValueError, match=f"^line 3 of {re.escape(str(path))}: .*{re.escape(repr(value))}$"):
+    with pytest.raises(ValueError, match=f"^line 3 of {re.escape(str(path))}: .*{re.escape(tail)}$"):
         Archive.read_csv(path, spec)
 
 
@@ -586,7 +596,8 @@ def test_read_csv_rejects_a_row_that_bins_to_another_cell(tmp_path, spec):
     header, row = path.read_text().splitlines()
     assert row.startswith("6,")
     path.write_text(f"{header}\n7{row[1:]}\n")
-    with pytest.raises(ValueError, match="row for cell 7 does not bin to its own cell"):
+    message = f"^line 2 of {re.escape(str(path))}: row for cell 7 does not bin to its own cell"
+    with pytest.raises(ValueError, match=message):
         Archive.read_csv(path, spec)
 
 
@@ -844,18 +855,34 @@ def preloaded_archive(spec, preload):
     return archive
 
 
-@pytest.mark.parametrize("cell", [-1, 16], ids=["negative", "past-the-last"])
+@pytest.mark.parametrize(
+    "cell, message",
+    [(-1, r"cells must lie in \[0, 16\)"), (16, r"cells must lie in \[0, 16\)"),
+     (12.7, "cells must be integers, got dtype float64$")],
+    ids=["negative", "past-the-last", "fractional"],
+)
 @pytest.mark.parametrize("preload", [False, True], ids=["empty", "preloaded"])
-def test_insert_batch_refuses_a_cell_outside_the_grid_before_any_change(tmp_path, spec, cell, preload):
+def test_insert_batch_refuses_a_cell_outside_the_grid_before_any_change(
+    tmp_path, spec, cell, message, preload
+):
     """``insert_batch([-1], ...)`` used to file the candidate under the
-    last cell, whatever its descriptor binned to."""
+    last cell, whatever its descriptor binned to, and
+    ``insert_batch([12.7], ...)`` under cell 12."""
     archive = preloaded_archive(spec, preload)
     before = archive_reads(archive, tmp_path / "before.csv")
     descriptors = np.array([[0.1, 0.1], [-0.9, 0.9]])
     cells = [int(cell_indices(descriptors[:1], spec)[0]), cell]
-    with pytest.raises(ValueError, match=r"^cells must lie in \[0, 16\)"):
+    with pytest.raises(ValueError, match=f"^{message}"):
         archive.insert_batch(cells, np.zeros((2, 3)), descriptors, [1.0, 1.0], [0.5, 0.5])
     assert archive_reads(archive, tmp_path / "after.csv") == before
+
+
+def test_an_empty_batch_is_taken_though_numpy_types_its_cells_float(spec):
+    archive = preloaded_archive(spec, preload=True)
+    assert np.asarray([]).dtype == np.float64
+    status, improvement = archive.insert_batch([], np.zeros((0, 3)), np.zeros((0, 2)), [], [])
+    assert (status.dtype, status.shape, improvement.shape) == (np.int8, (0,), (0,))
+    assert len(archive) == 1
 
 
 @pytest.mark.parametrize("norm", [2.0, -0.5, np.nan], ids=["above-1", "below-0", "nan"])

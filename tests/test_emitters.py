@@ -71,12 +71,6 @@ class TestActivate:
         ((_, elite),) = single_elite_archive
         np.testing.assert_array_equal(emitter.anchor_bd, elite.descriptor)
 
-    def test_random_kind_is_noop(self, task, single_elite_archive):
-        emitter = RandomEmitter(2, batch_size=50)
-        before = vars(emitter).copy()
-        emitter.activate(single_elite_archive, task, np.random.default_rng(0))
-        assert vars(emitter) == before
-
     def test_empty_archive_raises(self, task):
         with pytest.raises(EmptyArchiveError):
             OptimisingEmitter(0, batch_size=50).activate(Archive(task.grid()), task, np.random.default_rng(0))
@@ -104,7 +98,6 @@ class TestGenerate:
         archive = build_archive(task, rng.uniform(-30, 30, (12, 4)))
         for cls in (OptimisingEmitter, RandomDirectionEmitter, ImprovementEmitter, RandomEmitter):
             emitter = cls(0, batch_size=50)
-            emitter.activate(archive, task, rng)
             batch = emitter.generate_batch([emitter], archive, task, [rng])
             assert batch.shape == (50, 4)
             assert np.all(batch >= task.lower) and np.all(batch <= task.upper)
@@ -201,6 +194,34 @@ class TestGenerateBatch:
         for a, b in zip(batched, singles):
             for kept_a, kept_b in zip(a.cmaes.pending, b.cmaes.pending, strict=True):
                 np.testing.assert_array_equal(kept_a, kept_b)
+
+    def test_cmaes_family_starts_only_its_emitters_without_a_strategy(self, task):
+        """``generate_batch`` starts a never-picked emitter and one that its
+        last update exhausted, each from its own generator, as an explicit
+        ``activate`` does, and leaves a running strategy as it is."""
+        archive = build_archive(task, np.random.default_rng(3).uniform(-30, 30, (12, 4)))
+
+        def family():
+            idle = RandomDirectionEmitter(0, batch_size=6)
+            exhausted, running = ImprovementEmitter(1, batch_size=6), OptimisingEmitter(2, batch_size=6)
+            for emitter in (exhausted, running):
+                rng = np.random.default_rng([31, emitter.id])
+                emitter.activate(archive, task, rng)
+                emitter.generate_batch([emitter], archive, task, [rng])
+                finish(emitter, *outcome(np.arange(6.0), added=emitter is running))
+            return [idle, exhausted, running]
+
+        implicit, explicit = family(), family()
+        assert [e.cmaes is None for e in implicit] == [True, True, False]
+        out = OptimisingEmitter.generate_batch(
+            implicit, archive, task, [np.random.default_rng([77, e.id]) for e in implicit]
+        )
+        rngs = [np.random.default_rng([77, e.id]) for e in explicit]
+        for emitter, rng in zip(explicit[:2], rngs):
+            emitter.activate(archive, task, rng)
+        np.testing.assert_array_equal(out, OptimisingEmitter.generate_batch(explicit, archive, task, rngs))
+        np.testing.assert_array_equal(implicit[0].direction, explicit[0].direction)
+        assert [e.cmaes.generation_count for e in implicit] == [0, 0, 1]
 
     # ids kept from the earlier per-emitter-gain cases, so that results
     # stay comparable across versions
@@ -346,9 +367,7 @@ class TestFinishGeneration:
     @staticmethod
     def generated(cls, task, archive):
         emitter = cls(0, batch_size=10)
-        rng = np.random.default_rng(1)
-        emitter.activate(archive, task, rng)
-        emitter.generate_batch([emitter], archive, task, [rng])
+        emitter.generate_batch([emitter], archive, task, [np.random.default_rng(1)])
         return emitter
 
     def test_random_always_terminates(self, task, single_elite_archive):
@@ -373,12 +392,10 @@ class TestFinishGeneration:
         assert finish(emitter, *outcome(np.full(10, 0.5), cause == "tol_fun")) is True
         assert emitter.cmaes is None
         rng = np.random.default_rng(3)
-        with pytest.raises(RuntimeError, match="activated"):
-            emitter.generate_batch([emitter], single_elite_archive, task, [rng])
-        emitter.activate(single_elite_archive, task, rng)
-        assert emitter.cmaes.generation_count == 0
+        batch = emitter.generate_batch([emitter], single_elite_archive, task, [rng])
+        assert emitter.cmaes.generation_count == 0  # restarted by its next generate_batch
         assert CmaesState.should_stop([emitter.cmaes])[0] is None
-        assert emitter.generate_batch([emitter], single_elite_archive, task, [rng]).shape == (10, 4)
+        assert batch.shape == (10, 4)
         assert finish(emitter, *outcome(np.arange(10.0))) is False
         assert emitter.cmaes.generation_count == 1
 

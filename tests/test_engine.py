@@ -189,6 +189,18 @@ class TestInitialize:
         assert record.evaluations == 30
         assert record.kind_counts == (0, 0, 0, 0)
 
+    def test_a_second_run_of_one_engine_is_refused_and_leaves_the_first_result(self):
+        """A second ``run()`` used to insert the initial samples again,
+        append a second generation-0 record to the list the first result
+        holds, and end at twice the configured generations."""
+        engine = Engine(small_config())
+        result = engine.run()
+        records, evaluations = list(result.records), engine.evaluations
+        with pytest.raises(RuntimeError, match="^engine is already initialized$"):
+            engine.run()
+        assert result.records == records and [r.generation for r in records] == [0, 5, 10, 12]
+        assert (engine.generation, engine.evaluations) == (12, evaluations)
+
     def test_initial_archive_is_variant_independent(self):
         archives = []
         for variant in ("me-map-elites-ucb", "cma-me-imp", "map-elites"):

@@ -51,7 +51,7 @@ def test_tracer_records_spans_and_uninstall_restores_originals():
         tracer.uninstall()
 
     names = {span[0] for span in tracer.spans}
-    assert {"engine.step", "cmaes.tell", "emitters.finish_generation"} <= names
+    assert {"engine.step", "cmaes.tell", "emitters.finish_generation", "emitters.activate"} <= names
     assert tracer.run == 2
     checks = [span for span in tracer.spans if span[0] == "cmaes.should_stop" and span[4] == 1]
     assert checks, "the ucb run recorded no cmaes.should_stop span"

@@ -91,7 +91,8 @@ def reference_run(config):
         scores = {e.id: ucb1(window, key_of[e.id], config.zeta) for e in idle}
         chosen = sorted(idle, key=lambda e: (-scores[e.id], e.id))[: config.slots - len(active)]
         for emitter in chosen:
-            emitter.activate(archive, task, rngs[emitter.id])
+            if emitter.kind is not EmitterKind.RANDOM:
+                emitter.activate(archive, task, rngs[emitter.id])
             active.add(emitter.id)
         slots = [e for e in pool if e.id in active]
         mix.append(tuple(sum(e.kind is kind for e in slots) for kind in EmitterKind))
